@@ -29,8 +29,8 @@ from pathlib import Path
 import inputs
 
 HERE = Path(__file__).resolve().parent
-SETUP_SAMPLES = 7
-MIN_REPS = 2
+SETUP_SAMPLES = 9
+MIN_REPS = 3  # the first is a warm-up; a traced run needs an untraced rep after it
 # Pinned for every child the benchmark starts; the machine is left alone.
 CHILD_THREADS = {name: "1" for name in (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -52,10 +52,6 @@ def percentile_tail(samples):
         rank = n - 10  # 1-based rank of the highest sample with ten beyond it
         tail = {"level": round(100.0 * rank / n, 3), "value": ordered[rank - 1]}
     return {"median": statistics.median(ordered), "tail": tail, "n": n}
-
-
-def nearest_rank(ordered, level):
-    return ordered[max(1, math.ceil(level / 100.0 * len(ordered))) - 1]
 
 
 def run_child(spec: dict, work: Path, name: str, env: dict, deadline: float) -> dict:
@@ -82,35 +78,39 @@ def git_commit(root: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown (not a git checkout)"
 
 
-def end_to_end(session: dict, setups: list[float], details: dict) -> dict:
-    """End-to-end values: each timing is its best rep.
+def end_to_end(session: dict, setups: list[dict], details: dict) -> dict:
+    """End-to-end values: each timing is the median of its samples.
 
-    On a 2-vCPU VM on a shared host, the CPU alternates for seconds to
-    minutes between a fast state and one ~1.7x slower, so a run's median
-    rep lands in either state; run-to-run spreads of the median reached
-    0.2-0.7 there, against 0.05-0.3 for the best rep. The details keep
-    every sample with its median and tail.
+    The samples are host-speed scaled (hostspeed.py) and leave out the
+    first, warm-up rep. The details keep every sample, scaled and raw,
+    with its median, tail percentile and count.
     """
-    reps = [r for r in session["reps"] if not r["traced"]]
+    reps = [r for r in session["reps"] if not r["traced"] and not r["warmup"]]
     samples = {
-        "setup_s": setups,
+        "setup_s": [child["setup_s"] for child in setups],
         "wall_s": [r["wall_s"] for r in reps],
         "roster_s": [r["roster_s"] for r in reps],
         **{f"train_s.{m}": [r["train_s"][m] for r in reps] for m in ("ann", "pso", "gwo", "ba")},
         "evaluate_s": [r["evaluate_s"] for r in reps],
-        "rep_p50_us": [r["p50_us"] for r in reps],
     }
     latencies = sorted(ns / 1e3 for ns in session["latencies_ns"])
     details["timings"] = {name: percentile_tail(values) for name, values in samples.items()}
     details["timings"]["predict_latency_us"] = percentile_tail(latencies)
+    details["timings"]["predict_latency_raw_us"] = percentile_tail(
+        [ns / 1e3 for ns in session["raw_latencies_ns"]])
     details["samples"] = samples
+    details["raw_samples"] = {
+        "setup_s": [child["setup_raw_s"] for child in setups],
+        "setup_probes": [child["setup_probes"] for child in setups],
+        **{key: [r["raw"][key] for r in reps] for key in ("wall_s", "roster_s", "evaluate_s")},
+        "host_scale": [r["host_scale"] for r in reps],
+    }
     r2 = reps[0]["r2"]
     details["holdout_r2"] = r2
-    values = {name: min(v) for name, v in samples.items()}
+    values = {name: statistics.median(v) for name, v in samples.items()}
     values.update(
         evaluate_records_per_s=reps[0]["evaluate_records"] / values["evaluate_s"],
-        predict_p50_us=values["rep_p50_us"],
-        predict_p99_us=nearest_rank(latencies, 99.0),
+        predict_p50_us=statistics.median(latencies),
         test_r2_min=min((r2[m] if r2[m] is not None else -math.inf) for m in ("ann", "pso", "gwo")),
         peak_rss_mb=session["peak_rss_mb"],
     )
@@ -119,8 +119,9 @@ def end_to_end(session: dict, setups: list[float], details: dict) -> dict:
 
 def per_layer(session: dict, details: dict) -> dict:
     values = dict(session["per_layer"])
-    untraced = min(r["wall_s"] for r in session["reps"] if not r["traced"])
-    traced = min(r["wall_s"] for r in session["reps"] if r["traced"])
+    untraced = statistics.median(r["wall_s"] for r in session["reps"]
+                                 if not r["traced"] and not r["warmup"])
+    traced = statistics.median(r["wall_s"] for r in session["reps"] if r["traced"])
     values["tracing.overhead_pct"] = 100.0 * (traced - untraced) / untraced
     details["tracing"] = {"untraced_wall_s": untraced, "traced_wall_s": traced,
                           "spans_per_rep": session["span_count"]}
@@ -177,14 +178,14 @@ def main(argv=None) -> int:
     try:
         generated = inputs.generate(args.seed, size, work / "inputs")
         spec = session_spec(config, size, generated, root, work, args)
-        # Set-up probes run before and after the session, so the set-up
-        # samples span the run as the reps do.
-        probes = 0 if args.trace else SETUP_SAMPLES // 2
-        setups = [run_child(spec, work, f"setup{k}", env, deadline)["setup_s"] for k in range(probes)]
+        # Set-up-only children run before and after the session, so the
+        # set-up samples span the run as the reps do.
+        children = 0 if args.trace else SETUP_SAMPLES // 2
+        setups = [run_child(spec, work, f"setup{k}", env, deadline) for k in range(children)]
         session = run_child({**spec, "mode": "session"}, work, "session", env, deadline)
-        setups.append(session["setup_s"])
-        setups += [run_child(spec, work, f"setup{k}", env, deadline)["setup_s"]
-                   for k in range(probes, 2 * probes)]
+        setups.append(session)
+        setups += [run_child(spec, work, f"setup{k}", env, deadline)
+                   for k in range(children, 2 * children)]
         kinds = {r["traced"] for r in session["reps"]}
         if kinds != ({False, True} if args.trace else {False}):
             raise BenchmarkError("the session finished too few reps:\n" + "\n".join(session["failures"]))

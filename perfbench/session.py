@@ -12,8 +12,10 @@ batch evaluation of the serving CSV with the models and the empirical
 baselines, single-record ``predict_values`` requests, one sweep per sweep
 variable, and ``cfrpnet predict`` calls through ``cli.main``.
 
-Every output is checked; a failed check fails its operation and is
-counted, never skipped. The result is written as JSON to RESULT.json.
+Every timing is scaled by the host-speed probe timed around it
+(hostspeed.py), and kept raw beside. Every output is checked; a failed
+check fails its operation and is counted, never skipped. The result is
+written as JSON to RESULT.json.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
+import hostspeed
 import tracing
 
 TRAINED = ("ann", "pso", "gwo", "ba")
@@ -39,19 +42,29 @@ BASELINES = ("lam_teng", "miyauchi")
 # variable when the others are held fixed (fco is not monotone in general).
 LAM_TENG_SLOPE = {"d": -1, "ef": 1, "nt": 1}
 REQUEST_RTOL = 1e-9  # single-row vs batch forward pass: a few ulp of BLAS order
+# A rep's timed phases in order, with the parts of the host-speed probe
+# that scale each (hostspeed.py); a probe runs before, between and after them.
+PHASES = {"roster_s": hostspeed.WHOLE, "serve_s": hostspeed.ONE_ROW,
+          "requests_s": hostspeed.ONE_ROW, "sweeps_cli_s": hostspeed.ONE_ROW}
+TRAINER_SPANS = ("neuralnet.train_backprop", "optimizers.train_hybrid")
 
 
 class Session:
     def __init__(self, spec, cfrpnet):
         self.spec = spec
         self.pkg = cfrpnet
+        self.host_speed = None  # set once set-up is timed
         self.tracer = tracing.Tracer(cfrpnet)
+        for name in TRAINER_SPANS:
+            self.tracer.on_call[name] = self._probe_trainer
+        self.tracer.on_return["neuralnet.train_backprop"] = self._probe_trainer
         self.tracer.on_return["optimizers.train_hybrid"] = self._on_train_hybrid
         self.tracer.on_return["dataset.parse_dataset"] = self._on_parse
         self.attempted = 0
         self.failures: list[str] = []
         self.reps: list[dict] = []
         self.latencies_ns: list[int] = []
+        self.raw_latencies_ns: list[int] = []
         self.best_traced: dict | None = None
         self._hybrid: dict = {}
         self._parsed_records = 0
@@ -63,9 +76,14 @@ class Session:
         if not ok:
             self.failures.append(what)
 
+    def _probe_trainer(self, op, *_):
+        """Host-speed probe right before and right after each trainer call."""
+        self._trainer_probes.setdefault(op, []).append(self.host_speed())
+
     def _on_train_hybrid(self, op, args, result):
         _, trace = result
         self._hybrid[op] = trace
+        self._probe_trainer(op)
 
     def _on_parse(self, op, args, result):
         self._parsed_records += len(result)
@@ -97,23 +115,48 @@ class Session:
 
     # -- one rep -----------------------------------------------------------
     def rep(self, index: int, traced: bool, work: Path) -> None:
+        """One rep in four phases, with a host-speed probe around each.
+
+        Every timing is stored scaled by the probes around its phase
+        (hostspeed.py); the raw times go under ``raw``.
+        """
         out_dir = work / f"rep{index}"
         config = replace(self.config, out_dir=str(out_dir))
         self.tracer.spans = []
         self._hybrid = {}
+        self._trainer_probes = {}
         self._parsed_records = 0
-        timings: dict = {"traced": traced}
+        timings: dict = {"traced": traced, "warmup": index == 0}
+        raw: dict = {}
+        probes = [self.host_speed()]
         with self.tracer.install(full=traced):
             start = time.perf_counter()
             with self.tracer.operation(f"r{index}.roster"):
                 result = self.pkg.experiment.run_experiment(config, self.records)
-            timings["roster_s"] = time.perf_counter() - start
-            models = self.serve(index, out_dir, timings, traced)
-            timings["wall_s"] = time.perf_counter() - start
+            raw["roster_s"] = time.perf_counter() - start - sum(
+                hostspeed.HostSpeed.duration(probe)
+                for pair in self._trainer_probes.values() for probe in pair)
+            probes.append(self.host_speed())
+            models = self.serve(index, out_dir, raw, traced, probes)
+        scales = [hostspeed.HostSpeed.scale((a, b), parts)
+                  for parts, a, b in zip(PHASES.values(), probes, probes[1:])]
         spans = self.tracer.spans
-        timings["train_s"] = {op.rsplit(".", 1)[1]: (end - begin) / 1e9
-                              for name, begin, end, _, op in spans
-                              if name in ("neuralnet.train_backprop", "optimizers.train_hybrid")}
+        trainers = {op: (end - begin) / 1e9 for name, begin, end, _, op in spans if name in TRAINER_SPANS}
+        raw["train_s"] = {op.rsplit(".", 1)[1]: t for op, t in trainers.items()}
+        raw["wall_s"] = sum(raw[phase] for phase in PHASES)
+        timings.update(
+            raw=raw, host_scale=scales, evaluate_records=raw.pop("evaluate_records"),
+            r2=raw.pop("r2"),
+            wall_s=sum(raw[phase] * scale for phase, scale in zip(PHASES, scales)),
+            roster_s=raw["roster_s"] * scales[0],
+            train_s={op.rsplit(".", 1)[1]: t * hostspeed.HostSpeed.scale(self._trainer_probes[op])
+                     for op, t in trainers.items()},
+            evaluate_s=raw["evaluate_s"] * scales[1],
+        )
+        raw_latencies = raw.pop("latencies_ns")
+        if not traced and index > 0:
+            self.latencies_ns.extend(ns * scales[2] for ns in raw_latencies)
+            self.raw_latencies_ns.extend(raw_latencies)
         timings["outputs_sha256"] = _tree_digest(out_dir)
         self.check_roster(index, result, models, spans if traced else None)
         shutil.rmtree(out_dir)
@@ -122,10 +165,13 @@ class Session:
                                 "hybrid": self._hybrid, "parsed": self._parsed_records}
         self.reps.append(timings)
 
-    def serve(self, index, out_dir, timings, traced):
+    def serve(self, index, out_dir, raw, traced, probes):
+        """Serving from the written model files, in three phases whose raw
+        times go into ``raw``; a host-speed probe is appended after each."""
         pkg = self.pkg
         tracer = self.tracer
         models = {}
+        phase_start = time.perf_counter()
         with tracer.operation(f"r{index}.load"):
             for name in TRAINED:
                 models[name] = pkg.neuralnet.load_model(out_dir / f"model_{name}.json")
@@ -143,16 +189,19 @@ class Session:
                 predictions[name] = [pkg.mechanics.predict_record(r, model=name)
                                      for r in serve_records]
                 reports[name] = pkg.metrics.report_from_pairs(targets, predictions[name])
-        timings["evaluate_s"] = time.perf_counter() - start
-        timings["evaluate_records"] = len(serve_records)
-        timings["r2"] = {name: report.r_squared for name, report in reports.items()}
+        raw["evaluate_s"] = time.perf_counter() - start
+        raw["evaluate_records"] = len(serve_records)
+        raw["r2"] = {name: report.r_squared for name, report in reports.items()}
         floors = self.spec["floors"]
         for name, report in reports.items():
             finite = all(math.isfinite(float(p)) for p in predictions[name])
             r2 = report.r_squared
             self.op(finite and r2 is not None and r2 >= floors[name],
                     f"rep {index} evaluate {name}: r2={r2} floor={floors[name]} finite={finite}")
+        raw["serve_s"] = time.perf_counter() - phase_start
+        probes.append(self.host_speed())
 
+        phase_start = time.perf_counter()
         latencies, answers = [], []
         for j, request in enumerate(self.requests):
             name = TRAINED[j % len(TRAINED)]
@@ -164,10 +213,11 @@ class Session:
             expected = float(predictions[name][request["row"]])
             self.op(math.isfinite(value) and math.isclose(value, expected, rel_tol=REQUEST_RTOL),
                     f"rep {index} request {j} ({name}): {value!r} vs batch {expected!r}")
-        if not traced:
-            self.latencies_ns.extend(latencies)
-            timings["p50_us"] = sorted(latencies)[len(latencies) // 2] / 1e3
+        raw["requests_s"] = time.perf_counter() - phase_start
+        raw["latencies_ns"] = latencies
+        probes.append(self.host_speed())
 
+        phase_start = time.perf_counter()
         lam_teng = pkg.experiment.EmpiricalPredictor("lam_teng", eps_f=0.015)
         for sweep in self.sweeps:
             spec = pkg.experiment.SweepSpec(var=sweep["var"], start=sweep["start"],
@@ -194,6 +244,8 @@ class Session:
                 code = pkg.cli.main(argv)
             ok = code == 0 and json.loads(stdout.getvalue())["fcc_mpa"] == answers[j]
             self.op(ok, f"rep {index} cli predict {j} ({name}): exit {code}")
+        raw["sweeps_cli_s"] = time.perf_counter() - phase_start
+        probes.append(self.host_speed())
         return models
 
     def check_roster(self, index, result, models, spans):
@@ -310,7 +362,11 @@ def main(spec_path: str, result_path: str) -> int:
         return 2
     session = Session(spec, cfrpnet)
     session.setup()
-    result = {"setup_s": time.perf_counter() - start}
+    setup_s = time.perf_counter() - start
+    session.host_speed = hostspeed.HostSpeed()
+    probes = [session.host_speed() for _ in range(3)]
+    host_scale = hostspeed.HostSpeed.scale(probes, hostspeed.PYTHON)
+    result = {"setup_s": setup_s * host_scale, "setup_raw_s": setup_s, "setup_probes": probes}
     if spec["mode"] == "session":
         import numpy as np
         work = Path(spec["work_dir"])
@@ -324,6 +380,7 @@ def main(spec_path: str, result_path: str) -> int:
             session.op(False, f"rep {index} raised:\n{traceback.format_exc()}")
         result.update(
             reps=session.reps, latencies_ns=session.latencies_ns,
+            raw_latencies_ns=session.raw_latencies_ns,
             attempted=session.attempted, failed=len(session.failures),
             failures=session.failures[:20],
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

@@ -17,6 +17,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
+import hostspeed  # noqa: E402
 import inputs  # noqa: E402
 import run  # noqa: E402
 
@@ -67,6 +68,16 @@ def test_same_seed_same_reports_and_a_new_seed_new_inputs():
     assert first["outputs_sha256"] == again["outputs_sha256"]
     assert other["inputs_sha256"] != first["inputs_sha256"]
     assert other["outputs_sha256"] != first["outputs_sha256"]
+
+
+def test_host_speed_scale_is_reference_over_measured_time():
+    slow = {part: 2.0 * t for part, t in hostspeed.REFERENCE_S.items()}
+    assert hostspeed.HostSpeed.scale([slow], hostspeed.WHOLE) == pytest.approx(0.5)
+    # Averaged over the probes on either side of a phase.
+    assert hostspeed.HostSpeed.scale([hostspeed.REFERENCE_S, slow],
+                                     hostspeed.ONE_ROW) == pytest.approx(1 / 1.5)
+    probe = hostspeed.HostSpeed()()
+    assert set(probe) == set(hostspeed.REFERENCE_S) and all(t > 0 for t in probe.values())
 
 
 def test_the_program_sees_the_seed_only_through_the_generated_files(tmp_path):

@@ -55,7 +55,8 @@ class Tracer:
         self.spans: list = []
         self.op = "setup"
         self._stack: list[int] = []
-        self.on_return = {}  # span name -> callback(op, args, result)
+        self.on_call = {}  # span name -> callback(op, args), run before the span starts
+        self.on_return = {}  # span name -> callback(op, args, result), run after it ends
 
     def wrap(self, name, fn):
         label = OP_LABELS.get(name)
@@ -65,6 +66,9 @@ class Tracer:
             if label is not None:
                 self.op = f"{outer}.{label(args)}"
             op = self.op
+            before = self.on_call.get(name)
+            if before is not None:
+                before(op, args)
             parent = self._stack[-1] if self._stack else -1
             index = len(self.spans)
             self.spans.append(None)
