@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    DEFAULT_FEATURES,
     FIELDS,
     DatasetFormatError,
     correlation_matrix,
@@ -27,33 +26,27 @@ from .dataset import (
     split,
     summary_stats,
     summary_to_csv,
+    target_vector,
     validate_ranges,
 )
 from .experiment import (
+    MODEL_CONFIGS,
+    TRAINABLE_MODELS,
     ExperimentConfig,
     SweepSpec,
     model_seed,
     parametric_sweep,
     run_experiment,
     synth_dataset,
+    train_model,
 )
 from .metrics import report_from_pairs
-from .neuralnet import (
-    BackpropConfig,
-    NetworkTopology,
-    TrainedModel,
-    load_model,
-    save_model,
-    train_backprop,
-)
-from .optimizers import BaConfig, GwoConfig, PsoConfig, trace_csv, train_hybrid
+from .neuralnet import TrainedModel, load_model, save_model
+from .optimizers import trace_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-TRAIN_MODELS = ("ann", "pso", "gwo", "ba")
-_SWARM_CONFIGS = {"pso": PsoConfig, "gwo": GwoConfig, "ba": BaConfig}
 
 
 def _say(args, message: str) -> None:
@@ -67,9 +60,12 @@ def _effective_seed(args) -> int:
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _parse_kv(text: str) -> dict[str, float]:
@@ -155,21 +151,11 @@ def cmd_validate(args) -> int:
 def _train_config(args):
     """Defaults, then the config file, then command-line flags."""
     data = _load_json(args.config) if args.config else {}
-    if args.model == "ann":
-        if args.iterations is not None:
-            data["epochs"] = args.iterations
-        if args.seed is not None:
-            data["seed"] = args.seed
-        data.setdefault("seed", 0)
-        return BackpropConfig.from_dict(data)
-    if args.iterations is not None:
-        data["iterations"] = args.iterations
-    if args.population is not None:
-        data["population"] = args.population
-    if args.seed is not None:
-        data["seed"] = args.seed
-    data.setdefault("seed", 0)
-    return _SWARM_CONFIGS[args.model].from_dict(data)
+    flags = {"seed": args.seed, "iterations": args.iterations, "population": args.population}
+    if args.model == "ann":  # backprop counts epochs and has no population
+        flags = {"seed": args.seed, "epochs": args.iterations}
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    return MODEL_CONFIGS[args.model].from_dict(data)
 
 
 def cmd_train(args) -> int:
@@ -181,21 +167,13 @@ def cmd_train(args) -> int:
         _say(args, f"using {len(train)} of {len(records)} records for training")
     else:
         train = records
+    network = ExperimentConfig(hidden_neurons=args.neurons)  # the network compare trains
+    topology = network.topology()
     norm = fit_normalizer(train)
-    topology = NetworkTopology(input_size=len(DEFAULT_FEATURES), hidden_sizes=(args.neurons,))
-    X = feature_matrix(train, DEFAULT_FEATURES, norm)
-    y = norm.normalize("fcc", np.array([r.fcc for r in train], dtype=float))
-    if args.model == "ann":
-        weights, history = train_backprop(topology, X, y, cfg)
-        provenance = {"optimizer": "ann", "seed": cfg.seed, "iterations": cfg.epochs,
-                      "learning_rate": cfg.learning_rate}
-    else:
-        weights, trace = train_hybrid(args.model, topology, X, y, cfg)
-        history = [float(v) for v in trace.best_fitness]
-        provenance = {"optimizer": args.model, "seed": cfg.seed,
-                      "iterations": cfg.iterations, "population": cfg.population}
+    X, y = feature_matrix(train, network.features, norm), target_vector(train, norm)
+    weights, history, provenance = train_model(args.model, cfg, topology, X, y)
     model = TrainedModel(topology=topology, weights=weights, normalization=norm,
-                         features=DEFAULT_FEATURES, provenance=provenance)
+                         features=network.features, provenance=provenance)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / f"model_{args.model}.json"
@@ -356,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="train one prediction model")
     p.add_argument("dataset")
-    p.add_argument("--model", choices=TRAIN_MODELS, required=True)
+    p.add_argument("--model", choices=TRAINABLE_MODELS, required=True)
     p.add_argument("--config", help="JSON file with optimizer/trainer settings")
     p.add_argument("--iterations", type=int, default=None,
                    help="override iteration (epoch) count")

@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+import numbers
+import types
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,6 +49,66 @@ FIELD_BOUNDS: dict[str, tuple[float, float]] = {
     "ecc": (0.083, 4.62),
     "fcc": (18.5, 302.2),
 }
+
+
+def _matches(value, hint) -> bool:
+    if get_origin(hint) in (Union, types.UnionType):
+        return any(_matches(value, arg) for arg in get_args(hint))
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and math.isfinite(value))
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_matches(v, get_args(hint)[0]) for v in value)
+    return isinstance(value, hint)
+
+
+class ConfigBase:
+    """Validating base of the config dataclasses.
+
+    On construction every field is checked against its annotation: an
+    ``int`` takes an integral value, a ``float`` a finite real, a ``str`` a
+    string, a ``tuple[X, ...]`` a list or tuple of X (stored as a tuple), a
+    class an instance of it, and ``X | None`` also None; booleans pass only
+    as ``bool``. A ``seed`` field must be non-negative and an
+    ``iterations`` field at least 1. Subclasses call
+    ``super().__post_init__()`` and then add their own range checks.
+    """
+
+    def __post_init__(self):
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            value, hint = getattr(self, f.name), hints[f.name]
+            if isinstance(value, list) and get_origin(hint) is tuple:
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            if not _matches(value, hint):
+                kind = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ValueError(f"{type(self).__name__}.{f.name} must be {kind}, got {value!r}")
+        if getattr(self, "seed", None) is not None and self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if getattr(self, "iterations", 1) < 1:
+            raise ValueError("iterations must be >= 1")
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        """Build from a mapping of field names; unknown or missing keys raise ValueError."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"{cls.__name__} settings must be a mapping, got {type(data).__name__}")
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(str(key) for key in data if key not in names)
+        if unknown:
+            raise ValueError(f"unknown config key(s) for {cls.__name__}: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing config key(s) for {cls.__name__}: {', '.join(missing)}")
+        return cls(**data)
 
 
 class DatasetFormatError(ValueError):

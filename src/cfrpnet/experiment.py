@@ -23,6 +23,7 @@ from .dataset import (
     FIELD_BOUNDS,
     FIELDS,
     TARGET_FIELD,
+    ConfigBase,
     SpecimenRecord,
     feature_matrix,
     fit_normalizer,
@@ -36,7 +37,6 @@ from .neuralnet import (
     BackpropConfig,
     NetworkTopology,
     TrainedModel,
-    load_model,
     save_model,
     train_backprop,
 )
@@ -46,6 +46,10 @@ SWARM_MODELS = ("pso", "gwo", "ba")
 TRAINABLE_MODELS = ("ann",) + SWARM_MODELS
 EMPIRICAL_MODELS = mechanics.EMPIRICAL_MODELS
 ALL_MODELS = TRAINABLE_MODELS + EMPIRICAL_MODELS
+# Settings class of every model that takes settings. ExperimentConfig holds
+# one of each under the model's name, read from its "models" mapping.
+MODEL_CONFIGS = {"ann": BackpropConfig, "pso": PsoConfig, "gwo": GwoConfig, "ba": BaConfig,
+                 "nonlinear": EmpiricalModelParams}
 SWEEP_VARIABLES = ("fco", "d", "ef", "nt")
 
 # Half-width of the weight search box; matches the gradient baseline's
@@ -136,7 +140,7 @@ def synth_dataset(
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(ConfigBase):
     """Synthetic-data request inside an experiment config."""
 
     n: int = 708
@@ -146,7 +150,7 @@ class SynthSpec:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(ConfigBase):
     """Configuration for a full comparison run.
 
     Exactly one data source is used: an explicit records argument to
@@ -155,13 +159,13 @@ class ExperimentConfig:
     empirical baselines derive rupture strains when records carry none.
     """
 
-    dataset: str | None = None
+    dataset: str | Path | None = None
     synth: SynthSpec | None = None
     features: tuple[str, ...] = DEFAULT_FEATURES
     roster: tuple[str, ...] = ("ann", "pso", "gwo", "ba", "lam_teng", "miyauchi")
     train_fraction: float = 0.75
     seed: int = 0
-    out_dir: str | None = None
+    out_dir: str | Path | None = None
     hidden_neurons: int = 50
     hidden_activation: str = "tanh"
     output_activation: str = "linear"
@@ -173,8 +177,7 @@ class ExperimentConfig:
     fiber_strain: float | None = None
 
     def __post_init__(self):
-        self.features = tuple(self.features)
-        self.roster = tuple(self.roster)
+        super().__post_init__()
         if not self.roster:
             raise ValueError("roster must not be empty")
         for name in self.roster:
@@ -189,8 +192,6 @@ class ExperimentConfig:
             raise ValueError(f"{TARGET_FIELD!r} is the target and cannot be a feature")
         if "nonlinear" in self.roster and self.nonlinear is None:
             raise ValueError("roster includes 'nonlinear' but no k/n parameters were given")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if self.hidden_neurons < 1:
             raise ValueError("hidden_neurons must be >= 1")
 
@@ -205,40 +206,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
-        allowed = {
-            "dataset", "synth", "features", "roster", "train_fraction", "seed",
-            "out_dir", "hidden_neurons", "hidden_activation", "output_activation",
-            "models", "fiber_strain",
-        }
-        unknown = sorted(set(data) - allowed)
+        """Build from a JSON-style mapping: each model's settings sit under
+        ``models``, keyed by model name, and ``synth`` is a mapping."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"experiment config must be a mapping, got {type(data).__name__}")
+        kwargs = dict(data)
+        models = kwargs.pop("models", {})
+        if not isinstance(models, Mapping):
+            raise ValueError(f"models must be a mapping, got {type(models).__name__}")
+        unknown = sorted(str(name) for name in models if name not in MODEL_CONFIGS)
         if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        kwargs: dict = {k: data[k] for k in
-                        ("dataset", "train_fraction", "seed", "out_dir", "hidden_neurons",
-                         "hidden_activation", "output_activation", "fiber_strain")
-                        if k in data}
-        if "features" in data:
-            kwargs["features"] = tuple(data["features"])
-        if "roster" in data:
-            kwargs["roster"] = tuple(data["roster"])
-        if "synth" in data and data["synth"] is not None:
-            s = dict(data["synth"])
-            s_unknown = sorted(set(s) - {"n", "noise_fraction", "seed"})
-            if s_unknown:
-                raise ValueError(f"unknown synth key(s): {', '.join(s_unknown)}")
-            kwargs["synth"] = SynthSpec(**s)
-        models = dict(data.get("models", {}))
-        builders = {"pso": PsoConfig.from_dict, "gwo": GwoConfig.from_dict,
-                    "ba": BaConfig.from_dict, "ann": BackpropConfig.from_dict}
-        for name, build in builders.items():
-            if name in models:
-                kwargs[name] = build(models.pop(name))
-        if "nonlinear" in models:
-            nl = models.pop("nonlinear")
-            kwargs["nonlinear"] = EmpiricalModelParams(k=float(nl["k"]), n=float(nl["n"]))
-        if models:
-            raise ValueError(f"unknown model config key(s): {', '.join(sorted(models))}")
-        return cls(**kwargs)
+            raise ValueError(f"unknown model config key(s): {', '.join(unknown)}")
+        kwargs.update((name, MODEL_CONFIGS[name].from_dict(settings)) for name, settings in models.items())
+        if kwargs.get("synth") is not None:
+            kwargs["synth"] = SynthSpec.from_dict(kwargs["synth"])
+        return super().from_dict(kwargs)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -297,22 +279,22 @@ class ExperimentResult:
     seed: int
 
 
-def _train_model(name, config, topology, norm, X_train, y_train):
+def train_model(name: str, cfg, topology: NetworkTopology, X, y):
+    """Train one network of the roster on normalized rows.
+
+    ``cfg`` is an instance of ``MODEL_CONFIGS[name]``; its seed is used as
+    given. Returns the flat weights, the training history (loss per epoch
+    for ann, best fitness per iteration for the swarms), and the
+    provenance record stored in the model file.
+    """
     if name == "ann":
-        cfg = replace(config.ann, seed=model_seed(config.seed, name))
-        weights, history = train_backprop(topology, X_train, y_train, cfg)
-        provenance = {"optimizer": "ann", "seed": cfg.seed, "iterations": cfg.epochs,
-                      "learning_rate": cfg.learning_rate}
-    else:
-        cfg = replace(getattr(config, name), seed=model_seed(config.seed, name))
-        weights, trace = train_hybrid(name, topology, X_train, y_train, cfg,
-                                      half_width=WEIGHT_BOUND)
-        history = [float(v) for v in trace.best_fitness]
-        provenance = {"optimizer": name, "seed": cfg.seed, "iterations": cfg.iterations,
-                      "population": cfg.population}
-    model = TrainedModel(topology=topology, weights=weights, normalization=norm,
-                         features=config.features, provenance=provenance)
-    return model, history
+        weights, history = train_backprop(topology, X, y, cfg)
+        return weights, history, {"optimizer": "ann", "seed": cfg.seed, "iterations": cfg.epochs,
+                                  "learning_rate": cfg.learning_rate}
+    weights, trace = train_hybrid(name, topology, X, y, cfg, half_width=WEIGHT_BOUND)
+    history = [float(v) for v in trace.best_fitness]
+    return weights, history, {"optimizer": name, "seed": cfg.seed, "iterations": cfg.iterations,
+                              "population": cfg.population}
 
 
 def _empirical_predictions(name, config, records) -> np.ndarray:
@@ -363,7 +345,10 @@ def run_experiment(
     for name in config.roster:
         try:
             if name in TRAINABLE_MODELS:
-                model, history = _train_model(name, config, topology, norm, X_train, y_train)
+                cfg = replace(getattr(config, name), seed=model_seed(config.seed, name))
+                weights, history, provenance = train_model(name, cfg, topology, X_train, y_train)
+                model = TrainedModel(topology=topology, weights=weights, normalization=norm,
+                                     features=config.features, provenance=provenance)
                 models[name] = model
                 histories[name] = history
                 p_mpa = norm.denormalize(TARGET_FIELD, model.predict_normalized(X_test))
@@ -377,7 +362,7 @@ def run_experiment(
                 mse_pct=report.mse_pct, mae_pct=report.mae_pct,
                 mse_mpa=report.mse_mpa, mae_mpa=report.mae_mpa,
             ))
-        except Exception as exc:  # isolate per-model failures
+        except (ValueError, RuntimeError) as exc:  # isolate per-model domain failures
             errors[name] = f"{type(exc).__name__}: {exc}"
     result = ExperimentResult(
         comparison=ComparisonTable(rows=rows, errors=errors),
@@ -565,13 +550,3 @@ def ratio_distribution(
     stdev = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
     return RatioDistribution(ratios=arr, bin_edges=edges, counts=counts,
                              mean=float(arr.mean()), stdev=stdev, excluded=excluded)
-
-
-def export_model(model: TrainedModel, path) -> None:
-    """Write a trained model to a self-contained JSON document."""
-    save_model(model, path)
-
-
-def import_model(path) -> TrainedModel:
-    """Load a model exported by export_model; round-trips are exact."""
-    return load_model(path)

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .dataset import ConfigBase
+
 LAM_TENG_COEFFICIENT = 3.3
 MIYAUCHI_COEFFICIENT = 3.485
 
@@ -71,13 +73,14 @@ def miyauchi(fco: float, f_l: float) -> float:
 
 
 @dataclass(frozen=True)
-class EmpiricalModelParams:
+class EmpiricalModelParams(ConfigBase):
     """Multiplier k and exponent n of the nonlinear strength model."""
 
     k: float
     n: float
 
     def __post_init__(self):
+        super().__post_init__()
         _require_positive(k=self.k, n=self.n)
 
 

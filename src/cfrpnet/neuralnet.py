@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_FEATURES, TARGET_FIELD, NormalizationSpec, feature_matrix
+from .dataset import DEFAULT_FEATURES, TARGET_FIELD, ConfigBase, NormalizationSpec, feature_matrix
 
 MODEL_FORMAT = "cfrpnet-model"
 MODEL_VERSION = 1
@@ -114,12 +114,8 @@ def flatten(mats: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> np.ndar
     return np.concatenate(parts)
 
 
-def init_weights(
-    topology: NetworkTopology, seed: int, scheme: str = "uniform", half_width: float = 0.5
-) -> np.ndarray:
+def init_weights(topology: NetworkTopology, seed: int, half_width: float = 0.5) -> np.ndarray:
     """Draw a flat parameter vector, i.i.d. uniform on [-half_width, half_width]."""
-    if scheme != "uniform":
-        raise ValueError(f"unknown init scheme {scheme!r}")
     if half_width < 0.0:
         raise ValueError("half_width must be non-negative")
     rng = np.random.default_rng(seed)
@@ -176,11 +172,16 @@ def _check_batch(topology, X, y):
     return X, y
 
 
+def _mse(topology, weights, X, Y) -> float:
+    """Forward pass plus MSE on a batch already checked by _check_batch."""
+    _, _, activations = _forward_cached(topology, weights, X)
+    return float(np.mean((activations[-1] - Y) ** 2))
+
+
 def loss_mse(topology: NetworkTopology, weights, X, y) -> float:
     """Mean squared error of the forward pass over a batch."""
     X, Y = _check_batch(topology, X, y)
-    pred = forward_batch(topology, weights, X)
-    return float(np.mean((pred - Y) ** 2))
+    return _mse(topology, weights, X, Y)
 
 
 def gradient(topology: NetworkTopology, weights, X, y) -> np.ndarray:
@@ -211,7 +212,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass
-class BackpropConfig:
+class BackpropConfig(ConfigBase):
     learning_rate: float = 0.05
     epochs: int = 900
     seed: int = 0
@@ -220,25 +221,15 @@ class BackpropConfig:
     early_stop_tol: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BackpropConfig":
-        allowed = {"learning_rate", "epochs", "seed", "init_half_width",
-                   "early_stop_patience", "early_stop_tol"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ValueError(f"unknown BackpropConfig key(s): {', '.join(unknown)}")
-        return cls(**data)
 
 
 def train_backprop(
-    topology: NetworkTopology, X, y, config: BackpropConfig | None = None, **overrides
+    topology: NetworkTopology, X, y, config: BackpropConfig | None = None
 ) -> tuple[np.ndarray, list[float]]:
     """Full-batch gradient descent on MSE.
 
@@ -248,8 +239,6 @@ def train_backprop(
     the offending epoch when the loss leaves the finite range.
     """
     cfg = config or BackpropConfig()
-    if overrides:
-        cfg = replace(cfg, **overrides)
     w = init_weights(topology, cfg.seed, half_width=cfg.init_half_width)
     with np.errstate(over="ignore", invalid="ignore"):
         history = [loss_mse(topology, w, X, y)]

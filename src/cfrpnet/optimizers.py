@@ -12,14 +12,14 @@ evaluations are scheduled.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .neuralnet import NetworkTopology, forward_batch, parameter_count
+from .dataset import ConfigBase
+from .neuralnet import NetworkTopology, _check_batch, _mse, parameter_count
 
 Objective = Callable[[np.ndarray], float]
 
@@ -70,16 +70,8 @@ class SearchSpace:
         return np.clip(x, self.lower, self.upper)
 
 
-def _from_dict(cls, data: Mapping):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
-    return cls(**data)
-
-
 @dataclass
-class PsoConfig:
+class PsoConfig(ConfigBase):
     population: int = 70
     iterations: int = 900
     inertia_weight: float = 0.729
@@ -89,46 +81,32 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.population < 2:
             raise ValueError("population must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         if self.inertia_weight < 0.0:
             raise ValueError("inertia_weight must be >= 0")
         if self.cognitive_weight <= 0.0 or self.social_weight <= 0.0:
             raise ValueError("cognitive_weight and social_weight must be positive")
         if not 0.0 < self.velocity_clamp <= 1.0:
             raise ValueError("velocity_clamp must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PsoConfig":
-        return _from_dict(cls, data)
 
 
 @dataclass
-class GwoConfig:
+class GwoConfig(ConfigBase):
     population: int = 75
     iterations: int = 900
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         # three leaders are needed, so at least three wolves
         if self.population < 3:
             raise ValueError("population must be >= 3")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GwoConfig":
-        return _from_dict(cls, data)
 
 
 @dataclass
-class BaConfig:
+class BaConfig(ConfigBase):
     population: int = 80
     iterations: int = 900
     f_min: float = 0.0
@@ -141,10 +119,9 @@ class BaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.population < 2:
             raise ValueError("population must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         if not self.f_max > self.f_min >= 0.0:
             raise ValueError("frequency range must satisfy f_max > f_min >= 0")
         if self.loudness <= 0.0:
@@ -157,12 +134,6 @@ class BaConfig:
             raise ValueError("gamma must be positive")
         if not 0.0 < self.velocity_clamp <= 1.0:
             raise ValueError("velocity_clamp must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BaConfig":
-        return _from_dict(cls, data)
 
 
 @dataclass
@@ -384,24 +355,14 @@ def ba_run(config: BaConfig, space: SearchSpace, objective: Objective) -> Optimi
 def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
     """MSE of forward-pass predictions on a fixed normalized training set.
 
-    The returned objective is pure, deterministic, and invariant to the
-    order of the training rows.
+    The training set is checked once, here; each call only runs the
+    forward pass and the MSE. The returned objective is pure,
+    deterministic, and invariant to the order of the training rows.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training set must be a non-empty 2-D array")
-    targets = y[:, None] if y.ndim == 1 else y
-    if targets.shape != (X.shape[0], topology.output_size):
-        raise ValueError(f"targets have shape {y.shape}, expected ({X.shape[0]}, {topology.output_size})")
-    expected = parameter_count(topology)
+    X, Y = _check_batch(topology, X, y)
 
     def objective(position: np.ndarray) -> float:
-        w = np.asarray(position, dtype=float)
-        if w.shape != (expected,):
-            raise ValueError(f"position has length {w.size}, topology needs {expected}")
-        pred = forward_batch(topology, w, X)
-        return float(np.mean((pred - targets) ** 2))
+        return _mse(topology, position, X, Y)
 
     return objective
 

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import typing
+
 import numpy as np
 import pytest
 
@@ -36,3 +40,33 @@ def table1_extremes():
     low = SpecimenRecord(**{f: FIELD_BOUNDS[f][0] for f in FIELD_BOUNDS})
     high = SpecimenRecord(**{f: FIELD_BOUNDS[f][1] for f in FIELD_BOUNDS})
     return [low, high]
+
+
+# Values every int field must reject; float fields accept 7.5.
+BAD_INTS = (math.nan, math.inf, -math.inf, True, 7.5, "5")
+
+
+def assert_rejects_bad_values(config):
+    """Every int, float and str field of a valid config rejects ill-typed values.
+
+    NaN, +-inf, booleans and strings fail as ints and floats, 7.5 fails as
+    an int, and 5 fails as a string; each raises ValueError on
+    construction and through from_dict.
+    """
+    hints = typing.get_type_hints(type(config))
+    settings = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    for f in dataclasses.fields(config):
+        kinds = set(typing.get_args(hints[f.name])) or {hints[f.name]}
+        if int in kinds:
+            bad = BAD_INTS
+        elif float in kinds:
+            bad = tuple(v for v in BAD_INTS if v != 7.5)
+        elif str in kinds:
+            bad = (5, True)
+        else:
+            continue
+        for value in bad:
+            with pytest.raises(ValueError):
+                dataclasses.replace(config, **{f.name: value})
+            with pytest.raises(ValueError):
+                type(config).from_dict({**settings, f.name: value})

@@ -1,12 +1,25 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cfrpnet.cli import main
-from cfrpnet.dataset import FeatureRange, NormalizationSpec, SpecimenRecord, parse_dataset, records_to_csv
-from cfrpnet.experiment import synth_dataset
-from cfrpnet.neuralnet import NetworkTopology, TrainedModel, save_model
+from cfrpnet.dataset import (
+    DEFAULT_FEATURES,
+    FeatureRange,
+    NormalizationSpec,
+    SpecimenRecord,
+    feature_matrix,
+    fit_normalizer,
+    parse_dataset,
+    records_to_csv,
+    split,
+    target_vector,
+)
+from cfrpnet.experiment import model_seed, synth_dataset, train_model
+from cfrpnet.neuralnet import NetworkTopology, TrainedModel, load_model, save_model
+from cfrpnet.optimizers import PsoConfig, trace_csv
 
 from conftest import make_records
 
@@ -161,6 +174,21 @@ class TestTrain:
         cfg = tmp_path / "pso.json"
         cfg.write_text(json.dumps({"popsize": 6}))
         assert main(["train", dataset_csv, "--model", "pso", "--config", str(cfg)]) == 2
+
+    def test_same_model_as_train_model(self, synth_csv, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", synth_csv, "--model", "pso", "--population", "5",
+                     "--iterations", "6", "--neurons", "4", "--seed", "3",
+                     "--train-fraction", "0.75", "--out", str(out), "--quiet"]) == 0
+        train, _ = split(parse_dataset(synth_csv), 0.75, seed=model_seed(3, "split"))
+        norm = fit_normalizer(train)
+        weights, history, provenance = train_model(
+            "pso", PsoConfig(population=5, iterations=6, seed=3), NetworkTopology(7, (4,)),
+            feature_matrix(train, DEFAULT_FEATURES, norm), target_vector(train, norm))
+        written = load_model(out / "model_pso.json")
+        assert np.array_equal(written.weights, weights)
+        assert written.provenance == provenance
+        assert (out / "trace_pso.csv").read_text() == trace_csv(history)
 
 
 class TestEvaluate:
@@ -341,3 +369,43 @@ class TestSynth:
             assert main(["synth", "--n", "20", "--seed", "9", "--out", str(out), "--quiet"]) == 0
             blobs.append((out / "synth.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+# A small valid config for each command; each bad input is merged into it.
+GOOD_CONFIGS = {
+    "compare": {"synth": {"n": 40}, "roster": ["pso", "lam_teng"], "hidden_neurons": 3,
+                "models": {"pso": {"population": 4, "iterations": 3}}},
+    "train": {"population": 4, "iterations": 3},
+}
+BAD_INPUTS = [
+    ("compare", {"hidden_neurons": "5"}),
+    ("compare", {"seed": math.nan}),
+    ("compare", 5),
+    ("compare", {"features": 5}),
+    ("compare", {"synth": 5}),
+    ("compare", {"models": {"pso": 5}}),
+    ("compare", {"models": {"nonlinear": {"k": 1}}, "roster": ["pso", "lam_teng", "nonlinear"]}),
+    ("train", {"population": 7.5}),
+    ("train", {"iterations": math.inf}),
+]
+
+
+def _run_config(command, data, dataset_csv, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    argv = (["compare", "--config", str(path)] if command == "compare"
+            else ["train", dataset_csv, "--model", "pso", "--config", str(path)])
+    return main(argv + ["--out", str(tmp_path / "out"), "--quiet"])
+
+
+@pytest.mark.parametrize("command", sorted(GOOD_CONFIGS))
+def test_good_configs_run(command, dataset_csv, tmp_path, capsys):
+    assert _run_config(command, GOOD_CONFIGS[command], dataset_csv, tmp_path) == 0
+
+
+@pytest.mark.parametrize("command, bad", BAD_INPUTS)
+def test_bad_config_exit_2_without_traceback(command, bad, dataset_csv, tmp_path, capsys):
+    data = {**GOOD_CONFIGS[command], **bad} if isinstance(bad, dict) else bad
+    assert _run_config(command, data, dataset_csv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cfrpnet import mechanics
+from cfrpnet import experiment, mechanics
 from cfrpnet.dataset import FIELD_BOUNDS, FIELDS, raw_matrix
 from cfrpnet.experiment import (
     EmpiricalPredictor,
@@ -12,8 +12,6 @@ from cfrpnet.experiment import (
     SweepSpec,
     SynthParams,
     SynthSpec,
-    export_model,
-    import_model,
     model_seed,
     parametric_sweep,
     ratio_distribution,
@@ -21,10 +19,10 @@ from cfrpnet.experiment import (
     synth_dataset,
 )
 from cfrpnet.mechanics import EmpiricalModelParams
-from cfrpnet.neuralnet import BackpropConfig
+from cfrpnet.neuralnet import BackpropConfig, load_model, save_model
 from cfrpnet.optimizers import BaConfig, GwoConfig, PsoConfig
 
-from conftest import make_records
+from conftest import assert_rejects_bad_values, make_records
 
 
 def small_config(**overrides):
@@ -120,6 +118,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(features=("d", "fcc"))
 
+    def test_invalid_field_types(self):
+        assert_rejects_bad_values(small_config(fiber_strain=0.015, dataset="data.csv"))
+        assert_rejects_bad_values(SynthSpec(seed=3))
+        for data in (5, {"synth": 5}, {"models": 5}, {"models": {"pso": 5}},
+                     {"features": 5}, {"roster": ["pso", 5]}, {"pso": {"population": 5}}):
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_dict(data)
+
 
 class TestRunExperiment:
     def test_empirical_only_roster_no_training(self):
@@ -163,8 +169,18 @@ class TestRunExperiment:
         config = small_config(roster=("ann", "lam_teng"), seed=12)
         result = run_experiment(config, records=records)
         assert [r.model for r in result.comparison.rows] == ["ann"]
-        assert "lam_teng" in result.comparison.errors
+        assert result.comparison.errors["lam_teng"].startswith("ValueError")
         assert "rupture" in result.comparison.errors["lam_teng"]
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only domain errors (ValueError, RuntimeError) are isolated per model
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(experiment, "train_hybrid", broken)
+        records = synth_dataset(60, seed=12)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_experiment(small_config(roster=("lam_teng", "pso"), seed=12), records=records)
 
     def test_fiber_strain_fallback_rescues_empirical(self):
         records = make_records(60, seed=13)
@@ -341,8 +357,8 @@ class TestModelExport:
         result = run_experiment(small_config(roster=("ann",), seed=21), records=records)
         model = result.models["ann"]
         path = tmp_path / "ann.json"
-        export_model(model, path)
-        restored = import_model(path)
+        save_model(model, path)
+        restored = load_model(path)
         rng = np.random.default_rng(1)
         X = rng.uniform(0.1, 0.9, (50, len(model.features)))
         assert np.array_equal(restored.predict_normalized(X), model.predict_normalized(X))
@@ -351,8 +367,8 @@ class TestModelExport:
         records = synth_dataset(60, seed=22)
         result = run_experiment(small_config(roster=("ann",), seed=22), records=records)
         path = tmp_path / "ann.json"
-        export_model(result.models["ann"], path)
-        restored = import_model(path)
+        save_model(result.models["ann"], path)
+        restored = load_model(path)
         values = {f: 0.5 * (restored.normalization.ranges[f].x_min +
                             restored.normalization.ranges[f].x_max)
                   for f in restored.features}

@@ -16,6 +16,8 @@ from cfrpnet.mechanics import (
     strain_ratio,
 )
 
+from conftest import assert_rejects_bad_values
+
 
 class TestHoopRuptureStrain:
     def test_hand_value(self):
@@ -147,6 +149,9 @@ class TestNonlinearModel:
             EmpiricalModelParams(k=0.0, n=1.0)
         with pytest.raises(ValueError):
             EmpiricalModelParams(k=3.3, n=-1.0)
+        assert_rejects_bad_values(EmpiricalModelParams(k=3.3, n=1.0))
+        with pytest.raises(ValueError, match="missing"):
+            EmpiricalModelParams.from_dict({"k": 3.3})
 
 
 class TestEurocodeStrains:

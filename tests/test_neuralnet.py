@@ -25,6 +25,8 @@ from cfrpnet.neuralnet import (
     unflatten,
 )
 
+from conftest import assert_rejects_bad_values
+
 
 def fd_gradient(topology, w, X, y, h=1e-6):
     """Central finite differences, the independent gradient oracle."""
@@ -142,10 +144,6 @@ class TestInitWeights:
         assert w.shape == (451,)
         assert np.all(np.abs(w) <= 0.5)
 
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            init_weights(NetworkTopology(2, (), 1), 0, scheme="xavier")
-
 
 class TestGradient:
     def test_zero_at_minimum(self):
@@ -241,6 +239,7 @@ class TestTrainBackprop:
             BackpropConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             BackpropConfig(epochs=0)
+        assert_rejects_bad_values(BackpropConfig(early_stop_patience=5))
 
 
 def _toy_model(seed=0):

@@ -22,6 +22,8 @@ from cfrpnet.optimizers import (
     train_hybrid,
 )
 
+from conftest import assert_rejects_bad_values
+
 
 def sphere(x):
     return float(np.dot(x, x))
@@ -73,10 +75,17 @@ class TestConfigs:
             BaConfig(f_min=2.0, f_max=1.0)
         with pytest.raises(ValueError):
             BaConfig(alpha=1.0)
+        for config in (PsoConfig(), GwoConfig(), BaConfig()):
+            assert_rejects_bad_values(config)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             PsoConfig.from_dict({"population": 10, "bananas": 3})
+
+    def test_from_dict_rejects_non_mapping(self):
+        for data in (5, [("population", 10)], None):
+            with pytest.raises(ValueError, match="mapping"):
+                GwoConfig.from_dict(data)
 
     def test_from_dict_roundtrip(self):
         cfg = PsoConfig.from_dict({"population": 30, "iterations": 50, "seed": 9})
