@@ -85,6 +85,8 @@ def _parse_kv(text: str) -> dict[str, float]:
             values[name] = float(raw)
         except ValueError:
             raise ValueError(f"could not parse number from {raw!r} for {name!r}") from None
+        if not np.isfinite(values[name]):
+            raise ValueError(f"{name} must be a finite number, got {raw.strip()!r}")
     if not values:
         raise ValueError("no input values given")
     return values
@@ -153,6 +155,8 @@ def _train_config(args):
     data = _load_json(args.config) if args.config else {}
     flags = {"seed": args.seed, "iterations": args.iterations, "population": args.population}
     if args.model == "ann":  # backprop counts epochs and has no population
+        if args.population is not None:
+            raise ValueError("--population does not apply to --model ann (backprop has no population)")
         flags = {"seed": args.seed, "epochs": args.iterations}
     data.update((key, value) for key, value in flags.items() if value is not None)
     return MODEL_CONFIGS[args.model].from_dict(data)

@@ -157,9 +157,6 @@ class SpecimenRecord:
             if not math.isfinite(self.eps_h_rup) or self.eps_h_rup < 0.0:
                 raise ValueError(f"eps_h_rup must be non-negative and finite, got {self.eps_h_rup}")
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(getattr(self, name)) for name in FIELDS}
-
 
 def _read_text(source) -> str:
     if isinstance(source, (str, Path)):
@@ -265,10 +262,6 @@ class RangeFlag:
 class ValidationReport:
     n_records: int
     flags: list[RangeFlag]
-
-    @property
-    def flagged_indices(self) -> list[int]:
-        return sorted({f.index for f in self.flags})
 
     def to_dict(self) -> dict:
         return {

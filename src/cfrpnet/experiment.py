@@ -222,10 +222,6 @@ class ExperimentConfig(ConfigBase):
             kwargs["synth"] = SynthSpec.from_dict(kwargs["synth"])
         return super().from_dict(kwargs)
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 @dataclass(frozen=True)
 class ComparisonRow:

@@ -24,15 +24,16 @@ MODEL_VERSION = 1
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    return np.divide(1.0, np.add(np.exp(np.negative(z, out=z), out=z), 1.0, out=z), out=z)
 
 
-# name -> (activation, derivative as a function of (z, act(z)))
+# name -> (activation of z in place, derivative written into out from a = act(z))
 _ACTIVATIONS = {
-    "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
-    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: np.where(z > 0.0, 1.0, 0.0)),
-    "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
+    "sigmoid": (_sigmoid, lambda a, out: np.multiply(np.subtract(1.0, a, out=out), a, out=out)),
+    "tanh": (lambda z: np.tanh(z, out=z),
+             lambda a, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a, out: np.greater(a, 0.0, out=out)),
+    "linear": (lambda z: z, lambda a, out: out.fill(1.0)),
 }
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu", "tanh")
 OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
@@ -122,20 +123,21 @@ def init_weights(topology: NetworkTopology, seed: int, half_width: float = 0.5) 
     return rng.uniform(-half_width, half_width, parameter_count(topology))
 
 
-def _forward_cached(topology, weights, X):
+def _workspace(topology: NetworkTopology, n: int) -> list[np.ndarray]:
+    """One (n, size) buffer per non-input layer: the activations of n rows."""
+    return [np.empty((n, k)) for k in topology.layer_sizes[1:]]
+
+
+def _forward(topology, weights, X, acts) -> np.ndarray:
+    """Forward pass writing each layer's activations into acts; returns acts[-1]."""
     mats, biases = unflatten(topology, weights)
-    act_h, _ = _ACTIVATIONS[topology.hidden_activation]
-    act_o, _ = _ACTIVATIONS[topology.output_activation]
-    zs = []
-    activations = [X]
     a = X
-    last = len(mats) - 1
-    for layer, (W, b) in enumerate(zip(mats, biases)):
-        z = a @ W + b
-        a = act_o(z) if layer == last else act_h(z)
-        zs.append(z)
-        activations.append(a)
-    return mats, zs, activations
+    for W, b, out in zip(mats, biases, acts):
+        np.matmul(a, W, out=out)
+        out += b
+        name = topology.output_activation if out is acts[-1] else topology.hidden_activation
+        a = _ACTIVATIONS[name][0](out)
+    return a
 
 
 def forward_batch(topology: NetworkTopology, weights, X) -> np.ndarray:
@@ -143,8 +145,7 @@ def forward_batch(topology: NetworkTopology, weights, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != topology.input_size:
         raise ValueError(f"expected inputs of shape (n, {topology.input_size}), got {X.shape}")
-    _, _, activations = _forward_cached(topology, weights, X)
-    return activations[-1]
+    return _forward(topology, weights, X, _workspace(topology, X.shape[0]))
 
 
 def forward(topology: NetworkTopology, weights, x):
@@ -172,34 +173,50 @@ def _check_batch(topology, X, y):
     return X, y
 
 
-def _mse(topology, weights, X, Y) -> float:
-    """Forward pass plus MSE on a batch already checked by _check_batch."""
-    _, _, activations = _forward_cached(topology, weights, X)
-    return float(np.mean((activations[-1] - Y) ** 2))
+def _mse(topology, weights, X, Y, acts, out) -> float:
+    """MSE of a batch checked by _check_batch: forward pass in acts, squared
+    errors in out (acts[-1] when the activations are not needed afterwards)."""
+    np.subtract(_forward(topology, weights, X, acts), Y, out=out)
+    return float(np.square(out, out=out).sum()) / out.size  # np.mean's sum and division
 
 
 def loss_mse(topology: NetworkTopology, weights, X, y) -> float:
     """Mean squared error of the forward pass over a batch."""
     X, Y = _check_batch(topology, X, y)
-    return _mse(topology, weights, X, Y)
+    acts = _workspace(topology, X.shape[0])
+    return _mse(topology, weights, X, Y, acts, acts[-1])
+
+
+def _backward(topology, weights, X, Y, acts, tmp) -> np.ndarray:
+    """Gradient of the batch MSE from the activations _forward left in acts;
+    overwrites acts and tmp, a second workspace of the same shapes."""
+    mats, _ = unflatten(topology, weights)
+    grad = np.empty(parameter_count(topology))
+    grads_w, grads_b = unflatten(topology, grad)
+    dact_h = _ACTIVATIONS[topology.hidden_activation][1]
+    delta = acts[-1]
+    _ACTIVATIONS[topology.output_activation][1](delta, tmp[-1])
+    np.subtract(delta, Y, out=delta)
+    delta *= 2.0
+    delta /= delta.size
+    delta *= tmp[-1]
+    for layer in range(len(mats) - 1, -1, -1):
+        inputs = acts[layer - 1] if layer > 0 else X
+        np.matmul(inputs.T, delta, out=grads_w[layer])
+        np.sum(delta, axis=0, out=grads_b[layer])
+        if layer > 0:
+            dact_h(inputs, tmp[layer - 1])
+            delta = np.matmul(delta, mats[layer].T, out=inputs)
+            delta *= tmp[layer - 1]
+    return grad
 
 
 def gradient(topology: NetworkTopology, weights, X, y) -> np.ndarray:
     """Exact gradient of the batch MSE with respect to the flat parameters."""
     X, Y = _check_batch(topology, X, y)
-    mats, zs, activations = _forward_cached(topology, weights, X)
-    _, dact_h = _ACTIVATIONS[topology.hidden_activation]
-    _, dact_o = _ACTIVATIONS[topology.output_activation]
-    pred = activations[-1]
-    delta = (2.0 * (pred - Y) / pred.size) * dact_o(zs[-1], pred)
-    grads_w: list[np.ndarray] = [None] * len(mats)  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * len(mats)  # type: ignore[list-item]
-    for layer in range(len(mats) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ mats[layer].T) * dact_h(zs[layer - 1], activations[layer])
-    return flatten(grads_w, grads_b)
+    acts = _workspace(topology, X.shape[0])
+    _forward(topology, weights, X, acts)
+    return _backward(topology, weights, X, Y, acts, _workspace(topology, X.shape[0]))
 
 
 class TrainingDivergedError(RuntimeError):
@@ -239,14 +256,17 @@ def train_backprop(
     the offending epoch when the loss leaves the finite range.
     """
     cfg = config or BackpropConfig()
+    X, Y = _check_batch(topology, X, y)
+    acts, tmp = _workspace(topology, X.shape[0]), _workspace(topology, X.shape[0])
     w = init_weights(topology, cfg.seed, half_width=cfg.init_half_width)
     with np.errstate(over="ignore", invalid="ignore"):
-        history = [loss_mse(topology, w, X, y)]
+        # each loss leaves in acts the forward pass the next gradient starts from
+        history = [_mse(topology, w, X, Y, acts, tmp[-1])]
         best = history[0]
         stale = 0
         for epoch in range(1, cfg.epochs + 1):
-            w = w - cfg.learning_rate * gradient(topology, w, X, y)
-            current = loss_mse(topology, w, X, y)
+            w = w - cfg.learning_rate * _backward(topology, w, X, Y, acts, tmp)
+            current = _mse(topology, w, X, Y, acts, tmp[-1])
             if not math.isfinite(current):
                 raise TrainingDivergedError(epoch, current)
             history.append(current)
@@ -336,10 +356,15 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(data: Mapping) -> TrainedModel:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a model document must be a JSON object, got {type(data).__name__}")
     if data.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a recognized model document (format={data.get('format')!r})")
     if data.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {data.get('version')!r}")
+    missing = [key for key in ("topology", "weights", "normalization", "features") if key not in data]
+    if missing:
+        raise ValueError(f"model document lacks {', '.join(missing)}")
     return TrainedModel(
         topology=NetworkTopology.from_dict(data["topology"]),
         weights=np.asarray(data["weights"], dtype=float),

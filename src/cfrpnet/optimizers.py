@@ -9,6 +9,11 @@ Member i draws, in a fixed order, first its initial position and then its
 per-iteration variates (listed in each run function). Fitness updates are
 reduced in member-index order, so results cannot depend on how objective
 evaluations are scheduled.
+
+PSO and GWO move the whole population at once as (population, dim)
+arrays, drawing member i's k variate vectors of a step as one vector into
+row i of a (population, k * dim) array: ``Generator.random(k * dim)`` is
+bit for bit the k consecutive ``random(dim)`` draws of a per-member loop.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ConfigBase
-from .neuralnet import NetworkTopology, _check_batch, _mse, parameter_count
+from .neuralnet import NetworkTopology, _check_batch, _mse, _workspace, parameter_count
 
 Objective = Callable[[np.ndarray], float]
 
@@ -181,8 +186,17 @@ def _checked(objective: Objective, x: np.ndarray, iteration: int, member: int) -
 
 
 def pso_velocity_update(v, x, pbest, gbest, r1, r2, w, c1, c2):
-    """One particle's velocity: inertia plus cognitive and social pulls."""
-    return w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
+    """Velocities of the swarm (rows of v) or of one particle, in place: v
+    becomes w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x), operation
+    for operation; r1 and r2 are overwritten. Returns v."""
+    v *= w
+    r1 *= c1
+    r1 *= pbest - x
+    v += r1
+    r2 *= c2
+    r2 *= gbest - x
+    v += r2
+    return v
 
 
 def pso_run(config: PsoConfig, space: SearchSpace, objective: Objective) -> OptimizationTrace:
@@ -198,6 +212,7 @@ def pso_run(config: PsoConfig, space: SearchSpace, objective: Objective) -> Opti
     x = np.array([s.uniform(space.lower, space.upper) for s in streams])
     v = np.zeros_like(x)
     vmax = config.velocity_clamp * space.width
+    draws = np.empty((config.population, 2 * dim))
 
     fitness = np.array([_checked(objective, x[i], 0, i) for i in range(config.population)])
     pbest = x.copy()
@@ -209,20 +224,19 @@ def pso_run(config: PsoConfig, space: SearchSpace, objective: Objective) -> Opti
     evaluations = config.population
 
     for t in range(1, config.iterations + 1):
-        for i in range(config.population):
-            r1 = streams[i].random(dim)
-            r2 = streams[i].random(dim)
-            v[i] = pso_velocity_update(v[i], x[i], pbest[i], gbest, r1, r2,
-                                       config.inertia_weight, config.cognitive_weight,
-                                       config.social_weight)
-            np.clip(v[i], -vmax, vmax, out=v[i])
-            x[i] = space.clip(x[i] + v[i])
+        for stream, row in zip(streams, draws):
+            stream.random(out=row)
+        pso_velocity_update(v, x, pbest, gbest, draws[:, :dim], draws[:, dim:],
+                            config.inertia_weight, config.cognitive_weight, config.social_weight)
+        np.clip(v, -vmax, vmax, out=v)
+        x += v
+        np.clip(x, space.lower, space.upper, out=x)
         for i in range(config.population):
             f = _checked(objective, x[i], t, i)
             evaluations += 1
             if f < pbest_f[i]:
                 pbest_f[i] = f
-                pbest[i] = x[i].copy()
+                pbest[i] = x[i]
                 if f < gbest_f:
                     gbest_f = f
                     gbest = x[i].copy()
@@ -230,20 +244,29 @@ def pso_run(config: PsoConfig, space: SearchSpace, objective: Objective) -> Opti
     return OptimizationTrace(np.array(history), gbest, evaluations)
 
 
-def gwo_move(x, leaders, a, rng, space: SearchSpace):
-    """One wolf's position update toward the three leaders.
+def gwo_move(x, leaders, a, streams, space: SearchSpace, draws, out):
+    """Move every wolf (row of x) toward the three leaders; returns out.
 
-    For each leader the stream yields the A-vector variates then the
-    C-vector variates. With a = 0 the update collapses onto the mean of
-    the leader positions.
+    For each leader in turn, wolf i's stream yields the A-vector variates
+    then the C-vector variates, into row i of the (population, 2 * dim)
+    buffer draws. With a = 0 the update collapses onto the leader mean.
     """
-    dim = x.size
-    acc = np.zeros(dim)
+    dim = x.shape[1]
+    coef_a, term = draws[:, :dim], draws[:, dim:]
+    out.fill(0.0)
     for leader in leaders:
-        coef_a = 2.0 * a * rng.random(dim) - a
-        coef_c = 2.0 * rng.random(dim)
-        acc += leader - coef_a * np.abs(coef_c * leader - x)
-    return space.clip(acc / 3.0)
+        for stream, row in zip(streams, draws):
+            stream.random(out=row)
+        coef_a *= 2.0 * a
+        coef_a -= a
+        term *= 2.0
+        term *= leader
+        term -= x
+        np.abs(term, out=term)
+        term *= coef_a
+        out += np.subtract(leader, term, out=term)
+    out /= 3.0
+    return np.clip(out, space.lower, space.upper, out=out)
 
 
 def gwo_run(config: GwoConfig, space: SearchSpace, objective: Objective) -> OptimizationTrace:
@@ -255,20 +278,18 @@ def gwo_run(config: GwoConfig, space: SearchSpace, objective: Objective) -> Opti
     """
     streams = _streams(config.seed, config.population)
     x = np.array([s.uniform(space.lower, space.upper) for s in streams])
+    moved = np.empty_like(x)
+    draws = np.empty((config.population, 2 * space.dimension))
 
     leader_pos = [None, None, None]
     leader_f = [math.inf, math.inf, math.inf]
 
     def offer(position, f):
-        if f < leader_f[0]:
-            leader_pos[2], leader_f[2] = leader_pos[1], leader_f[1]
-            leader_pos[1], leader_f[1] = leader_pos[0], leader_f[0]
-            leader_pos[0], leader_f[0] = position.copy(), f
-        elif f < leader_f[1]:
-            leader_pos[2], leader_f[2] = leader_pos[1], leader_f[1]
-            leader_pos[1], leader_f[1] = position.copy(), f
-        elif f < leader_f[2]:
-            leader_pos[2], leader_f[2] = position.copy(), f
+        rank = sum(f >= best for best in leader_f)  # leaders at least as fit
+        if rank < 3:
+            leader_pos.insert(rank, position.copy())
+            leader_f.insert(rank, f)
+            del leader_pos[3:], leader_f[3:]
 
     for i in range(config.population):
         offer(x[i], _checked(objective, x[i], 0, i))
@@ -277,8 +298,7 @@ def gwo_run(config: GwoConfig, space: SearchSpace, objective: Objective) -> Opti
 
     for t in range(1, config.iterations + 1):
         a = 2.0 * (1.0 - t / config.iterations)
-        for i in range(config.population):
-            x[i] = gwo_move(x[i], leader_pos, a, streams[i], space)
+        x, moved = gwo_move(x, leader_pos, a, streams, space, draws, moved), x
         for i in range(config.population):
             offer(x[i], _checked(objective, x[i], t, i))
             evaluations += 1
@@ -355,14 +375,16 @@ def ba_run(config: BaConfig, space: SearchSpace, objective: Objective) -> Optimi
 def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
     """MSE of forward-pass predictions on a fixed normalized training set.
 
-    The training set is checked once, here; each call only runs the
-    forward pass and the MSE. The returned objective is pure,
-    deterministic, and invariant to the order of the training rows.
+    The training set is checked once, here. The objective owns the scratch
+    buffers its forward pass writes into, so a call allocates no batch-sized
+    array: it is deterministic and invariant to the order of the training
+    rows, but not re-entrant across threads.
     """
     X, Y = _check_batch(topology, X, y)
+    acts = _workspace(topology, X.shape[0])
 
     def objective(position: np.ndarray) -> float:
-        return _mse(topology, position, X, Y)
+        return _mse(topology, position, X, Y, acts, acts[-1])
 
     return objective
 

@@ -175,6 +175,14 @@ class TestTrain:
         cfg.write_text(json.dumps({"popsize": 6}))
         assert main(["train", dataset_csv, "--model", "pso", "--config", str(cfg)]) == 2
 
+    def test_population_for_ann_exit_2(self, dataset_csv, tmp_path, capsys):
+        code = main(["train", dataset_csv, "--model", "ann", "--population", "10",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--population" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "model_ann.json").exists()
+
     def test_same_model_as_train_model(self, synth_csv, tmp_path):
         out = tmp_path / "run"
         assert main(["train", synth_csv, "--model", "pso", "--population", "5",
@@ -259,6 +267,14 @@ class TestPredict:
         assert payload["fcc_mpa"] == pytest.approx(80.0, rel=1e-12)
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, value):
+        model_path = _perfect_model(tmp_path)
+        assert main(["predict", model_path, "--input", f"fco={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
+
 class TestSweep:
     def test_reversed_bounds_exit_2(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
@@ -278,6 +294,29 @@ class TestSweep:
         model_path = _perfect_model(tmp_path)
         assert main(["sweep", model_path, "--var", "d", "--from", "100", "--to", "200"]) == 2
         assert "does not use" in capsys.readouterr().err
+
+    def test_non_finite_fix_exit_2(self, tmp_path, capsys):
+        model_path = _perfect_model(tmp_path)
+        assert main(["sweep", model_path, "--var", "fco", "--from", "10", "--to", "100",
+                     "--fix", "d=nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+MALFORMED_MODELS = [{"format": "cfrpnet-model", "version": 1}, [1, 2]]
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
+@pytest.mark.parametrize("document", MALFORMED_MODELS)
+def test_malformed_model_exit_2_without_traceback(command, document, dataset_csv, tmp_path,
+                                                  capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document))
+    argv = {"predict": ["predict", str(path), "--input", "fco=40"],
+            "evaluate": ["evaluate", str(path), dataset_csv],
+            "sweep": ["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100"]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestCompare:

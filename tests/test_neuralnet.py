@@ -40,6 +40,78 @@ def fd_gradient(topology, w, X, y, h=1e-6):
     return g
 
 
+# The allocating kernel the workspace kernel replaced, kept as the exact reference.
+_REFERENCE_ACTIVATIONS = {
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: np.where(z > 0.0, 1.0, 0.0)),
+    "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
+
+
+def reference_forward(topology, w, X):
+    mats, biases = unflatten(topology, w)
+    zs, activations = [], [X]
+    for layer, (W, b) in enumerate(zip(mats, biases)):
+        z = activations[-1] @ W + b
+        name = topology.output_activation if layer == len(mats) - 1 else topology.hidden_activation
+        zs.append(z)
+        activations.append(_REFERENCE_ACTIVATIONS[name][0](z))
+    return mats, zs, activations
+
+
+def reference_gradient(topology, w, X, y):
+    mats, zs, activations = reference_forward(topology, w, X)
+    dact_h = _REFERENCE_ACTIVATIONS[topology.hidden_activation][1]
+    dact_o = _REFERENCE_ACTIVATIONS[topology.output_activation][1]
+    pred = activations[-1]
+    delta = (2.0 * (pred - y[:, None]) / pred.size) * dact_o(zs[-1], pred)
+    grads_w, grads_b = [None] * len(mats), [None] * len(mats)
+    for layer in range(len(mats) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ mats[layer].T) * dact_h(zs[layer - 1], activations[layer])
+    return flatten(grads_w, grads_b)
+
+
+ACTIVATION_PAIRS = [(h, o) for h in ("sigmoid", "relu", "tanh") for o in ("linear", "sigmoid")]
+
+
+class TestWorkspaceKernelMatchesReference:
+    @pytest.mark.parametrize("hidden_sizes", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("hidden, out", ACTIVATION_PAIRS)
+    def test_bit_identical(self, hidden_sizes, hidden, out):
+        topology = NetworkTopology(3, hidden_sizes, 1, hidden_activation=hidden,
+                                   output_activation=out)
+        rng = np.random.default_rng(len(hidden_sizes))
+        X = rng.uniform(0.1, 0.9, (23, 3))
+        y = rng.uniform(0.1, 0.9, 23)
+        for _ in range(3):
+            w = rng.uniform(-2.0, 2.0, parameter_count(topology))
+            pred = reference_forward(topology, w, X)[2][-1]
+            assert np.array_equal(forward_batch(topology, w, X), pred)
+            assert loss_mse(topology, w, X, y) == float(np.mean((pred - y[:, None]) ** 2))
+            assert np.array_equal(gradient(topology, w, X, y), reference_gradient(topology, w, X, y))
+
+    @pytest.mark.parametrize("hidden, out", ACTIVATION_PAIRS)
+    def test_backprop_history_matches_two_pass_loop(self, hidden, out):
+        # one forward pass per epoch gives the losses and weights of loss + gradient calls
+        topology = NetworkTopology(3, (5, 4), 1, hidden_activation=hidden, output_activation=out)
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0.1, 0.9, (15, 3))
+        y = rng.uniform(0.1, 0.9, 15)
+        cfg = BackpropConfig(learning_rate=0.2, epochs=8, seed=3)
+        w, history = train_backprop(topology, X, y, cfg)
+        w_ref = init_weights(topology, cfg.seed, half_width=cfg.init_half_width)
+        expected = [loss_mse(topology, w_ref, X, y)]
+        for _ in range(cfg.epochs):
+            w_ref = w_ref - cfg.learning_rate * reference_gradient(topology, w_ref, X, y)
+            expected.append(loss_mse(topology, w_ref, X, y))
+        assert history == expected
+        assert np.array_equal(w, w_ref)
+
+
 class TestTopology:
     def test_parameter_counts(self):
         assert parameter_count(NetworkTopology(7, (50,), 1)) == 451

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfrpnet.neuralnet import NetworkTopology, forward, parameter_count
+from cfrpnet.neuralnet import NetworkTopology, forward, loss_mse, parameter_count
 from cfrpnet.optimizers import (
     BaConfig,
     GwoConfig,
@@ -11,6 +12,7 @@ from cfrpnet.optimizers import (
     OptimizationTrace,
     PsoConfig,
     SearchSpace,
+    _streams,
     ba_flight,
     ba_run,
     gwo_move,
@@ -191,18 +193,134 @@ class TestPsoUpdate:
 
 
 class TestGwoUpdate:
+    def _move(self, wolves, leaders, seed):
+        streams = _streams(seed, len(wolves))
+        draws = np.empty((len(wolves), 2 * wolves.shape[1]))
+        return gwo_move(wolves, leaders, 0.0, streams, box(wolves.shape[1]), draws,
+                        np.empty_like(wolves))
+
     def test_zero_scalar_collapses_to_leader_mean(self):
         point = np.array([0.25, -0.4, 0.1])
         leaders = [point.copy(), point.copy(), point.copy()]
-        rng = np.random.default_rng(1)
-        wolf = np.array([3.0, -3.0, 2.0])
-        moved = gwo_move(wolf, leaders, 0.0, rng, box(3))
+        wolves = np.array([[3.0, -3.0, 2.0], [-1.0, 0.5, 4.0], [0.0, 0.0, 0.0]])
+        moved = self._move(wolves, leaders, 1)
+        assert moved.shape == wolves.shape
         assert np.allclose(moved, point, atol=1e-15)
 
     def test_distinct_leaders_average_at_zero(self):
         leaders = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([3.0, 3.0])]
-        moved = gwo_move(np.array([0.0, 0.0]), leaders, 0.0, np.random.default_rng(2), box(2))
-        assert np.allclose(moved, [2.0, 2.0], atol=1e-15)
+        moved = self._move(np.array([[0.0, 0.0], [4.0, -4.0]]), leaders, 2)
+        assert np.allclose(moved, [[2.0, 2.0], [2.0, 2.0]], atol=1e-15)
+
+
+def reference_pso_run(config, space, objective):
+    """Per-member PSO loop: each particle draws r1 then r2 and moves in turn."""
+    streams = _streams(config.seed, config.population)
+    dim = space.dimension
+    x = np.array([s.uniform(space.lower, space.upper) for s in streams])
+    v = np.zeros_like(x)
+    vmax = config.velocity_clamp * space.width
+    pbest = x.copy()
+    pbest_f = np.array([objective(x[i]) for i in range(config.population)])
+    g = int(np.argmin(pbest_f))
+    gbest, gbest_f = pbest[g].copy(), float(pbest_f[g])
+    history = [gbest_f]
+    evaluations = config.population
+    for _ in range(config.iterations):
+        for i in range(config.population):
+            r1 = streams[i].random(dim)
+            r2 = streams[i].random(dim)
+            v[i] = (config.inertia_weight * v[i] + config.cognitive_weight * r1 * (pbest[i] - x[i])
+                    + config.social_weight * r2 * (gbest - x[i]))
+            np.clip(v[i], -vmax, vmax, out=v[i])
+            x[i] = space.clip(x[i] + v[i])
+        for i in range(config.population):
+            f = objective(x[i])
+            evaluations += 1
+            if f < pbest_f[i]:
+                pbest_f[i] = f
+                pbest[i] = x[i].copy()
+                if f < gbest_f:
+                    gbest_f, gbest = f, x[i].copy()
+        history.append(gbest_f)
+    return OptimizationTrace(np.array(history), gbest, evaluations)
+
+
+def reference_gwo_run(config, space, objective):
+    """Per-member GWO loop: each wolf draws A then C variates per leader."""
+    streams = _streams(config.seed, config.population)
+    dim = space.dimension
+    x = np.array([s.uniform(space.lower, space.upper) for s in streams])
+    leaders = []  # (fitness, position), best first, at most three
+
+    def offer(position, f):
+        for k in range(3):
+            if k == len(leaders) or f < leaders[k][0]:
+                leaders.insert(k, (f, position.copy()))
+                del leaders[3:]
+                return
+
+    for i in range(config.population):
+        offer(x[i], objective(x[i]))
+    history = [leaders[0][0]]
+    evaluations = config.population
+    for t in range(1, config.iterations + 1):
+        a = 2.0 * (1.0 - t / config.iterations)
+        for i in range(config.population):
+            acc = np.zeros(dim)
+            for _, leader in leaders:
+                coef_a = 2.0 * a * streams[i].random(dim) - a
+                coef_c = 2.0 * streams[i].random(dim)
+                acc += leader - coef_a * np.abs(coef_c * leader - x[i])
+            x[i] = space.clip(acc / 3.0)
+        for i in range(config.population):
+            offer(x[i], objective(x[i]))
+            evaluations += 1
+        history.append(leaders[0][0])
+    return OptimizationTrace(np.array(history), leaders[0][1], evaluations)
+
+
+def shifted_sphere(x):
+    # minimum at 0.3 in every coordinate: outside box(dim, 0.2), so clipping is active
+    return float(np.sum((x - 0.3) ** 2))
+
+
+class TestVectorisedMatchesPerMemberLoop:
+    @pytest.mark.parametrize("seed, population, dim, half, objective", [
+        (0, 5, 1, 5.12, sphere),
+        (3, 12, 4, 5.12, sphere),
+        (11, 30, 13, 0.5, sphere),
+        (7, 9, 6, 0.2, shifted_sphere),
+    ])
+    def test_pso(self, seed, population, dim, half, objective):
+        # velocity_clamp=0.05 keeps the clamp active for most moves
+        cfg = PsoConfig(population=population, iterations=25, seed=seed, velocity_clamp=0.05)
+        got = pso_run(cfg, box(dim, half), objective)
+        want = reference_pso_run(cfg, box(dim, half), objective)
+        assert np.array_equal(got.best_fitness, want.best_fitness)
+        assert np.array_equal(got.best_position, want.best_position)
+        assert got.evaluations == want.evaluations
+
+    @pytest.mark.parametrize("seed, population, dim, half, objective", [
+        (0, 3, 1, 5.12, sphere),
+        (3, 12, 4, 5.12, sphere),
+        (11, 30, 13, 0.5, sphere),
+        (7, 9, 6, 0.2, shifted_sphere),
+    ])
+    def test_gwo(self, seed, population, dim, half, objective):
+        cfg = GwoConfig(population=population, iterations=25, seed=seed)
+        got = gwo_run(cfg, box(dim, half), objective)
+        want = reference_gwo_run(cfg, box(dim, half), objective)
+        assert np.array_equal(got.best_fitness, want.best_fitness)
+        assert np.array_equal(got.best_position, want.best_position)
+        assert got.evaluations == want.evaluations
+
+    def test_clipping_is_exercised(self):
+        # the shifted-sphere cases end on the box face, where only clipping keeps them
+        for run, cfg in ((pso_run, PsoConfig(population=9, iterations=25, seed=7)),
+                         (gwo_run, GwoConfig(population=9, iterations=25, seed=7))):
+            trace = run(cfg, box(6, 0.2), shifted_sphere)
+            assert np.any(trace.best_position == 0.2)
 
 
 class TestBaUpdate:
@@ -270,6 +388,52 @@ class TestObjectiveFromDataset:
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
             objective_from_dataset(NetworkTopology(2, (), 1), np.empty((0, 2)), np.empty(0))
+
+    @pytest.mark.parametrize("hidden_sizes", [(), (5,), (4, 3)])
+    @pytest.mark.parametrize("hidden", ["sigmoid", "relu", "tanh"])
+    @pytest.mark.parametrize("out", ["linear", "sigmoid"])
+    def test_equals_loss_mse_exactly(self, hidden_sizes, hidden, out):
+        topology = NetworkTopology(3, hidden_sizes, 1, hidden_activation=hidden,
+                                   output_activation=out)
+        rng = np.random.default_rng(len(hidden_sizes))
+        X = rng.uniform(0.1, 0.9, (17, 3))
+        y = rng.uniform(0.1, 0.9, 17)
+        objective = objective_from_dataset(topology, X, y)
+        for _ in range(3):
+            w = rng.uniform(-2.0, 2.0, parameter_count(topology))
+            assert objective(w) == loss_mse(topology, w, X, y)
+
+    def test_repeated_and_interleaved_calls(self):
+        topology = NetworkTopology(3, (6,), 1)
+        rng = np.random.default_rng(4)
+        X1, X2 = rng.uniform(0.1, 0.9, (20, 3)), rng.uniform(0.1, 0.9, (9, 3))
+        y1, y2 = rng.uniform(0.1, 0.9, 20), rng.uniform(0.1, 0.9, 9)
+        w1, w2 = rng.uniform(-0.5, 0.5, (2, parameter_count(topology)))
+        first = objective_from_dataset(topology, X1, y1)
+        second = objective_from_dataset(topology, X2, y2)
+        expected = (loss_mse(topology, w1, X1, y1), loss_mse(topology, w2, X2, y2))
+        for _ in range(3):
+            assert first(w1) == expected[0]
+            assert second(w2) == expected[1]
+        assert [first(w1) for _ in range(4)] == [expected[0]] * 4
+
+    def test_calls_allocate_no_batch_sized_array(self):
+        # the reference-scale objective: 531 rows, 7 -> 50 -> 1
+        topology = NetworkTopology(7, (50,), 1)
+        rng = np.random.default_rng(9)
+        objective = objective_from_dataset(topology, rng.uniform(0.0, 1.0, (531, 7)),
+                                           rng.uniform(0.0, 1.0, 531))
+        w = rng.uniform(-0.5, 0.5, parameter_count(topology))
+        objective(w)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                objective(w)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 531 * 50 * 8
 
 
 class TestTrainHybrid:
