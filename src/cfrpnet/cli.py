@@ -16,11 +16,11 @@ import numpy as np
 
 from .dataset import (
     FIELDS,
-    DatasetFormatError,
     correlation_matrix,
     correlation_to_csv,
     feature_matrix,
     fit_normalizer,
+    json_text,
     parse_dataset,
     records_to_csv,
     split,
@@ -28,6 +28,7 @@ from .dataset import (
     summary_to_csv,
     target_vector,
     validate_ranges,
+    write_text,
 )
 from .experiment import (
     MODEL_CONFIGS,
@@ -39,10 +40,10 @@ from .experiment import (
     run_experiment,
     synth_dataset,
     train_model,
+    write_model_files,
 )
 from .metrics import report_from_pairs
-from .neuralnet import TrainedModel, load_model, save_model
-from .optimizers import trace_csv
+from .neuralnet import TrainedModel, load_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,11 +99,8 @@ def cmd_stats(args) -> int:
     summary = summary_stats(records)
     corr = correlation_matrix(records)
     if args.format == "json":
-        payload = {
-            "summary": summary.to_dict(),
-            "correlation": {"fields": list(FIELDS), "matrix": [[float(v) for v in row] for row in corr]},
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text({"summary": summary.to_dict(),
+                         "correlation": {"fields": list(FIELDS), "matrix": corr.tolist()}}), end="")
     elif args.format == "csv":
         print(summary_to_csv(summary), end="")
         print(correlation_to_csv(corr), end="")
@@ -112,9 +110,9 @@ def cmd_stats(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
-        (out / "summary.csv").write_text(summary_to_csv(summary))
-        (out / "correlation.csv").write_text(correlation_to_csv(corr))
+        write_text(out / "summary.json", json_text(summary.to_dict()))
+        write_text(out / "summary.csv", summary_to_csv(summary))
+        write_text(out / "correlation.csv", correlation_to_csv(corr))
         _say(args, f"wrote summary.json, summary.csv, correlation.csv to {out}")
     return EXIT_OK
 
@@ -138,7 +136,7 @@ def cmd_validate(args) -> int:
     records = parse_dataset(args.dataset)
     report = validate_ranges(records)
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json_text(report.to_dict()), end="")
     else:
         print(f"{report.n_records} records, {len(report.flags)} warning flag(s)")
         for f in report.flags:
@@ -180,10 +178,7 @@ def cmd_train(args) -> int:
                          features=network.features, provenance=provenance)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    model_path = out / f"model_{args.model}.json"
-    trace_path = out / f"trace_{args.model}.csv"
-    save_model(model, model_path)
-    trace_path.write_text(trace_csv(history))
+    model_path, trace_path = write_model_files(out, args.model, model, history)
     _say(args, f"final training objective: {history[-1]:.6g}")
     _say(args, f"wrote {model_path} and {trace_path}")
     return EXIT_OK
@@ -202,9 +197,7 @@ def cmd_evaluate(args) -> int:
     report = report_from_pairs(targets, predictions, model.normalization,
                                target_field=model.target)
     if args.format == "json":
-        payload = report.to_dict()
-        payload["provenance"] = model.provenance
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text({**report.to_dict(), "provenance": model.provenance}), end="")
     else:
         print(f"n = {report.n}")
         print(f"provenance: {model.provenance}")
@@ -217,9 +210,8 @@ def cmd_evaluate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "evaluation.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        (out / "predictions.csv").write_text(report.pairs_csv())
+        write_text(out / "evaluation.json", json_text(report.to_dict()))
+        write_text(out / "predictions.csv", report.pairs_csv())
         _say(args, f"wrote evaluation.json and predictions.csv to {out}")
     return EXIT_OK
 
@@ -247,7 +239,7 @@ def cmd_compare(args) -> int:
     _say(args, f"running comparison with master seed {config.seed}")
     result = run_experiment(config)
     if args.format == "json":
-        print(json.dumps(result.comparison.to_dict(), indent=2, sort_keys=True))
+        print(json_text(result.comparison.to_dict()), end="")
     elif args.format == "csv":
         print(result.comparison.to_csv(), end="")
     else:
@@ -285,7 +277,7 @@ def cmd_sweep(args) -> int:
     for w in grid.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(grid.to_dict(), indent=2, sort_keys=True))
+        print(json_text(grid.to_dict()), end="")
     else:
         print(f"sweep {grid.var} from {args.start:g} to {args.stop:g} ({args.steps} points)")
         for v, p in zip(grid.values, grid.predictions):
@@ -295,7 +287,7 @@ def cmd_sweep(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"sweep_{grid.var}.csv"
-        path.write_text(grid.to_csv())
+        write_text(path, grid.to_csv())
         _say(args, f"wrote {path}")
     return EXIT_OK
 
@@ -306,7 +298,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synth.csv"
-    path.write_text(records_to_csv(records))
+    write_text(path, records_to_csv(records))
     _say(args, f"wrote {len(records)} records to {path} (seed {seed}, noise {args.noise:g})")
     return EXIT_OK
 
@@ -396,13 +388,7 @@ def main(argv=None) -> int:
         return int(code) if code is not None else EXIT_OK
     try:
         return args.handler(args)
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # DatasetFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -2,17 +2,21 @@
 
 CSV ingestion, range validation against the reference-database bounds,
 summary statistics, Pearson correlation, min-max normalization onto
-[0.1, 0.9], and seeded train/test splitting. Every operation here is a
-pure function of its inputs, so concurrent use is safe.
+[0.1, 0.9], seeded train/test splitting, ``ConfigBase`` and the report
+format (``csv_text``, ``json_text``, ``write_text``). All but ``write_text``
+are pure functions of their inputs, so concurrent use is safe.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import json
 import math
 import numbers
+import os
 import types
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -51,6 +55,46 @@ FIELD_BOUNDS: dict[str, tuple[float, float]] = {
 }
 
 
+def _csv_cell(value) -> str:
+    if value is None or isinstance(value, str):
+        return "" if value is None else value
+    return str(int(value)) if isinstance(value, numbers.Integral) else repr(float(value))
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    """CSV of every report, one line per row: strings as given, integers as
+    digits, other numbers as ``repr(float)`` (exact round trips), None empty."""
+    return "\n".join([",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]) + "\n"
+
+
+def json_text(obj) -> str:
+    """JSON of every report and model file: sorted keys, indent 2, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text to ``<name>.tmp`` beside path, then ``os.replace`` it: a killed
+    process leaves the old file or the new, never a part (no fsync: not OS-crash proof)."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+_type_hints = functools.cache(get_type_hints)  # a class's hints never change; resolving them is slow
+
+
+def _stored(value, hint):
+    """value as a field keeps it: sequences for a tuple field as tuples, numpy integers as ints."""
+    if isinstance(value, (list, tuple, np.ndarray)) and get_origin(hint) is tuple:
+        return tuple(_stored(v, get_args(hint)[0]) for v in value)
+    return int(value) if isinstance(value, np.integer) else value
+
+
 def _matches(value, hint) -> bool:
     if get_origin(hint) in (Union, types.UnionType):
         return any(_matches(value, arg) for arg in get_args(hint))
@@ -73,20 +117,20 @@ class ConfigBase:
 
     On construction every field is checked against its annotation: an
     ``int`` takes an integral value, a ``float`` a finite real, a ``str`` a
-    string, a ``tuple[X, ...]`` a list or tuple of X (stored as a tuple), a
-    class an instance of it, and ``X | None`` also None; booleans pass only
-    as ``bool``. A ``seed`` field must be non-negative and an
-    ``iterations`` field at least 1. Subclasses call
-    ``super().__post_init__()`` and then add their own range checks.
+    string, a ``tuple[X, ...]`` a list, tuple or array of X (stored as a
+    tuple), a class an instance of it, and ``X | None`` also None; booleans
+    pass only as ``bool``, and numpy integers are stored as ``int``. A
+    ``seed`` field must be non-negative and an ``iterations`` field at
+    least 1. Subclasses call ``super().__post_init__()`` and then add their
+    own range checks.
     """
 
     def __post_init__(self):
-        hints = get_type_hints(type(self))
+        hints = _type_hints(type(self))
         for f in fields(self):
-            value, hint = getattr(self, f.name), hints[f.name]
-            if isinstance(value, list) and get_origin(hint) is tuple:
-                value = tuple(value)
-                object.__setattr__(self, f.name, value)
+            hint = hints[f.name]
+            value = _stored(getattr(self, f.name), hint)
+            object.__setattr__(self, f.name, value)
             if not _matches(value, hint):
                 kind = hint.__name__ if isinstance(hint, type) else str(hint)
                 raise ValueError(f"{type(self).__name__}.{f.name} must be {kind}, got {value!r}")
@@ -100,8 +144,7 @@ class ConfigBase:
         """Build from a mapping of field names; unknown or missing keys raise ValueError."""
         if not isinstance(data, Mapping):
             raise ValueError(f"{cls.__name__} settings must be a mapping, got {type(data).__name__}")
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(str(key) for key in data if key not in names)
+        unknown = sorted(map(str, data.keys() - _type_hints(cls).keys()))  # one hint per field
         if unknown:
             raise ValueError(f"unknown config key(s) for {cls.__name__}: {', '.join(unknown)}")
         missing = [f.name for f in fields(cls) if f.name not in data
@@ -235,16 +278,11 @@ def records_to_csv(records: Sequence[SpecimenRecord]) -> str:
     strain; records without one get an empty cell.
     """
     include_rupture = any(r.eps_h_rup is not None for r in records)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = list(CSV_HEADER) + ([RUPTURE_COLUMN] if include_rupture else [])
-    writer.writerow(header)
-    for r in records:
-        row = [repr(float(getattr(r, f))) for f in FIELDS]
-        if include_rupture:
-            row.append("" if r.eps_h_rup is None else repr(float(r.eps_h_rup)))
-        writer.writerow(row)
-    return out.getvalue()
+    header = CSV_HEADER + ((RUPTURE_COLUMN,) if include_rupture else ())
+    rows = ([float(getattr(r, f)) for f in FIELDS]
+            + ([None if r.eps_h_rup is None else float(r.eps_h_rup)] if include_rupture else [])
+            for r in records)
+    return csv_text(header, rows)
 
 
 @dataclass(frozen=True)
@@ -264,20 +302,7 @@ class ValidationReport:
     flags: list[RangeFlag]
 
     def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_flags": len(self.flags),
-            "flags": [
-                {
-                    "index": f.index,
-                    "field": f.field,
-                    "value": f.value,
-                    "kind": f.kind,
-                    "bound": f.bound,
-                }
-                for f in self.flags
-            ],
-        }
+        return {**asdict(self), "n_flags": len(self.flags)}
 
 
 def validate_ranges(
@@ -323,21 +348,7 @@ class DatasetSummary:
     fields: dict[str, FieldStats]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "fields": {
-                name: {
-                    "min": s.min,
-                    "max": s.max,
-                    "range": s.range,
-                    "mean": s.mean,
-                    "median": s.median,
-                    "stdev": s.stdev,
-                    "cov": s.cov,
-                }
-                for name, s in self.fields.items()
-            },
-        }
+        return asdict(self)
 
 
 def raw_matrix(records: Sequence[SpecimenRecord], fields: Sequence[str]) -> np.ndarray:
@@ -440,11 +451,17 @@ class NormalizationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "NormalizationSpec":
-        ranges = {
-            name: FeatureRange(float(pair[0]), float(pair[1]))
-            for name, pair in data["ranges"].items()
-        }
-        return cls(ranges=ranges, lo=float(data.get("lo", 0.1)), hi=float(data.get("hi", 0.9)))
+        """Build from the ``to_dict`` layout; any other shape raises ValueError."""
+        ranges = data.get("ranges") if isinstance(data, Mapping) else None
+        if not isinstance(ranges, Mapping):
+            raise ValueError("normalization must be a mapping holding a 'ranges' mapping")
+        lo, hi = data.get("lo", 0.1), data.get("hi", 0.9)
+        for name, pair in [*ranges.items(), ("lo/hi", [lo, hi])]:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and _matches(pair[0], float) and _matches(pair[1], float)):
+                raise ValueError(f"normalization {name} must be a [min, max] pair, got {pair!r}")
+        ranges = {name: FeatureRange(float(a), float(b)) for name, (a, b) in ranges.items()}
+        return cls(ranges=ranges, lo=float(lo), hi=float(hi))
 
 
 def fit_normalizer(
@@ -503,15 +520,9 @@ def split(
 
 
 def summary_to_csv(summary: DatasetSummary) -> str:
-    lines = ["field,min,max,range,mean,median,stdev,cov"]
-    for name, s in summary.fields.items():
-        cells = [name] + [repr(float(v)) for v in (s.min, s.max, s.range, s.mean, s.median, s.stdev, s.cov)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ("field", *(f.name for f in fields(FieldStats)))
+    return csv_text(header, ((name, *astuple(s)) for name, s in summary.fields.items()))
 
 
 def correlation_to_csv(matrix: np.ndarray, fields: Sequence[str] = FIELDS) -> str:
-    lines = ["field," + ",".join(fields)]
-    for name, row in zip(fields, matrix):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(("field", *fields), ((name, *row) for name, row in zip(fields, matrix)))

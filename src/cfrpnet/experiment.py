@@ -9,7 +9,6 @@ data behind the plots.
 from __future__ import annotations
 
 import dataclasses
-import json
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,11 +24,14 @@ from .dataset import (
     TARGET_FIELD,
     ConfigBase,
     SpecimenRecord,
+    csv_text,
     feature_matrix,
     fit_normalizer,
+    json_text,
     parse_dataset,
     split,
     target_vector,
+    write_text,
 )
 from .mechanics import EmpiricalModelParams
 from .metrics import EvaluationReport, report_from_pairs
@@ -249,19 +251,11 @@ class ComparisonTable:
         raise KeyError(model)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "errors": dict(self.errors),
-        }
+        return dataclasses.asdict(self)
 
     def to_csv(self) -> str:
-        lines = ["model,n,accuracy_percent,r_squared,mse_pct,mae_pct,mse_mpa,mae_mpa"]
-        for r in self.rows:
-            cells = [r.model, str(r.n)]
-            for v in (r.accuracy_percent, r.r_squared, r.mse_pct, r.mae_pct, r.mse_mpa, r.mae_mpa):
-                cells.append("" if v is None else repr(float(v)))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        header = [f.name for f in dataclasses.fields(ComparisonRow)]
+        return csv_text(header, (dataclasses.astuple(r) for r in self.rows))
 
 
 @dataclass
@@ -370,12 +364,16 @@ def run_experiment(
     return result
 
 
-def write_experiment_outputs(result: ExperimentResult, config: ExperimentConfig) -> None:
-    """Write comparison tables, per-model predictions/traces, and models.
+def write_model_files(out: Path, name: str, model: TrainedModel, history) -> tuple[Path, Path]:
+    """Write ``model_<name>.json`` and ``trace_<name>.csv`` into out; returns their paths."""
+    model_path, trace_path = out / f"model_{name}.json", out / f"trace_{name}.csv"
+    save_model(model, model_path)
+    write_text(trace_path, trace_csv(history))
+    return model_path, trace_path
 
-    Output is deterministic for a given result: sorted JSON keys and
-    repr-formatted floats, no timestamps.
-    """
+
+def write_experiment_outputs(result: ExperimentResult, config: ExperimentConfig) -> None:
+    """Write comparison tables, per-model predictions/traces, and models."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -386,15 +384,12 @@ def write_experiment_outputs(result: ExperimentResult, config: ExperimentConfig)
         "roster": list(config.roster),
         "comparison": result.comparison.to_dict(),
     }
-    (out / "comparison.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                         encoding="utf-8")
-    (out / "comparison.csv").write_text(result.comparison.to_csv(), encoding="utf-8")
+    write_text(out / "comparison.json", json_text(payload))
+    write_text(out / "comparison.csv", result.comparison.to_csv())
     for name, report in result.reports.items():
-        (out / f"predictions_{name}.csv").write_text(report.pairs_csv(), encoding="utf-8")
-    for name, history in result.histories.items():
-        (out / f"trace_{name}.csv").write_text(trace_csv(history), encoding="utf-8")
+        write_text(out / f"predictions_{name}.csv", report.pairs_csv())
     for name, model in result.models.items():
-        save_model(model, out / f"model_{name}.json")
+        write_model_files(out, name, model, result.histories[name])
 
 
 class EmpiricalPredictor:
@@ -450,9 +445,7 @@ class SweepGrid:
     warnings: list[str]
 
     def to_csv(self) -> str:
-        lines = [f"{self.var},prediction_mpa"]
-        lines.extend(f"{float(v)!r},{float(p)!r}" for v, p in zip(self.values, self.predictions))
-        return "\n".join(lines) + "\n"
+        return csv_text((self.var, "prediction_mpa"), zip(self.values, self.predictions))
 
     def to_dict(self) -> dict:
         return {
@@ -503,10 +496,8 @@ class RatioDistribution:
     excluded: int
 
     def to_csv(self) -> str:
-        lines = ["bin_lo,bin_hi,count"]
-        for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            lines.append(f"{float(lo)!r},{float(hi)!r},{int(c)}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("bin_lo", "bin_hi", "count"),
+                        zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts))
 
 
 def ratio_distribution(

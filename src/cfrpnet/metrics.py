@@ -8,12 +8,12 @@ expressed as percentages (the normalized MSE/MAE times 100).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .dataset import NormalizationSpec, TARGET_FIELD
+from .dataset import TARGET_FIELD, NormalizationSpec, csv_text
 
 SCALES = ("mpa", "normalized")
 
@@ -85,27 +85,15 @@ class EvaluationReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self, include_pairs: bool = False) -> dict:
-        out = {
-            "n": self.n,
-            "scale": self.scale,
-            "mse": self.mse,
-            "mae": self.mae,
-            "r_squared": self.r_squared,
-            "accuracy_percent": self.accuracy_percent,
-            "mse_mpa": self.mse_mpa,
-            "mae_mpa": self.mae_mpa,
-            "mse_pct": self.mse_pct,
-            "mae_pct": self.mae_pct,
-            "notes": list(self.notes),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("targets", "predictions")}
+        out["notes"] = list(self.notes)
         if include_pairs:
             out["pairs"] = [[float(t), float(p)] for t, p in zip(self.targets, self.predictions)]
         return out
 
     def pairs_csv(self) -> str:
-        lines = ["target_mpa,prediction_mpa"]
-        lines.extend(f"{float(t)!r},{float(p)!r}" for t, p in zip(self.targets, self.predictions))
-        return "\n".join(lines) + "\n"
+        return csv_text(("target_mpa", "prediction_mpa"), zip(self.targets, self.predictions))
 
 
 def report_from_pairs(

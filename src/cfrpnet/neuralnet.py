@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_FEATURES, TARGET_FIELD, ConfigBase, NormalizationSpec, feature_matrix
+from .dataset import (DEFAULT_FEATURES, TARGET_FIELD, ConfigBase, NormalizationSpec, feature_matrix,
+                      json_text, write_text)
 
 MODEL_FORMAT = "cfrpnet-model"
 MODEL_VERSION = 1
@@ -40,7 +41,7 @@ OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
 
 
 @dataclass(frozen=True)
-class NetworkTopology:
+class NetworkTopology(ConfigBase):
     """Layer sizes and activations of a fully connected feedforward net."""
 
     input_size: int
@@ -50,10 +51,8 @@ class NetworkTopology:
     output_activation: str = "linear"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in self.hidden_sizes))
-        object.__setattr__(self, "input_size", int(self.input_size))
-        object.__setattr__(self, "output_size", int(self.output_size))
-        if any(s < 1 for s in self.layer_sizes):
+        super().__post_init__()
+        if min(self.layer_sizes) < 1:
             raise ValueError(f"all layer sizes must be >= 1, got {self.layer_sizes}")
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}")
@@ -65,23 +64,7 @@ class NetworkTopology:
         return (self.input_size, *self.hidden_sizes, self.output_size)
 
     def to_dict(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "hidden_sizes": list(self.hidden_sizes),
-            "output_size": self.output_size,
-            "hidden_activation": self.hidden_activation,
-            "output_activation": self.output_activation,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "NetworkTopology":
-        return cls(
-            input_size=data["input_size"],
-            hidden_sizes=tuple(data.get("hidden_sizes", ())),
-            output_size=data.get("output_size", 1),
-            hidden_activation=data.get("hidden_activation", "tanh"),
-            output_activation=data.get("output_activation", "linear"),
-        )
+        return asdict(self)
 
 
 def parameter_count(topology: NetworkTopology) -> int:
@@ -365,19 +348,21 @@ def model_from_dict(data: Mapping) -> TrainedModel:
     missing = [key for key in ("topology", "weights", "normalization", "features") if key not in data]
     if missing:
         raise ValueError(f"model document lacks {', '.join(missing)}")
+    features = data["features"]
+    if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
+        raise ValueError(f"model features must be a list of strings, got {features!r}")
     return TrainedModel(
         topology=NetworkTopology.from_dict(data["topology"]),
         weights=np.asarray(data["weights"], dtype=float),
         normalization=NormalizationSpec.from_dict(data["normalization"]),
-        features=tuple(data["features"]),
+        features=tuple(features),
         target=data.get("target", TARGET_FIELD),
         provenance=dict(data.get("provenance", {})),
     )
 
 
 def save_model(model: TrainedModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_text(path, json_text(model_to_dict(model)))
 
 
 def load_model(path) -> TrainedModel:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import ConfigBase
+from .dataset import ConfigBase, csv_text
 from .neuralnet import NetworkTopology, _check_batch, _mse, _workspace, parameter_count
 
 Objective = Callable[[np.ndarray], float]
@@ -168,9 +168,7 @@ class OptimizationTrace:
 
 def trace_csv(history: Sequence[float]) -> str:
     """Render a fitness/loss history as iteration,best_fitness CSV."""
-    lines = ["iteration,best_fitness"]
-    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(history))
-    return "\n".join(lines) + "\n"
+    return csv_text(("iteration", "best_fitness"), enumerate(map(float, history)))
 
 
 def _streams(seed: int, population: int) -> list[np.random.Generator]:

@@ -18,7 +18,8 @@ from cfrpnet.dataset import (
     target_vector,
 )
 from cfrpnet.experiment import model_seed, synth_dataset, train_model
-from cfrpnet.neuralnet import NetworkTopology, TrainedModel, load_model, save_model
+from cfrpnet.neuralnet import (NetworkTopology, TrainedModel, init_weights, load_model,
+                               model_to_dict, save_model)
 from cfrpnet.optimizers import PsoConfig, trace_csv
 
 from conftest import make_records
@@ -198,6 +199,21 @@ class TestTrain:
         assert written.provenance == provenance
         assert (out / "trace_pso.csv").read_text() == trace_csv(history)
 
+    def test_failed_write_keeps_previous_model(self, dataset_csv, tmp_path, monkeypatch, capsys):
+        argv = ["train", dataset_csv, "--model", "ann", "--iterations", "5", "--neurons", "4",
+                "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == 0
+        before = (tmp_path / "model_ann.json").read_bytes()
+
+        def broken(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", broken)
+        assert main(argv + ["--seed", "1"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert (tmp_path / "model_ann.json").read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestEvaluate:
     def test_smoke_on_own_training_file(self, dataset_csv, tmp_path, capsys):
@@ -302,7 +318,26 @@ class TestSweep:
         assert "finite" in capsys.readouterr().err
 
 
+def _model_document():
+    """A valid model document over the seven default features."""
+    topology = NetworkTopology(7, (3,))
+    norm = fit_normalizer(make_records(20, seed=4))
+    return model_to_dict(TrainedModel(topology, init_weights(topology, 0), norm))
+
+
+_DOC = _model_document()
 MALFORMED_MODELS = [{"format": "cfrpnet-model", "version": 1}, [1, 2]]
+# the valid document with one field of the wrong type
+MALFORMED_MODELS += [{**_DOC, "topology": 5}, {**_DOC, "normalization": []}, {**_DOC, "features": 5},
+                     {**_DOC, "normalization": {**_DOC["normalization"],
+                                                "ranges": {**_DOC["normalization"]["ranges"], "d": 5}}}]
+
+
+def test_model_document_control(dataset_csv, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_DOC))
+    assert main(["evaluate", str(path), dataset_csv, "--quiet"]) == 0
+    assert main(["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100"]) == 0
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
@@ -340,6 +375,12 @@ class TestCompare:
         table = (out / "comparison.csv").read_text()
         assert table.startswith("model,")
         assert "ann" in table and "lam_teng" in table
+
+    def test_no_temp_files_left(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["compare", "--config", self._config(tmp_path), "--out", str(out), "--quiet"]) == 0
+        assert (out / "model_ann.json").exists() and (out / "comparison.json").exists()
+        assert not list(out.glob("*.tmp"))
 
     def test_six_model_roster_table(self, tmp_path, capsys):
         data = {

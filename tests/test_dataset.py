@@ -13,14 +13,17 @@ from cfrpnet.dataset import (
     NormalizationSpec,
     SpecimenRecord,
     correlation_matrix,
+    csv_text,
     feature_matrix,
     fit_normalizer,
+    json_text,
     parse_dataset,
     records_to_csv,
     split,
     summary_stats,
     validate_ranges,
 )
+from cfrpnet.optimizers import trace_csv
 from conftest import make_records, table1_extremes
 
 HEADER = ",".join(CSV_HEADER)
@@ -90,6 +93,26 @@ class TestParse:
     def test_blank_lines_skipped(self):
         text = HEADER + "\n\n150,300,0.167,231,30,0.2,1.2,45\n\n"
         assert len(parse_dataset(io.StringIO(text))) == 1
+
+
+class TestReportFormat:
+    def test_csv_cell_rules(self):
+        cells = (None, "ann", 7, np.int64(8), 0.1, np.float64(2.5), 150.0)
+        expected = ("", "ann", "7", "8", "0.1", "2.5", "150.0")
+        header = ("none", "str", "int", "np_int", "float", "np_float", "whole")
+        # across one row and down one column
+        assert csv_text(header, [cells]) == ",".join(header) + "\n" + ",".join(expected) + "\n"
+        assert csv_text(("cell",), [(c,) for c in cells]) == "cell\n" + "\n".join(expected) + "\n"
+
+    def test_json_text_ends_with_one_newline(self):
+        text = json_text({"b": [1.5, None], "a": {}})
+        assert text.endswith("}\n") and not text.endswith("\n\n")
+        assert text.index('"a"') < text.index('"b"')
+
+    def test_integer_valued_inputs_render_as_floats(self):
+        record = SpecimenRecord(d=150, h=300, nt=1, ef=231, fco=30, eco=2, ecc=3, fcc=60)
+        assert records_to_csv([record]).splitlines()[1] == "150.0,300.0,1.0,231.0,30.0,2.0,3.0,60.0"
+        assert trace_csv([3, 2]) == "iteration,best_fitness\n0,3.0\n1,2.0\n"
 
 
 class TestRecordInvariants:
@@ -295,6 +318,13 @@ class TestNormalization:
         restored = NormalizationSpec.from_dict(spec.to_dict())
         assert restored.ranges == spec.ranges
         assert (restored.lo, restored.hi) == (spec.lo, spec.hi)
+
+    @pytest.mark.parametrize("data", [[], {}, {"ranges": []}, {"ranges": {"d": 5}},
+                                      {"ranges": {"d": [1.0]}}, {"ranges": {"d": [1.0, "2"]}},
+                                      {"ranges": {"d": [1.0, math.nan]}}, {"ranges": {}, "lo": [0]}])
+    def test_spec_dict_malformed(self, data):
+        with pytest.raises(ValueError):
+            NormalizationSpec.from_dict(data)
 
     def test_feature_matrix_shape(self, records):
         spec = fit_normalizer(records)

@@ -134,6 +134,14 @@ class TestTopology:
         t = NetworkTopology(4, (8, 3), 2, "relu", "sigmoid")
         assert NetworkTopology.from_dict(t.to_dict()) == t
 
+    def test_from_dict_checks_types(self):
+        assert_rejects_bad_values(NetworkTopology(3, (5,), 1))
+        assert NetworkTopology.from_dict({"input_size": 3}).hidden_sizes == (50,)
+        for data in (5, {"input_size": 3, "hidden_sizes": [5.0]}, {"input_size": 3, "width": 5},
+                     {"input_size": 3, "hidden_sizes": 5}, {"hidden_sizes": [5]}):
+            with pytest.raises(ValueError):
+                NetworkTopology.from_dict(data)
+
 
 class TestFlattenUnflatten:
     def test_roundtrip_identity(self):
@@ -347,6 +355,18 @@ class TestTrainedModel:
         rng = np.random.default_rng(11)
         X = rng.uniform(0.1, 0.9, (100, 2))
         assert np.array_equal(restored.predict_normalized(X), model.predict_normalized(X))
+
+    @pytest.mark.parametrize("hidden_sizes", [(np.int64(3),), np.array([3]), [np.int32(3)]])
+    def test_numpy_sizes_save_and_reload(self, tmp_path, hidden_sizes):
+        topology = NetworkTopology(np.int64(2), hidden_sizes, np.int64(1))
+        assert topology == NetworkTopology(2, (3,), 1)
+        assert all(type(s) is int for s in topology.layer_sizes)
+        model = _toy_model()
+        model = TrainedModel(topology=topology, weights=model.weights,
+                             normalization=model.normalization, features=model.features)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).topology == NetworkTopology(2, (3,), 1)
 
     def test_truncated_weights_rejected(self, tmp_path):
         data = model_to_dict(_toy_model())
