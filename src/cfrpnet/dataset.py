@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import types
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
@@ -201,17 +203,6 @@ class SpecimenRecord:
                 raise ValueError(f"eps_h_rup must be non-negative and finite, got {self.eps_h_rup}")
 
 
-def _read_text(source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
 def _check_header(header: Sequence[str]) -> bool:
     """Validate the header; returns True when the rupture column is present."""
     missing = [c for c in CSV_HEADER if c not in header]
@@ -236,15 +227,23 @@ def _parse_float(cell: str, row: int, column: str) -> float:
 
 
 def parse_dataset(source) -> list[SpecimenRecord]:
-    """Parse specimen records from a CSV path, file object, text, or bytes.
+    """Parse specimen records from a CSV path (str or Path), file object, or bytes.
 
     The header must carry the canonical columns ``d_mm,h_mm,nt_mm,ef_gpa,
     fco_mpa,eco_pct,ecc_pct,fcc_mpa`` in that order; an optional trailing
     ``eps_hrup`` column supplies hoop rupture strains. Blank lines are
     skipped. Row numbers in errors are 1-based file lines (header is 1).
+    A path is streamed row by row; bytes and file objects are read whole.
     """
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8", newline="") as fh:
+            return _parse_rows(csv.reader(fh))
+    data = source if isinstance(source, bytes) else source.read()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return _parse_rows(csv.reader(io.StringIO(text, newline="")))
+
+
+def _parse_rows(reader) -> list[SpecimenRecord]:
     try:
         header = [c.strip() for c in next(reader)]
     except StopIteration:
@@ -257,15 +256,12 @@ def parse_dataset(source) -> list[SpecimenRecord]:
             continue
         if len(row) != len(header):
             raise DatasetFormatError(f"expected {len(header)} columns, found {len(row)}", row=line_no)
-        values = {
-            name: _parse_float(cell, line_no, CSV_COLUMNS[name])
-            for name, cell in zip(FIELDS, row)
-        }
+        values = list(map(_parse_float, row, itertools.repeat(line_no), CSV_HEADER))  # FIELDS order
         eps = None
         if has_rupture and row[len(CSV_HEADER)].strip():
             eps = _parse_float(row[len(CSV_HEADER)], line_no, RUPTURE_COLUMN)
         try:
-            records.append(SpecimenRecord(**values, eps_h_rup=eps))
+            records.append(SpecimenRecord(*values, eps_h_rup=eps))
         except ValueError as exc:
             raise DatasetFormatError(str(exc), row=line_no) from None
     return records
@@ -352,7 +348,7 @@ class DatasetSummary:
 
 
 def raw_matrix(records: Sequence[SpecimenRecord], fields: Sequence[str]) -> np.ndarray:
-    return np.array([[getattr(r, f) for f in fields] for r in records], dtype=float)
+    return np.array(list(map(operator.attrgetter(*fields), records)), dtype=float).reshape(-1, len(fields))
 
 
 def summary_stats(records: Sequence[SpecimenRecord]) -> DatasetSummary:
@@ -424,18 +420,27 @@ class NormalizationSpec:
             if not r.x_max > r.x_min:
                 raise ValueError(f"feature {name!r} has empty range [{r.x_min}, {r.x_max}]")
 
+    # An int or float takes plain float arithmetic: the same IEEE double
+    # operations in the same order as the array path, so the same bits,
+    # without numpy's per-call cost on a single value.
     def normalize(self, field: str, x):
         r = self.ranges[field]
-        arr = np.asarray(x, dtype=float)
+        scalar = isinstance(x, (int, float))
+        arr = float(x) if scalar else np.asarray(x, dtype=float)
         z = (self.lo * (r.x_max - arr) + self.hi * (arr - r.x_min)) / (r.x_max - r.x_min)
         # pin the endpoints so the fitted bounds map to lo/hi bit-exactly
+        if scalar:
+            return float(self.lo) if arr == r.x_min else float(self.hi) if arr == r.x_max else z
         z = np.where(arr == r.x_min, self.lo, np.where(arr == r.x_max, self.hi, z))
         return float(z) if np.ndim(x) == 0 else z
 
     def denormalize(self, field: str, z):
         r = self.ranges[field]
-        arr = np.asarray(z, dtype=float)
+        scalar = isinstance(z, (int, float))
+        arr = float(z) if scalar else np.asarray(z, dtype=float)
         x = r.x_min + (arr - self.lo) * (r.x_max - r.x_min) / (self.hi - self.lo)
+        if scalar:
+            return x
         return float(x) if np.ndim(z) == 0 else x
 
     def in_range(self, field: str, x: float) -> bool:

@@ -9,8 +9,8 @@ GPa moduli and percent strains at the boundary. All functions are pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .dataset import ConfigBase
 
@@ -136,10 +136,11 @@ class ConfinementInputs:
         return confinement_stress(self.ef_mpa, self.rupture_strain(), self.t, self.d)
 
 
-def _field(record, name: str):
+def _fields(record, names) -> list:
+    """The named fields of a mapping or an object, None where absent."""
     if isinstance(record, Mapping):
-        return record.get(name)
-    return getattr(record, name, None)
+        return [record.get(name) for name in names]
+    return [getattr(record, name, None) for name in names]
 
 
 def predict_record(
@@ -161,20 +162,19 @@ def predict_record(
         raise ValueError(f"unknown empirical model {model!r}; choose from {EMPIRICAL_MODELS}")
     if model == "nonlinear" and params is None:
         raise ValueError("nonlinear model requires explicit EmpiricalModelParams")
-    needed = {name: _field(record, name) for name in ("d", "nt", "ef", "fco")}
-    for name, value in needed.items():
+    names = ("d", "nt", "ef", "fco", "eps_h_rup")
+    d, nt, ef, fco, record_eps = _fields(record, names)
+    for name, value in zip(names, (d, nt, ef, fco)):
         if value is None:
             raise ValueError(f"record is missing field {name!r}")
-    eps = eps_h_rup
-    if eps is None:
-        eps = _field(record, "eps_h_rup")
+    eps = eps_h_rup if eps_h_rup is not None else record_eps
     if eps is None and eps_f is not None:
-        eps = hoop_rupture_strain(eps_f, needed["fco"])
+        eps = hoop_rupture_strain(eps_f, fco)
     if eps is None:
         raise ValueError("no rupture-strain source: supply eps_h_rup, a record value, or eps_f")
-    f_l = confinement_stress(needed["ef"] * 1000.0, eps, needed["nt"], needed["d"])
+    f_l = confinement_stress(ef * 1000.0, eps, nt, d)
     if model == "lam_teng":
-        return lam_teng(needed["fco"], f_l)
+        return lam_teng(fco, f_l)
     if model == "miyauchi":
-        return miyauchi(needed["fco"], f_l)
-    return nonlinear_model(needed["fco"], f_l, params)
+        return miyauchi(fco, f_l)
+    return nonlinear_model(fco, f_l, params)

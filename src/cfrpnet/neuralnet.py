@@ -9,6 +9,7 @@ immutable value safe to share.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -63,31 +64,32 @@ class NetworkTopology(ConfigBase):
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_size, *self.hidden_sizes, self.output_size)
 
+    @functools.cached_property
+    def _layout(self) -> tuple[int, tuple]:
+        """Parameter count and each layer's (weight slice, weight shape, bias
+        slice) in the flat vector; computed on first use, then read."""
+        layers, pos = [], 0
+        for m, k in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            layers.append((slice(pos, pos + m * k), (m, k), slice(pos + m * k, pos + m * k + k)))
+            pos += m * k + k
+        return pos, tuple(layers)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def parameter_count(topology: NetworkTopology) -> int:
     """Total number of weights and biases across all layers."""
-    sizes = topology.layer_sizes
-    return sum(m * k + k for m, k in zip(sizes[:-1], sizes[1:]))
+    return topology._layout[0]
 
 
 def unflatten(topology: NetworkTopology, weights) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Split a flat parameter vector into per-layer (W, b) views."""
     w = np.asarray(weights, dtype=float)
-    expected = parameter_count(topology)
+    expected, layers = topology._layout
     if w.shape != (expected,):
         raise ValueError(f"weight vector has length {w.size}, topology needs {expected}")
-    mats, biases = [], []
-    pos = 0
-    sizes = topology.layer_sizes
-    for m, k in zip(sizes[:-1], sizes[1:]):
-        mats.append(w[pos:pos + m * k].reshape(m, k))
-        pos += m * k
-        biases.append(w[pos:pos + k])
-        pos += k
-    return mats, biases
+    return [w[ws].reshape(shape) for ws, shape, _ in layers], [w[bs] for _, _, bs in layers]
 
 
 def flatten(mats: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> np.ndarray:
@@ -111,15 +113,15 @@ def _workspace(topology: NetworkTopology, n: int) -> list[np.ndarray]:
     return [np.empty((n, k)) for k in topology.layer_sizes[1:]]
 
 
-def _forward(topology, weights, X, acts) -> np.ndarray:
-    """Forward pass writing each layer's activations into acts; returns acts[-1]."""
+def _forward(topology, weights, X, acts=None) -> np.ndarray:
+    """Forward pass writing each layer's activations into acts, or into fresh
+    arrays when acts is None; returns the output layer's."""
     mats, biases = unflatten(topology, weights)
-    a = X
-    for W, b, out in zip(mats, biases, acts):
-        np.matmul(a, W, out=out)
+    a, last = X, len(mats) - 1
+    for i, (W, b) in enumerate(zip(mats, biases)):
+        out = np.matmul(a, W, out=None if acts is None else acts[i])
         out += b
-        name = topology.output_activation if out is acts[-1] else topology.hidden_activation
-        a = _ACTIVATIONS[name][0](out)
+        a = _ACTIVATIONS[topology.output_activation if i == last else topology.hidden_activation][0](out)
     return a
 
 
@@ -128,7 +130,7 @@ def forward_batch(topology: NetworkTopology, weights, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != topology.input_size:
         raise ValueError(f"expected inputs of shape (n, {topology.input_size}), got {X.shape}")
-    return _forward(topology, weights, X, _workspace(topology, X.shape[0]))
+    return _forward(topology, weights, X)
 
 
 def forward(topology: NetworkTopology, weights, x):
@@ -136,7 +138,7 @@ def forward(topology: NetworkTopology, weights, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != topology.input_size:
         raise ValueError(f"expected {topology.input_size} inputs, got shape {x.shape}")
-    out = forward_batch(topology, weights, x[None, :])[0]
+    out = _forward(topology, weights, x[None, :])[0]
     return float(out[0]) if topology.output_size == 1 else out
 
 
@@ -348,16 +350,23 @@ def model_from_dict(data: Mapping) -> TrainedModel:
     missing = [key for key in ("topology", "weights", "normalization", "features") if key not in data]
     if missing:
         raise ValueError(f"model document lacks {', '.join(missing)}")
-    features = data["features"]
-    if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
-        raise ValueError(f"model features must be a list of strings, got {features!r}")
+    features, weights = data["features"], np.asarray(data["weights"])
+    target, provenance = data.get("target", TARGET_FIELD), data.get("provenance", {})
+    for key, value, kind, ok in (
+            ("features", features, "a list of strings",
+             isinstance(features, list) and all(isinstance(f, str) for f in features)),
+            ("weights", data["weights"], "a list of numbers", weights.dtype.kind in "iuf"),
+            ("target", target, "a string", isinstance(target, str)),
+            ("provenance", provenance, "a mapping", isinstance(provenance, Mapping))):
+        if not ok:
+            raise ValueError(f"model {key} must be {kind}, got {value!r:.80}")
     return TrainedModel(
         topology=NetworkTopology.from_dict(data["topology"]),
-        weights=np.asarray(data["weights"], dtype=float),
+        weights=weights,
         normalization=NormalizationSpec.from_dict(data["normalization"]),
         features=tuple(features),
-        target=data.get("target", TARGET_FIELD),
-        provenance=dict(data.get("provenance", {})),
+        target=target,
+        provenance=dict(provenance),
     )
 
 

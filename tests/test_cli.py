@@ -110,6 +110,16 @@ class TestStats:
     def test_missing_file_exit_2(self, capsys):
         assert main(["stats", "no-such-file.csv"]) == 2
 
+    @pytest.mark.parametrize("where", ["header", "late row"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, where):
+        # a path is decoded as it streams: a bad byte ~60 KB in arrives after many parsed rows
+        text = records_to_csv(make_records(400, seed=1)).encode()
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"d_\xb5m" + text if where == "header" else text + b"150,300,0.5,\xe9\n")
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "utf-8" in err and "Traceback" not in err
+
 
 class TestValidate:
     def test_clean_dataset(self, dataset_csv, capsys):
@@ -244,6 +254,13 @@ class TestEvaluate:
         assert main(["evaluate", str(path), dataset_csv]) == 2
         assert "vol" in capsys.readouterr().err
 
+    def test_header_only_dataset_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(records_to_csv([]))
+        assert main(["evaluate", _perfect_model(tmp_path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_writes_prediction_files(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
         data_path = _doubling_dataset(tmp_path)
@@ -331,6 +348,8 @@ MALFORMED_MODELS = [{"format": "cfrpnet-model", "version": 1}, [1, 2]]
 MALFORMED_MODELS += [{**_DOC, "topology": 5}, {**_DOC, "normalization": []}, {**_DOC, "features": 5},
                      {**_DOC, "normalization": {**_DOC["normalization"],
                                                 "ranges": {**_DOC["normalization"]["ranges"], "d": 5}}}]
+MALFORMED_MODELS += [{**_DOC, "weights": {}}, {**_DOC, "target": 5}, {**_DOC, "target": [1]},
+                     {**_DOC, "provenance": 5}, {**_DOC, "provenance": [1]}]
 
 
 def test_model_document_control(dataset_csv, tmp_path, capsys):

@@ -1,8 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrpnet.dataset import (
     CSV_HEADER,
@@ -93,6 +96,64 @@ class TestParse:
     def test_blank_lines_skipped(self):
         text = HEADER + "\n\n150,300,0.167,231,30,0.2,1.2,45\n\n"
         assert len(parse_dataset(io.StringIO(text))) == 1
+
+
+ROW = "150,300,0.167,231,30,0.2,1.2,45"
+SOURCE_CASES = {
+    "crlf": f"{HEADER}\r\n{ROW}\r\n{ROW.replace('150', '160')}\r\n",
+    "lone_cr": f"{HEADER}\r{ROW}\r{ROW.replace('30', '35')}\r",
+    "blank_lines": f"{HEADER}\n\n{ROW}\n\r\n\n{ROW}\n\n",
+    "quoted_cells": f'{HEADER}\n"150","300",0.167,"231",30,0.2,1.2,"45"\n"150\r\n",300,0.167,231,30,0.2,1.2,45\n',
+    "bad_cell_row_4": f"{HEADER}\n{ROW}\n\n150,300,0.167,231,xx,0.2,1.2,45\n{ROW}\n",
+    "bad_cell_crlf": f"{HEADER}\r\n{ROW}\r\n150,300,0.167,231,30,0.2,zz,45\r\n",
+    "bad_quoted_cell": f'{HEADER}\n{ROW}\n150,"3\r\n00",0.167,231,30,0.2,1.2,45\n',
+    "bad_record_lone_cr": f"{HEADER}\r{ROW}\r-150,300,0.167,231,30,0.2,1.2,45\r",
+}
+
+
+def _parse_outcome(source):
+    try:
+        return parse_dataset(source)
+    except DatasetFormatError as exc:
+        return (str(exc), exc.row, exc.column)
+
+
+class TestParseSources:
+    """A path streams through open(); bytes and file objects are read whole.
+    The same bytes must give the same records or the same error either way."""
+
+    @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
+    def test_path_bytes_and_file_object_agree(self, tmp_path, case):
+        data = SOURCE_CASES[case].encode()
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        outcomes = [_parse_outcome(source) for source in
+                    (path, str(path), data, io.BytesIO(data), io.StringIO(data.decode(), newline=""))]
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+        if case.startswith("bad"):
+            assert isinstance(outcomes[0], tuple)
+        else:
+            assert len(outcomes[0]) == 2
+
+    def test_bad_cell_row_number(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(SOURCE_CASES["bad_cell_row_4"])
+        assert _parse_outcome(path) == ("could not parse number from 'xx' (row 4, column 'fco_mpa')",
+                                        4, "fco_mpa")
+
+    def test_path_parse_keeps_only_the_records(self, tmp_path):
+        # streaming holds a few rows at a time, not the file's text and a copy of it
+        path = tmp_path / "big.csv"
+        path.write_text(records_to_csv(make_records(8000, seed=5, with_rupture=True)))
+        parse_dataset(io.StringIO(HEADER + "\n" + ROW + "\n"))  # warm up one-time caches
+        tracemalloc.start()
+        try:
+            records = parse_dataset(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 8000
+        assert peak < 1.5 * kept
 
 
 class TestReportFormat:
@@ -331,6 +392,62 @@ class TestNormalization:
         X = feature_matrix(records, ("d", "fco"), spec)
         assert X.shape == (len(records), 2)
         assert np.all((X >= 0.1) & (X <= 0.9))
+
+
+# Fractions of the fitted range: both endpoints, interior values and
+# extrapolation on both sides.
+FRACTIONS = st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(-3.0, 4.0), min_size=1, max_size=12)
+
+
+@st.composite
+def fitted_specs(draw):
+    x_min = draw(st.floats(-1e5, 1e5))
+    x_max = x_min + draw(st.floats(1e-6, 1e5))
+    lo = draw(st.sampled_from([0.1, 0.0, -1.0]) | st.floats(-2.0, 2.0))
+    hi = lo + draw(st.floats(1e-3, 2.0))
+    if not x_max > x_min:
+        x_max = x_min + 1.0
+    return NormalizationSpec({"v": FeatureRange(x_min, x_max)}, lo=lo, hi=hi)
+
+
+def _scalar_inputs(values, ints):
+    """Each value as a float and as np.float64, plus the ints as int."""
+    return [*values, *map(np.float64, values), *ints]
+
+
+class TestScalarNormalization:
+    """An int or float is normalized with plain float arithmetic, an array
+    with numpy: the two paths must give the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10**6, 10**6), max_size=4))
+    def test_normalize_scalar_equals_array(self, spec, fractions, ints):
+        r = spec.ranges["v"]
+        values = [r.x_min, r.x_max, *(r.x_min + f * (r.x_max - r.x_min) for f in fractions)]
+        inputs = _scalar_inputs(values, ints)
+        scalars = [spec.normalize("v", x) for x in inputs]
+        assert all(type(z) is float for z in scalars)
+        with np.errstate(all="ignore"):
+            array = spec.normalize("v", np.array(inputs, dtype=float))
+        assert np.array(scalars).tobytes() == array.tobytes()
+        assert scalars[0] == spec.lo and scalars[1] == spec.hi  # pinned endpoints
+
+    @settings(max_examples=300, deadline=None)
+    @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10, 10), max_size=4))
+    def test_denormalize_scalar_equals_array(self, spec, fractions, ints):
+        values = [spec.lo, spec.hi, *(spec.lo + f * (spec.hi - spec.lo) for f in fractions)]
+        inputs = _scalar_inputs(values, ints)
+        scalars = [spec.denormalize("v", z) for z in inputs]
+        assert all(type(x) is float for x in scalars)
+        with np.errstate(all="ignore"):
+            array = spec.denormalize("v", np.array(inputs, dtype=float))
+        assert np.array(scalars).tobytes() == array.tobytes()
+
+    def test_integer_bounds_keep_float_results(self):
+        spec = NormalizationSpec({"v": FeatureRange(0, 10)}, lo=0, hi=1)
+        for x in (0, 10, 0.0, 10.0, 5):
+            z = spec.normalize("v", x)
+            assert type(z) is float and z == spec.normalize("v", np.array([x], dtype=float))[0]
 
 
 class TestSplit:

@@ -1,3 +1,7 @@
+import collections.abc
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -192,6 +196,22 @@ class TestConfinementInputs:
             ci.lateral_pressure()
 
 
+class _UserMapping(collections.abc.Mapping):
+    """A mapping that is neither a dict nor registered by the standard library."""
+
+    def __init__(self, fields):
+        self._fields = dict(fields)
+
+    def __getitem__(self, key):
+        return self._fields[key]
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __len__(self):
+        return len(self._fields)
+
+
 class TestPredictRecord:
     def _record(self, **overrides):
         base = dict(d=150.0, h=300.0, nt=0.167, ef=231.0, fco=30.0,
@@ -239,6 +259,36 @@ class TestPredictRecord:
     def test_mapping_input(self):
         values = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0}
         assert predict_record(values, eps_h_rup=0.01) == pytest.approx(46.974, rel=1e-4)
+
+    @pytest.mark.parametrize("container", [dict, types.MappingProxyType, _UserMapping,
+                                           lambda fields: types.SimpleNamespace(**fields)])
+    def test_record_kinds_agree(self, container):
+        rng = np.random.default_rng(4)
+        params = EmpiricalModelParams(k=2.1, n=0.8)
+        for _ in range(20):
+            r = self._record(d=rng.uniform(100.0, 300.0), nt=rng.uniform(0.1, 2.0),
+                             ef=rng.uniform(50.0, 400.0), fco=rng.uniform(15.0, 80.0),
+                             eps_h_rup=rng.uniform(0.005, 0.015))
+            other = container({f: getattr(r, f) for f in ("d", "nt", "ef", "fco", "eps_h_rup")})
+            for model in ("lam_teng", "miyauchi", "nonlinear"):
+                for kwargs in ({}, {"eps_h_rup": 0.02}):
+                    expected = predict_record(r, model=model, params=params, **kwargs)
+                    assert predict_record(other, model=model, params=params, **kwargs) == expected
+            fields = {"d": r.d, "nt": r.nt, "ef": r.ef, "fco": r.fco}  # rupture strain from eps_f
+            expected = predict_record(dataclasses.replace(r, eps_h_rup=None), eps_f=0.015)
+            assert predict_record(container(fields), eps_f=0.015) == expected
+
+    @pytest.mark.parametrize("container", [dict, types.MappingProxyType, _UserMapping,
+                                           lambda fields: types.SimpleNamespace(**fields)])
+    @pytest.mark.parametrize("missing", ["d", "nt", "ef", "fco"])
+    def test_missing_field_same_error(self, container, missing):
+        fields = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.01}
+        del fields[missing]
+        with pytest.raises(ValueError, match=f"^record is missing field '{missing}'$"):
+            predict_record(container(fields))
+        del fields["eps_h_rup"]
+        with pytest.raises(ValueError, match=f"^record is missing field '{missing}'$"):
+            predict_record(container(fields), eps_f=0.015)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown empirical model"):

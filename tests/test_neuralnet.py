@@ -335,6 +335,45 @@ def _toy_model(seed=0):
                         provenance={"optimizer": "pso", "seed": seed, "iterations": 10})
 
 
+def reference_predict_values(model, values):
+    """predict_values as it was with numpy 0-d normalization: the exact reference."""
+    spec, warnings, x = model.normalization, [], []
+    for name in model.features:
+        v, r = float(values[name]), spec.ranges[name]
+        if not r.x_min <= v <= r.x_max:
+            warnings.append(f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
+        arr = np.asarray(v, dtype=float)
+        z = (spec.lo * (r.x_max - arr) + spec.hi * (arr - r.x_min)) / (r.x_max - r.x_min)
+        x.append(float(np.where(arr == r.x_min, spec.lo, np.where(arr == r.x_max, spec.hi, z))))
+    out = reference_forward(model.topology, model.weights, np.array([x]))[2][-1]
+    r, z = spec.ranges[model.target], np.asarray(float(out[0, 0]), dtype=float)
+    return float(r.x_min + (z - spec.lo) * (r.x_max - r.x_min) / (spec.hi - spec.lo)), warnings
+
+
+class TestPredictValuesMatchesReference:
+    @pytest.mark.parametrize("hidden_sizes", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("hidden, out", ACTIVATION_PAIRS)
+    def test_values_and_warnings_identical(self, hidden_sizes, hidden, out):
+        topology = NetworkTopology(2, hidden_sizes, 1, hidden_activation=hidden,
+                                   output_activation=out)
+        rng = np.random.default_rng(len(hidden_sizes) + 7)
+        model = _toy_model()
+        model = TrainedModel(topology=topology, weights=rng.uniform(-2.0, 2.0, parameter_count(topology)),
+                             normalization=model.normalization, features=model.features)
+        ranges = model.normalization.ranges
+        requests = [{"d": ranges["d"].x_min, "fco": ranges["fco"].x_max},  # pinned endpoints
+                    {"d": ranges["d"].x_max, "fco": ranges["fco"].x_min},
+                    {"d": 150, "fco": 40},  # ints
+                    {"d": np.float64(1000.0), "fco": 5.0},  # out of range on both sides
+                    {"d": -20.0, "fco": 900.0}]
+        for name in ("d", "fco"):
+            r = ranges[name]
+            requests += [{"d": 200.0, "fco": 60.0, name: v}
+                         for v in rng.uniform(r.x_min - (r.x_max - r.x_min), 2 * r.x_max, 40)]
+        for values in requests:
+            assert model.predict_values(values) == reference_predict_values(model, values)
+
+
 class TestTrainedModel:
     def test_serialization_roundtrip_bitwise(self, tmp_path):
         model = _toy_model()
