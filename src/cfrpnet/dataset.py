@@ -232,7 +232,8 @@ def parse_dataset(source) -> list[SpecimenRecord]:
     The header must carry the canonical columns ``d_mm,h_mm,nt_mm,ef_gpa,
     fco_mpa,eco_pct,ecc_pct,fcc_mpa`` in that order; an optional trailing
     ``eps_hrup`` column supplies hoop rupture strains. Blank lines are
-    skipped. Row numbers in errors are 1-based file lines (header is 1).
+    skipped. Row numbers in errors are 1-based file lines (header is 1); a
+    record whose quoted cell spans lines is reported at its last line.
     A path is streamed row by row; bytes and file objects are read whole.
     """
     if isinstance(source, (str, Path)):
@@ -251,7 +252,8 @@ def _parse_rows(reader) -> list[SpecimenRecord]:
     has_rupture = _check_header(header)
 
     records: list[SpecimenRecord] = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):

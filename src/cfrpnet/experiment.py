@@ -46,8 +46,7 @@ from .optimizers import BaConfig, GwoConfig, PsoConfig, trace_csv, train_hybrid
 
 SWARM_MODELS = ("pso", "gwo", "ba")
 TRAINABLE_MODELS = ("ann",) + SWARM_MODELS
-EMPIRICAL_MODELS = mechanics.EMPIRICAL_MODELS
-ALL_MODELS = TRAINABLE_MODELS + EMPIRICAL_MODELS
+ALL_MODELS = TRAINABLE_MODELS + mechanics.EMPIRICAL_MODELS
 # Settings class of every model that takes settings. ExperimentConfig holds
 # one of each under the model's name, read from its "models" mapping.
 MODEL_CONFIGS = {"ann": BackpropConfig, "pso": PsoConfig, "gwo": GwoConfig, "ba": BaConfig,
@@ -401,10 +400,7 @@ class EmpiricalPredictor:
 
     def __init__(self, model: str = "lam_teng", params: EmpiricalModelParams | None = None,
                  eps_h_rup: float | None = None, eps_f: float | None = None):
-        if model not in EMPIRICAL_MODELS:
-            raise ValueError(f"unknown empirical model {model!r}; choose from {EMPIRICAL_MODELS}")
-        if model == "nonlinear" and params is None:
-            raise ValueError("nonlinear model requires explicit EmpiricalModelParams")
+        mechanics.check_model(model, params)
         self.model = model
         self.params = params
         self.eps_h_rup = eps_h_rup

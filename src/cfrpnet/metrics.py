@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
 from .dataset import TARGET_FIELD, NormalizationSpec, csv_text
-
-SCALES = ("mpa", "normalized")
 
 
 def _paired(targets, predictions) -> tuple[np.ndarray, np.ndarray]:
@@ -64,10 +61,10 @@ def r_squared(x, y) -> float:
 class EvaluationReport:
     """Error metrics of one model on one evaluation set.
 
-    ``mse``/``mae`` mirror the selected headline scale ("mpa" or
-    "normalized", the latter as percentages). ``r_squared`` is None when
-    undefined (fewer than 2 pairs or a constant sequence), with the
-    reason recorded in ``notes``.
+    The headline ``mse``/``mae`` are the MPa-scale ``mse_mpa``/``mae_mpa``
+    (``scale`` is always "mpa"). ``r_squared`` is None when undefined
+    (fewer than 2 pairs or a constant sequence), with the reason recorded
+    in ``notes``.
     """
 
     n: int
@@ -84,12 +81,10 @@ class EvaluationReport:
     predictions: np.ndarray
     notes: list[str] = field(default_factory=list)
 
-    def to_dict(self, include_pairs: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("targets", "predictions")}
         out["notes"] = list(self.notes)
-        if include_pairs:
-            out["pairs"] = [[float(t), float(p)] for t, p in zip(self.targets, self.predictions)]
         return out
 
     def pairs_csv(self) -> str:
@@ -100,7 +95,6 @@ def report_from_pairs(
     targets_mpa,
     predictions_mpa,
     spec: NormalizationSpec | None = None,
-    scale: str = "mpa",
     target_field: str = TARGET_FIELD,
 ) -> EvaluationReport:
     """Build a report from physical-scale pairs.
@@ -109,10 +103,6 @@ def report_from_pairs(
     given (pairs are mapped through the target's affine normalization).
     """
     t, p = _paired(targets_mpa, predictions_mpa)
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {SCALES}")
-    if scale == "normalized" and spec is None:
-        raise ValueError("normalized headline scale needs a NormalizationSpec")
     mse_mpa = mse(t, p)
     mae_mpa = mae(t, p)
     mse_pct = mae_pct = None
@@ -131,12 +121,11 @@ def report_from_pairs(
             accuracy = 100.0 * r2
         except ValueError as exc:
             notes.append(str(exc))
-    headline_mse, headline_mae = (mse_mpa, mae_mpa) if scale == "mpa" else (mse_pct, mae_pct)
     return EvaluationReport(
         n=int(t.size),
-        scale=scale,
-        mse=headline_mse,
-        mae=headline_mae,
+        scale="mpa",
+        mse=mse_mpa,
+        mae=mae_mpa,
         r_squared=r2,
         accuracy_percent=accuracy,
         mse_mpa=mse_mpa,
@@ -147,30 +136,3 @@ def report_from_pairs(
         predictions=p,
         notes=notes,
     )
-
-
-def evaluate(
-    predict: Callable[[np.ndarray], np.ndarray],
-    X_norm,
-    y_norm,
-    spec: NormalizationSpec,
-    scale: str = "mpa",
-    target_field: str = TARGET_FIELD,
-) -> EvaluationReport:
-    """Run a predictor over normalized features and score both scales.
-
-    ``predict`` maps an (n, k) normalized feature matrix to n normalized
-    predictions. Pairs are denormalized to MPa before scoring; the
-    squared-correlation accuracy is identical on either scale because the
-    normalization is affine.
-    """
-    X = np.asarray(X_norm, dtype=float)
-    y = np.asarray(y_norm, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("evaluation set must be a non-empty 2-D array")
-    pred_norm = np.asarray(predict(X), dtype=float).reshape(-1)
-    if pred_norm.shape != y.shape:
-        raise ValueError(f"predictor returned shape {pred_norm.shape}, expected {y.shape}")
-    t_mpa = spec.denormalize(target_field, y)
-    p_mpa = spec.denormalize(target_field, pred_norm)
-    return report_from_pairs(t_mpa, p_mpa, spec, scale=scale, target_field=target_field)

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -90,14 +90,6 @@ def unflatten(topology: NetworkTopology, weights) -> tuple[list[np.ndarray], lis
     if w.shape != (expected,):
         raise ValueError(f"weight vector has length {w.size}, topology needs {expected}")
     return [w[ws].reshape(shape) for ws, shape, _ in layers], [w[bs] for _, _, bs in layers]
-
-
-def flatten(mats: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> np.ndarray:
-    parts = []
-    for W, b in zip(mats, biases):
-        parts.append(np.asarray(W, dtype=float).ravel())
-        parts.append(np.asarray(b, dtype=float).ravel())
-    return np.concatenate(parts)
 
 
 def init_weights(topology: NetworkTopology, seed: int, half_width: float = 0.5) -> np.ndarray:

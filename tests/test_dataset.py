@@ -105,6 +105,7 @@ SOURCE_CASES = {
     "blank_lines": f"{HEADER}\n\n{ROW}\n\r\n\n{ROW}\n\n",
     "quoted_cells": f'{HEADER}\n"150","300",0.167,"231",30,0.2,1.2,"45"\n"150\r\n",300,0.167,231,30,0.2,1.2,45\n',
     "bad_cell_row_4": f"{HEADER}\n{ROW}\n\n150,300,0.167,231,xx,0.2,1.2,45\n{ROW}\n",
+    "bad_cell_after_quoted_newline": f'{HEADER}\n"150\n",300,0.167,231,30,0.2,1.2,45\n150,300,0.167,231,xx,0.2,1.2,45\n',
     "bad_cell_crlf": f"{HEADER}\r\n{ROW}\r\n150,300,0.167,231,30,0.2,zz,45\r\n",
     "bad_quoted_cell": f'{HEADER}\n{ROW}\n150,"3\r\n00",0.167,231,30,0.2,1.2,45\n',
     "bad_record_lone_cr": f"{HEADER}\r{ROW}\r-150,300,0.167,231,30,0.2,1.2,45\r",
@@ -135,9 +136,11 @@ class TestParseSources:
         else:
             assert len(outcomes[0]) == 2
 
-    def test_bad_cell_row_number(self, tmp_path):
+    @pytest.mark.parametrize("case", ["bad_cell_row_4", "bad_cell_after_quoted_newline"])
+    def test_bad_cell_row_number(self, tmp_path, case):
+        # the row is the file line, also after a quoted cell that spans two lines
         path = tmp_path / "data.csv"
-        path.write_text(SOURCE_CASES["bad_cell_row_4"])
+        path.write_text(SOURCE_CASES[case])
         assert _parse_outcome(path) == ("could not parse number from 'xx' (row 4, column 'fco_mpa')",
                                         4, "fco_mpa")
 

@@ -1,5 +1,6 @@
 import collections.abc
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from cfrpnet.dataset import SpecimenRecord
 from cfrpnet.mechanics import (
-    ConfinementInputs,
     EmpiricalModelParams,
     confinement_stress,
     eurocode_strains,
@@ -16,8 +16,6 @@ from cfrpnet.mechanics import (
     miyauchi,
     nonlinear_model,
     predict_record,
-    stiffness_ratio,
-    strain_ratio,
 )
 
 from conftest import assert_rejects_bad_values
@@ -40,41 +38,6 @@ class TestHoopRuptureStrain:
             hoop_rupture_strain(0.0, 40.0)
         with pytest.raises(ValueError):
             hoop_rupture_strain(0.015, -1.0)
-
-
-class TestStrainRatio:
-    def test_equal_strains(self):
-        assert strain_ratio(0.002, 0.002) == 1.0
-
-    def test_hand_value(self):
-        assert strain_ratio(0.01, 0.002) == pytest.approx(5.0, rel=1e-12)
-
-    def test_zero_numerator(self):
-        assert strain_ratio(0.0, 0.002) == 0.0
-
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            strain_ratio(0.01, 0.0)
-
-
-class TestStiffnessRatio:
-    def test_hand_value(self):
-        # 2*231000*0.167 = 77154 over (30/0.002)*150 = 2250000
-        expected = 77154.0 / 2250000.0
-        assert stiffness_ratio(231000.0, 0.167, 30.0, 0.002, 150.0) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(0.0342907, rel=1e-4)
-
-    def test_linear_in_thickness(self):
-        base = stiffness_ratio(231000.0, 0.167, 30.0, 0.002, 150.0)
-        assert stiffness_ratio(231000.0, 0.334, 30.0, 0.002, 150.0) == pytest.approx(2 * base, rel=1e-12)
-
-    def test_inverse_in_diameter(self):
-        base = stiffness_ratio(231000.0, 0.167, 30.0, 0.002, 150.0)
-        assert stiffness_ratio(231000.0, 0.167, 30.0, 0.002, 300.0) == pytest.approx(base / 2, rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            stiffness_ratio(231000.0, 0.167, 30.0, -0.002, 150.0)
 
 
 class TestConfinementStress:
@@ -180,22 +143,6 @@ class TestEurocodeStrains:
             eurocode_strains(0.0)
 
 
-class TestConfinementInputs:
-    def test_rupture_strain_priority(self):
-        ci = ConfinementInputs(ef_mpa=231000.0, t=0.167, d=150.0, fco=30.0,
-                               eps_f=0.015, eps_h_rup=0.01)
-        assert ci.rupture_strain() == 0.01
-
-    def test_derived_from_fiber_strain(self):
-        ci = ConfinementInputs(ef_mpa=231000.0, t=0.167, d=150.0, fco=40.0, eps_f=0.015)
-        assert ci.rupture_strain() == pytest.approx(hoop_rupture_strain(0.015, 40.0), rel=1e-12)
-
-    def test_no_source(self):
-        ci = ConfinementInputs(ef_mpa=231000.0, t=0.167, d=150.0, fco=30.0)
-        with pytest.raises(ValueError, match="rupture-strain"):
-            ci.lateral_pressure()
-
-
 class _UserMapping(collections.abc.Mapping):
     """A mapping that is neither a dict nor registered by the standard library."""
 
@@ -297,6 +244,44 @@ class TestPredictRecord:
     def test_nonlinear_needs_params(self):
         with pytest.raises(ValueError, match="nonlinear"):
             predict_record(self._record(), model="nonlinear", eps_h_rup=0.01)
+
+
+# Each guarded function with valid arguments, and the rule each argument must meet.
+GUARDED = [
+    (hoop_rupture_strain, {"eps_f": 0.015, "fco": 40.0}, {"eps_f": "positive", "fco": "positive"}),
+    (confinement_stress, {"ef_mpa": 231000.0, "eps_h_rup": 0.01, "t": 0.167, "d": 150.0},
+     {"ef_mpa": "positive", "eps_h_rup": "non-negative", "t": "positive", "d": "positive"}),
+    (lam_teng, {"fco": 30.0, "f_l": 5.0}, {"fco": "positive", "f_l": "non-negative"}),
+    (miyauchi, {"fco": 30.0, "f_l": 5.0}, {"fco": "positive", "f_l": "non-negative"}),
+    (nonlinear_model, {"fco": 30.0, "f_l": 5.0, "params": EmpiricalModelParams(k=2.0, n=0.5)},
+     {"fco": "positive", "f_l": "non-negative"}),
+    (eurocode_strains, {"fcm": 30.0}, {"fcm": "positive"}),
+    (EmpiricalModelParams, {"k": 2.0, "n": 0.5}, {"k": "positive", "n": "positive"}),
+]
+GUARD_CASES = [
+    pytest.param(fn, {**valid, name: value}, name, rule, value,
+                 id=f"{fn.__name__}-{name}-{value}")
+    for fn, valid, rules in GUARDED
+    for name, rule in rules.items()
+    for value in ((0.0,) if rule == "positive" else ()) + (-1.0, math.nan, math.inf)
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, name, rule, value", GUARD_CASES)
+def test_guard_messages(fn, kwargs, name, rule, value):
+    expected = f"{name} must be {rule} and finite, got {value}"
+    if fn is EmpiricalModelParams and not math.isfinite(value):
+        expected = f"EmpiricalModelParams.{name} must be float, got {value!r}"  # the config base's check
+    with pytest.raises(ValueError) as exc:
+        fn(**kwargs)
+    assert str(exc.value) == expected
+
+
+def test_guard_reports_the_first_checked_argument():
+    # positive arguments are checked before the non-negative rupture strain
+    with pytest.raises(ValueError) as exc:
+        confinement_stress(231000.0, -1.0, 0.167, 0.0)
+    assert str(exc.value) == "d must be positive and finite, got 0.0"
 
 
 def test_formula_oracle_runtime():

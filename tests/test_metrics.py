@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfrpnet.dataset import FeatureRange, NormalizationSpec
-from cfrpnet.metrics import evaluate, mae, mse, r_squared, report_from_pairs
+from cfrpnet.metrics import mae, mse, r_squared, report_from_pairs
 
 
 def naive_mse(t, p):
@@ -152,44 +152,16 @@ class TestReports:
         assert report.r_squared is None
         assert any("constant" in note for note in report.notes)
 
-    def test_normalized_headline_scale(self):
-        report = report_from_pairs([40.0, 90.0], [42.0, 88.0], _fcc_spec(), scale="normalized")
-        assert report.mse == report.mse_pct
-        assert report.mae == report.mae_pct
-
-    def test_scale_requires_spec(self):
-        with pytest.raises(ValueError):
-            report_from_pairs([40.0, 90.0], [42.0, 88.0], scale="normalized")
-
     def test_pairs_csv(self):
         report = report_from_pairs([40.0, 90.0], [42.0, 88.0], _fcc_spec())
         lines = report.pairs_csv().strip().split("\n")
         assert lines[0] == "target_mpa,prediction_mpa"
         assert lines[1] == "40.0,42.0"
 
-    def test_evaluate_scale_consistency(self):
-        # squared correlation must agree between normalized and MPa scales
-        spec = _fcc_spec()
-        rng = np.random.default_rng(4)
-        y_norm = rng.uniform(0.1, 0.9, 50)
-        noise = rng.normal(scale=0.03, size=50)
-
-        def predict(X):
-            return y_norm + noise
-
-        X = rng.uniform(0.1, 0.9, (50, 3))
-        report = evaluate(predict, X, y_norm, spec)
-        r2_norm = r_squared(y_norm, y_norm + noise)
-        assert report.r_squared == pytest.approx(r2_norm, abs=1e-12)
-
-    def test_evaluate_shape_mismatch(self):
-        spec = _fcc_spec()
-        with pytest.raises(ValueError):
-            evaluate(lambda X: np.zeros(3), np.zeros((4, 2)), np.zeros(4), spec)
-
     def test_to_dict_roundtrips_through_json(self):
         import json
         report = report_from_pairs([40.0, 90.0], [42.0, 88.0], _fcc_spec())
-        payload = json.loads(json.dumps(report.to_dict(include_pairs=True)))
-        assert payload["n"] == 2
-        assert payload["pairs"] == [[40.0, 42.0], [90.0, 88.0]]
+        payload = report.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["n"] == 2 and payload["scale"] == "mpa"
+        assert (payload["mse"], payload["mae"]) == (payload["mse_mpa"], payload["mae_mpa"])

@@ -10,7 +10,6 @@ from cfrpnet.neuralnet import (
     NetworkTopology,
     TrainedModel,
     TrainingDivergedError,
-    flatten,
     forward,
     forward_batch,
     gradient,
@@ -72,7 +71,7 @@ def reference_gradient(topology, w, X, y):
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ mats[layer].T) * dact_h(zs[layer - 1], activations[layer])
-    return flatten(grads_w, grads_b)
+    return np.concatenate([part.ravel() for pair in zip(grads_w, grads_b) for part in pair])
 
 
 ACTIVATION_PAIRS = [(h, o) for h in ("sigmoid", "relu", "tanh") for o in ("linear", "sigmoid")]
@@ -148,7 +147,8 @@ class TestFlattenUnflatten:
         topology = NetworkTopology(3, (5, 4), 2)
         w = np.random.default_rng(0).normal(size=parameter_count(topology))
         mats, biases = unflatten(topology, w)
-        assert np.array_equal(flatten(mats, biases), w)
+        parts = [part.ravel() for pair in zip(mats, biases) for part in pair]
+        assert np.array_equal(np.concatenate(parts), w)
 
     def test_shapes(self):
         topology = NetworkTopology(3, (5,), 2)
