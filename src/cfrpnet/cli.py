@@ -11,11 +11,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .dataset import (
     FIELDS,
+    check_values,
     correlation_matrix,
     correlation_to_csv,
     feature_matrix,
@@ -70,7 +72,7 @@ def _load_json(path) -> dict:
 
 
 def _parse_kv(text: str) -> dict[str, float]:
-    """Parse 'name=value,name=value' input pairs."""
+    """Parse 'name=value,name=value' input pairs, held to a record's rules."""
     values: dict[str, float] = {}
     for part in text.split(","):
         part = part.strip()
@@ -86,10 +88,9 @@ def _parse_kv(text: str) -> dict[str, float]:
             values[name] = float(raw)
         except ValueError:
             raise ValueError(f"could not parse number from {raw!r} for {name!r}") from None
-        if not np.isfinite(values[name]):
-            raise ValueError(f"{name} must be a finite number, got {raw.strip()!r}")
     if not values:
         raise ValueError("no input values given")
+    check_values(SimpleNamespace(**values))
     return values
 
 

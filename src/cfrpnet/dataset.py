@@ -192,15 +192,22 @@ class SpecimenRecord:
     eps_h_rup: float | None = None
 
     def __post_init__(self):
-        for name in FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"field {name!r} must be positive and finite, got {value}")
-        if self.h < self.d:
-            raise ValueError(f"cylinder height {self.h} is smaller than diameter {self.d}")
-        if self.eps_h_rup is not None:
-            if not math.isfinite(self.eps_h_rup) or self.eps_h_rup < 0.0:
-                raise ValueError(f"eps_h_rup must be non-negative and finite, got {self.eps_h_rup}")
+        check_values(self)
+
+
+def check_values(values) -> None:
+    """A record's rules for the fields an object holds (a record, or a namespace
+    of some fields): FIELDS positive and finite, h not below d, eps_h_rup None
+    or non-negative and finite. NaN fails every comparison."""
+    for name in FIELDS:
+        value = getattr(values, name, 1.0)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"field {name!r} must be positive and finite, got {value}")
+    if getattr(values, "h", math.inf) < getattr(values, "d", 0.0):
+        raise ValueError(f"cylinder height {values.h} is smaller than diameter {values.d}")
+    eps = getattr(values, "eps_h_rup", None)
+    if eps is not None and not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps_h_rup must be non-negative and finite, got {eps}")
 
 
 def _check_header(header: Sequence[str]) -> bool:

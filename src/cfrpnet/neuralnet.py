@@ -83,9 +83,9 @@ def parameter_count(topology: NetworkTopology) -> int:
     return topology._layout[0]
 
 
-def unflatten(topology: NetworkTopology, weights) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split a flat parameter vector into per-layer (W, b) views."""
-    w = np.asarray(weights, dtype=float)
+def unflatten(topology: NetworkTopology, weights, dtype=float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Split a flat parameter vector into per-layer (W, b) views of the given dtype."""
+    w = np.asarray(weights, dtype=dtype)
     expected, layers = topology._layout
     if w.shape != (expected,):
         raise ValueError(f"weight vector has length {w.size}, topology needs {expected}")
@@ -100,15 +100,16 @@ def init_weights(topology: NetworkTopology, seed: int, half_width: float = 0.5) 
     return rng.uniform(-half_width, half_width, parameter_count(topology))
 
 
-def _workspace(topology: NetworkTopology, n: int) -> list[np.ndarray]:
+def _workspace(topology: NetworkTopology, n: int, dtype=float) -> list[np.ndarray]:
     """One (n, size) buffer per non-input layer: the activations of n rows."""
-    return [np.empty((n, k)) for k in topology.layer_sizes[1:]]
+    return [np.empty((n, k), dtype) for k in topology.layer_sizes[1:]]
 
 
 def _forward(topology, weights, X, acts=None) -> np.ndarray:
-    """Forward pass writing each layer's activations into acts, or into fresh
-    arrays when acts is None; returns the output layer's."""
-    mats, biases = unflatten(topology, weights)
+    """Forward pass in the dtype of acts, writing each layer's activations
+    into acts, or into fresh float64 arrays when acts is None; returns the
+    output layer's."""
+    mats, biases = unflatten(topology, weights, float if acts is None else acts[0].dtype)
     a, last = X, len(mats) - 1
     for i, (W, b) in enumerate(zip(mats, biases)):
         out = np.matmul(a, W, out=None if acts is None else acts[i])
@@ -154,7 +155,7 @@ def _mse(topology, weights, X, Y, acts, out) -> float:
     """MSE of a batch checked by _check_batch: forward pass in acts, squared
     errors in out (acts[-1] when the activations are not needed afterwards)."""
     np.subtract(_forward(topology, weights, X, acts), Y, out=out)
-    return float(np.square(out, out=out).sum()) / out.size  # np.mean's sum and division
+    return float(np.square(out, out=out).sum(dtype=np.float64)) / out.size  # np.mean's, in float64
 
 
 def loss_mse(topology: NetworkTopology, weights, X, y) -> float:

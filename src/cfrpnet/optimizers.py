@@ -373,16 +373,22 @@ def ba_run(config: BaConfig, space: SearchSpace, objective: Objective) -> Optimi
 def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
     """MSE of forward-pass predictions on a fixed normalized training set.
 
-    The training set is checked once, here. The objective owns the scratch
-    buffers its forward pass writes into, so a call allocates no batch-sized
-    array: it is deterministic and invariant to the order of the training
-    rows, but not re-entrant across threads.
+    A fitness only ranks candidates, so the forward pass runs in float32:
+    the training set is checked and cast once, here, each position is copied
+    into a float32 weight buffer, and the squared errors are summed in
+    float64. The objective owns its scratch buffers, so a call allocates no
+    batch-sized array: it is deterministic and invariant to the order of the
+    training rows, but not re-entrant across threads.
     """
-    X, Y = _check_batch(topology, X, y)
-    acts = _workspace(topology, X.shape[0])
+    X, Y = (a.astype(np.float32) for a in _check_batch(topology, X, y))
+    acts = _workspace(topology, X.shape[0], np.float32)
+    w = np.empty(parameter_count(topology), np.float32)
 
     def objective(position: np.ndarray) -> float:
-        return _mse(topology, position, X, Y, acts, acts[-1])
+        if np.shape(position) != w.shape:  # copyto would broadcast a scalar
+            raise ValueError(f"weight vector has length {np.size(position)}, topology needs {w.size}")
+        np.copyto(w, position)
+        return _mse(topology, w, X, Y, acts, acts[-1])
 
     return objective
 

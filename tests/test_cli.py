@@ -359,6 +359,51 @@ def test_model_document_control(dataset_csv, tmp_path, capsys):
     assert main(["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100"]) == 0
 
 
+VALID_INPUT = "d=150,h=300,nt=0.334,ef=231,fco=16.5,eco=0.2,ecc=1.1"
+# values a CSV row may not hold, and the record rule each breaks
+BAD_INPUTS = [
+    ("d=-150,h=300", "field 'd' must be positive and finite, got -150.0"),
+    ("fco=0", "field 'fco' must be positive and finite, got 0.0"),
+    ("nt=-0.334", "field 'nt' must be positive and finite, got -0.334"),
+    ("d=150,h=100", "cylinder height 100.0 is smaller than diameter 150.0"),
+    ("eps_h_rup=-0.01", "eps_h_rup must be non-negative and finite, got -0.01"),
+    ("eps_h_rup=nan", "eps_h_rup must be non-negative and finite, got nan"),
+    # the first rule broken is reported: FIELDS in order, then h >= d, then eps_h_rup
+    ("eps_h_rup=-1,h=100,ecc=-1", "field 'ecc' must be positive and finite, got -1.0"),
+    ("eps_h_rup=-1,h=100", "cylinder height 100.0 is smaller than diameter 150.0"),
+]
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep"])
+@pytest.mark.parametrize("values,message", BAD_INPUTS)
+def test_input_held_to_record_rules(command, values, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_DOC))
+    given = f"{VALID_INPUT},{values}"  # a later pair replaces an earlier one
+    argv = {"predict": ["predict", str(path), "--format", "json", "--input", given],
+            "sweep": ["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100",
+                      "--fix", given]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    # the same message as a dataset row with these values
+    row = {name: float(value) for name, value in (p.split("=") for p in f"{given},fcc=40".split(","))}
+    with pytest.raises(ValueError) as exc:
+        SpecimenRecord(**row)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("values", ["", "h=150", "eps_h_rup=0", "eps_h_rup=0.012"])
+def test_input_within_record_rules_runs(values, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_DOC))
+    given = f"{VALID_INPUT},{values}"
+    assert main(["predict", str(path), "--format", "json", "--input", given]) == 0
+    assert "fcc_mpa" in json.loads(capsys.readouterr().out)
+    assert main(["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100",
+                 "--fix", given]) == 0
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
 @pytest.mark.parametrize("document", MALFORMED_MODELS)
 def test_malformed_model_exit_2_without_traceback(command, document, dataset_csv, tmp_path,

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfrpnet.neuralnet import NetworkTopology, forward, loss_mse, parameter_count
+from cfrpnet import neuralnet
+from cfrpnet.neuralnet import (NetworkTopology, _check_batch, _mse, _workspace, forward, gradient,
+                               loss_mse, parameter_count)
 from cfrpnet.optimizers import (
     BaConfig,
     GwoConfig,
@@ -36,6 +38,17 @@ def box(dim, half=5.12):
 
 
 SMALL = dict(population=12, iterations=60, seed=3)
+# the swarm objective's float32 fitness against the float64 loss: float32 rounds at
+# 6e-8, and a forward pass plus MSE gathers a few such errors
+REL32 = 1e-6
+
+
+def float32_mse(topology, w, X, y):
+    """The shared kernel on a float32 workspace and float32 copies of the
+    inputs: what the swarm objective computes."""
+    X, Y = (a.astype(np.float32) for a in _check_batch(topology, X, y))
+    acts = _workspace(topology, X.shape[0], np.float32)
+    return _mse(topology, np.asarray(w).astype(np.float32), X, Y, acts, acts[-1])
 
 
 def small_configs():
@@ -382,8 +395,10 @@ class TestObjectiveFromDataset:
     def test_wrong_length_position(self):
         topology = NetworkTopology(2, (3,), 1)
         objective = objective_from_dataset(topology, np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(ValueError, match="length"):
-            objective(np.zeros(5))
+        # a scalar or a length-1 array would broadcast into the weight buffer
+        for position in (np.zeros(5), np.zeros(1), 0.0, np.zeros((1, 13))):
+            with pytest.raises(ValueError, match="length"):
+                objective(position)
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
@@ -399,9 +414,15 @@ class TestObjectiveFromDataset:
         X = rng.uniform(0.1, 0.9, (17, 3))
         y = rng.uniform(0.1, 0.9, 17)
         objective = objective_from_dataset(topology, X, y)
+        X64, Y64 = _check_batch(topology, X, y)
         for _ in range(3):
             w = rng.uniform(-2.0, 2.0, parameter_count(topology))
-            assert objective(w) == loss_mse(topology, w, X, y)
+            assert objective(w) == float32_mse(topology, w, X, y)
+            # loss_mse stays the float64 kernel; the float32 ranking agrees with it closely
+            acts64 = _workspace(topology, 17)
+            loss = loss_mse(topology, w, X, y)
+            assert loss == _mse(topology, w, X64, Y64, acts64, acts64[-1])
+            assert objective(w) == pytest.approx(loss, rel=REL32)
 
     def test_repeated_and_interleaved_calls(self):
         topology = NetworkTopology(3, (6,), 1)
@@ -411,7 +432,7 @@ class TestObjectiveFromDataset:
         w1, w2 = rng.uniform(-0.5, 0.5, (2, parameter_count(topology)))
         first = objective_from_dataset(topology, X1, y1)
         second = objective_from_dataset(topology, X2, y2)
-        expected = (loss_mse(topology, w1, X1, y1), loss_mse(topology, w2, X2, y2))
+        expected = (float32_mse(topology, w1, X1, y1), float32_mse(topology, w2, X2, y2))
         for _ in range(3):
             assert first(w1) == expected[0]
             assert second(w2) == expected[1]
@@ -435,6 +456,44 @@ class TestObjectiveFromDataset:
             tracemalloc.stop()
         assert peak < 531 * 50 * 8
 
+    def test_computes_in_float32(self, monkeypatch):
+        # np.asarray(weights, dtype=float) anywhere on the path would silently compute in
+        # float64: every weight view and activation the objective's kernel sees is float32
+        topology = NetworkTopology(3, (5, 4), 1)
+        rng = np.random.default_rng(11)
+        X, y = rng.uniform(0.1, 0.9, (13, 3)), rng.uniform(0.1, 0.9, 13)
+        w = rng.uniform(-0.5, 0.5, parameter_count(topology))
+        seen, outputs = [], []
+        real_unflatten, real_forward = neuralnet.unflatten, neuralnet._forward
+
+        def spy_unflatten(*args):
+            mats, biases = real_unflatten(*args)
+            seen.extend(mats + biases)
+            return mats, biases
+
+        def spy_forward(topology, weights, X, acts=None):
+            out = real_forward(topology, weights, X, acts)
+            seen.extend([weights, X, *(acts or [])])
+            outputs.append(out.copy())  # _mse then overwrites out with the squared errors
+            return out
+
+        monkeypatch.setattr(neuralnet, "unflatten", spy_unflatten)
+        monkeypatch.setattr(neuralnet, "_forward", spy_forward)
+        fitness = objective_from_dataset(topology, X, y)(w)
+        assert len(seen) == 6 + 2 + 3 and len(outputs) == 1
+        assert {a.dtype for a in seen + outputs} == {np.dtype(np.float32)}
+        # float32 squared errors, summed in float64
+        errors = outputs[0] - y.astype(np.float32)[:, None]
+        assert fitness == np.square(errors).astype(np.float64).sum() / errors.size
+        # backprop and serving stay float64
+        seen.clear()
+        outputs.clear()
+        loss_mse(topology, w, X, y)
+        gradient(topology, w, X, y)
+        forward(topology, w, X[0])
+        neuralnet.forward_batch(topology, w, X)
+        assert seen and {a.dtype for a in seen + outputs} == {np.dtype(np.float64)}
+
 
 class TestTrainHybrid:
     def test_single_record_exact_fit(self):
@@ -456,8 +515,10 @@ class TestTrainHybrid:
         y = rng.uniform(0.1, 0.9, 15)
         weights, trace = train_hybrid("pso", topology, X, y,
                                       PsoConfig(population=10, iterations=40, seed=2))
+        # the trace holds the float32-ranked fitness of the returned weights
+        assert trace.final_fitness == float32_mse(topology, weights, X, y)
         recomputed = sum((forward(topology, weights, X[i]) - y[i]) ** 2 for i in range(15)) / 15
-        assert recomputed == pytest.approx(trace.final_fitness, rel=1e-12)
+        assert recomputed == pytest.approx(trace.final_fitness, rel=REL32)
 
     def test_search_box_bound(self):
         topology = NetworkTopology(1, (), 1)
