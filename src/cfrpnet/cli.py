@@ -34,6 +34,7 @@ from .dataset import (
 )
 from .experiment import (
     MODEL_CONFIGS,
+    SWEEP_VARIABLES,
     TRAINABLE_MODELS,
     ExperimentConfig,
     SweepSpec,
@@ -272,6 +273,9 @@ def cmd_sweep(args) -> int:
         fixed[name] = 0.5 * (r.x_min + r.x_max)
     if args.fix:
         fixed.update(_parse_kv(args.fix))
+    # the grid increases and h is never swept, so its two ends cover every point
+    for end in (args.start, args.stop):
+        check_values(SimpleNamespace(**{**fixed, args.var: end}))
     spec = SweepSpec(var=args.var, start=args.start, stop=args.stop,
                      steps=args.steps, fixed=fixed)
     grid = parametric_sweep(model, spec)
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common],
                        help="predict over a grid in one input variable")
     p.add_argument("model", help="model JSON path")
-    p.add_argument("--var", choices=("fco", "d", "ef", "nt"), required=True)
+    p.add_argument("--var", choices=SWEEP_VARIABLES, required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, default=10)

@@ -310,22 +310,18 @@ class ValidationReport:
         return {**asdict(self), "n_flags": len(self.flags)}
 
 
-def validate_ranges(
-    records: Sequence[SpecimenRecord],
-    bounds: Mapping[str, tuple[float, float]] | None = None,
-) -> ValidationReport:
-    """Flag fields lying outside the reference-database ranges.
+def validate_ranges(records: Sequence[SpecimenRecord]) -> ValidationReport:
+    """Flag fields lying outside the reference-database ranges (FIELD_BOUNDS).
 
     Flags are warnings only; a new database may legitimately exceed the
     ranges. Records with fcc below fco get an extra warning flag.
     """
     if not records:
         raise ValueError("validate_ranges requires at least one record")
-    limits = dict(FIELD_BOUNDS if bounds is None else bounds)
     flags: list[RangeFlag] = []
     for i, r in enumerate(records):
         for name in FIELDS:
-            lo, hi = limits[name]
+            lo, hi = FIELD_BOUNDS[name]
             value = getattr(r, name)
             if value < lo:
                 flags.append(RangeFlag(i, name, float(value), "below_min", lo))
@@ -384,18 +380,16 @@ def summary_stats(records: Sequence[SpecimenRecord]) -> DatasetSummary:
     return DatasetSummary(n=len(records), fields=stats)
 
 
-def correlation_matrix(
-    records: Sequence[SpecimenRecord], fields: Sequence[str] = FIELDS
-) -> np.ndarray:
-    """Pearson correlation matrix over the given fields.
+def correlation_matrix(records: Sequence[SpecimenRecord]) -> np.ndarray:
+    """Pearson correlation matrix over FIELDS.
 
     Symmetric with an exact unit diagonal; entries clipped into [-1, 1].
     A constant column makes the coefficient undefined and raises.
     """
     if len(records) < 2:
         raise ValueError("correlation_matrix requires at least 2 records")
-    data = raw_matrix(records, fields)
-    for name, s in zip(fields, data.std(axis=0)):
+    data = raw_matrix(records, FIELDS)
+    for name, s in zip(FIELDS, data.std(axis=0)):
         if s == 0.0:
             raise ValueError(f"column {name!r} is constant; correlation undefined")
     corr = np.corrcoef(data, rowvar=False)
@@ -478,24 +472,19 @@ class NormalizationSpec:
         return cls(ranges=ranges, lo=float(lo), hi=float(hi))
 
 
-def fit_normalizer(
-    records: Sequence[SpecimenRecord],
-    fields: Sequence[str] = FIELDS,
-    lo: float = 0.1,
-    hi: float = 0.9,
-) -> NormalizationSpec:
-    """Fit per-field min/max from the given (training) records."""
+def fit_normalizer(records: Sequence[SpecimenRecord]) -> NormalizationSpec:
+    """Fit every field's min/max from the given (training) records, onto [0.1, 0.9]."""
     if len(records) < 2:
         raise ValueError("fit_normalizer requires at least 2 records")
-    data = raw_matrix(records, fields)
+    data = raw_matrix(records, FIELDS)
     ranges: dict[str, FeatureRange] = {}
-    for j, name in enumerate(fields):
+    for j, name in enumerate(FIELDS):
         x_min = float(np.min(data[:, j]))
         x_max = float(np.max(data[:, j]))
         if x_max == x_min:
             raise ValueError(f"feature {name!r} is constant; cannot normalize")
         ranges[name] = FeatureRange(x_min, x_max)
-    return NormalizationSpec(ranges=ranges, lo=lo, hi=hi)
+    return NormalizationSpec(ranges=ranges)
 
 
 def feature_matrix(
@@ -506,11 +495,9 @@ def feature_matrix(
     return np.column_stack([spec.normalize(f, raw[:, j]) for j, f in enumerate(fields)])
 
 
-def target_vector(
-    records: Sequence[SpecimenRecord], spec: NormalizationSpec, field: str = TARGET_FIELD
-) -> np.ndarray:
-    raw = np.array([getattr(r, field) for r in records], dtype=float)
-    return spec.normalize(field, raw)
+def target_vector(records: Sequence[SpecimenRecord], spec: NormalizationSpec) -> np.ndarray:
+    raw = np.array([getattr(r, TARGET_FIELD) for r in records], dtype=float)
+    return spec.normalize(TARGET_FIELD, raw)
 
 
 def split(
@@ -538,5 +525,5 @@ def summary_to_csv(summary: DatasetSummary) -> str:
     return csv_text(header, ((name, *astuple(s)) for name, s in summary.fields.items()))
 
 
-def correlation_to_csv(matrix: np.ndarray, fields: Sequence[str] = FIELDS) -> str:
-    return csv_text(("field", *fields), ((name, *row) for name, row in zip(fields, matrix)))
+def correlation_to_csv(matrix: np.ndarray) -> str:
+    return csv_text(("field", *FIELDS), ((name, *row) for name, row in zip(FIELDS, matrix)))

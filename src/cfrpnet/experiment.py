@@ -53,9 +53,17 @@ MODEL_CONFIGS = {"ann": BackpropConfig, "pso": PsoConfig, "gwo": GwoConfig, "ba"
                  "nonlinear": EmpiricalModelParams}
 SWEEP_VARIABLES = ("fco", "d", "ef", "nt")
 
-# Half-width of the weight search box; matches the gradient baseline's
-# uniform initialization so all trainers explore the same space.
-WEIGHT_BOUND = 0.5
+# Synthetic database generator. FIBER_STRAIN is the uniform sampling range
+# of the fiber ultimate tensile strain. The synthetic confined strain
+# exceeds the unconfined strain by STRAIN_PER_PRESSURE times the lateral
+# pressure the jacket would exert at NOMINAL_FIBER_STRAIN; this surrogate
+# is strictly increasing in the confinement stiffness ratio and exists only
+# so the full seven-feature input contract stays exercisable. It is a
+# data-generation device, not a mechanics claim.
+FIBER_STRAIN = (0.0135, 0.0165)
+NOMINAL_FIBER_STRAIN = 0.015
+STRAIN_PER_PRESSURE = 0.0004  # dimensionless strain per MPa
+MAX_ATTEMPTS_PER_RECORD = 10_000
 
 
 def model_seed(master_seed: int, name: str) -> int:
@@ -64,31 +72,7 @@ def model_seed(master_seed: int, name: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
-@dataclass(frozen=True)
-class SynthParams:
-    """Knobs of the synthetic database generator.
-
-    ``fiber_strain`` is the uniform sampling range of the fiber ultimate
-    tensile strain. The synthetic confined strain exceeds the unconfined
-    strain by ``strain_per_pressure`` times the lateral pressure the
-    jacket would exert at ``nominal_fiber_strain``; this surrogate is
-    strictly increasing in the confinement stiffness ratio and exists only
-    so the full seven-feature input contract stays exercisable. It is a
-    data-generation device, not a mechanics claim.
-    """
-
-    fiber_strain: tuple[float, float] = (0.0135, 0.0165)
-    nominal_fiber_strain: float = 0.015
-    strain_per_pressure: float = 0.0004  # dimensionless strain per MPa
-    max_attempts_per_record: int = 10_000
-
-
-def synth_dataset(
-    n: int,
-    seed: int,
-    noise_fraction: float = 0.02,
-    params: SynthParams | None = None,
-) -> list[SpecimenRecord]:
+def synth_dataset(n: int, seed: int, noise_fraction: float = 0.02) -> list[SpecimenRecord]:
     """Generate a synthetic specimen database with a known ground truth.
 
     Geometry, jacket, and concrete properties are sampled uniformly within
@@ -103,32 +87,26 @@ def synth_dataset(
         raise ValueError("synthetic datasets need n >= 10")
     if noise_fraction < 0.0:
         raise ValueError("noise_fraction must be >= 0")
-    p = params or SynthParams()
-    lo_f, hi_f = p.fiber_strain
-    if not 0.0 < lo_f < hi_f:
-        raise ValueError("fiber_strain must be an increasing positive pair")
-    if p.nominal_fiber_strain <= 0.0 or p.strain_per_pressure <= 0.0:
-        raise ValueError("nominal_fiber_strain and strain_per_pressure must be positive")
     rng = np.random.default_rng(seed)
     fcc_lo, fcc_hi = FIELD_BOUNDS["fcc"]
     ecc_lo, ecc_hi = FIELD_BOUNDS["ecc"]
 
     records: list[SpecimenRecord] = []
     for _ in range(n):
-        for _attempt in range(p.max_attempts_per_record):
+        for _attempt in range(MAX_ATTEMPTS_PER_RECORD):
             d = rng.uniform(*FIELD_BOUNDS["d"])
             nt = rng.uniform(*FIELD_BOUNDS["nt"])
             ef = rng.uniform(*FIELD_BOUNDS["ef"])
             fco = rng.uniform(*FIELD_BOUNDS["fco"])
             eco_pct = rng.uniform(*FIELD_BOUNDS["eco"])
-            eps_f = rng.uniform(lo_f, hi_f)
+            eps_f = rng.uniform(*FIBER_STRAIN)
             noise = rng.standard_normal()
 
             eps_h = mechanics.hoop_rupture_strain(eps_f, fco)
             f_l = mechanics.confinement_stress(ef * 1000.0, eps_h, nt, d)
-            eps_h_nom = mechanics.hoop_rupture_strain(p.nominal_fiber_strain, fco)
+            eps_h_nom = mechanics.hoop_rupture_strain(NOMINAL_FIBER_STRAIN, fco)
             f_l_nom = mechanics.confinement_stress(ef * 1000.0, eps_h_nom, nt, d)
-            ecc_pct = eco_pct + 100.0 * p.strain_per_pressure * f_l_nom
+            ecc_pct = eco_pct + 100.0 * STRAIN_PER_PRESSURE * f_l_nom
             fcc = mechanics.lam_teng(fco, f_l) * (1.0 + noise_fraction * noise)
             if fcc_lo <= fcc <= fcc_hi and ecc_lo <= ecc_pct <= ecc_hi:
                 records.append(SpecimenRecord(d=d, h=2.0 * d, nt=nt, ef=ef, fco=fco,
@@ -147,7 +125,6 @@ class SynthSpec(ConfigBase):
     n: int = 708
     noise_fraction: float = 0.02
     seed: int | None = None  # None means: use the experiment master seed
-    params: SynthParams = SynthParams()
 
 
 @dataclass
@@ -168,8 +145,6 @@ class ExperimentConfig(ConfigBase):
     seed: int = 0
     out_dir: str | Path | None = None
     hidden_neurons: int = 50
-    hidden_activation: str = "tanh"
-    output_activation: str = "linear"
     pso: PsoConfig = field(default_factory=PsoConfig)
     gwo: GwoConfig = field(default_factory=GwoConfig)
     ba: BaConfig = field(default_factory=BaConfig)
@@ -197,13 +172,8 @@ class ExperimentConfig(ConfigBase):
             raise ValueError("hidden_neurons must be >= 1")
 
     def topology(self) -> NetworkTopology:
-        return NetworkTopology(
-            input_size=len(self.features),
-            hidden_sizes=(self.hidden_neurons,),
-            output_size=1,
-            hidden_activation=self.hidden_activation,
-            output_activation=self.output_activation,
-        )
+        """The paper's network: one tanh hidden layer, one linear output."""
+        return NetworkTopology(input_size=len(self.features), hidden_sizes=(self.hidden_neurons,))
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
@@ -280,7 +250,7 @@ def train_model(name: str, cfg, topology: NetworkTopology, X, y):
         weights, history = train_backprop(topology, X, y, cfg)
         return weights, history, {"optimizer": "ann", "seed": cfg.seed, "iterations": cfg.epochs,
                                   "learning_rate": cfg.learning_rate}
-    weights, trace = train_hybrid(name, topology, X, y, cfg, half_width=WEIGHT_BOUND)
+    weights, trace = train_hybrid(name, topology, X, y, cfg)
     history = [float(v) for v in trace.best_fitness]
     return weights, history, {"optimizer": name, "seed": cfg.seed, "iterations": cfg.iterations,
                               "population": cfg.population}
@@ -312,7 +282,7 @@ def run_experiment(
         elif config.synth is not None:
             s = config.synth
             synth_seed = config.seed if s.seed is None else s.seed
-            records = synth_dataset(s.n, synth_seed, s.noise_fraction, s.params)
+            records = synth_dataset(s.n, synth_seed, s.noise_fraction)
         else:
             raise ValueError("config needs a dataset path, a synth spec, or explicit records")
     if not records:
@@ -459,25 +429,25 @@ def parametric_sweep(predictor, spec: SweepSpec) -> SweepGrid:
 
     ``predictor`` needs a ``predict_values(mapping) -> (fcc, warnings)``
     method (TrainedModel and EmpiricalPredictor both qualify). Grid points
-    outside a trained model's normalization range only produce warnings;
-    extrapolation is allowed.
+    outside a trained model's normalization range only produce warnings,
+    each distinct one once, in first-seen order; extrapolation is allowed.
     """
     values = np.linspace(spec.start, spec.stop, spec.steps)
     base = {k: float(v) for k, v in spec.fixed.items()}
     predictions = np.empty(spec.steps)
-    warnings: list[str] = []
+    warnings: dict[str, None] = {}  # an ordered set
     for i, v in enumerate(values):
         point = dict(base)
         point[spec.var] = float(v)
         fcc, point_warnings = predictor.predict_values(point)
         predictions[i] = fcc
-        warnings.extend(f"{spec.var}={v:g}: {w}" for w in point_warnings)
+        warnings.update(dict.fromkeys(point_warnings))
     if predictions[0] == 0.0:
         raise ValueError("cannot report percent change from a zero first prediction")
     percent = 100.0 * (predictions[-1] - predictions[0]) / predictions[0]
     return SweepGrid(var=spec.var, values=values, fixed=base,
                      predictions=predictions, percent_change=float(percent),
-                     warnings=warnings)
+                     warnings=list(warnings))
 
 
 @dataclass

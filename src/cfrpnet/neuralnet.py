@@ -23,6 +23,9 @@ from .dataset import (DEFAULT_FEATURES, TARGET_FIELD, ConfigBase, NormalizationS
 
 MODEL_FORMAT = "cfrpnet-model"
 MODEL_VERSION = 1
+# Half-width of the one weight box: init_weights draws from it and the
+# swarm trainers search it, so every trainer explores the same space.
+WEIGHT_BOUND = 0.5
 
 
 def _sigmoid(z):
@@ -92,12 +95,10 @@ def unflatten(topology: NetworkTopology, weights, dtype=float) -> tuple[list[np.
     return [w[ws].reshape(shape) for ws, shape, _ in layers], [w[bs] for _, _, bs in layers]
 
 
-def init_weights(topology: NetworkTopology, seed: int, half_width: float = 0.5) -> np.ndarray:
-    """Draw a flat parameter vector, i.i.d. uniform on [-half_width, half_width]."""
-    if half_width < 0.0:
-        raise ValueError("half_width must be non-negative")
+def init_weights(topology: NetworkTopology, seed: int) -> np.ndarray:
+    """Draw a flat parameter vector, i.i.d. uniform on [-WEIGHT_BOUND, WEIGHT_BOUND]."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-half_width, half_width, parameter_count(topology))
+    return rng.uniform(-WEIGHT_BOUND, WEIGHT_BOUND, parameter_count(topology))
 
 
 def _workspace(topology: NetworkTopology, n: int, dtype=float) -> list[np.ndarray]:
@@ -211,9 +212,6 @@ class BackpropConfig(ConfigBase):
     learning_rate: float = 0.05
     epochs: int = 900
     seed: int = 0
-    init_half_width: float = 0.5
-    early_stop_patience: int | None = None
-    early_stop_tol: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -229,33 +227,23 @@ def train_backprop(
     """Full-batch gradient descent on MSE.
 
     Returns the trained flat weights and the loss history; entry 0 is the
-    loss at initialization, so epochs updates give epochs + 1 entries
-    (fewer if early stopping triggers). Raises TrainingDivergedError with
-    the offending epoch when the loss leaves the finite range.
+    loss at initialization, so epochs updates give epochs + 1 entries.
+    Raises TrainingDivergedError with the offending epoch when the loss
+    leaves the finite range.
     """
     cfg = config or BackpropConfig()
     X, Y = _check_batch(topology, X, y)
     acts, tmp = _workspace(topology, X.shape[0]), _workspace(topology, X.shape[0])
-    w = init_weights(topology, cfg.seed, half_width=cfg.init_half_width)
+    w = init_weights(topology, cfg.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         # each loss leaves in acts the forward pass the next gradient starts from
         history = [_mse(topology, w, X, Y, acts, tmp[-1])]
-        best = history[0]
-        stale = 0
         for epoch in range(1, cfg.epochs + 1):
             w = w - cfg.learning_rate * _backward(topology, w, X, Y, acts, tmp)
             current = _mse(topology, w, X, Y, acts, tmp[-1])
             if not math.isfinite(current):
                 raise TrainingDivergedError(epoch, current)
             history.append(current)
-            if cfg.early_stop_patience is not None:
-                if current < best - cfg.early_stop_tol:
-                    best = current
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= cfg.early_stop_patience:
-                        break
     return w, history
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ConfigBase, csv_text
-from .neuralnet import NetworkTopology, _check_batch, _mse, _workspace, parameter_count
+from .neuralnet import WEIGHT_BOUND, NetworkTopology, _check_batch, _mse, _workspace, parameter_count
 
 Objective = Callable[[np.ndarray], float]
 
@@ -396,27 +396,20 @@ def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
 _RUNNERS = {"pso": (pso_run, PsoConfig), "gwo": (gwo_run, GwoConfig), "ba": (ba_run, BaConfig)}
 
 
-def train_hybrid(
-    algorithm: str,
-    topology: NetworkTopology,
-    X,
-    y,
-    config=None,
-    half_width: float = 0.5,
-) -> tuple[np.ndarray, OptimizationTrace]:
+def train_hybrid(algorithm: str, topology: NetworkTopology, X, y,
+                 config) -> tuple[np.ndarray, OptimizationTrace]:
     """Train the network's flat weights with one of the swarm optimizers.
 
-    The search box is [-half_width, half_width] per parameter, matching
-    the uniform initialization of the gradient baseline so both explore
-    the same space.
+    The search box is [-WEIGHT_BOUND, WEIGHT_BOUND] per parameter, the box
+    the gradient baseline initializes from, so all trainers explore the
+    same space.
     """
     if algorithm not in _RUNNERS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {tuple(_RUNNERS)}")
     runner, config_cls = _RUNNERS[algorithm]
-    cfg = config_cls() if config is None else config
-    if not isinstance(cfg, config_cls):
-        raise ValueError(f"{algorithm} expects a {config_cls.__name__}, got {type(cfg).__name__}")
-    space = SearchSpace.symmetric(parameter_count(topology), half_width)
+    if not isinstance(config, config_cls):
+        raise ValueError(f"{algorithm} expects a {config_cls.__name__}, got {type(config).__name__}")
+    space = SearchSpace.symmetric(parameter_count(topology), WEIGHT_BOUND)
     objective = objective_from_dataset(topology, X, y)
-    trace = runner(cfg, space, objective)
+    trace = runner(config, space, objective)
     return trace.best_position.copy(), trace

@@ -393,6 +393,41 @@ def test_input_held_to_record_rules(command, values, message, tmp_path, capsys):
     assert str(exc.value) == message
 
 
+# every point of a sweep grid is held to the record rules, with the fixed values beside it
+SWEEP_GRIDS = [
+    (["--var", "d", "--from", "-100", "--to", "50"], "field 'd' must be positive and finite, got -100.0"),
+    (["--var", "d", "--from", "100", "--to", "600", "--fix", "h=300"],
+     "cylinder height 300.0 is smaller than diameter 600.0"),
+    (["--var", "d", "--from", "100", "--to", "300", "--fix", "h=300"], None),
+]
+
+
+@pytest.mark.parametrize("grid, message", SWEEP_GRIDS)
+def test_sweep_grid_held_to_record_rules(grid, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_DOC))
+    code = main(["sweep", str(path), "--format", "json", *grid])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and "error" not in captured.err
+    else:
+        assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_sweep_lists_each_warning_once(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_DOC))
+    assert main(["sweep", str(path), "--format", "json", "--var", "d", "--from", "100", "--to", "200",
+                 "--steps", "3", "--fix", "fco=5"]) == 0
+    captured = capsys.readouterr()
+    warnings = json.loads(captured.out)["warnings"]
+    assert [w for w in warnings if "fco" in w] == [
+        f"fco=5 outside training range [{_DOC['normalization']['ranges']['fco'][0]:g}, "
+        f"{_DOC['normalization']['ranges']['fco'][1]:g}]; extrapolating"]
+    assert len(set(warnings)) == len(warnings)
+    assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
+
+
 @pytest.mark.parametrize("values", ["", "h=150", "eps_h_rup=0", "eps_h_rup=0.012"])
 def test_input_within_record_rules_runs(values, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -531,6 +566,10 @@ BAD_INPUTS = [
     ("compare", {"models": {"nonlinear": {"k": 1}}, "roster": ["pso", "lam_teng", "nonlinear"]}),
     ("train", {"population": 7.5}),
     ("train", {"iterations": math.inf}),
+    # the weight box, the network and the training length are fixed, not settings
+    ("compare", {"models": {"ann": {"init_half_width": 0.25}}}),
+    ("compare", {"models": {"ann": {"early_stop_patience": 5}}}),
+    ("compare", {"hidden_activation": "relu"}),
 ]
 
 
@@ -552,4 +591,4 @@ def test_bad_config_exit_2_without_traceback(command, bad, dataset_csv, tmp_path
     data = {**GOOD_CONFIGS[command], **bad} if isinstance(bad, dict) else bad
     assert _run_config(command, data, dataset_csv, tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from cfrpnet.experiment import (
     EmpiricalPredictor,
     ExperimentConfig,
     SweepSpec,
-    SynthParams,
     SynthSpec,
     model_seed,
     parametric_sweep,
@@ -77,8 +77,6 @@ class TestSynthDataset:
             synth_dataset(5, seed=0)
         with pytest.raises(ValueError):
             synth_dataset(20, seed=0, noise_fraction=-0.1)
-        with pytest.raises(ValueError):
-            synth_dataset(20, seed=0, params=SynthParams(fiber_strain=(0.02, 0.01)))
 
 
 class TestModelSeed:
@@ -117,6 +115,14 @@ class TestExperimentConfig:
     def test_target_cannot_be_feature(self):
         with pytest.raises(ValueError):
             ExperimentConfig(features=("d", "fcc"))
+
+    def test_readme_config_is_accepted(self):
+        # the example under "### Experiment config" in README.md advertises only real keys
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Experiment config", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config = ExperimentConfig.from_dict(json.loads(block))
+        assert config.roster == ("ann", "pso", "gwo", "ba", "lam_teng", "miyauchi")
 
     def test_invalid_field_types(self):
         assert_rejects_bad_values(small_config(fiber_strain=0.015, dataset="data.csv"))

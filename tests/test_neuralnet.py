@@ -6,6 +6,7 @@ import pytest
 
 from cfrpnet.dataset import FeatureRange, NormalizationSpec
 from cfrpnet.neuralnet import (
+    WEIGHT_BOUND,
     BackpropConfig,
     NetworkTopology,
     TrainedModel,
@@ -102,7 +103,7 @@ class TestWorkspaceKernelMatchesReference:
         y = rng.uniform(0.1, 0.9, 15)
         cfg = BackpropConfig(learning_rate=0.2, epochs=8, seed=3)
         w, history = train_backprop(topology, X, y, cfg)
-        w_ref = init_weights(topology, cfg.seed, half_width=cfg.init_half_width)
+        w_ref = init_weights(topology, cfg.seed)
         expected = [loss_mse(topology, w_ref, X, y)]
         for _ in range(cfg.epochs):
             w_ref = w_ref - cfg.learning_rate * reference_gradient(topology, w_ref, X, y)
@@ -213,16 +214,11 @@ class TestInitWeights:
         topology = NetworkTopology(5, (9,), 1)
         assert np.array_equal(init_weights(topology, 42), init_weights(topology, 42))
 
-    def test_zero_half_width(self):
-        topology = NetworkTopology(3, (2,), 1)
-        assert np.array_equal(init_weights(topology, 0, half_width=0.0),
-                              np.zeros(parameter_count(topology)))
-
     def test_length_and_bounds(self):
         topology = NetworkTopology(7, (50,), 1)
-        w = init_weights(topology, 3, half_width=0.5)
+        w = init_weights(topology, 3)
         assert w.shape == (451,)
-        assert np.all(np.abs(w) <= 0.5)
+        assert np.all(np.abs(w) <= WEIGHT_BOUND)
 
 
 class TestGradient:
@@ -306,20 +302,12 @@ class TestTrainBackprop:
             train_backprop(topology, X, y, BackpropConfig(learning_rate=1e12, epochs=200, seed=0))
         assert exc.value.epoch >= 1
 
-    def test_early_stopping(self):
-        topology = NetworkTopology(1, (), 1)
-        X = np.linspace(0.1, 0.9, 8)[:, None]
-        cfg = BackpropConfig(learning_rate=0.1, epochs=5000, seed=0,
-                             early_stop_patience=20, early_stop_tol=1e-12)
-        _, history = train_backprop(topology, X, X[:, 0], cfg)
-        assert len(history) < 5001
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             BackpropConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             BackpropConfig(epochs=0)
-        assert_rejects_bad_values(BackpropConfig(early_stop_patience=5))
+        assert_rejects_bad_values(BackpropConfig())
 
 
 def _toy_model(seed=0):

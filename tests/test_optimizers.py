@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cfrpnet import neuralnet
-from cfrpnet.neuralnet import (NetworkTopology, _check_batch, _mse, _workspace, forward, gradient,
-                               loss_mse, parameter_count)
+from cfrpnet.neuralnet import (WEIGHT_BOUND, NetworkTopology, _check_batch, _mse, _workspace, forward,
+                               gradient, loss_mse, parameter_count)
 from cfrpnet.optimizers import (
     BaConfig,
     GwoConfig,
@@ -520,18 +520,22 @@ class TestTrainHybrid:
         recomputed = sum((forward(topology, weights, X[i]) - y[i]) ** 2 for i in range(15)) / 15
         assert recomputed == pytest.approx(trace.final_fitness, rel=REL32)
 
-    def test_search_box_bound(self):
+    @pytest.mark.parametrize("algorithm, config", [
+        ("pso", PsoConfig(population=8, iterations=20, seed=0)),
+        ("gwo", GwoConfig(population=8, iterations=20, seed=0)),
+        ("ba", BaConfig(population=8, iterations=20, seed=0))])
+    def test_search_box_bound(self, algorithm, config):
+        # the best fit, slope 1 and intercept -0.1, lies outside the box: the search stops at its edge
         topology = NetworkTopology(1, (), 1)
         X = np.array([[0.5], [0.7]])
         y = np.array([0.4, 0.6])
-        weights, _ = train_hybrid("gwo", topology, X, y,
-                                  GwoConfig(population=8, iterations=20, seed=0),
-                                  half_width=0.25)
-        assert np.all(np.abs(weights) <= 0.25)
+        weights, _ = train_hybrid(algorithm, topology, X, y, config)
+        assert np.all(np.abs(weights) <= WEIGHT_BOUND)
+        assert np.any(np.abs(weights) == WEIGHT_BOUND)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            train_hybrid("sa", NetworkTopology(1, (), 1), np.zeros((2, 1)), np.zeros(2))
+            train_hybrid("sa", NetworkTopology(1, (), 1), np.zeros((2, 1)), np.zeros(2), PsoConfig())
 
     def test_config_type_checked(self):
         with pytest.raises(ValueError, match="expects"):
