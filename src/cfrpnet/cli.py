@@ -73,7 +73,7 @@ def _load_json(path) -> dict:
 
 
 def _parse_kv(text: str) -> dict[str, float]:
-    """Parse 'name=value,name=value' input pairs, held to a record's rules."""
+    """Parse 'name=value,name=value' input pairs; a later pair replaces an earlier one."""
     values: dict[str, float] = {}
     for part in text.split(","):
         part = part.strip()
@@ -91,7 +91,6 @@ def _parse_kv(text: str) -> dict[str, float]:
             raise ValueError(f"could not parse number from {raw!r} for {name!r}") from None
     if not values:
         raise ValueError("no input values given")
-    check_values(SimpleNamespace(**values))
     return values
 
 
@@ -166,7 +165,7 @@ def cmd_train(args) -> int:
     records = parse_dataset(args.dataset)
     cfg = _train_config(args)
     _say(args, f"training {args.model} on {len(records)} records (seed {cfg.seed})")
-    if args.train_fraction < 1.0:
+    if args.train_fraction != 1.0:  # split rejects NaN and values outside (0, 1)
         train, _ = split(records, args.train_fraction, seed=model_seed(cfg.seed, "split"))
         _say(args, f"using {len(train)} of {len(records)} records for training")
     else:
@@ -221,6 +220,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     values = _parse_kv(args.input)
+    check_values(SimpleNamespace(**values))
     fcc, warnings = model.predict_values(values)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -272,8 +272,11 @@ def cmd_sweep(args) -> int:
         r = model.normalization.ranges[name]
         fixed[name] = 0.5 * (r.x_min + r.x_max)
     if args.fix:
-        fixed.update(_parse_kv(args.fix))
-    # the grid increases and h is never swept, so its two ends cover every point
+        given = _parse_kv(args.fix)
+        if args.var in given:
+            raise ValueError(f"--fix names the swept variable {args.var!r}")
+        fixed.update(given)
+    # the grid increases and h is never swept: its two ends, with the fixed values, cover every point
     for end in (args.start, args.stop):
         check_values(SimpleNamespace(**{**fixed, args.var: end}))
     spec = SweepSpec(var=args.var, start=args.start, stop=args.stop,

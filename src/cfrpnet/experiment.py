@@ -85,8 +85,8 @@ def synth_dataset(n: int, seed: int, noise_fraction: float = 0.02) -> list[Speci
     """
     if n < 10:
         raise ValueError("synthetic datasets need n >= 10")
-    if noise_fraction < 0.0:
-        raise ValueError("noise_fraction must be >= 0")
+    if not 0.0 <= noise_fraction < np.inf:
+        raise ValueError(f"noise_fraction must be non-negative and finite, got {noise_fraction}")
     rng = np.random.default_rng(seed)
     fcc_lo, fcc_hi = FIELD_BOUNDS["fcc"]
     ecc_lo, ecc_hi = FIELD_BOUNDS["ecc"]

@@ -1,7 +1,9 @@
 """Population-based continuous minimizers: PSO, GWO, and BA.
 
-All three minimize a scalar objective over a bounded box and record an
-elitist (non-increasing) best-fitness trace.
+All three minimize a scalar objective over the symmetric box
+[-bound, bound]^dim and record an elitist (non-increasing) best-fitness
+trace. They share one start (member streams and uniform initial
+positions) and one checked evaluation of the whole population.
 
 Randomness contract: the config seed expands into one independent stream
 per population member, spawned in index order from a single SeedSequence.
@@ -14,6 +16,10 @@ PSO and GWO move the whole population at once as (population, dim)
 arrays, drawing member i's k variate vectors of a step as one vector into
 row i of a (population, k * dim) array: ``Generator.random(k * dim)`` is
 bit for bit the k consecutive ``random(dim)`` draws of a per-member loop.
+Their personal bests, global best and leaders are chosen by array
+reductions that break ties as a per-member loop does. BA stays a
+per-bat loop, because each flight reads a global best that the bats
+before it may have moved.
 """
 from __future__ import annotations
 
@@ -38,41 +44,6 @@ class ObjectiveError(RuntimeError):
         self.value = value
         self.iteration = iteration
         self.member = member
-
-
-@dataclass
-class SearchSpace:
-    """Axis-aligned box over which the optimizers search."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
-            raise ValueError("lower and upper bounds must be 1-D arrays of equal length")
-        if not np.all(self.upper > self.lower):
-            raise ValueError("every upper bound must exceed its lower bound")
-
-    @classmethod
-    def symmetric(cls, dimension: int, half_width: float) -> "SearchSpace":
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if half_width <= 0.0:
-            raise ValueError("half_width must be positive")
-        return cls(np.full(dimension, -half_width), np.full(dimension, half_width))
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.size
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
 
 
 @dataclass
@@ -176,11 +147,24 @@ def _streams(seed: int, population: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
+def _start(config, dim: int, bound: float) -> tuple[list[np.random.Generator], np.ndarray]:
+    """The member streams and the (population, dim) initial positions, each
+    member's drawn from its own stream, uniform on [-bound, bound]."""
+    streams = _streams(config.seed, config.population)
+    return streams, np.array([s.uniform(-bound, bound, dim) for s in streams])
+
+
 def _checked(objective: Objective, x: np.ndarray, iteration: int, member: int) -> float:
     value = float(objective(x))
     if not math.isfinite(value):
         raise ObjectiveError(value, iteration, member)
     return value
+
+
+def _evaluate(objective: Objective, positions: np.ndarray, iteration: int) -> np.ndarray:
+    """Fitness of every member (row), evaluated in member order, so the first
+    non-finite value raises."""
+    return np.array([_checked(objective, x, iteration, i) for i, x in enumerate(positions)])
 
 
 def pso_velocity_update(v, x, pbest, gbest, r1, r2, w, c1, c2):
@@ -197,52 +181,45 @@ def pso_velocity_update(v, x, pbest, gbest, r1, r2, w, c1, c2):
     return v
 
 
-def pso_run(config: PsoConfig, space: SearchSpace, objective: Objective) -> OptimizationTrace:
+def pso_run(config: PsoConfig, dim: int, bound: float, objective: Objective) -> OptimizationTrace:
     """Global-best particle swarm with inertia weight.
 
     Per particle and iteration the stream yields r1 then r2 (one vector
     each). Velocities start at zero, are clamped per dimension to
     velocity_clamp times the box width, and positions are clipped to the
-    box. The velocity update uses the previous iteration's global best.
+    box. The velocity update uses the previous iteration's global best; a
+    new global best is the first particle to reach the lowest fitness.
     """
-    streams = _streams(config.seed, config.population)
-    dim = space.dimension
-    x = np.array([s.uniform(space.lower, space.upper) for s in streams])
+    streams, x = _start(config, dim, bound)
     v = np.zeros_like(x)
-    vmax = config.velocity_clamp * space.width
+    vmax = config.velocity_clamp * 2.0 * bound
     draws = np.empty((config.population, 2 * dim))
+    pbest, pbest_f = np.empty_like(x), np.full(config.population, math.inf)
+    gbest, gbest_f = None, math.inf
+    history, evaluations = [], 0
 
-    fitness = np.array([_checked(objective, x[i], 0, i) for i in range(config.population)])
-    pbest = x.copy()
-    pbest_f = fitness.copy()
-    g = int(np.argmin(pbest_f))
-    gbest = pbest[g].copy()
-    gbest_f = float(pbest_f[g])
-    history = [gbest_f]
-    evaluations = config.population
-
-    for t in range(1, config.iterations + 1):
-        for stream, row in zip(streams, draws):
-            stream.random(out=row)
-        pso_velocity_update(v, x, pbest, gbest, draws[:, :dim], draws[:, dim:],
-                            config.inertia_weight, config.cognitive_weight, config.social_weight)
-        np.clip(v, -vmax, vmax, out=v)
-        x += v
-        np.clip(x, space.lower, space.upper, out=x)
-        for i in range(config.population):
-            f = _checked(objective, x[i], t, i)
-            evaluations += 1
-            if f < pbest_f[i]:
-                pbest_f[i] = f
-                pbest[i] = x[i]
-                if f < gbest_f:
-                    gbest_f = f
-                    gbest = x[i].copy()
+    for t in range(config.iterations + 1):
+        if t:
+            for stream, row in zip(streams, draws):
+                stream.random(out=row)
+            pso_velocity_update(v, x, pbest, gbest, draws[:, :dim], draws[:, dim:],
+                                config.inertia_weight, config.cognitive_weight, config.social_weight)
+            np.clip(v, -vmax, vmax, out=v)
+            x += v
+            np.clip(x, -bound, bound, out=x)
+        fitness = _evaluate(objective, x, t)
+        evaluations += len(fitness)
+        better = fitness < pbest_f
+        np.copyto(pbest, x, where=better[:, None])
+        pbest_f[better] = fitness[better]
+        g = int(np.argmin(pbest_f))
+        if pbest_f[g] < gbest_f:
+            gbest, gbest_f = pbest[g].copy(), float(pbest_f[g])
         history.append(gbest_f)
     return OptimizationTrace(np.array(history), gbest, evaluations)
 
 
-def gwo_move(x, leaders, a, streams, space: SearchSpace, draws, out):
+def gwo_move(x, leaders, a, streams, bound: float, draws, out):
     """Move every wolf (row of x) toward the three leaders; returns out.
 
     For each leader in turn, wolf i's stream yields the A-vector variates
@@ -264,57 +241,48 @@ def gwo_move(x, leaders, a, streams, space: SearchSpace, draws, out):
         term *= coef_a
         out += np.subtract(leader, term, out=term)
     out /= 3.0
-    return np.clip(out, space.lower, space.upper, out=out)
+    return np.clip(out, -bound, bound, out=out)
 
 
-def gwo_run(config: GwoConfig, space: SearchSpace, objective: Objective) -> OptimizationTrace:
+def gwo_run(config: GwoConfig, dim: int, bound: float, objective: Objective) -> OptimizationTrace:
     """Grey wolf optimizer with linearly decaying control scalar.
 
-    The three best-so-far wolves (alpha, beta, delta) steer every move;
-    the control scalar a decays linearly from 2 to exactly 0 over the
+    The three fittest wolves seen so far (alpha, beta, delta) steer every
+    move; on a tie an old leader ranks first, then the lower-index wolf.
+    The control scalar a decays linearly from 2 to exactly 0 over the
     iterations.
     """
-    streams = _streams(config.seed, config.population)
-    x = np.array([s.uniform(space.lower, space.upper) for s in streams])
+    streams, x = _start(config, dim, bound)
     moved = np.empty_like(x)
-    draws = np.empty((config.population, 2 * space.dimension))
+    draws = np.empty((config.population, 2 * dim))
+    leaders, leader_f = np.empty((3, dim)), np.full(3, math.inf)
+    history, evaluations = [], 0
 
-    leader_pos = [None, None, None]
-    leader_f = [math.inf, math.inf, math.inf]
-
-    def offer(position, f):
-        rank = sum(f >= best for best in leader_f)  # leaders at least as fit
-        if rank < 3:
-            leader_pos.insert(rank, position.copy())
-            leader_f.insert(rank, f)
-            del leader_pos[3:], leader_f[3:]
-
-    for i in range(config.population):
-        offer(x[i], _checked(objective, x[i], 0, i))
-    history = [leader_f[0]]
-    evaluations = config.population
-
-    for t in range(1, config.iterations + 1):
-        a = 2.0 * (1.0 - t / config.iterations)
-        x, moved = gwo_move(x, leader_pos, a, streams, space, draws, moved), x
-        for i in range(config.population):
-            offer(x[i], _checked(objective, x[i], t, i))
-            evaluations += 1
-        history.append(leader_f[0])
-    return OptimizationTrace(np.array(history), leader_pos[0], evaluations)
+    for t in range(config.iterations + 1):
+        if t:
+            a = 2.0 * (1.0 - t / config.iterations)
+            x, moved = gwo_move(x, leaders, a, streams, bound, draws, moved), x
+        fitness = _evaluate(objective, x, t)
+        evaluations += len(fitness)
+        pool_f = np.concatenate((leader_f, fitness))
+        best = np.argsort(pool_f, kind="stable")[:3]
+        # a copy, not views of x: the next move overwrites x's buffer
+        leaders, leader_f = np.concatenate((leaders, x))[best], pool_f[best]
+        history.append(float(leader_f[0]))
+    return OptimizationTrace(np.array(history), leaders[0], evaluations)
 
 
-def ba_flight(x, v, gbest, frequency, vmax, space: SearchSpace):
+def ba_flight(x, v, gbest, frequency, vmax, bound: float):
     """One bat's frequency-scaled flight; returns (candidate, new velocity).
 
     A bat sitting at the global best with zero velocity stays put for any
     frequency.
     """
     v_new = np.clip(v + (x - gbest) * frequency, -vmax, vmax)
-    return space.clip(x + v_new), v_new
+    return np.clip(x + v_new, -bound, bound), v_new
 
 
-def ba_run(config: BaConfig, space: SearchSpace, objective: Objective) -> OptimizationTrace:
+def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> OptimizationTrace:
     """Bat algorithm with loudness decay and rising pulse rate.
 
     Per bat and iteration the stream yields: the frequency variate, the
@@ -325,38 +293,32 @@ def ba_run(config: BaConfig, space: SearchSpace, objective: Objective) -> Optimi
     the acceptance draw falls below the bat's loudness AND the fitness
     improves; each acceptance decays the loudness by alpha and resets the
     pulse rate to pulse_rate * (1 - exp(-gamma * t)). The global best
-    tracks every evaluated candidate.
+    tracks every evaluated candidate, so the bats fly one at a time.
     """
-    streams = _streams(config.seed, config.population)
-    dim = space.dimension
-    x = np.array([s.uniform(space.lower, space.upper) for s in streams])
+    streams, x = _start(config, dim, bound)
     v = np.zeros_like(x)
-    vmax = config.velocity_clamp * space.width
-
-    fitness = np.array([_checked(objective, x[i], 0, i) for i in range(config.population)])
+    vmax = config.velocity_clamp * 2.0 * bound
     loudness = np.full(config.population, config.loudness)
     pulse = np.full(config.population, config.pulse_rate)
     acceptances = np.zeros(config.population, dtype=int)
+
+    fitness = _evaluate(objective, x, 0)
+    evaluations = len(fitness)
     g = int(np.argmin(fitness))
-    gbest = x[g].copy()
-    gbest_f = float(fitness[g])
+    gbest, gbest_f = x[g].copy(), float(fitness[g])
     history = [gbest_f]
-    evaluations = config.population
 
     for t in range(1, config.iterations + 1):
         mean_loudness = float(loudness.mean())
-        for i in range(config.population):
-            rng = streams[i]
-            beta = rng.random()
-            frequency = config.f_min + (config.f_max - config.f_min) * beta
-            candidate, v[i] = ba_flight(x[i], v[i], gbest, frequency, vmax, space)
+        for i, rng in enumerate(streams):
+            frequency = config.f_min + (config.f_max - config.f_min) * rng.random()
+            candidate, v[i] = ba_flight(x[i], v[i], gbest, frequency, vmax, bound)
             if rng.random() < pulse[i]:
                 walk = rng.uniform(-1.0, 1.0, dim)
-                candidate = space.clip(gbest + walk * mean_loudness)
+                candidate = np.clip(gbest + walk * mean_loudness, -bound, bound)
             f = _checked(objective, candidate, t, i)
             evaluations += 1
-            accept = rng.random()
-            if accept < loudness[i] and f < fitness[i]:
+            if rng.random() < loudness[i] and f < fitness[i]:  # the acceptance draw is always made
                 x[i] = candidate
                 fitness[i] = f
                 loudness[i] *= config.alpha
@@ -409,7 +371,6 @@ def train_hybrid(algorithm: str, topology: NetworkTopology, X, y,
     runner, config_cls = _RUNNERS[algorithm]
     if not isinstance(config, config_cls):
         raise ValueError(f"{algorithm} expects a {config_cls.__name__}, got {type(config).__name__}")
-    space = SearchSpace.symmetric(parameter_count(topology), WEIGHT_BOUND)
     objective = objective_from_dataset(topology, X, y)
-    trace = runner(config, space, objective)
+    trace = runner(config, parameter_count(topology), WEIGHT_BOUND, objective)
     return trace.best_position.copy(), trace

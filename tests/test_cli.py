@@ -194,6 +194,16 @@ class TestTrain:
         assert err.startswith("error: ") and "--population" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "model_ann.json").exists()
 
+    @pytest.mark.parametrize("fraction", ["nan", "1.5", "inf", "0", "-0.5"])
+    def test_train_fraction_outside_unit_interval_exit_2(self, fraction, dataset_csv, tmp_path,
+                                                          capsys):
+        code = main(["train", dataset_csv, "--model", "ann", "--iterations", "2", "--neurons", "3",
+                     "--train-fraction", fraction, "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train_fraction") and err.count("\n") == 1
+        assert not (tmp_path / "model_ann.json").exists()
+
     def test_same_model_as_train_model(self, synth_csv, tmp_path):
         out = tmp_path / "run"
         assert main(["train", synth_csv, "--model", "pso", "--population", "5",
@@ -335,6 +345,16 @@ class TestSweep:
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fix", ["d=5", "d=500,h=300", "fco=20,d=150"])
+def test_fix_naming_swept_variable_exit_2(fix, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_DOC))
+    assert main(["sweep", str(path), "--var", "d", "--from", "100", "--to", "200", "--steps", "3",
+                 "--fix", fix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --fix names the swept variable 'd'\n"
+
+
 def _model_document():
     """A valid model document over the seven default features."""
     topology = NetworkTopology(7, (3,))
@@ -360,6 +380,8 @@ def test_model_document_control(dataset_csv, tmp_path, capsys):
 
 
 VALID_INPUT = "d=150,h=300,nt=0.334,ef=231,fco=16.5,eco=0.2,ecc=1.1"
+# sweep --fix may not name the swept variable: the sweeps run over ef and fix the rest
+VALID_FIX = VALID_INPUT.replace("ef=231,", "")
 # values a CSV row may not hold, and the record rule each breaks
 BAD_INPUTS = [
     ("d=-150,h=300", "field 'd' must be positive and finite, got -150.0"),
@@ -381,8 +403,8 @@ def test_input_held_to_record_rules(command, values, message, tmp_path, capsys):
     path.write_text(json.dumps(_DOC))
     given = f"{VALID_INPUT},{values}"  # a later pair replaces an earlier one
     argv = {"predict": ["predict", str(path), "--format", "json", "--input", given],
-            "sweep": ["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100",
-                      "--fix", given]}[command]
+            "sweep": ["sweep", str(path), "--var", "ef", "--from", "110", "--to", "245",
+                      "--fix", f"{VALID_FIX},{values}"]}[command]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
@@ -435,8 +457,8 @@ def test_input_within_record_rules_runs(values, tmp_path, capsys):
     given = f"{VALID_INPUT},{values}"
     assert main(["predict", str(path), "--format", "json", "--input", given]) == 0
     assert "fcc_mpa" in json.loads(capsys.readouterr().out)
-    assert main(["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100",
-                 "--fix", given]) == 0
+    assert main(["sweep", str(path), "--var", "ef", "--from", "110", "--to", "245",
+                 "--fix", f"{VALID_FIX},{values}"]) == 0
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
@@ -548,6 +570,13 @@ class TestSynth:
             assert main(["synth", "--n", "20", "--seed", "9", "--out", str(out), "--quiet"]) == 0
             blobs.append((out / "synth.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_exit_2(self, noise, tmp_path, capsys):
+        assert main(["synth", "--n", "20", "--noise", noise, "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise_fraction") and err.count("\n") == 1
+        assert not (tmp_path / "synth.csv").exists()
 
 
 # A small valid config for each command; each bad input is merged into it.

@@ -75,8 +75,9 @@ class TestSynthDataset:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             synth_dataset(5, seed=0)
-        with pytest.raises(ValueError):
-            synth_dataset(20, seed=0, noise_fraction=-0.1)
+        for noise in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_fraction"):
+                synth_dataset(20, seed=0, noise_fraction=noise)
 
 
 class TestModelSeed:

@@ -13,7 +13,6 @@ from cfrpnet.optimizers import (
     ObjectiveError,
     OptimizationTrace,
     PsoConfig,
-    SearchSpace,
     _streams,
     ba_flight,
     ba_run,
@@ -33,8 +32,8 @@ def sphere(x):
     return float(np.dot(x, x))
 
 
-def box(dim, half=5.12):
-    return SearchSpace(np.full(dim, -half), np.full(dim, half))
+# the sphere tests search [-5.12, 5.12] per dimension
+HALF = 5.12
 
 
 SMALL = dict(population=12, iterations=60, seed=3)
@@ -57,22 +56,6 @@ def small_configs():
         ("gwo", gwo_run, GwoConfig(**SMALL)),
         ("ba", ba_run, BaConfig(**SMALL)),
     ]
-
-
-class TestSearchSpace:
-    def test_symmetric(self):
-        s = SearchSpace.symmetric(4, 0.5)
-        assert np.array_equal(s.lower, np.full(4, -0.5))
-        assert np.array_equal(s.upper, np.full(4, 0.5))
-        assert s.dimension == 4
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            SearchSpace(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-
-    def test_clip(self):
-        s = box(2, 1.0)
-        assert np.array_equal(s.clip(np.array([5.0, -5.0])), np.array([1.0, -1.0]))
 
 
 class TestConfigs:
@@ -110,22 +93,21 @@ class TestConfigs:
 class TestTraceContract:
     def test_non_increasing_and_final_entry(self):
         for name, run, cfg in small_configs():
-            trace = run(cfg, box(4), sphere)
+            trace = run(cfg, 4, HALF, sphere)
             diffs = np.diff(trace.best_fitness)
             assert np.all(diffs <= 0.0), name
             assert trace.final_fitness == trace.best_fitness[-1]
             assert len(trace.best_fitness) == cfg.iterations + 1
 
     def test_positions_stay_in_box(self):
-        space = box(4, 0.7)
         for name, run, cfg in small_configs():
-            trace = run(cfg, space, sphere)
-            assert np.all(trace.best_position >= space.lower), name
-            assert np.all(trace.best_position <= space.upper), name
+            trace = run(cfg, 4, 0.7, sphere)
+            assert np.all(trace.best_position >= -0.7), name
+            assert np.all(trace.best_position <= 0.7), name
 
     def test_final_fitness_matches_position(self):
         for name, run, cfg in small_configs():
-            trace = run(cfg, box(4), sphere)
+            trace = run(cfg, 4, HALF, sphere)
             assert sphere(trace.best_position) == pytest.approx(trace.final_fitness, rel=1e-12), name
 
     def test_evaluation_budget(self):
@@ -137,20 +119,20 @@ class TestTraceContract:
                 calls += 1
                 return sphere(x)
 
-            trace = run(cfg, box(4), counted)
+            trace = run(cfg, 4, HALF, counted)
             assert calls == trace.evaluations, name
-            assert calls <= cfg.population * (cfg.iterations + 1), name
+            assert calls == cfg.population * (cfg.iterations + 1), name
 
     def test_bitwise_determinism(self):
         for name, run, cfg in small_configs():
-            t1 = run(cfg, box(6), sphere)
-            t2 = run(cfg, box(6), sphere)
+            t1 = run(cfg, 6, HALF, sphere)
+            t2 = run(cfg, 6, HALF, sphere)
             assert np.array_equal(t1.best_fitness, t2.best_fitness), name
             assert np.array_equal(t1.best_position, t2.best_position), name
 
     def test_seed_changes_trajectory(self):
-        t1 = pso_run(PsoConfig(population=12, iterations=30, seed=1), box(4), sphere)
-        t2 = pso_run(PsoConfig(population=12, iterations=30, seed=2), box(4), sphere)
+        t1 = pso_run(PsoConfig(population=12, iterations=30, seed=1), 4, HALF, sphere)
+        t2 = pso_run(PsoConfig(population=12, iterations=30, seed=2), 4, HALF, sphere)
         assert not np.array_equal(t1.best_fitness, t2.best_fitness)
 
     def test_trace_validates_monotonicity(self):
@@ -174,7 +156,7 @@ class TestObjectiveErrors:
             return math.nan if calls > 20 else sphere(x)
 
         with pytest.raises(ObjectiveError) as exc:
-            pso_run(PsoConfig(population=8, iterations=50, seed=0), box(3), flaky)
+            pso_run(PsoConfig(population=8, iterations=50, seed=0), 3, HALF, flaky)
         assert exc.value.iteration >= 1
         assert 0 <= exc.value.member < 8
 
@@ -183,7 +165,7 @@ class TestObjectiveErrors:
             return math.inf
 
         with pytest.raises(ObjectiveError) as exc:
-            gwo_run(GwoConfig(population=5, iterations=5, seed=0), box(3), bad)
+            gwo_run(GwoConfig(population=5, iterations=5, seed=0), 3, HALF, bad)
         assert exc.value.iteration == 0
 
 
@@ -209,7 +191,7 @@ class TestGwoUpdate:
     def _move(self, wolves, leaders, seed):
         streams = _streams(seed, len(wolves))
         draws = np.empty((len(wolves), 2 * wolves.shape[1]))
-        return gwo_move(wolves, leaders, 0.0, streams, box(wolves.shape[1]), draws,
+        return gwo_move(wolves, leaders, 0.0, streams, HALF, draws,
                         np.empty_like(wolves))
 
     def test_zero_scalar_collapses_to_leader_mean(self):
@@ -226,13 +208,14 @@ class TestGwoUpdate:
         assert np.allclose(moved, [[2.0, 2.0], [2.0, 2.0]], atol=1e-15)
 
 
-def reference_pso_run(config, space, objective):
-    """Per-member PSO loop: each particle draws r1 then r2 and moves in turn."""
+def reference_pso_run(config, dim, half, objective):
+    """Per-member PSO loop: each particle draws r1 then r2 and moves in turn.
+    The box is given per dimension, as explicit lower and upper bound arrays."""
     streams = _streams(config.seed, config.population)
-    dim = space.dimension
-    x = np.array([s.uniform(space.lower, space.upper) for s in streams])
+    lower, upper = np.full(dim, -half), np.full(dim, half)
+    x = np.array([s.uniform(lower, upper) for s in streams])
     v = np.zeros_like(x)
-    vmax = config.velocity_clamp * space.width
+    vmax = config.velocity_clamp * (upper - lower)
     pbest = x.copy()
     pbest_f = np.array([objective(x[i]) for i in range(config.population)])
     g = int(np.argmin(pbest_f))
@@ -246,7 +229,7 @@ def reference_pso_run(config, space, objective):
             v[i] = (config.inertia_weight * v[i] + config.cognitive_weight * r1 * (pbest[i] - x[i])
                     + config.social_weight * r2 * (gbest - x[i]))
             np.clip(v[i], -vmax, vmax, out=v[i])
-            x[i] = space.clip(x[i] + v[i])
+            x[i] = np.clip(x[i] + v[i], lower, upper)
         for i in range(config.population):
             f = objective(x[i])
             evaluations += 1
@@ -259,11 +242,12 @@ def reference_pso_run(config, space, objective):
     return OptimizationTrace(np.array(history), gbest, evaluations)
 
 
-def reference_gwo_run(config, space, objective):
-    """Per-member GWO loop: each wolf draws A then C variates per leader."""
+def reference_gwo_run(config, dim, half, objective):
+    """Per-member GWO loop: each wolf draws A then C variates per leader.
+    The box is given per dimension, as explicit lower and upper bound arrays."""
     streams = _streams(config.seed, config.population)
-    dim = space.dimension
-    x = np.array([s.uniform(space.lower, space.upper) for s in streams])
+    lower, upper = np.full(dim, -half), np.full(dim, half)
+    x = np.array([s.uniform(lower, upper) for s in streams])
     leaders = []  # (fitness, position), best first, at most three
 
     def offer(position, f):
@@ -285,7 +269,7 @@ def reference_gwo_run(config, space, objective):
                 coef_a = 2.0 * a * streams[i].random(dim) - a
                 coef_c = 2.0 * streams[i].random(dim)
                 acc += leader - coef_a * np.abs(coef_c * leader - x[i])
-            x[i] = space.clip(acc / 3.0)
+            x[i] = np.clip(acc / 3.0, lower, upper)
         for i in range(config.population):
             offer(x[i], objective(x[i]))
             evaluations += 1
@@ -294,8 +278,13 @@ def reference_gwo_run(config, space, objective):
 
 
 def shifted_sphere(x):
-    # minimum at 0.3 in every coordinate: outside box(dim, 0.2), so clipping is active
+    # minimum at 0.3 in every coordinate: outside the box [-0.2, 0.2], so clipping is active
     return float(np.sum((x - 0.3) ** 2))
+
+
+def rounded_sphere(x):
+    # fitness on a 0.1 grid: members and leaders tie often, so the tie rules decide
+    return round(sphere(x), 1)
 
 
 class TestVectorisedMatchesPerMemberLoop:
@@ -304,12 +293,13 @@ class TestVectorisedMatchesPerMemberLoop:
         (3, 12, 4, 5.12, sphere),
         (11, 30, 13, 0.5, sphere),
         (7, 9, 6, 0.2, shifted_sphere),
+        (5, 10, 3, 0.5, rounded_sphere),
     ])
     def test_pso(self, seed, population, dim, half, objective):
         # velocity_clamp=0.05 keeps the clamp active for most moves
         cfg = PsoConfig(population=population, iterations=25, seed=seed, velocity_clamp=0.05)
-        got = pso_run(cfg, box(dim, half), objective)
-        want = reference_pso_run(cfg, box(dim, half), objective)
+        got = pso_run(cfg, dim, half, objective)
+        want = reference_pso_run(cfg, dim, half, objective)
         assert np.array_equal(got.best_fitness, want.best_fitness)
         assert np.array_equal(got.best_position, want.best_position)
         assert got.evaluations == want.evaluations
@@ -319,11 +309,12 @@ class TestVectorisedMatchesPerMemberLoop:
         (3, 12, 4, 5.12, sphere),
         (11, 30, 13, 0.5, sphere),
         (7, 9, 6, 0.2, shifted_sphere),
+        (5, 10, 3, 0.5, rounded_sphere),
     ])
     def test_gwo(self, seed, population, dim, half, objective):
         cfg = GwoConfig(population=population, iterations=25, seed=seed)
-        got = gwo_run(cfg, box(dim, half), objective)
-        want = reference_gwo_run(cfg, box(dim, half), objective)
+        got = gwo_run(cfg, dim, half, objective)
+        want = reference_gwo_run(cfg, dim, half, objective)
         assert np.array_equal(got.best_fitness, want.best_fitness)
         assert np.array_equal(got.best_position, want.best_position)
         assert got.evaluations == want.evaluations
@@ -332,38 +323,48 @@ class TestVectorisedMatchesPerMemberLoop:
         # the shifted-sphere cases end on the box face, where only clipping keeps them
         for run, cfg in ((pso_run, PsoConfig(population=9, iterations=25, seed=7)),
                          (gwo_run, GwoConfig(population=9, iterations=25, seed=7))):
-            trace = run(cfg, box(6, 0.2), shifted_sphere)
+            trace = run(cfg, 6, 0.2, shifted_sphere)
             assert np.any(trace.best_position == 0.2)
 
 
 class TestBaUpdate:
     def test_stationary_at_global_best(self):
         gbest = np.array([0.1, 0.2])
-        x, v = ba_flight(gbest.copy(), np.zeros(2), gbest, 1.7, np.full(2, 1.0), box(2))
+        x, v = ba_flight(gbest.copy(), np.zeros(2), gbest, 1.7, np.full(2, 1.0), HALF)
         assert np.array_equal(x, gbest)
         assert np.array_equal(v, np.zeros(2))
 
     def test_loudness_geometric_decay(self):
         cfg = BaConfig(population=10, iterations=80, seed=5)
-        trace = ba_run(cfg, box(4), sphere)
+        trace = ba_run(cfg, 4, HALF, sphere)
         assert trace.loudness is not None and trace.acceptances is not None
         for a, k in zip(trace.loudness, trace.acceptances):
             assert a == pytest.approx(cfg.loudness * cfg.alpha ** int(k), rel=1e-9)
         assert trace.acceptances.sum() > 0
 
+    def test_pinned_sphere_run(self):
+        # BA has no reference loop: a small run pinned to the values of the array-box version
+        trace = ba_run(BaConfig(population=6, iterations=20, seed=4), 4, HALF, sphere)
+        assert trace.best_fitness[0] == 11.770849027235725
+        assert trace.final_fitness == 0.22949788218087352
+        assert trace.best_position.tolist() == [-0.002228280468333038, 0.07264323323401722,
+                                                -0.3738305196090322, -0.2906314164387208]
+        assert trace.acceptances.tolist() == [2, 6, 3, 6, 5, 5]
+        assert trace.evaluations == 6 * 21
+
     def test_zero_pulse_rate_never_walks(self):
         # with pulse_rate 0 every move is a pure flight; still must optimize a bit
         cfg = BaConfig(population=10, iterations=40, seed=6, pulse_rate=0.0)
-        trace = ba_run(cfg, box(3), sphere)
+        trace = ba_run(cfg, 3, HALF, sphere)
         assert trace.best_fitness[-1] <= trace.best_fitness[0]
 
 
 class TestSphereConvergence:
     def test_reference_runs_2d(self):
         # pinned reference runs: seeds recorded once (BA is seed-sensitive)
-        assert pso_run(PsoConfig(seed=0), box(2), sphere).final_fitness < 1e-6
-        assert gwo_run(GwoConfig(seed=0), box(2), sphere).final_fitness < 1e-6
-        assert ba_run(BaConfig(seed=1), box(2), sphere).final_fitness < 1e-6
+        assert pso_run(PsoConfig(seed=0), 2, HALF, sphere).final_fitness < 1e-6
+        assert gwo_run(GwoConfig(seed=0), 2, HALF, sphere).final_fitness < 1e-6
+        assert ba_run(BaConfig(seed=1), 2, HALF, sphere).final_fitness < 1e-6
 
 
 class TestObjectiveFromDataset:
