@@ -162,10 +162,12 @@ def _train_config(args):
 
 
 def cmd_train(args) -> int:
+    if not 0.0 < args.train_fraction <= 1.0:  # NaN fails too
+        raise ValueError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
     records = parse_dataset(args.dataset)
     cfg = _train_config(args)
     _say(args, f"training {args.model} on {len(records)} records (seed {cfg.seed})")
-    if args.train_fraction != 1.0:  # split rejects NaN and values outside (0, 1)
+    if args.train_fraction < 1.0:
         train, _ = split(records, args.train_fraction, seed=model_seed(cfg.seed, "split"))
         _say(args, f"using {len(train)} of {len(records)} records for training")
     else:

@@ -106,11 +106,11 @@ def _workspace(topology: NetworkTopology, n: int, dtype=float) -> list[np.ndarra
     return [np.empty((n, k), dtype) for k in topology.layer_sizes[1:]]
 
 
-def _forward(topology, weights, X, acts=None) -> np.ndarray:
-    """Forward pass in the dtype of acts, writing each layer's activations
-    into acts, or into fresh float64 arrays when acts is None; returns the
-    output layer's."""
-    mats, biases = unflatten(topology, weights, float if acts is None else acts[0].dtype)
+def _forward(topology, params, X, acts=None) -> np.ndarray:
+    """Forward pass through the (mats, biases) views unflatten returns, in
+    their dtype, writing each layer's activations into acts, or into fresh
+    arrays when acts is None; returns the output layer's."""
+    mats, biases = params
     a, last = X, len(mats) - 1
     for i, (W, b) in enumerate(zip(mats, biases)):
         out = np.matmul(a, W, out=None if acts is None else acts[i])
@@ -124,7 +124,7 @@ def forward_batch(topology: NetworkTopology, weights, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != topology.input_size:
         raise ValueError(f"expected inputs of shape (n, {topology.input_size}), got {X.shape}")
-    return _forward(topology, weights, X)
+    return _forward(topology, unflatten(topology, weights), X)
 
 
 def forward(topology: NetworkTopology, weights, x):
@@ -132,7 +132,7 @@ def forward(topology: NetworkTopology, weights, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != topology.input_size:
         raise ValueError(f"expected {topology.input_size} inputs, got shape {x.shape}")
-    out = _forward(topology, weights, x[None, :])[0]
+    out = _forward(topology, unflatten(topology, weights), x[None, :])[0]
     return float(out[0]) if topology.output_size == 1 else out
 
 
@@ -152,10 +152,11 @@ def _check_batch(topology, X, y):
     return X, y
 
 
-def _mse(topology, weights, X, Y, acts, out) -> float:
-    """MSE of a batch checked by _check_batch: forward pass in acts, squared
-    errors in out (acts[-1] when the activations are not needed afterwards)."""
-    np.subtract(_forward(topology, weights, X, acts), Y, out=out)
+def _mse(topology, params, X, Y, acts, out) -> float:
+    """MSE of a batch checked by _check_batch, for unflatten's (mats, biases)
+    views: forward pass in acts, squared errors in out (acts[-1] when the
+    activations are not needed afterwards)."""
+    np.subtract(_forward(topology, params, X, acts), Y, out=out)
     return float(np.square(out, out=out).sum(dtype=np.float64)) / out.size  # np.mean's, in float64
 
 
@@ -163,13 +164,13 @@ def loss_mse(topology: NetworkTopology, weights, X, y) -> float:
     """Mean squared error of the forward pass over a batch."""
     X, Y = _check_batch(topology, X, y)
     acts = _workspace(topology, X.shape[0])
-    return _mse(topology, weights, X, Y, acts, acts[-1])
+    return _mse(topology, unflatten(topology, weights), X, Y, acts, acts[-1])
 
 
-def _backward(topology, weights, X, Y, acts, tmp) -> np.ndarray:
+def _backward(topology, params, X, Y, acts, tmp) -> np.ndarray:
     """Gradient of the batch MSE from the activations _forward left in acts;
     overwrites acts and tmp, a second workspace of the same shapes."""
-    mats, _ = unflatten(topology, weights)
+    mats, _ = params
     grad = np.empty(parameter_count(topology))
     grads_w, grads_b = unflatten(topology, grad)
     dact_h = _ACTIVATIONS[topology.hidden_activation][1]
@@ -193,9 +194,9 @@ def _backward(topology, weights, X, Y, acts, tmp) -> np.ndarray:
 def gradient(topology: NetworkTopology, weights, X, y) -> np.ndarray:
     """Exact gradient of the batch MSE with respect to the flat parameters."""
     X, Y = _check_batch(topology, X, y)
-    acts = _workspace(topology, X.shape[0])
-    _forward(topology, weights, X, acts)
-    return _backward(topology, weights, X, Y, acts, _workspace(topology, X.shape[0]))
+    acts, params = _workspace(topology, X.shape[0]), unflatten(topology, weights)
+    _forward(topology, params, X, acts)
+    return _backward(topology, params, X, Y, acts, _workspace(topology, X.shape[0]))
 
 
 class TrainingDivergedError(RuntimeError):
@@ -235,12 +236,13 @@ def train_backprop(
     X, Y = _check_batch(topology, X, y)
     acts, tmp = _workspace(topology, X.shape[0]), _workspace(topology, X.shape[0])
     w = init_weights(topology, cfg.seed)
+    params = unflatten(topology, w)  # views of w, which each epoch updates in place
     with np.errstate(over="ignore", invalid="ignore"):
         # each loss leaves in acts the forward pass the next gradient starts from
-        history = [_mse(topology, w, X, Y, acts, tmp[-1])]
+        history = [_mse(topology, params, X, Y, acts, tmp[-1])]
         for epoch in range(1, cfg.epochs + 1):
-            w = w - cfg.learning_rate * _backward(topology, w, X, Y, acts, tmp)
-            current = _mse(topology, w, X, Y, acts, tmp[-1])
+            w -= cfg.learning_rate * _backward(topology, params, X, Y, acts, tmp)
+            current = _mse(topology, params, X, Y, acts, tmp[-1])
             if not math.isfinite(current):
                 raise TrainingDivergedError(epoch, current)
             history.append(current)

@@ -13,13 +13,13 @@ reduced in member-index order, so results cannot depend on how objective
 evaluations are scheduled.
 
 PSO and GWO move the whole population at once as (population, dim)
-arrays, drawing member i's k variate vectors of a step as one vector into
-row i of a (population, k * dim) array: ``Generator.random(k * dim)`` is
-bit for bit the k consecutive ``random(dim)`` draws of a per-member loop.
-Their personal bests, global best and leaders are chosen by array
-reductions that break ties as a per-member loop does. BA stays a
-per-bat loop, because each flight reads a global best that the bats
-before it may have moved.
+arrays, drawing member i's k variate vectors of a step with one call:
+``Generator.random(k * dim)`` is bit for bit the k consecutive
+``random(dim)`` draws of a per-member loop. Their personal bests, global
+best and leaders are chosen by array reductions that break ties as a
+per-member loop does. BA flies every bat at once against the global best
+held at the start of an iteration; when bat i moves it, bats i + 1 onward
+are flown again, so every trajectory is still the per-member loop's.
 """
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ConfigBase, csv_text
-from .neuralnet import WEIGHT_BOUND, NetworkTopology, _check_batch, _mse, _workspace, parameter_count
+from .neuralnet import (WEIGHT_BOUND, NetworkTopology, _check_batch, _mse, _workspace, parameter_count,
+                        unflatten)
 
 Objective = Callable[[np.ndarray], float]
 
@@ -222,20 +223,19 @@ def pso_run(config: PsoConfig, dim: int, bound: float, objective: Objective) -> 
 def gwo_move(x, leaders, a, streams, bound: float, draws, out):
     """Move every wolf (row of x) toward the three leaders; returns out.
 
-    For each leader in turn, wolf i's stream yields the A-vector variates
-    then the C-vector variates, into row i of the (population, 2 * dim)
-    buffer draws. With a = 0 the update collapses onto the leader mean.
+    Wolf i's stream yields, in one call, the A-vector variates then the
+    C-vector variates of each leader in turn. They land in draws[:, :, i]
+    of a (3, 2, population, dim) buffer, so that each leader's coefficients
+    for the whole pack are contiguous. With a = 0 the update collapses onto
+    the leader mean.
     """
-    dim = x.shape[1]
-    coef_a, term = draws[:, :dim], draws[:, dim:]
+    for i, stream in enumerate(streams):
+        draws[:, :, i] = stream.random((3, 2, x.shape[1]))
     out.fill(0.0)
-    for leader in leaders:
-        for stream, row in zip(streams, draws):
-            stream.random(out=row)
+    for (coef_a, term), leader in zip(draws, leaders):
         coef_a *= 2.0 * a
         coef_a -= a
-        term *= 2.0
-        term *= leader
+        term *= 2.0 * leader  # the bits of (term * 2.0) * leader: doubling is exact
         term -= x
         np.abs(term, out=term)
         term *= coef_a
@@ -254,7 +254,7 @@ def gwo_run(config: GwoConfig, dim: int, bound: float, objective: Objective) -> 
     """
     streams, x = _start(config, dim, bound)
     moved = np.empty_like(x)
-    draws = np.empty((config.population, 2 * dim))
+    draws = np.empty((3, 2, config.population, dim))
     leaders, leader_f = np.empty((3, dim)), np.full(3, math.inf)
     history, evaluations = [], 0
 
@@ -272,14 +272,21 @@ def gwo_run(config: GwoConfig, dim: int, bound: float, objective: Objective) -> 
     return OptimizationTrace(np.array(history), leaders[0], evaluations)
 
 
-def ba_flight(x, v, gbest, frequency, vmax, bound: float):
-    """One bat's frequency-scaled flight; returns (candidate, new velocity).
+def ba_flight(x, v, gbest, frequency, vmax, bound: float, steps, walking, v_out, out):
+    """Fly a block of bats (rows of x) against the global best, in place.
 
-    A bat sitting at the global best with zero velocity stays put for any
-    frequency.
+    Row i of v_out gets bat i's frequency-scaled velocity and row i of out
+    its candidate: the flight's, or, where walking[i] is set, a local walk
+    from the global best by the scaled offsets steps[i]. A bat sitting at
+    the global best with zero velocity stays put for any frequency.
     """
-    v_new = np.clip(v + (x - gbest) * frequency, -vmax, vmax)
-    return np.clip(x + v_new, -bound, bound), v_new
+    np.subtract(x, gbest, out=v_out)
+    v_out *= frequency[:, None]
+    v_out += v
+    np.clip(v_out, -vmax, vmax, out=v_out)
+    np.clip(np.add(x, v_out, out=out), -bound, bound, out=out)
+    if walking.any():
+        out[walking] = np.clip(gbest + steps[walking], -bound, bound)
 
 
 def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> OptimizationTrace:
@@ -292,11 +299,20 @@ def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> Op
     the mean loudness. A candidate replaces the bat's position only when
     the acceptance draw falls below the bat's loudness AND the fitness
     improves; each acceptance decays the loudness by alpha and resets the
-    pulse rate to pulse_rate * (1 - exp(-gamma * t)). The global best
-    tracks every evaluated candidate, so the bats fly one at a time.
+    pulse rate to pulse_rate * (1 - exp(-gamma * t)).
+
+    The global best tracks every evaluated candidate, and each bat flies
+    against the global best as the bats before it left it. A bat's draws
+    depend only on its own stream and pulse rate, so each iteration draws
+    them all first, flies every bat against the global best held at its
+    start, and evaluates the candidates in bat order; when bat i moves the
+    global best, bats i + 1 onward are flown again against the new one.
     """
     streams, x = _start(config, dim, bound)
-    v = np.zeros_like(x)
+    v, v_new, candidates = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
+    steps = np.zeros_like(x)
+    walking = np.zeros(config.population, dtype=bool)
+    draws = np.empty((config.population, 3))  # frequency, trigger and acceptance variates
     vmax = config.velocity_clamp * 2.0 * bound
     loudness = np.full(config.population, config.loudness)
     pulse = np.full(config.population, config.pulse_rate)
@@ -311,14 +327,17 @@ def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> Op
     for t in range(1, config.iterations + 1):
         mean_loudness = float(loudness.mean())
         for i, rng in enumerate(streams):
-            frequency = config.f_min + (config.f_max - config.f_min) * rng.random()
-            candidate, v[i] = ba_flight(x[i], v[i], gbest, frequency, vmax, bound)
-            if rng.random() < pulse[i]:
-                walk = rng.uniform(-1.0, 1.0, dim)
-                candidate = np.clip(gbest + walk * mean_loudness, -bound, bound)
+            rng.random(out=draws[i, :2])
+            walking[i] = draws[i, 1] < pulse[i]
+            if walking[i]:
+                np.multiply(rng.uniform(-1.0, 1.0, dim), mean_loudness, out=steps[i])
+            draws[i, 2] = rng.random()
+        frequency = config.f_min + (config.f_max - config.f_min) * draws[:, 0]
+        ba_flight(x, v, gbest, frequency, vmax, bound, steps, walking, v_new, candidates)
+        for i, candidate in enumerate(candidates):
             f = _checked(objective, candidate, t, i)
             evaluations += 1
-            if rng.random() < loudness[i] and f < fitness[i]:  # the acceptance draw is always made
+            if draws[i, 2] < loudness[i] and f < fitness[i]:
                 x[i] = candidate
                 fitness[i] = f
                 loudness[i] *= config.alpha
@@ -327,6 +346,10 @@ def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> Op
             if f < gbest_f:
                 gbest_f = f
                 gbest = candidate.copy()
+                rest = slice(i + 1, None)
+                ba_flight(x[rest], v[rest], gbest, frequency[rest], vmax, bound, steps[rest],
+                          walking[rest], v_new[rest], candidates[rest])
+        v, v_new = v_new, v
         history.append(gbest_f)
     return OptimizationTrace(np.array(history), gbest, evaluations,
                              loudness=loudness, acceptances=acceptances)
@@ -336,21 +359,23 @@ def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
     """MSE of forward-pass predictions on a fixed normalized training set.
 
     A fitness only ranks candidates, so the forward pass runs in float32:
-    the training set is checked and cast once, here, each position is copied
-    into a float32 weight buffer, and the squared errors are summed in
-    float64. The objective owns its scratch buffers, so a call allocates no
-    batch-sized array: it is deterministic and invariant to the order of the
-    training rows, but not re-entrant across threads.
+    the training set is checked and cast once, here, and so are the per-layer
+    views of a float32 weight buffer; each call copies the position into that
+    buffer, and the squared errors are summed in float64. The objective owns
+    its scratch buffers, so a call allocates no batch-sized array: it is
+    deterministic and invariant to the order of the training rows, but not
+    re-entrant across threads.
     """
     X, Y = (a.astype(np.float32) for a in _check_batch(topology, X, y))
     acts = _workspace(topology, X.shape[0], np.float32)
     w = np.empty(parameter_count(topology), np.float32)
+    params = unflatten(topology, w, np.float32)  # views of w
 
     def objective(position: np.ndarray) -> float:
         if np.shape(position) != w.shape:  # copyto would broadcast a scalar
             raise ValueError(f"weight vector has length {np.size(position)}, topology needs {w.size}")
         np.copyto(w, position)
-        return _mse(topology, w, X, Y, acts, acts[-1])
+        return _mse(topology, params, X, Y, acts, acts[-1])
 
     return objective
 

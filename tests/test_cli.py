@@ -201,8 +201,19 @@ class TestTrain:
                      "--train-fraction", fraction, "--out", str(tmp_path), "--quiet"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: train_fraction") and err.count("\n") == 1
+        assert err == f"error: --train-fraction must lie in (0, 1], got {float(fraction)}\n"
         assert not (tmp_path / "model_ann.json").exists()
+
+    def test_train_fraction_one_uses_every_record(self, dataset_csv, tmp_path, capsys):
+        argv = ["train", dataset_csv, "--model", "ann", "--iterations", "3", "--neurons", "3"]
+        assert main(argv + ["--train-fraction", "1.0", "--out", str(tmp_path / "one")]) == 0
+        records = parse_dataset(dataset_csv)
+        out = capsys.readouterr().out
+        assert f"on {len(records)} records" in out and "using" not in out
+        assert main(argv + ["--out", str(tmp_path / "default"), "--quiet"]) == 0
+        model = (tmp_path / "one" / "model_ann.json").read_bytes()
+        assert model == (tmp_path / "default" / "model_ann.json").read_bytes()
+        assert load_model(tmp_path / "one" / "model_ann.json").normalization == fit_normalizer(records)
 
     def test_same_model_as_train_model(self, synth_csv, tmp_path):
         out = tmp_path / "run"
@@ -383,7 +394,7 @@ VALID_INPUT = "d=150,h=300,nt=0.334,ef=231,fco=16.5,eco=0.2,ecc=1.1"
 # sweep --fix may not name the swept variable: the sweeps run over ef and fix the rest
 VALID_FIX = VALID_INPUT.replace("ef=231,", "")
 # values a CSV row may not hold, and the record rule each breaks
-BAD_INPUTS = [
+BAD_RECORD_VALUES = [
     ("d=-150,h=300", "field 'd' must be positive and finite, got -150.0"),
     ("fco=0", "field 'fco' must be positive and finite, got 0.0"),
     ("nt=-0.334", "field 'nt' must be positive and finite, got -0.334"),
@@ -397,7 +408,7 @@ BAD_INPUTS = [
 
 
 @pytest.mark.parametrize("command", ["predict", "sweep"])
-@pytest.mark.parametrize("values,message", BAD_INPUTS)
+@pytest.mark.parametrize("values,message", BAD_RECORD_VALUES)
 def test_input_held_to_record_rules(command, values, message, tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_DOC))
@@ -585,7 +596,7 @@ GOOD_CONFIGS = {
                 "models": {"pso": {"population": 4, "iterations": 3}}},
     "train": {"population": 4, "iterations": 3},
 }
-BAD_INPUTS = [
+BAD_CONFIGS = [
     ("compare", {"hidden_neurons": "5"}),
     ("compare", {"seed": math.nan}),
     ("compare", 5),
@@ -615,7 +626,7 @@ def test_good_configs_run(command, dataset_csv, tmp_path, capsys):
     assert _run_config(command, GOOD_CONFIGS[command], dataset_csv, tmp_path) == 0
 
 
-@pytest.mark.parametrize("command, bad", BAD_INPUTS)
+@pytest.mark.parametrize("command, bad", BAD_CONFIGS)
 def test_bad_config_exit_2_without_traceback(command, bad, dataset_csv, tmp_path, capsys):
     data = {**GOOD_CONFIGS[command], **bad} if isinstance(bad, dict) else bad
     assert _run_config(command, data, dataset_csv, tmp_path) == 2

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfrpnet import neuralnet
+from cfrpnet import neuralnet, optimizers
 from cfrpnet.neuralnet import (WEIGHT_BOUND, NetworkTopology, _check_batch, _mse, _workspace, forward,
-                               gradient, loss_mse, parameter_count)
+                               gradient, loss_mse, parameter_count, unflatten)
 from cfrpnet.optimizers import (
     BaConfig,
     GwoConfig,
@@ -47,7 +47,8 @@ def float32_mse(topology, w, X, y):
     inputs: what the swarm objective computes."""
     X, Y = (a.astype(np.float32) for a in _check_batch(topology, X, y))
     acts = _workspace(topology, X.shape[0], np.float32)
-    return _mse(topology, np.asarray(w).astype(np.float32), X, Y, acts, acts[-1])
+    params = unflatten(topology, np.asarray(w).astype(np.float32), np.float32)
+    return _mse(topology, params, X, Y, acts, acts[-1])
 
 
 def small_configs():
@@ -190,7 +191,7 @@ class TestPsoUpdate:
 class TestGwoUpdate:
     def _move(self, wolves, leaders, seed):
         streams = _streams(seed, len(wolves))
-        draws = np.empty((len(wolves), 2 * wolves.shape[1]))
+        draws = np.empty((3, 2, *wolves.shape))  # 6 * dim variates per wolf
         return gwo_move(wolves, leaders, 0.0, streams, HALF, draws,
                         np.empty_like(wolves))
 
@@ -277,6 +278,53 @@ def reference_gwo_run(config, dim, half, objective):
     return OptimizationTrace(np.array(history), leaders[0][1], evaluations)
 
 
+def reference_ba_flight(x, v, gbest, frequency, vmax, bound):
+    """One bat's frequency-scaled flight; returns (candidate, new velocity)."""
+    v_new = np.clip(v + (x - gbest) * frequency, -vmax, vmax)
+    return np.clip(x + v_new, -bound, bound), v_new
+
+
+def reference_ba_run(config, dim, bound, objective):
+    """Per-bat BA loop: each bat draws, flies against the global best as the
+    bats before it left it, and is evaluated in turn."""
+    streams = _streams(config.seed, config.population)
+    x = np.array([s.uniform(-bound, bound, dim) for s in streams])
+    v = np.zeros_like(x)
+    vmax = config.velocity_clamp * 2.0 * bound
+    loudness = np.full(config.population, config.loudness)
+    pulse = np.full(config.population, config.pulse_rate)
+    acceptances = np.zeros(config.population, dtype=int)
+
+    fitness = np.array([float(objective(x[i])) for i in range(config.population)])
+    evaluations = len(fitness)
+    g = int(np.argmin(fitness))
+    gbest, gbest_f = x[g].copy(), float(fitness[g])
+    history = [gbest_f]
+
+    for t in range(1, config.iterations + 1):
+        mean_loudness = float(loudness.mean())
+        for i, rng in enumerate(streams):
+            frequency = config.f_min + (config.f_max - config.f_min) * rng.random()
+            candidate, v[i] = reference_ba_flight(x[i], v[i], gbest, frequency, vmax, bound)
+            if rng.random() < pulse[i]:
+                walk = rng.uniform(-1.0, 1.0, dim)
+                candidate = np.clip(gbest + walk * mean_loudness, -bound, bound)
+            f = float(objective(candidate))
+            evaluations += 1
+            if rng.random() < loudness[i] and f < fitness[i]:  # the acceptance draw is always made
+                x[i] = candidate
+                fitness[i] = f
+                loudness[i] *= config.alpha
+                pulse[i] = config.pulse_rate * (1.0 - math.exp(-config.gamma * t))
+                acceptances[i] += 1
+            if f < gbest_f:
+                gbest_f = f
+                gbest = candidate.copy()
+        history.append(gbest_f)
+    return OptimizationTrace(np.array(history), gbest, evaluations,
+                             loudness=loudness, acceptances=acceptances)
+
+
 def shifted_sphere(x):
     # minimum at 0.3 in every coordinate: outside the box [-0.2, 0.2], so clipping is active
     return float(np.sum((x - 0.3) ** 2))
@@ -319,6 +367,50 @@ class TestVectorisedMatchesPerMemberLoop:
         assert np.array_equal(got.best_position, want.best_position)
         assert got.evaluations == want.evaluations
 
+    @staticmethod
+    def assert_ba_matches(cfg, dim, half, objective):
+        got = ba_run(cfg, dim, half, objective)
+        want = reference_ba_run(cfg, dim, half, objective)
+        assert np.array_equal(got.best_fitness, want.best_fitness)
+        assert np.array_equal(got.best_position, want.best_position)
+        assert got.evaluations == want.evaluations
+        assert np.array_equal(got.loudness, want.loudness)
+        assert np.array_equal(got.acceptances, want.acceptances)
+
+    @pytest.mark.parametrize("seed", [0, 4, 9, 23])
+    @pytest.mark.parametrize("problem", ["sphere", "shifted_sphere", "rounded_sphere", "dataset"])
+    def test_ba(self, problem, seed):
+        if problem == "dataset":
+            topology = NetworkTopology(3, (4,), 1)
+            rng = np.random.default_rng(12)
+            objective = objective_from_dataset(topology, rng.uniform(0.1, 0.9, (20, 3)),
+                                               rng.uniform(0.1, 0.9, 20))
+            dim, half = parameter_count(topology), WEIGHT_BOUND
+        else:
+            objective, dim, half = {"sphere": (sphere, 4, 5.12), "shifted_sphere": (shifted_sphere, 6, 0.2),
+                                    "rounded_sphere": (rounded_sphere, 3, 0.5)}[problem]
+        self.assert_ba_matches(BaConfig(population=10, iterations=25, seed=seed), dim, half, objective)
+
+    @pytest.mark.parametrize("pulse_rate", [0.0, 1.0])
+    def test_ba_pulse_rate_extremes(self, pulse_rate):
+        # 0.0: every bat flies; 1.0: every bat walks, so only its velocity comes from the flight
+        cfg = BaConfig(population=9, iterations=25, seed=7, pulse_rate=pulse_rate)
+        self.assert_ba_matches(cfg, 5, 2.0, sphere)
+
+    def test_ba_reflies_after_a_mid_iteration_best(self, monkeypatch):
+        # a bat that moves the global best sends the bats after it on a second flight
+        blocks, real_flight = [], optimizers.ba_flight
+
+        def spy(x, *args):
+            blocks.append(len(x))
+            return real_flight(x, *args)
+
+        monkeypatch.setattr(optimizers, "ba_flight", spy)
+        cfg = BaConfig(population=12, iterations=25, seed=3)
+        self.assert_ba_matches(cfg, 4, HALF, sphere)
+        assert blocks.count(cfg.population) == cfg.iterations
+        assert any(0 < n < cfg.population for n in blocks)
+
     def test_clipping_is_exercised(self):
         # the shifted-sphere cases end on the box face, where only clipping keeps them
         for run, cfg in ((pso_run, PsoConfig(population=9, iterations=25, seed=7)),
@@ -329,10 +421,14 @@ class TestVectorisedMatchesPerMemberLoop:
 
 class TestBaUpdate:
     def test_stationary_at_global_best(self):
+        # bats sitting at the global best with zero velocity stay put for any frequency
         gbest = np.array([0.1, 0.2])
-        x, v = ba_flight(gbest.copy(), np.zeros(2), gbest, 1.7, np.full(2, 1.0), HALF)
-        assert np.array_equal(x, gbest)
-        assert np.array_equal(v, np.zeros(2))
+        x, v = np.tile(gbest, (3, 1)), np.zeros((3, 2))
+        v_out, out = np.full_like(x, np.nan), np.full_like(x, np.nan)
+        ba_flight(x, v, gbest, np.array([0.0, 1.7, 2.0]), np.full(2, 1.0), HALF,
+                  np.zeros_like(x), np.zeros(3, dtype=bool), v_out, out)
+        assert np.array_equal(out, x)
+        assert np.array_equal(v_out, np.zeros_like(x))
 
     def test_loudness_geometric_decay(self):
         cfg = BaConfig(population=10, iterations=80, seed=5)
@@ -343,7 +439,7 @@ class TestBaUpdate:
         assert trace.acceptances.sum() > 0
 
     def test_pinned_sphere_run(self):
-        # BA has no reference loop: a small run pinned to the values of the array-box version
+        # a small run pinned to the values of the array-box version
         trace = ba_run(BaConfig(population=6, iterations=20, seed=4), 4, HALF, sphere)
         assert trace.best_fitness[0] == 11.770849027235725
         assert trace.final_fitness == 0.22949788218087352
@@ -422,7 +518,7 @@ class TestObjectiveFromDataset:
             # loss_mse stays the float64 kernel; the float32 ranking agrees with it closely
             acts64 = _workspace(topology, 17)
             loss = loss_mse(topology, w, X, y)
-            assert loss == _mse(topology, w, X64, Y64, acts64, acts64[-1])
+            assert loss == _mse(topology, unflatten(topology, w), X64, Y64, acts64, acts64[-1])
             assert objective(w) == pytest.approx(loss, rel=REL32)
 
     def test_repeated_and_interleaved_calls(self):
@@ -459,41 +555,48 @@ class TestObjectiveFromDataset:
 
     def test_computes_in_float32(self, monkeypatch):
         # np.asarray(weights, dtype=float) anywhere on the path would silently compute in
-        # float64: every weight view and activation the objective's kernel sees is float32
+        # float64: every weight view, input, workspace and output the objective's kernel
+        # sees is float32, and the views are taken once, when the objective is made
         topology = NetworkTopology(3, (5, 4), 1)
         rng = np.random.default_rng(11)
         X, y = rng.uniform(0.1, 0.9, (13, 3)), rng.uniform(0.1, 0.9, 13)
         w = rng.uniform(-0.5, 0.5, parameter_count(topology))
-        seen, outputs = [], []
+        views, seen, outputs = [], [], []
         real_unflatten, real_forward = neuralnet.unflatten, neuralnet._forward
 
         def spy_unflatten(*args):
             mats, biases = real_unflatten(*args)
-            seen.extend(mats + biases)
+            views.extend(mats + biases)
             return mats, biases
 
-        def spy_forward(topology, weights, X, acts=None):
-            out = real_forward(topology, weights, X, acts)
-            seen.extend([weights, X, *(acts or [])])
+        def spy_forward(topology, params, X, acts=None):
+            out = real_forward(topology, params, X, acts)
+            seen.extend([*params[0], *params[1], X, *(acts or [])])
             outputs.append(out.copy())  # _mse then overwrites out with the squared errors
             return out
 
-        monkeypatch.setattr(neuralnet, "unflatten", spy_unflatten)
+        for module in (neuralnet, optimizers):
+            monkeypatch.setattr(module, "unflatten", spy_unflatten)
         monkeypatch.setattr(neuralnet, "_forward", spy_forward)
-        fitness = objective_from_dataset(topology, X, y)(w)
-        assert len(seen) == 6 + 2 + 3 and len(outputs) == 1
-        assert {a.dtype for a in seen + outputs} == {np.dtype(np.float32)}
+        objective = objective_from_dataset(topology, X, y)
+        assert len(views) == 6 and not seen
+        fitness = objective(w)
+        assert objective(w) == fitness
+        assert len(views) == 6 and len(seen) == 2 * (6 + 1 + 3) and len(outputs) == 2
+        # both calls run on the views bound when the objective was made
+        assert [id(a) for a in seen[:6]] == [id(a) for a in seen[10:16]] == [id(a) for a in views]
+        assert {a.dtype for a in views + seen + outputs} == {np.dtype(np.float32)}
         # float32 squared errors, summed in float64
         errors = outputs[0] - y.astype(np.float32)[:, None]
         assert fitness == np.square(errors).astype(np.float64).sum() / errors.size
         # backprop and serving stay float64
-        seen.clear()
-        outputs.clear()
+        for spied in (views, seen, outputs):
+            spied.clear()
         loss_mse(topology, w, X, y)
         gradient(topology, w, X, y)
         forward(topology, w, X[0])
         neuralnet.forward_batch(topology, w, X)
-        assert seen and {a.dtype for a in seen + outputs} == {np.dtype(np.float64)}
+        assert views and seen and {a.dtype for a in views + seen + outputs} == {np.dtype(np.float64)}
 
 
 class TestTrainHybrid:
