@@ -2,8 +2,10 @@
 
 Subcommands: stats, validate, train, evaluate, predict, compare, sweep,
 synth. Exit codes: 0 success, 2 usage or validation failure, 3 runtime or
-numeric failure. Every randomized subcommand takes --seed (default 0, the
-effective value is printed), never the wall clock.
+numeric failure. Each subcommand takes only the flags it reads; any other
+exits 2. The randomized ones (train, compare, synth) take --seed and print
+the seed they use, never the wall clock: for train and compare a given
+--seed overrides the config's seed, and synth defaults to 0.
 """
 from __future__ import annotations
 
@@ -56,10 +58,6 @@ EXIT_RUNTIME = 3
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
-
-
-def _effective_seed(args) -> int:
-    return 0 if args.seed is None else args.seed
 
 
 def _load_json(path) -> dict:
@@ -303,42 +301,47 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = _effective_seed(args)
-    records = synth_dataset(args.n, seed, args.noise)
+    records = synth_dataset(args.n, args.seed, args.noise)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synth.csv"
     write_text(path, records_to_csv(records))
-    _say(args, f"wrote {len(records)} records to {path} (seed {seed}, noise {args.noise:g})")
+    _say(args, f"wrote {len(records)} records to {path} (seed {args.seed}, noise {args.noise:g})")
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (non-negative; default 0)")
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="stdout format")
-    common.add_argument("--out", metavar="DIR", default=None,
-                        help="directory for report files")
-    common.add_argument("--quiet", action="store_true", help="suppress informational output")
-
     parser = argparse.ArgumentParser(
         prog="cfrpnet",
         description="Predict the axial strength of CFRP-confined concrete cylinders.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[common],
-                       help="summary statistics and correlation matrix of a dataset")
+    def command(name, handler, summary, formats=(), reports=False, seed=None):
+        """A subcommand with only the shared flags its handler reads: --format
+        when ``formats`` names its choices, --out and --quiet when it
+        ``reports``, and --seed when ``seed`` is a (default, help) pair."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        if seed:
+            p.add_argument("--seed", type=int, default=seed[0], help=seed[1])
+        if formats:
+            p.add_argument("--format", choices=formats, default="text", help="stdout format")
+        if reports:
+            p.add_argument("--out", metavar="DIR", default=None,
+                           help="directory for report files")
+            p.add_argument("--quiet", action="store_true", help="suppress informational output")
+        return p
+
+    config_seed = (None, "random seed (non-negative); overrides the config's seed (default 0)")
+    p = command("stats", cmd_stats, "summary statistics and correlation matrix of a dataset",
+                formats=("text", "json", "csv"), reports=True)
     p.add_argument("dataset", help="CSV dataset path")
-    p.set_defaults(handler=cmd_stats)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="flag records outside the reference ranges")
+    p = command("validate", cmd_validate, "flag records outside the reference ranges",
+                formats=("text", "json"))
     p.add_argument("dataset")
-    p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("train", parents=[common], help="train one prediction model")
+    p = command("train", cmd_train, "train one prediction model", reports=True, seed=config_seed)
     p.add_argument("dataset")
     p.add_argument("--model", choices=TRAINABLE_MODELS, required=True)
     p.add_argument("--config", help="JSON file with optimizer/trainer settings")
@@ -349,43 +352,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neurons", type=int, default=50, help="hidden layer width")
     p.add_argument("--train-fraction", type=float, default=1.0,
                    help="fraction of the file used for training (default: all of it)")
-    p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="score a trained model against a dataset")
+    p = command("evaluate", cmd_evaluate, "score a trained model against a dataset",
+                formats=("text", "json"), reports=True)
     p.add_argument("model", help="model JSON path")
     p.add_argument("dataset")
-    p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("predict", parents=[common],
-                       help="single-specimen prediction from a trained model")
+    p = command("predict", cmd_predict, "single-specimen prediction from a trained model",
+                formats=("text", "json"))
     p.add_argument("model", help="model JSON path")
     p.add_argument("--input", required=True,
                    help='comma-separated name=value pairs, e.g. "d=150,h=300,nt=0.334,'
                         'ef=231,fco=16.5,eco=0.2,ecc=1.1"')
-    p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="train and score a whole model roster on one shared split")
+    p = command("compare", cmd_compare, "train and score a whole model roster on one shared split",
+                formats=("text", "json", "csv"), reports=True, seed=config_seed)
     p.add_argument("--config", required=True, help="experiment config JSON path")
-    p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="predict over a grid in one input variable")
+    p = command("sweep", cmd_sweep, "predict over a grid in one input variable",
+                formats=("text", "json"), reports=True)
     p.add_argument("model", help="model JSON path")
     p.add_argument("--var", choices=SWEEP_VARIABLES, required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--fix", help="fixed values as name=value pairs (default: range midpoints)")
-    p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic dataset with known ground truth")
+    p = command("synth", cmd_synth, "generate a synthetic dataset with known ground truth",
+                reports=True, seed=(0, "random seed (non-negative; default 0)"))
     p.add_argument("--n", type=int, default=708)
     p.add_argument("--noise", type=float, default=0.02,
                    help="multiplicative label noise fraction")
-    p.set_defaults(handler=cmd_synth)
     return parser
 
 

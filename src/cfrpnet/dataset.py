@@ -253,6 +253,13 @@ def parse_dataset(source) -> list[SpecimenRecord]:
 
 def _parse_rows(reader) -> list[SpecimenRecord]:
     try:
+        return _read_records(reader)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise DatasetFormatError(str(exc), row=reader.line_num) from None
+
+
+def _read_records(reader) -> list[SpecimenRecord]:
+    try:
         header = [c.strip() for c in next(reader)]
     except StopIteration:
         raise DatasetFormatError("empty input: missing header") from None

@@ -12,7 +12,7 @@ import dataclasses
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -212,12 +212,6 @@ class ComparisonTable:
 
     rows: list[ComparisonRow]
     errors: dict[str, str]
-
-    def row(self, model: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.model == model:
-                return r
-        raise KeyError(model)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -448,58 +442,3 @@ def parametric_sweep(predictor, spec: SweepSpec) -> SweepGrid:
     return SweepGrid(var=spec.var, values=values, fixed=base,
                      predictions=predictions, percent_change=float(percent),
                      warnings=list(warnings))
-
-
-@dataclass
-class RatioDistribution:
-    """Distribution of experimental over predicted strength-gain ratios."""
-
-    ratios: np.ndarray
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    mean: float
-    stdev: float
-    excluded: int
-
-    def to_csv(self) -> str:
-        return csv_text(("bin_lo", "bin_hi", "count"),
-                        zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts))
-
-
-def ratio_distribution(
-    predict: Callable[[SpecimenRecord], float],
-    records: Sequence[SpecimenRecord],
-    bins: int = 10,
-) -> RatioDistribution:
-    """Histogram of (fcc/fco) experimental over (fcc/fco) predicted.
-
-    ``predict`` maps one record to a predicted strength in MPa. Records
-    with non-positive predictions are excluded and counted. The bin edges
-    span [min ratio, max ratio] exactly.
-    """
-    if not records:
-        raise ValueError("ratio_distribution requires at least one record")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    ratios = []
-    excluded = 0
-    for r in records:
-        predicted = float(predict(r))
-        if predicted <= 0.0:
-            excluded += 1
-            continue
-        ratios.append((r.fcc / r.fco) / (predicted / r.fco))
-    if not ratios:
-        raise ValueError("no usable predictions: every record was excluded")
-    arr = np.asarray(ratios, dtype=float)
-    lo, hi = float(arr.min()), float(arr.max())
-    edges = np.linspace(lo, hi, bins + 1)
-    if np.all(np.diff(edges) > 0.0):
-        counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
-    else:
-        # a (near-)degenerate spread cannot carry `bins` distinct edges
-        pad = max(0.5, abs(lo) * 1e-9)
-        counts, edges = np.histogram(arr, bins=bins, range=(lo - pad, hi + pad))
-    stdev = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    return RatioDistribution(ratios=arr, bin_edges=edges, counts=counts,
-                             mean=float(arr.mean()), stdev=stdev, excluded=excluded)

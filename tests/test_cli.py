@@ -1,12 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from cfrpnet.cli import main
+from cfrpnet.cli import build_parser, main
 from cfrpnet.dataset import (
     DEFAULT_FEATURES,
+    DatasetFormatError,
     FeatureRange,
     NormalizationSpec,
     SpecimenRecord,
@@ -64,12 +66,76 @@ def _doubling_dataset(tmp_path):
     return str(path)
 
 
+# The shared flags each subcommand reads, its own flags, and a minimal valid argv.
+SHARED_FLAGS = {
+    "stats": ("--format", "--out", "--quiet"),
+    "validate": ("--format",),
+    "train": ("--seed", "--out", "--quiet"),
+    "evaluate": ("--format", "--out", "--quiet"),
+    "predict": ("--format",),
+    "compare": ("--seed", "--format", "--out", "--quiet"),
+    "sweep": ("--format", "--out", "--quiet"),
+    "synth": ("--seed", "--out", "--quiet"),
+}
+OWN_FLAGS = {
+    "stats": (),
+    "validate": (),
+    "train": ("--model", "--config", "--iterations", "--population", "--neurons", "--train-fraction"),
+    "evaluate": (),
+    "predict": ("--input",),
+    "compare": ("--config",),
+    "sweep": ("--var", "--from", "--to", "--steps", "--fix"),
+    "synth": ("--n", "--noise"),
+}
+MINIMAL_ARGV = {
+    "stats": ["stats", "data.csv"],
+    "validate": ["validate", "data.csv"],
+    "train": ["train", "data.csv", "--model", "pso"],
+    "evaluate": ["evaluate", "model.json", "data.csv"],
+    "predict": ["predict", "model.json", "--input", "fco=40"],
+    "compare": ["compare", "--config", "config.json"],
+    "sweep": ["sweep", "model.json", "--var", "fco", "--from", "5", "--to", "50"],
+    "synth": ["synth"],
+}
+# each shared flag as given on the command line, and the attribute it parses to
+SHARED_FLAG_ARGS = {
+    "--seed": (["--seed", "4"], "seed", 4),
+    "--format": (["--format", "json"], "format", "json"),
+    "--out": (["--out", "DIR"], "out", "DIR"),
+    "--quiet": (["--quiet"], "quiet", True),
+}
+
+
+def _assert_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
 class TestHelp:
-    @pytest.mark.parametrize("command", ["stats", "validate", "train", "evaluate",
-                                         "predict", "compare", "sweep", "synth"])
-    def test_subcommand_help_exits_zero(self, command, capsys):
+    @pytest.mark.parametrize("command", sorted(SHARED_FLAGS))
+    def test_subcommand_help_lists_exactly_its_flags(self, command, capsys):
         assert main([command, "--help"]) == 0
-        assert "--seed" in capsys.readouterr().out
+        listed = set(re.findall(r"^ +(?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M))
+        assert listed == {"--help", *SHARED_FLAGS[command], *OWN_FLAGS[command]}
+
+    @pytest.mark.parametrize("command", sorted(SHARED_FLAGS))
+    @pytest.mark.parametrize("flag", sorted(SHARED_FLAG_ARGS))
+    def test_shared_flag_parses_only_where_read(self, command, flag, capsys):
+        given, dest, value = SHARED_FLAG_ARGS[flag]
+        argv = MINIMAL_ARGV[command] + given
+        if flag in SHARED_FLAGS[command]:
+            assert getattr(build_parser().parse_args(argv), dest) == value
+        else:
+            _assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("command", [c for c in sorted(SHARED_FLAGS) if "--format" in SHARED_FLAGS[c]])
+    def test_csv_format_only_where_printed(self, command, capsys):
+        argv = MINIMAL_ARGV[command] + ["--format", "csv"]
+        if command in ("stats", "compare"):
+            assert build_parser().parse_args(argv).format == "csv"
+        else:
+            _assert_usage_error(argv, capsys)
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -98,6 +164,17 @@ class TestStats:
         path.write_text("d_mm,h_mm,nt_mm,ef_gpa,fco_mpa,eco_pct,ecc_pct\n")
         assert main(["stats", str(path)]) == 2
         assert "fcc_mpa" in capsys.readouterr().err
+
+    def test_oversized_cell_exit_2(self, tmp_path, capsys):
+        # a cell over the csv module's field size limit (131,072 characters)
+        path = tmp_path / "big.csv"
+        path.write_text("d_mm,h_mm,nt_mm,ef_gpa,fco_mpa,eco_pct,ecc_pct,fcc_mpa\n"
+                        "150,300,0.5,231,30,0.2,1.2," + "4" * 200_000 + "\n")
+        with pytest.raises(DatasetFormatError, match="field larger than field limit"):
+            parse_dataset(path)
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "row 2" in err and "Traceback" not in err
 
     def test_bad_row_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -119,6 +119,21 @@ def _parse_outcome(source):
         return (str(exc), exc.row, exc.column)
 
 
+class TestParseAnyText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(alphabet='0123456789.,-+eE"\r\n infa'), st.booleans())
+    def test_records_or_value_error(self, body, as_bytes):
+        # the canonical header and any body, as text or as UTF-8 bytes
+        text = f"{HEADER}\n{body}"
+        source = text.encode("utf-8") if as_bytes else io.StringIO(text, newline="")
+        try:
+            records = parse_dataset(source)
+        except ValueError:
+            return
+        assert isinstance(records, list)
+        assert all(isinstance(r, SpecimenRecord) for r in records)
+
+
 class TestParseSources:
     """A path streams through open(); bytes and file objects are read whole.
     The same bytes must give the same records or the same error either way."""

@@ -14,7 +14,6 @@ from cfrpnet.experiment import (
     SynthSpec,
     model_seed,
     parametric_sweep,
-    ratio_distribution,
     run_experiment,
     synth_dataset,
 )
@@ -148,8 +147,9 @@ class TestRunExperiment:
         records = synth_dataset(120, seed=8, noise_fraction=0.02)
         result = run_experiment(ExperimentConfig(roster=("lam_teng", "miyauchi"), seed=8),
                                 records=records)
-        assert result.comparison.row("lam_teng").r_squared > 0.99
-        assert result.comparison.row("miyauchi").r_squared > 0.9
+        rows = {r.model: r for r in result.comparison.rows}
+        assert rows["lam_teng"].r_squared > 0.99
+        assert rows["miyauchi"].r_squared > 0.9
 
     def test_shared_split_sizes(self):
         records = synth_dataset(80, seed=9)
@@ -309,53 +309,6 @@ class TestParametricSweep:
         lines = grid.to_csv().strip().split("\n")
         assert lines[0] == "fco,prediction_mpa"
         assert len(lines) == 4
-
-
-class TestRatioDistribution:
-    def test_perfect_model(self):
-        records = make_records(30, seed=16)
-        dist = ratio_distribution(lambda r: r.fcc, records)
-        assert np.allclose(dist.ratios, 1.0)
-        assert dist.stdev == 0.0
-        assert dist.mean == pytest.approx(1.0, rel=1e-12)
-        assert dist.excluded == 0
-
-    def test_constant_factor_bias(self):
-        records = make_records(30, seed=17)
-        dist = ratio_distribution(lambda r: 2.0 * r.fcc, records)
-        assert np.allclose(dist.ratios, 0.5)
-
-    def test_bin_edges_cover_extremes(self):
-        records = make_records(50, seed=18)
-        rng = np.random.default_rng(0)
-        factors = rng.uniform(0.8, 1.2, len(records))
-        table = {id(r): f for r, f in zip(records, factors)}
-        dist = ratio_distribution(lambda r: table[id(r)] * r.fcc, records, bins=7)
-        assert dist.bin_edges[0] == dist.ratios.min()
-        assert dist.bin_edges[-1] == dist.ratios.max()
-        assert dist.counts.sum() == len(records)
-
-    def test_non_positive_predictions_excluded(self):
-        records = make_records(10, seed=19)
-        bad = {id(records[0]), id(records[3])}
-        dist = ratio_distribution(lambda r: -1.0 if id(r) in bad else r.fcc, records)
-        assert dist.excluded == 2
-        assert len(dist.ratios) == 8
-
-    def test_csv(self):
-        records = make_records(10, seed=20)
-        rng = np.random.default_rng(21)
-        factors = {id(r): f for r, f in zip(records, rng.uniform(0.9, 1.1, 10))}
-        dist = ratio_distribution(lambda r: factors[id(r)] * r.fcc, records, bins=3)
-        lines = dist.to_csv().strip().split("\n")
-        assert lines[0] == "bin_lo,bin_hi,count"
-        assert len(lines) == 4
-
-    def test_degenerate_spread_still_bins(self):
-        records = make_records(10, seed=22)
-        dist = ratio_distribution(lambda r: 1.01 * r.fcc, records, bins=3)
-        assert dist.counts.sum() == 10
-        assert np.allclose(dist.ratios, 1 / 1.01)
 
 
 class TestModelExport:

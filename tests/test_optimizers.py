@@ -448,11 +448,14 @@ class TestBaUpdate:
         assert trace.acceptances.tolist() == [2, 6, 3, 6, 5, 5]
         assert trace.evaluations == 6 * 21
 
-    def test_zero_pulse_rate_never_walks(self):
-        # with pulse_rate 0 every move is a pure flight; still must optimize a bit
-        cfg = BaConfig(population=10, iterations=40, seed=6, pulse_rate=0.0)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_pulse_rate_never_improves_on_first_best(self, seed):
+        # with pulse_rate 0 every move is a pure flight, and Yang's velocity
+        # term (x - gbest) * f points away from the best; on the sphere no move is accepted
+        cfg = BaConfig(population=10, iterations=40, seed=seed, pulse_rate=0.0)
         trace = ba_run(cfg, 3, HALF, sphere)
-        assert trace.best_fitness[-1] <= trace.best_fitness[0]
+        assert np.all(trace.best_fitness == trace.best_fitness[0])
+        assert trace.acceptances.sum() == 0
 
 
 class TestSphereConvergence:
