@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import (
     FIELDS,
+    TARGET_FIELD,
     check_values,
     correlation_matrix,
     correlation_to_csv,
@@ -100,9 +101,6 @@ def cmd_stats(args) -> int:
     if args.format == "json":
         print(json_text({"summary": summary.to_dict(),
                          "correlation": {"fields": list(FIELDS), "matrix": corr.tolist()}}), end="")
-    elif args.format == "csv":
-        print(summary_to_csv(summary), end="")
-        print(correlation_to_csv(corr), end="")
     else:
         _print_summary(summary)
         _print_correlation(corr)
@@ -191,12 +189,8 @@ def cmd_evaluate(args) -> int:
     for f in model.features:
         if f not in FIELDS:
             raise ValueError(f"model feature {f!r} not present in the dataset schema")
-    if model.target not in FIELDS:
-        raise ValueError(f"model target {model.target!r} not present in the dataset schema")
-    targets = np.array([getattr(r, model.target) for r in records], dtype=float)
-    predictions = model.predict_records(records)
-    report = report_from_pairs(targets, predictions, model.normalization,
-                               target_field=model.target)
+    targets = np.array([getattr(r, TARGET_FIELD) for r in records], dtype=float)
+    report = report_from_pairs(targets, model.predict_records(records), model.normalization)
     if args.format == "json":
         print(json_text({**report.to_dict(), "provenance": model.provenance}), end="")
     else:
@@ -334,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     config_seed = (None, "random seed (non-negative); overrides the config's seed (default 0)")
     p = command("stats", cmd_stats, "summary statistics and correlation matrix of a dataset",
-                formats=("text", "json", "csv"), reports=True)
+                formats=("text", "json"), reports=True)
     p.add_argument("dataset", help="CSV dataset path")
 
     p = command("validate", cmd_validate, "flag records outside the reference ranges",

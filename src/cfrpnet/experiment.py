@@ -173,7 +173,7 @@ class ExperimentConfig(ConfigBase):
 
     def topology(self) -> NetworkTopology:
         """The paper's network: one tanh hidden layer, one linear output."""
-        return NetworkTopology(input_size=len(self.features), hidden_sizes=(self.hidden_neurons,))
+        return NetworkTopology(len(self.features), self.hidden_neurons)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":

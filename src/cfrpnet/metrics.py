@@ -91,12 +91,7 @@ class EvaluationReport:
         return csv_text(("target_mpa", "prediction_mpa"), zip(self.targets, self.predictions))
 
 
-def report_from_pairs(
-    targets_mpa,
-    predictions_mpa,
-    spec: NormalizationSpec | None = None,
-    target_field: str = TARGET_FIELD,
-) -> EvaluationReport:
+def report_from_pairs(targets_mpa, predictions_mpa, spec: NormalizationSpec | None = None) -> EvaluationReport:
     """Build a report from physical-scale pairs.
 
     Normalized-scale metrics are included when a normalization spec is
@@ -107,8 +102,8 @@ def report_from_pairs(
     mae_mpa = mae(t, p)
     mse_pct = mae_pct = None
     if spec is not None:
-        tn = spec.normalize(target_field, t)
-        pn = spec.normalize(target_field, p)
+        tn = spec.normalize(TARGET_FIELD, t)
+        pn = spec.normalize(TARGET_FIELD, p)
         mse_pct = 100.0 * mse(tn, pn)
         mae_pct = 100.0 * mae(tn, pn)
     notes: list[str] = []

@@ -1,18 +1,17 @@
-"""Flat-parameter feedforward network.
+"""The paper's network: one tanh hidden layer and one linear output.
 
-All weights and biases live in one 1-D vector, ordered layer by layer
-with each layer's weight matrix (row-major by input unit) followed by its
-biases. That vector is the search space handed to the population
+All weights and biases live in one 1-D vector: the input weights
+(row-major by input unit), the hidden biases, the output weights and the
+output bias. That vector is the search space handed to the population
 optimizers; a full-batch gradient-descent trainer provides the non-swarm
 baseline. ``forward`` and ``gradient`` are pure; a weight vector is an
 immutable value safe to share.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -28,71 +27,32 @@ MODEL_VERSION = 1
 WEIGHT_BOUND = 0.5
 
 
-def _sigmoid(z):
-    return np.divide(1.0, np.add(np.exp(np.negative(z, out=z), out=z), 1.0, out=z), out=z)
-
-
-# name -> (activation of z in place, derivative written into out from a = act(z))
-_ACTIVATIONS = {
-    "sigmoid": (_sigmoid, lambda a, out: np.multiply(np.subtract(1.0, a, out=out), a, out=out)),
-    "tanh": (lambda z: np.tanh(z, out=z),
-             lambda a, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out)),
-    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a, out: np.greater(a, 0.0, out=out)),
-    "linear": (lambda z: z, lambda a, out: out.fill(1.0)),
-}
-HIDDEN_ACTIVATIONS = ("sigmoid", "relu", "tanh")
-OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
-
-
 @dataclass(frozen=True)
 class NetworkTopology(ConfigBase):
-    """Layer sizes and activations of a fully connected feedforward net."""
+    """input_size inputs, one tanh hidden layer of hidden_size units, one linear output."""
 
     input_size: int
-    hidden_sizes: tuple[int, ...] = (50,)
-    output_size: int = 1
-    hidden_activation: str = "tanh"
-    output_activation: str = "linear"
+    hidden_size: int = 50
 
     def __post_init__(self):
         super().__post_init__()
-        if min(self.layer_sizes) < 1:
-            raise ValueError(f"all layer sizes must be >= 1, got {self.layer_sizes}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_size, *self.hidden_sizes, self.output_size)
-
-    @functools.cached_property
-    def _layout(self) -> tuple[int, tuple]:
-        """Parameter count and each layer's (weight slice, weight shape, bias
-        slice) in the flat vector; computed on first use, then read."""
-        layers, pos = [], 0
-        for m, k in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            layers.append((slice(pos, pos + m * k), (m, k), slice(pos + m * k, pos + m * k + k)))
-            pos += m * k + k
-        return pos, tuple(layers)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if min(self.input_size, self.hidden_size) < 1:
+            raise ValueError(f"layer sizes must be >= 1, got input_size={self.input_size}, "
+                             f"hidden_size={self.hidden_size}")
 
 
 def parameter_count(topology: NetworkTopology) -> int:
-    """Total number of weights and biases across all layers."""
-    return topology._layout[0]
+    """Total number of weights and biases: (n + 1) * h in, h + 1 out."""
+    return (topology.input_size + 2) * topology.hidden_size + 1
 
 
-def unflatten(topology: NetworkTopology, weights, dtype=float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split a flat parameter vector into per-layer (W, b) views of the given dtype."""
+def unflatten(topology: NetworkTopology, weights, dtype=float) -> tuple[np.ndarray, ...]:
+    """Split a flat parameter vector into (W1, b1, W2, b2) views of the given dtype."""
     w = np.asarray(weights, dtype=dtype)
-    expected, layers = topology._layout
-    if w.shape != (expected,):
-        raise ValueError(f"weight vector has length {w.size}, topology needs {expected}")
-    return [w[ws].reshape(shape) for ws, shape, _ in layers], [w[bs] for _, _, bs in layers]
+    if w.shape != (parameter_count(topology),):
+        raise ValueError(f"weight vector has length {w.size}, topology needs {parameter_count(topology)}")
+    n, h = topology.input_size, topology.hidden_size
+    return w[:n * h].reshape(n, h), w[n * h:(n + 1) * h], w[(n + 1) * h:-1].reshape(h, 1), w[-1:]
 
 
 def init_weights(topology: NetworkTopology, seed: int) -> np.ndarray:
@@ -101,39 +61,38 @@ def init_weights(topology: NetworkTopology, seed: int) -> np.ndarray:
     return rng.uniform(-WEIGHT_BOUND, WEIGHT_BOUND, parameter_count(topology))
 
 
-def _workspace(topology: NetworkTopology, n: int, dtype=float) -> list[np.ndarray]:
-    """One (n, size) buffer per non-input layer: the activations of n rows."""
-    return [np.empty((n, k), dtype) for k in topology.layer_sizes[1:]]
+def _workspace(topology: NetworkTopology, n: int, dtype=float) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, hidden_size) and (n, 1) buffers of the activations of n rows."""
+    return np.empty((n, topology.hidden_size), dtype), np.empty((n, 1), dtype)
 
 
-def _forward(topology, params, X, acts=None) -> np.ndarray:
-    """Forward pass through the (mats, biases) views unflatten returns, in
-    their dtype, writing each layer's activations into acts, or into fresh
-    arrays when acts is None; returns the output layer's."""
-    mats, biases = params
-    a, last = X, len(mats) - 1
-    for i, (W, b) in enumerate(zip(mats, biases)):
-        out = np.matmul(a, W, out=None if acts is None else acts[i])
-        out += b
-        a = _ACTIVATIONS[topology.output_activation if i == last else topology.hidden_activation][0](out)
-    return a
+def _forward(params, X, acts=None) -> np.ndarray:
+    """Forward pass through the (W1, b1, W2, b2) views unflatten returns, in
+    their dtype, writing the hidden and output activations into acts, or
+    into fresh arrays when acts is None; returns the output's."""
+    W1, b1, W2, b2 = params
+    hidden = np.matmul(X, W1, out=None if acts is None else acts[0])
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    out = np.matmul(hidden, W2, out=None if acts is None else acts[1])
+    out += b2
+    return out
 
 
 def forward_batch(topology: NetworkTopology, weights, X) -> np.ndarray:
-    """Predictions for a batch of inputs, shape (n, output_size)."""
+    """Predictions for a batch of inputs, shape (n, 1)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != topology.input_size:
         raise ValueError(f"expected inputs of shape (n, {topology.input_size}), got {X.shape}")
-    return _forward(topology, unflatten(topology, weights), X)
+    return _forward(unflatten(topology, weights), X)
 
 
-def forward(topology: NetworkTopology, weights, x):
-    """Prediction for a single feature vector; a scalar when output_size is 1."""
+def forward(topology: NetworkTopology, weights, x) -> float:
+    """Prediction for a single feature vector."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != topology.input_size:
         raise ValueError(f"expected {topology.input_size} inputs, got shape {x.shape}")
-    out = _forward(topology, unflatten(topology, weights), x[None, :])[0]
-    return float(out[0]) if topology.output_size == 1 else out
+    return float(_forward(unflatten(topology, weights), x[None, :])[0, 0])
 
 
 def _check_batch(topology, X, y):
@@ -144,19 +103,17 @@ def _check_batch(topology, X, y):
     if X.shape[0] == 0:
         raise ValueError("batch is empty")
     if y.ndim == 1:
-        if topology.output_size != 1:
-            raise ValueError("1-D targets require output_size 1")
         y = y[:, None]
-    if y.shape != (X.shape[0], topology.output_size):
-        raise ValueError(f"targets have shape {y.shape}, expected ({X.shape[0]}, {topology.output_size})")
+    if y.shape != (X.shape[0], 1):
+        raise ValueError(f"targets have shape {y.shape}, expected ({X.shape[0]}, 1)")
     return X, y
 
 
-def _mse(topology, params, X, Y, acts, out) -> float:
-    """MSE of a batch checked by _check_batch, for unflatten's (mats, biases)
-    views: forward pass in acts, squared errors in out (acts[-1] when the
-    activations are not needed afterwards)."""
-    np.subtract(_forward(topology, params, X, acts), Y, out=out)
+def _mse(params, X, Y, acts, out) -> float:
+    """MSE of a batch checked by _check_batch, for unflatten's views: forward
+    pass in acts, squared errors in out (acts[1] when the predictions are not
+    needed afterwards)."""
+    np.subtract(_forward(params, X, acts), Y, out=out)
     return float(np.square(out, out=out).sum(dtype=np.float64)) / out.size  # np.mean's, in float64
 
 
@@ -164,30 +121,26 @@ def loss_mse(topology: NetworkTopology, weights, X, y) -> float:
     """Mean squared error of the forward pass over a batch."""
     X, Y = _check_batch(topology, X, y)
     acts = _workspace(topology, X.shape[0])
-    return _mse(topology, unflatten(topology, weights), X, Y, acts, acts[-1])
+    return _mse(unflatten(topology, weights), X, Y, acts, acts[1])
 
 
 def _backward(topology, params, X, Y, acts, tmp) -> np.ndarray:
     """Gradient of the batch MSE from the activations _forward left in acts;
-    overwrites acts and tmp, a second workspace of the same shapes."""
-    mats, _ = params
+    overwrites acts and tmp[0], a buffer of the hidden layer's shape."""
+    W2 = params[2]
     grad = np.empty(parameter_count(topology))
-    grads_w, grads_b = unflatten(topology, grad)
-    dact_h = _ACTIVATIONS[topology.hidden_activation][1]
-    delta = acts[-1]
-    _ACTIVATIONS[topology.output_activation][1](delta, tmp[-1])
-    np.subtract(delta, Y, out=delta)
+    gW1, gb1, gW2, gb2 = unflatten(topology, grad)
+    hidden, delta = acts
+    np.subtract(delta, Y, out=delta)  # the output is linear: its derivative is 1
     delta *= 2.0
     delta /= delta.size
-    delta *= tmp[-1]
-    for layer in range(len(mats) - 1, -1, -1):
-        inputs = acts[layer - 1] if layer > 0 else X
-        np.matmul(inputs.T, delta, out=grads_w[layer])
-        np.sum(delta, axis=0, out=grads_b[layer])
-        if layer > 0:
-            dact_h(inputs, tmp[layer - 1])
-            delta = np.matmul(delta, mats[layer].T, out=inputs)
-            delta *= tmp[layer - 1]
+    np.matmul(hidden.T, delta, out=gW2)
+    np.sum(delta, axis=0, out=gb2)
+    dtanh = np.subtract(1.0, np.multiply(hidden, hidden, out=tmp[0]), out=tmp[0])
+    delta = np.matmul(delta, W2.T, out=hidden)
+    delta *= dtanh
+    np.matmul(X.T, delta, out=gW1)
+    np.sum(delta, axis=0, out=gb1)
     return grad
 
 
@@ -195,7 +148,7 @@ def gradient(topology: NetworkTopology, weights, X, y) -> np.ndarray:
     """Exact gradient of the batch MSE with respect to the flat parameters."""
     X, Y = _check_batch(topology, X, y)
     acts, params = _workspace(topology, X.shape[0]), unflatten(topology, weights)
-    _forward(topology, params, X, acts)
+    _forward(params, X, acts)
     return _backward(topology, params, X, Y, acts, _workspace(topology, X.shape[0]))
 
 
@@ -239,10 +192,10 @@ def train_backprop(
     params = unflatten(topology, w)  # views of w, which each epoch updates in place
     with np.errstate(over="ignore", invalid="ignore"):
         # each loss leaves in acts the forward pass the next gradient starts from
-        history = [_mse(topology, params, X, Y, acts, tmp[-1])]
+        history = [_mse(params, X, Y, acts, tmp[1])]
         for epoch in range(1, cfg.epochs + 1):
             w -= cfg.learning_rate * _backward(topology, params, X, Y, acts, tmp)
-            current = _mse(topology, params, X, Y, acts, tmp[-1])
+            current = _mse(params, X, Y, acts, tmp[1])
             if not math.isfinite(current):
                 raise TrainingDivergedError(epoch, current)
             history.append(current)
@@ -261,7 +214,6 @@ class TrainedModel:
     weights: np.ndarray
     normalization: NormalizationSpec
     features: tuple[str, ...] = DEFAULT_FEATURES
-    target: str = TARGET_FIELD
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -275,18 +227,17 @@ class TrainedModel:
         if len(self.features) != self.topology.input_size:
             raise ValueError(
                 f"{len(self.features)} features do not match input size {self.topology.input_size}")
-        missing = [f for f in (*self.features, self.target) if f not in self.normalization.ranges]
+        missing = [f for f in (*self.features, TARGET_FIELD) if f not in self.normalization.ranges]
         if missing:
             raise ValueError(f"normalization spec lacks field(s): {', '.join(missing)}")
 
     def predict_normalized(self, X) -> np.ndarray:
-        out = forward_batch(self.topology, self.weights, X)
-        return out[:, 0] if self.topology.output_size == 1 else out
+        return forward_batch(self.topology, self.weights, X)[:, 0]
 
     def predict_records(self, records) -> np.ndarray:
         """Physical-unit predictions for a sequence of specimen records."""
         X = feature_matrix(records, self.features, self.normalization)
-        return self.normalization.denormalize(self.target, self.predict_normalized(X))
+        return self.normalization.denormalize(TARGET_FIELD, self.predict_normalized(X))
 
     def predict_values(self, values: Mapping[str, float]) -> tuple[float, list[str]]:
         """Physical-unit prediction from raw named inputs.
@@ -307,16 +258,35 @@ class TrainedModel:
                     f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
             x[j] = self.normalization.normalize(name, v)
         z = forward(self.topology, self.weights, x)
-        return float(self.normalization.denormalize(self.target, z)), warnings
+        return float(self.normalization.denormalize(TARGET_FIELD, z)), warnings
+
+
+def _topology_to_dict(topology: NetworkTopology) -> dict:
+    """The topology object of a model file, in the format's first-version keys."""
+    return {"hidden_activation": "tanh", "hidden_sizes": [topology.hidden_size],
+            "input_size": topology.input_size, "output_activation": "linear", "output_size": 1}
+
+
+def _topology_from_dict(data) -> NetworkTopology:
+    """The topology a model file holds; anything but the paper's network raises ValueError."""
+    hidden = data.get("hidden_sizes") if isinstance(data, Mapping) else None
+    if isinstance(hidden, list) and len(hidden) == 1:
+        topology = NetworkTopology(data.get("input_size"), hidden[0])
+        typed = [{key: (type(value), value) for key, value in d.items()}  # so 1.0 or true is not 1
+                 for d in (data, _topology_to_dict(topology))]
+        if typed[0] == typed[1]:
+            return topology
+    raise ValueError("model topology must be one tanh hidden layer and one linear output, "
+                     f"got {data!r:.80}")
 
 
 def model_to_dict(model: TrainedModel) -> dict:
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "topology": model.topology.to_dict(),
+        "topology": _topology_to_dict(model.topology),
         "features": list(model.features),
-        "target": model.target,
+        "target": TARGET_FIELD,
         "weights": [float(w) for w in model.weights],
         "normalization": model.normalization.to_dict(),
         "provenance": model.provenance,
@@ -339,16 +309,15 @@ def model_from_dict(data: Mapping) -> TrainedModel:
             ("features", features, "a list of strings",
              isinstance(features, list) and all(isinstance(f, str) for f in features)),
             ("weights", data["weights"], "a list of numbers", weights.dtype.kind in "iuf"),
-            ("target", target, "a string", isinstance(target, str)),
+            ("target", target, repr(TARGET_FIELD), target == TARGET_FIELD),
             ("provenance", provenance, "a mapping", isinstance(provenance, Mapping))):
         if not ok:
             raise ValueError(f"model {key} must be {kind}, got {value!r:.80}")
     return TrainedModel(
-        topology=NetworkTopology.from_dict(data["topology"]),
+        topology=_topology_from_dict(data["topology"]),
         weights=weights,
         normalization=NormalizationSpec.from_dict(data["normalization"]),
         features=tuple(features),
-        target=target,
         provenance=dict(provenance),
     )
 

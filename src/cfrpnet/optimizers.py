@@ -375,7 +375,7 @@ def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
         if np.shape(position) != w.shape:  # copyto would broadcast a scalar
             raise ValueError(f"weight vector has length {np.size(position)}, topology needs {w.size}")
         np.copyto(w, position)
-        return _mse(topology, params, X, Y, acts, acts[-1])
+        return _mse(params, X, Y, acts, acts[1])
 
     return objective
 

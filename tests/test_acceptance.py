@@ -87,7 +87,7 @@ def test_criterion_2_normalization_contract():
 
 
 def test_criterion_3_gradient_correctness():
-    topology = NetworkTopology(3, (5,), 1)
+    topology = NetworkTopology(3, 5)
     rng = np.random.default_rng(99)
     start = time.perf_counter()
     worst = 0.0

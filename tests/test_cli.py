@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cfrpnet.cli import build_parser, main
 from cfrpnet.dataset import (
@@ -20,7 +23,7 @@ from cfrpnet.dataset import (
     target_vector,
 )
 from cfrpnet.experiment import model_seed, synth_dataset, train_model
-from cfrpnet.neuralnet import (NetworkTopology, TrainedModel, init_weights, load_model,
+from cfrpnet.neuralnet import (NetworkTopology, TrainedModel, init_weights, load_model, model_from_dict,
                                model_to_dict, save_model)
 from cfrpnet.optimizers import PsoConfig, trace_csv
 
@@ -41,28 +44,37 @@ def synth_csv(tmp_path):
     return str(path)
 
 
-def _perfect_model(tmp_path):
-    """1-in 1-out identity net: exact when the data satisfies fcc = 2*fco."""
+def _perfect():
+    """One hidden unit, fcc = tanh(fco) on the [0.1, 0.9] scales of fco (10-100 MPa)
+    and fcc (20-200 MPa): exact on data labelled with its own predictions."""
     spec = NormalizationSpec(ranges={"fco": FeatureRange(10.0, 100.0),
                                      "fcc": FeatureRange(20.0, 200.0)})
-    model = TrainedModel(topology=NetworkTopology(1, (), 1),
-                         weights=np.array([1.0, 0.0]),
-                         normalization=spec, features=("fco",),
-                         provenance={"optimizer": "pso", "seed": 0, "iterations": 1})
+    return TrainedModel(topology=NetworkTopology(1, 1),
+                        weights=np.array([1.0, 0.0, 1.0, 0.0]),
+                        normalization=spec, features=("fco",),
+                        provenance={"optimizer": "pso", "seed": 0, "iterations": 1})
+
+
+def _perfect_fcc(fco):
+    """The perfect model's prediction in MPa, in closed form."""
+    return 20.0 + (math.tanh(0.1 + 0.8 * (fco - 10.0) / 90.0) - 0.1) * 180.0 / 0.8
+
+
+def _perfect_model(tmp_path):
     path = tmp_path / "perfect.json"
-    save_model(model, path)
+    save_model(_perfect(), path)
     return str(path)
 
 
-def _doubling_dataset(tmp_path):
+def _self_labelled_dataset(tmp_path):
+    """Records whose fcc is the perfect model's own prediction."""
     rng = np.random.default_rng(3)
-    records = []
-    for _ in range(20):
-        fco = float(rng.uniform(10.0, 100.0))
-        records.append(SpecimenRecord(d=150.0, h=300.0, nt=0.5, ef=231.0,
-                                      fco=fco, eco=0.2, ecc=1.2, fcc=2.0 * fco))
-    path = tmp_path / "doubling.csv"
-    path.write_text(records_to_csv(records))
+    records = [SpecimenRecord(d=150.0, h=300.0, nt=0.5, ef=231.0, fco=float(fco), eco=0.2, ecc=1.2,
+                              fcc=1.0) for fco in rng.uniform(10.0, 100.0, 20)]
+    labels = _perfect().predict_records(records)
+    path = tmp_path / "self_labelled.csv"
+    path.write_text(records_to_csv([dataclasses.replace(r, fcc=float(fcc))
+                                    for r, fcc in zip(records, labels)]))
     return str(path)
 
 
@@ -132,7 +144,7 @@ class TestHelp:
     @pytest.mark.parametrize("command", [c for c in sorted(SHARED_FLAGS) if "--format" in SHARED_FLAGS[c]])
     def test_csv_format_only_where_printed(self, command, capsys):
         argv = MINIMAL_ARGV[command] + ["--format", "csv"]
-        if command in ("stats", "compare"):
+        if command == "compare":  # stats --out writes its two tables as two files
             assert build_parser().parse_args(argv).format == "csv"
         else:
             _assert_usage_error(argv, capsys)
@@ -300,7 +312,7 @@ class TestTrain:
         train, _ = split(parse_dataset(synth_csv), 0.75, seed=model_seed(3, "split"))
         norm = fit_normalizer(train)
         weights, history, provenance = train_model(
-            "pso", PsoConfig(population=5, iterations=6, seed=3), NetworkTopology(7, (4,)),
+            "pso", PsoConfig(population=5, iterations=6, seed=3), NetworkTopology(7, 4),
             feature_matrix(train, DEFAULT_FEATURES, norm), target_vector(train, norm))
         written = load_model(out / "model_pso.json")
         assert np.array_equal(written.weights, weights)
@@ -335,7 +347,7 @@ class TestEvaluate:
 
     def test_perfect_model_accuracy_100(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
-        data_path = _doubling_dataset(tmp_path)
+        data_path = _self_labelled_dataset(tmp_path)
         assert main(["evaluate", model_path, data_path, "--format", "json", "--quiet"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["accuracy_percent"] == pytest.approx(100.0, abs=1e-6)
@@ -345,7 +357,7 @@ class TestEvaluate:
     def test_feature_mismatch_exit_2(self, tmp_path, dataset_csv, capsys):
         spec = NormalizationSpec(ranges={"vol": FeatureRange(0.0, 1.0),
                                          "fcc": FeatureRange(20.0, 200.0)})
-        model = TrainedModel(topology=NetworkTopology(1, (), 1), weights=np.array([1.0, 0.0]),
+        model = TrainedModel(topology=NetworkTopology(1, 1), weights=np.array([1.0, 0.0, 1.0, 0.0]),
                              normalization=spec, features=("vol",))
         path = tmp_path / "weird.json"
         save_model(model, path)
@@ -361,7 +373,7 @@ class TestEvaluate:
 
     def test_writes_prediction_files(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
-        data_path = _doubling_dataset(tmp_path)
+        data_path = _self_labelled_dataset(tmp_path)
         out = tmp_path / "eval"
         assert main(["evaluate", model_path, data_path, "--out", str(out), "--quiet"]) == 0
         assert (out / "predictions.csv").exists()
@@ -373,7 +385,7 @@ class TestPredict:
         model_path = _perfect_model(tmp_path)
         assert main(["predict", model_path, "--input", "fco=40"]) == 0
         out = capsys.readouterr().out
-        assert "fcc = 80.0000 MPa" in out
+        assert f"fcc = {_perfect_fcc(40.0):.4f} MPa" in out
 
     def test_missing_feature_exit_2(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
@@ -395,7 +407,7 @@ class TestPredict:
         model_path = _perfect_model(tmp_path)
         assert main(["predict", model_path, "--input", "fco=40", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["fcc_mpa"] == pytest.approx(80.0, rel=1e-12)
+        assert payload["fcc_mpa"] == pytest.approx(_perfect_fcc(40.0), rel=1e-12)
 
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
@@ -445,7 +457,7 @@ def test_fix_naming_swept_variable_exit_2(fix, tmp_path, capsys):
 
 def _model_document():
     """A valid model document over the seven default features."""
-    topology = NetworkTopology(7, (3,))
+    topology = NetworkTopology(7, 3)
     norm = fit_normalizer(make_records(20, seed=4))
     return model_to_dict(TrainedModel(topology, init_weights(topology, 0), norm))
 
@@ -458,6 +470,15 @@ MALFORMED_MODELS += [{**_DOC, "topology": 5}, {**_DOC, "normalization": []}, {**
                                                 "ranges": {**_DOC["normalization"]["ranges"], "d": 5}}}]
 MALFORMED_MODELS += [{**_DOC, "weights": {}}, {**_DOC, "target": 5}, {**_DOC, "target": [1]},
                      {**_DOC, "provenance": 5}, {**_DOC, "provenance": [1]}]
+# another target, or another network: another activation, depth or output width, each with
+# as many weights as that network has
+_TOPOLOGY = _DOC["topology"]
+MALFORMED_MODELS += [{**_DOC, "target": "fco"},
+                     {**_DOC, "topology": {**_TOPOLOGY, "hidden_activation": "relu"}},
+                     {**_DOC, "topology": {**_TOPOLOGY, "hidden_sizes": [3, 3]}, "weights": [0.1] * 40},
+                     {**_DOC, "topology": {**_TOPOLOGY, "output_size": 2}, "weights": [0.1] * 32}]
+# the valid sizes as JSON of another type
+MALFORMED_MODELS += [{**_DOC, "topology": {**_TOPOLOGY, "output_size": value}} for value in (True, 1.0)]
 
 
 def test_model_document_control(dataset_csv, tmp_path, capsys):
@@ -555,12 +576,61 @@ def test_malformed_model_exit_2_without_traceback(command, document, dataset_csv
                                                   capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(document))
-    argv = {"predict": ["predict", str(path), "--input", "fco=40"],
+    argv = {"predict": ["predict", str(path), "--input", VALID_INPUT],
             "evaluate": ["evaluate", str(path), dataset_csv],
             "sweep": ["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100"]}[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# JSON values for the model-file properties: any JSON, and values near the valid ones
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+NEAR_VALUES = (st.integers(-1, 60) | st.floats(0.0, 8.0) | st.lists(st.integers(-1, 60), max_size=3)
+               | st.sampled_from(["tanh", "linear", "relu", "sigmoid", "fcc", "fco", True, 1.0, 3.0, [3.0]]))
+TOPOLOGIES = (JSON_VALUES | st.dictionaries(st.sampled_from(sorted(_TOPOLOGY)), NEAR_VALUES)
+              | st.builds(lambda key, value: {**_TOPOLOGY, key: value},
+                          st.sampled_from(sorted(_TOPOLOGY)), NEAR_VALUES | JSON_VALUES))
+
+
+class TestModelFileBoundary:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["topology", "target"]), TOPOLOGIES | NEAR_VALUES)
+    def test_model_or_value_error(self, tmp_path, capsys, key, value):
+        # a valid document with its topology or target replaced: a model, or ValueError and exit 2
+        document = {**_DOC, key: value}
+        try:
+            model_from_dict(document)
+            loaded = True
+        except ValueError:
+            loaded = False
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        assert main(["predict", str(path), "--input", VALID_INPUT]) == (0 if loaded else 2)
+        assert "Traceback" not in capsys.readouterr().err
+        if loaded:  # only the paper's network and fcc load
+            assert json.dumps(document, sort_keys=True) == json.dumps(_DOC, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+    def test_round_trip(self, input_size, hidden_size, seed):
+        topology = NetworkTopology(input_size, hidden_size)
+        features = tuple(f"x{i}" for i in range(input_size))
+        spec = NormalizationSpec(ranges={name: FeatureRange(0.0, 1.0 + i)
+                                         for i, name in enumerate((*features, "fcc"))})
+        weights = np.random.default_rng(seed).normal(scale=10.0, size=(input_size + 2) * hidden_size + 1)
+        document = model_to_dict(TrainedModel(topology, weights, spec, features, {"seed": seed}))
+        assert document["topology"] == {"hidden_activation": "tanh", "hidden_sizes": [hidden_size],
+                                        "input_size": input_size, "output_activation": "linear",
+                                        "output_size": 1}
+        assert document["target"] == "fcc"
+        restored = model_from_dict(json.loads(json.dumps(document)))
+        assert restored.topology == topology and restored.features == features
+        assert np.array_equal(restored.weights, weights)
+        assert model_to_dict(restored) == document
 
 
 class TestCompare:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -41,65 +42,45 @@ def fd_gradient(topology, w, X, y, h=1e-6):
 
 
 # The allocating kernel the workspace kernel replaced, kept as the exact reference.
-_REFERENCE_ACTIVATIONS = {
-    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
-    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: np.where(z > 0.0, 1.0, 0.0)),
-    "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
-}
-
-
 def reference_forward(topology, w, X):
-    mats, biases = unflatten(topology, w)
-    zs, activations = [], [X]
-    for layer, (W, b) in enumerate(zip(mats, biases)):
-        z = activations[-1] @ W + b
-        name = topology.output_activation if layer == len(mats) - 1 else topology.hidden_activation
-        zs.append(z)
-        activations.append(_REFERENCE_ACTIVATIONS[name][0](z))
-    return mats, zs, activations
+    """The hidden activations and the predictions, as fresh arrays."""
+    W1, b1, W2, b2 = unflatten(topology, w)
+    hidden = np.tanh(X @ W1 + b1)
+    return hidden, hidden @ W2 + b2
 
 
 def reference_gradient(topology, w, X, y):
-    mats, zs, activations = reference_forward(topology, w, X)
-    dact_h = _REFERENCE_ACTIVATIONS[topology.hidden_activation][1]
-    dact_o = _REFERENCE_ACTIVATIONS[topology.output_activation][1]
-    pred = activations[-1]
-    delta = (2.0 * (pred - y[:, None]) / pred.size) * dact_o(zs[-1], pred)
-    grads_w, grads_b = [None] * len(mats), [None] * len(mats)
-    for layer in range(len(mats) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ mats[layer].T) * dact_h(zs[layer - 1], activations[layer])
-    return np.concatenate([part.ravel() for pair in zip(grads_w, grads_b) for part in pair])
-
-
-ACTIVATION_PAIRS = [(h, o) for h in ("sigmoid", "relu", "tanh") for o in ("linear", "sigmoid")]
+    _, _, W2, _ = unflatten(topology, w)
+    hidden, pred = reference_forward(topology, w, X)
+    delta = 2.0 * (pred - y[:, None]) / pred.size  # the output is linear
+    grad_out = (hidden.T @ delta, delta.sum(axis=0))
+    delta = (delta @ W2.T) * (1.0 - hidden * hidden)
+    return np.concatenate([part.ravel() for part in (X.T @ delta, delta.sum(axis=0), *grad_out)])
 
 
 class TestWorkspaceKernelMatchesReference:
-    @pytest.mark.parametrize("hidden_sizes", [(), (5,), (6, 4)])
-    @pytest.mark.parametrize("hidden, out", ACTIVATION_PAIRS)
-    def test_bit_identical(self, hidden_sizes, hidden, out):
-        topology = NetworkTopology(3, hidden_sizes, 1, hidden_activation=hidden,
-                                   output_activation=out)
-        rng = np.random.default_rng(len(hidden_sizes))
-        X = rng.uniform(0.1, 0.9, (23, 3))
-        y = rng.uniform(0.1, 0.9, 23)
+    @pytest.mark.parametrize("hidden_size", [1, 5, 50])
+    @pytest.mark.parametrize("rows", [1, 23, 531])
+    @pytest.mark.parametrize("input_size", [1, 7])
+    def test_bit_identical(self, input_size, rows, hidden_size):
+        topology = NetworkTopology(input_size, hidden_size)
+        rng = np.random.default_rng(hidden_size * rows + input_size)
+        X = rng.uniform(0.1, 0.9, (rows, input_size))
+        y = rng.uniform(0.1, 0.9, rows)
         for _ in range(3):
             w = rng.uniform(-2.0, 2.0, parameter_count(topology))
-            pred = reference_forward(topology, w, X)[2][-1]
+            pred = reference_forward(topology, w, X)[1]
             assert np.array_equal(forward_batch(topology, w, X), pred)
             assert loss_mse(topology, w, X, y) == float(np.mean((pred - y[:, None]) ** 2))
             assert np.array_equal(gradient(topology, w, X, y), reference_gradient(topology, w, X, y))
 
-    @pytest.mark.parametrize("hidden, out", ACTIVATION_PAIRS)
-    def test_backprop_history_matches_two_pass_loop(self, hidden, out):
+    @pytest.mark.parametrize("hidden_size", [1, 5, 50])
+    @pytest.mark.parametrize("input_size", [1, 3])
+    def test_backprop_history_matches_two_pass_loop(self, input_size, hidden_size):
         # one forward pass per epoch gives the losses and weights of loss + gradient calls
-        topology = NetworkTopology(3, (5, 4), 1, hidden_activation=hidden, output_activation=out)
+        topology = NetworkTopology(input_size, hidden_size)
         rng = np.random.default_rng(12)
-        X = rng.uniform(0.1, 0.9, (15, 3))
+        X = rng.uniform(0.1, 0.9, (15, input_size))
         y = rng.uniform(0.1, 0.9, 15)
         cfg = BackpropConfig(learning_rate=0.2, epochs=8, seed=3)
         w, history = train_backprop(topology, X, y, cfg)
@@ -114,73 +95,78 @@ class TestWorkspaceKernelMatchesReference:
 
 class TestTopology:
     def test_parameter_counts(self):
-        assert parameter_count(NetworkTopology(7, (50,), 1)) == 451
-        assert parameter_count(NetworkTopology(1, (), 1)) == 2
-        assert parameter_count(NetworkTopology(2, (3,), 1)) == 13
+        assert parameter_count(NetworkTopology(7, 50)) == 451
+        assert parameter_count(NetworkTopology(7)) == 451
+        assert parameter_count(NetworkTopology(1, 1)) == 4
+        assert parameter_count(NetworkTopology(2, 3)) == 13
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
-            NetworkTopology(0, (5,), 1)
+            NetworkTopology(0, 5)
         with pytest.raises(ValueError):
-            NetworkTopology(3, (0,), 1)
+            NetworkTopology(3, 0)
 
     def test_invalid_activations(self):
-        with pytest.raises(ValueError):
-            NetworkTopology(3, (5,), 1, hidden_activation="softmax")
-        with pytest.raises(ValueError):
-            NetworkTopology(3, (5,), 1, output_activation="tanh")
+        # the activations, the depth and the output width are the paper's, not settings
+        assert [f.name for f in dataclasses.fields(NetworkTopology)] == ["input_size", "hidden_size"]
+        for key, value in (("hidden_activation", "relu"), ("output_activation", "sigmoid"),
+                           ("hidden_sizes", [5, 4]), ("output_size", 2)):
+            with pytest.raises(ValueError, match="unknown config key"):
+                NetworkTopology.from_dict({"input_size": 3, key: value})
 
     def test_dict_roundtrip(self):
-        t = NetworkTopology(4, (8, 3), 2, "relu", "sigmoid")
-        assert NetworkTopology.from_dict(t.to_dict()) == t
+        t = NetworkTopology(4, 8)
+        assert NetworkTopology.from_dict(dataclasses.asdict(t)) == t
 
     def test_from_dict_checks_types(self):
-        assert_rejects_bad_values(NetworkTopology(3, (5,), 1))
-        assert NetworkTopology.from_dict({"input_size": 3}).hidden_sizes == (50,)
-        for data in (5, {"input_size": 3, "hidden_sizes": [5.0]}, {"input_size": 3, "width": 5},
-                     {"input_size": 3, "hidden_sizes": 5}, {"hidden_sizes": [5]}):
+        assert_rejects_bad_values(NetworkTopology(3, 5))
+        assert NetworkTopology.from_dict({"input_size": 3}).hidden_size == 50
+        for data in (5, {"input_size": 3, "hidden_size": 5.0}, {"input_size": 3, "width": 5},
+                     {"input_size": 3, "hidden_size": [5]}, {"hidden_size": 5}):
             with pytest.raises(ValueError):
                 NetworkTopology.from_dict(data)
 
 
 class TestFlattenUnflatten:
     def test_roundtrip_identity(self):
-        topology = NetworkTopology(3, (5, 4), 2)
+        topology = NetworkTopology(3, 5)
         w = np.random.default_rng(0).normal(size=parameter_count(topology))
-        mats, biases = unflatten(topology, w)
-        parts = [part.ravel() for pair in zip(mats, biases) for part in pair]
-        assert np.array_equal(np.concatenate(parts), w)
+        views = unflatten(topology, w)
+        assert np.array_equal(np.concatenate([part.ravel() for part in views]), w)
+        assert all(np.shares_memory(part, w) for part in views)
 
     def test_shapes(self):
-        topology = NetworkTopology(3, (5,), 2)
-        mats, biases = unflatten(topology, np.zeros(parameter_count(topology)))
-        assert mats[0].shape == (3, 5) and biases[0].shape == (5,)
-        assert mats[1].shape == (5, 2) and biases[1].shape == (2,)
+        topology = NetworkTopology(3, 5)
+        W1, b1, W2, b2 = unflatten(topology, np.zeros(parameter_count(topology)))
+        assert W1.shape == (3, 5) and b1.shape == (5,)
+        assert W2.shape == (5, 1) and b2.shape == (1,)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            unflatten(NetworkTopology(3, (5,), 1), np.zeros(10))
+            unflatten(NetworkTopology(3, 5), np.zeros(10))
 
 
 class TestForward:
     def test_zero_weights_give_zero(self):
-        topology = NetworkTopology(4, (6,), 1)
+        topology = NetworkTopology(4, 6)
         w = np.zeros(parameter_count(topology))
         for x in ([0.1, 0.5, 0.9, 0.3], [1.0, -2.0, 3.0, 0.0]):
             assert forward(topology, w, x) == 0.0
 
     def test_direct_affine(self):
-        topology = NetworkTopology(1, (), 1)
-        assert forward(topology, np.array([2.0, 1.0]), [3.0]) == 7.0
+        # the output layer is affine in the hidden unit: 2 * tanh(0) + 7
+        topology = NetworkTopology(1, 1)
+        assert forward(topology, np.array([0.0, 0.0, 2.0, 7.0]), [3.0]) == 7.0
+        assert forward(topology, np.array([1.0, 0.0, 2.0, 7.0]), [0.0]) == 7.0
 
     def test_single_tanh_unit(self):
-        topology = NetworkTopology(2, (1,), 1)
+        topology = NetworkTopology(2, 1)
         # hidden w=(1,1), b=0; output w=1, b=0
         w = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
         assert forward(topology, w, [0.5, 0.5]) == pytest.approx(math.tanh(1.0), rel=1e-12)
 
     def test_batch_matches_single(self):
-        topology = NetworkTopology(3, (5,), 1)
+        topology = NetworkTopology(3, 5)
         rng = np.random.default_rng(1)
         w = rng.uniform(-0.5, 0.5, parameter_count(topology))
         X = rng.uniform(0.1, 0.9, (10, 3))
@@ -189,21 +175,19 @@ class TestForward:
         for i in range(10):
             assert forward(topology, w, X[i]) == pytest.approx(batch[i, 0], rel=1e-15)
 
-    def test_sigmoid_output_bounded(self):
-        topology = NetworkTopology(3, (4,), 1, output_activation="sigmoid")
+    def test_tanh_output_bounded(self):
+        # |tanh| <= 1, so the output lies within b2 +- sum |W2|, however large the inputs
+        topology = NetworkTopology(3, 4)
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            w = rng.normal(scale=2.0, size=parameter_count(topology))
-            out = forward(topology, w, rng.normal(size=3))
-            assert 0.0 < out < 1.0
-        # extreme weights saturate to the representable endpoints at worst
-        for _ in range(20):
-            w = rng.normal(scale=50.0, size=parameter_count(topology))
-            out = forward(topology, w, rng.normal(size=3))
-            assert 0.0 <= out <= 1.0
+        for scale in (2.0, 50.0):
+            for _ in range(30):
+                w = rng.normal(scale=scale, size=parameter_count(topology))
+                _, _, W2, b2 = unflatten(topology, w)
+                out = forward(topology, w, rng.normal(scale=scale, size=3))
+                assert abs(out - b2[0]) <= np.abs(W2).sum() * (1 + 1e-12)
 
     def test_dimension_mismatch(self):
-        topology = NetworkTopology(3, (4,), 1)
+        topology = NetworkTopology(3, 4)
         w = np.zeros(parameter_count(topology))
         with pytest.raises(ValueError):
             forward(topology, w, [0.1, 0.2])
@@ -211,11 +195,11 @@ class TestForward:
 
 class TestInitWeights:
     def test_determinism(self):
-        topology = NetworkTopology(5, (9,), 1)
+        topology = NetworkTopology(5, 9)
         assert np.array_equal(init_weights(topology, 42), init_weights(topology, 42))
 
     def test_length_and_bounds(self):
-        topology = NetworkTopology(7, (50,), 1)
+        topology = NetworkTopology(7, 50)
         w = init_weights(topology, 3)
         assert w.shape == (451,)
         assert np.all(np.abs(w) <= WEIGHT_BOUND)
@@ -223,31 +207,32 @@ class TestInitWeights:
 
 class TestGradient:
     def test_zero_at_minimum(self):
-        topology = NetworkTopology(1, (), 1)
-        # w=1, b=0 reproduces y=x exactly
+        topology = NetworkTopology(1, 1)
+        # labels that are the net's own predictions
+        w = np.array([0.8, -0.1, 1.5, 0.2])
         X = np.array([[0.2], [0.5], [0.8]])
-        g = gradient(topology, np.array([1.0, 0.0]), X, X[:, 0])
+        g = gradient(topology, w, X, forward_batch(topology, w, X)[:, 0])
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_hand_derivative(self):
-        topology = NetworkTopology(1, (), 1)
-        g = gradient(topology, np.array([0.0, 0.0]), np.array([[1.0]]), np.array([1.0]))
-        assert g == pytest.approx([-2.0, -2.0], rel=1e-12)
+        # tanh(0) = 0 and tanh'(0) = 1: d(pred)/d(W1, b1, W2, b2) = (x * W2, W2, 0, 1) at x = 1
+        topology = NetworkTopology(1, 1)
+        g = gradient(topology, np.array([0.0, 0.0, 1.0, 0.0]), np.array([[1.0]]), np.array([1.0]))
+        assert g == pytest.approx([-2.0, -2.0, 0.0, -2.0], rel=1e-12)
 
-    @pytest.mark.parametrize("hidden,out", [("tanh", "linear"), ("sigmoid", "linear"),
-                                            ("tanh", "sigmoid"), ("relu", "linear")])
-    def test_matches_finite_differences(self, hidden, out):
-        topology = NetworkTopology(3, (5,), 1, hidden_activation=hidden, output_activation=out)
-        rng = np.random.default_rng(hash((hidden, out)) % 2 ** 32)
+    @pytest.mark.parametrize("input_size, hidden_size", [(1, 1), (3, 5), (2, 13), (7, 20)])
+    def test_matches_finite_differences(self, input_size, hidden_size):
+        topology = NetworkTopology(input_size, hidden_size)
+        rng = np.random.default_rng(input_size * 100 + hidden_size)
         w = rng.uniform(-0.5, 0.5, parameter_count(topology))
-        X = rng.uniform(0.1, 0.9, (12, 3))
+        X = rng.uniform(0.1, 0.9, (12, input_size))
         y = rng.uniform(0.1, 0.9, 12)
         g = gradient(topology, w, X, y)
         fd = fd_gradient(topology, w, X, y)
         assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(g), 1e-12)
 
     def test_ten_random_nets_against_oracle(self):
-        topology = NetworkTopology(3, (5,), 1)
+        topology = NetworkTopology(3, 5)
         rng = np.random.default_rng(77)
         for _ in range(10):
             w = rng.uniform(-0.5, 0.5, parameter_count(topology))
@@ -259,22 +244,24 @@ class TestGradient:
             assert rel <= 1e-5
 
     def test_empty_batch(self):
-        topology = NetworkTopology(2, (), 1)
+        topology = NetworkTopology(2, 1)
         with pytest.raises(ValueError, match="empty"):
-            gradient(topology, np.zeros(3), np.empty((0, 2)), np.empty(0))
+            gradient(topology, np.zeros(5), np.empty((0, 2)), np.empty(0))
 
 
 class TestTrainBackprop:
     def test_linear_toy_converges(self):
-        topology = NetworkTopology(1, (), 1)
+        # labels from a one-unit teacher net the student can match exactly
+        topology = NetworkTopology(1, 1)
         X = np.linspace(0.1, 0.9, 8)[:, None]
-        w, history = train_backprop(topology, X, X[:, 0],
-                                    BackpropConfig(learning_rate=0.1, epochs=1000, seed=0))
-        assert history[-1] < 1e-6
+        y = forward_batch(topology, np.array([1.5, -0.5, 0.8, 0.5]), X)[:, 0]
+        w, history = train_backprop(topology, X, y,
+                                    BackpropConfig(learning_rate=0.5, epochs=1000, seed=0))
+        assert history[-1] < 1e-4 and history[-1] < 1e-4 * history[0]
         assert len(history) == 1001
 
     def test_one_epoch_one_update(self):
-        topology = NetworkTopology(1, (), 1)
+        topology = NetworkTopology(1, 1)
         X = np.array([[0.5]])
         w0 = init_weights(topology, 4)
         w, history = train_backprop(topology, X, np.array([0.7]),
@@ -284,7 +271,7 @@ class TestTrainBackprop:
         assert len(history) == 2
 
     def test_history_deterministic(self):
-        topology = NetworkTopology(2, (3,), 1)
+        topology = NetworkTopology(2, 3)
         rng = np.random.default_rng(5)
         X = rng.uniform(0.1, 0.9, (20, 2))
         y = rng.uniform(0.1, 0.9, 20)
@@ -294,7 +281,7 @@ class TestTrainBackprop:
         assert h1 == h2
 
     def test_divergence_raises_with_epoch(self):
-        topology = NetworkTopology(2, (3,), 1)
+        topology = NetworkTopology(2, 3)
         rng = np.random.default_rng(6)
         X = rng.uniform(0.1, 0.9, (10, 2))
         y = rng.uniform(0.1, 0.9, 10)
@@ -311,7 +298,7 @@ class TestTrainBackprop:
 
 
 def _toy_model(seed=0):
-    topology = NetworkTopology(2, (3,), 1)
+    topology = NetworkTopology(2, 3)
     spec = NormalizationSpec(ranges={
         "d": FeatureRange(51.0, 406.0),
         "fco": FeatureRange(12.41, 188.2),
@@ -319,7 +306,7 @@ def _toy_model(seed=0):
     })
     weights = init_weights(topology, seed)
     return TrainedModel(topology=topology, weights=weights, normalization=spec,
-                        features=("d", "fco"), target="fcc",
+                        features=("d", "fco"),
                         provenance={"optimizer": "pso", "seed": seed, "iterations": 10})
 
 
@@ -333,18 +320,17 @@ def reference_predict_values(model, values):
         arr = np.asarray(v, dtype=float)
         z = (spec.lo * (r.x_max - arr) + spec.hi * (arr - r.x_min)) / (r.x_max - r.x_min)
         x.append(float(np.where(arr == r.x_min, spec.lo, np.where(arr == r.x_max, spec.hi, z))))
-    out = reference_forward(model.topology, model.weights, np.array([x]))[2][-1]
-    r, z = spec.ranges[model.target], np.asarray(float(out[0, 0]), dtype=float)
+    out = reference_forward(model.topology, model.weights, np.array([x]))[1]
+    r, z = spec.ranges["fcc"], np.asarray(float(out[0, 0]), dtype=float)
     return float(r.x_min + (z - spec.lo) * (r.x_max - r.x_min) / (spec.hi - spec.lo)), warnings
 
 
 class TestPredictValuesMatchesReference:
-    @pytest.mark.parametrize("hidden_sizes", [(), (5,), (6, 4)])
-    @pytest.mark.parametrize("hidden, out", ACTIVATION_PAIRS)
-    def test_values_and_warnings_identical(self, hidden_sizes, hidden, out):
-        topology = NetworkTopology(2, hidden_sizes, 1, hidden_activation=hidden,
-                                   output_activation=out)
-        rng = np.random.default_rng(len(hidden_sizes) + 7)
+    @pytest.mark.parametrize("hidden_size", [1, 5, 50])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_and_warnings_identical(self, seed, hidden_size):
+        topology = NetworkTopology(2, hidden_size)
+        rng = np.random.default_rng(100 * seed + hidden_size + 7)
         model = _toy_model()
         model = TrainedModel(topology=topology, weights=rng.uniform(-2.0, 2.0, parameter_count(topology)),
                              normalization=model.normalization, features=model.features)
@@ -383,17 +369,17 @@ class TestTrainedModel:
         X = rng.uniform(0.1, 0.9, (100, 2))
         assert np.array_equal(restored.predict_normalized(X), model.predict_normalized(X))
 
-    @pytest.mark.parametrize("hidden_sizes", [(np.int64(3),), np.array([3]), [np.int32(3)]])
-    def test_numpy_sizes_save_and_reload(self, tmp_path, hidden_sizes):
-        topology = NetworkTopology(np.int64(2), hidden_sizes, np.int64(1))
-        assert topology == NetworkTopology(2, (3,), 1)
-        assert all(type(s) is int for s in topology.layer_sizes)
+    @pytest.mark.parametrize("hidden_size", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_sizes_save_and_reload(self, tmp_path, hidden_size):
+        topology = NetworkTopology(np.int64(2), hidden_size)
+        assert topology == NetworkTopology(2, 3)
+        assert all(type(s) is int for s in (topology.input_size, topology.hidden_size))
         model = _toy_model()
         model = TrainedModel(topology=topology, weights=model.weights,
                              normalization=model.normalization, features=model.features)
         path = tmp_path / "model.json"
         save_model(model, path)
-        assert load_model(path).topology == NetworkTopology(2, (3,), 1)
+        assert load_model(path).topology == NetworkTopology(2, 3)
 
     def test_truncated_weights_rejected(self, tmp_path):
         data = model_to_dict(_toy_model())
@@ -434,3 +420,6 @@ class TestTrainedModel:
         data = json.loads(path.read_text())
         assert data["format"] == "cfrpnet-model"
         assert len(data["weights"]) == 13
+        assert data["target"] == "fcc"
+        assert data["topology"] == {"hidden_activation": "tanh", "hidden_sizes": [3], "input_size": 2,
+                                    "output_activation": "linear", "output_size": 1}

@@ -48,7 +48,7 @@ def float32_mse(topology, w, X, y):
     X, Y = (a.astype(np.float32) for a in _check_batch(topology, X, y))
     acts = _workspace(topology, X.shape[0], np.float32)
     params = unflatten(topology, np.asarray(w).astype(np.float32), np.float32)
-    return _mse(topology, params, X, Y, acts, acts[-1])
+    return _mse(params, X, Y, acts, acts[1])
 
 
 def small_configs():
@@ -381,7 +381,7 @@ class TestVectorisedMatchesPerMemberLoop:
     @pytest.mark.parametrize("problem", ["sphere", "shifted_sphere", "rounded_sphere", "dataset"])
     def test_ba(self, problem, seed):
         if problem == "dataset":
-            topology = NetworkTopology(3, (4,), 1)
+            topology = NetworkTopology(3, 4)
             rng = np.random.default_rng(12)
             objective = objective_from_dataset(topology, rng.uniform(0.1, 0.9, (20, 3)),
                                                rng.uniform(0.1, 0.9, 20))
@@ -468,21 +468,23 @@ class TestSphereConvergence:
 
 class TestObjectiveFromDataset:
     def test_perfect_fit_is_zero(self):
-        topology = NetworkTopology(1, (), 1)
+        # labels that are the net's own float32 predictions
+        topology = NetworkTopology(1, 1)
         X = np.array([[0.2], [0.6]])
-        y = np.array([0.2, 0.6])
-        objective = objective_from_dataset(topology, X, y)
-        assert objective(np.array([1.0, 0.0])) == 0.0
+        w = np.array([1.0, 0.1, 0.8, 0.3])
+        y = neuralnet._forward(unflatten(topology, w, np.float32), X.astype(np.float32))[:, 0]
+        objective = objective_from_dataset(topology, X, y.astype(float))
+        assert objective(w) == 0.0
 
     def test_zero_weights_against_constant_targets(self):
-        topology = NetworkTopology(3, (4,), 1)
+        topology = NetworkTopology(3, 4)
         X = np.full((5, 3), 0.4)
         y = np.full(5, 0.5)
         objective = objective_from_dataset(topology, X, y)
         assert objective(np.zeros(parameter_count(topology))) == pytest.approx(0.25, rel=1e-15)
 
     def test_row_order_invariance(self):
-        topology = NetworkTopology(2, (3,), 1)
+        topology = NetworkTopology(2, 3)
         rng = np.random.default_rng(7)
         X = rng.uniform(0.1, 0.9, (20, 2))
         y = rng.uniform(0.1, 0.9, 20)
@@ -493,7 +495,7 @@ class TestObjectiveFromDataset:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_wrong_length_position(self):
-        topology = NetworkTopology(2, (3,), 1)
+        topology = NetworkTopology(2, 3)
         objective = objective_from_dataset(topology, np.zeros((3, 2)), np.zeros(3))
         # a scalar or a length-1 array would broadcast into the weight buffer
         for position in (np.zeros(5), np.zeros(1), 0.0, np.zeros((1, 13))):
@@ -502,30 +504,29 @@ class TestObjectiveFromDataset:
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
-            objective_from_dataset(NetworkTopology(2, (), 1), np.empty((0, 2)), np.empty(0))
+            objective_from_dataset(NetworkTopology(2, 1), np.empty((0, 2)), np.empty(0))
 
-    @pytest.mark.parametrize("hidden_sizes", [(), (5,), (4, 3)])
-    @pytest.mark.parametrize("hidden", ["sigmoid", "relu", "tanh"])
-    @pytest.mark.parametrize("out", ["linear", "sigmoid"])
-    def test_equals_loss_mse_exactly(self, hidden_sizes, hidden, out):
-        topology = NetworkTopology(3, hidden_sizes, 1, hidden_activation=hidden,
-                                   output_activation=out)
-        rng = np.random.default_rng(len(hidden_sizes))
-        X = rng.uniform(0.1, 0.9, (17, 3))
-        y = rng.uniform(0.1, 0.9, 17)
+    @pytest.mark.parametrize("hidden_size", [1, 5, 50])
+    @pytest.mark.parametrize("rows", [17, 531])
+    @pytest.mark.parametrize("input_size", [1, 3, 7])
+    def test_equals_loss_mse_exactly(self, input_size, rows, hidden_size):
+        topology = NetworkTopology(input_size, hidden_size)
+        rng = np.random.default_rng(hidden_size * rows + input_size)
+        X = rng.uniform(0.1, 0.9, (rows, input_size))
+        y = rng.uniform(0.1, 0.9, rows)
         objective = objective_from_dataset(topology, X, y)
         X64, Y64 = _check_batch(topology, X, y)
         for _ in range(3):
             w = rng.uniform(-2.0, 2.0, parameter_count(topology))
             assert objective(w) == float32_mse(topology, w, X, y)
             # loss_mse stays the float64 kernel; the float32 ranking agrees with it closely
-            acts64 = _workspace(topology, 17)
+            acts64 = _workspace(topology, rows)
             loss = loss_mse(topology, w, X, y)
-            assert loss == _mse(topology, unflatten(topology, w), X64, Y64, acts64, acts64[-1])
+            assert loss == _mse(unflatten(topology, w), X64, Y64, acts64, acts64[1])
             assert objective(w) == pytest.approx(loss, rel=REL32)
 
     def test_repeated_and_interleaved_calls(self):
-        topology = NetworkTopology(3, (6,), 1)
+        topology = NetworkTopology(3, 6)
         rng = np.random.default_rng(4)
         X1, X2 = rng.uniform(0.1, 0.9, (20, 3)), rng.uniform(0.1, 0.9, (9, 3))
         y1, y2 = rng.uniform(0.1, 0.9, 20), rng.uniform(0.1, 0.9, 9)
@@ -540,7 +541,7 @@ class TestObjectiveFromDataset:
 
     def test_calls_allocate_no_batch_sized_array(self):
         # the reference-scale objective: 531 rows, 7 -> 50 -> 1
-        topology = NetworkTopology(7, (50,), 1)
+        topology = NetworkTopology(7, 50)
         rng = np.random.default_rng(9)
         objective = objective_from_dataset(topology, rng.uniform(0.0, 1.0, (531, 7)),
                                            rng.uniform(0.0, 1.0, 531))
@@ -560,7 +561,7 @@ class TestObjectiveFromDataset:
         # np.asarray(weights, dtype=float) anywhere on the path would silently compute in
         # float64: every weight view, input, workspace and output the objective's kernel
         # sees is float32, and the views are taken once, when the objective is made
-        topology = NetworkTopology(3, (5, 4), 1)
+        topology = NetworkTopology(3, 5)
         rng = np.random.default_rng(11)
         X, y = rng.uniform(0.1, 0.9, (13, 3)), rng.uniform(0.1, 0.9, 13)
         w = rng.uniform(-0.5, 0.5, parameter_count(topology))
@@ -568,13 +569,13 @@ class TestObjectiveFromDataset:
         real_unflatten, real_forward = neuralnet.unflatten, neuralnet._forward
 
         def spy_unflatten(*args):
-            mats, biases = real_unflatten(*args)
-            views.extend(mats + biases)
-            return mats, biases
+            params = real_unflatten(*args)
+            views.extend(params)
+            return params
 
-        def spy_forward(topology, params, X, acts=None):
-            out = real_forward(topology, params, X, acts)
-            seen.extend([*params[0], *params[1], X, *(acts or [])])
+        def spy_forward(params, X, acts=None):
+            out = real_forward(params, X, acts)
+            seen.extend([*params, X, *(acts or [])])
             outputs.append(out.copy())  # _mse then overwrites out with the squared errors
             return out
 
@@ -582,12 +583,12 @@ class TestObjectiveFromDataset:
             monkeypatch.setattr(module, "unflatten", spy_unflatten)
         monkeypatch.setattr(neuralnet, "_forward", spy_forward)
         objective = objective_from_dataset(topology, X, y)
-        assert len(views) == 6 and not seen
+        assert len(views) == 4 and not seen
         fitness = objective(w)
         assert objective(w) == fitness
-        assert len(views) == 6 and len(seen) == 2 * (6 + 1 + 3) and len(outputs) == 2
+        assert len(views) == 4 and len(seen) == 2 * (4 + 1 + 2) and len(outputs) == 2
         # both calls run on the views bound when the objective was made
-        assert [id(a) for a in seen[:6]] == [id(a) for a in seen[10:16]] == [id(a) for a in views]
+        assert [id(a) for a in seen[:4]] == [id(a) for a in seen[7:11]] == [id(a) for a in views]
         assert {a.dtype for a in views + seen + outputs} == {np.dtype(np.float32)}
         # float32 squared errors, summed in float64
         errors = outputs[0] - y.astype(np.float32)[:, None]
@@ -604,7 +605,7 @@ class TestObjectiveFromDataset:
 
 class TestTrainHybrid:
     def test_single_record_exact_fit(self):
-        topology = NetworkTopology(1, (), 1)
+        topology = NetworkTopology(1, 1)
         X = np.array([[0.5]])
         y = np.array([0.45])
         for algorithm, cfg in [("pso", PsoConfig(population=15, iterations=150, seed=0)),
@@ -616,7 +617,7 @@ class TestTrainHybrid:
         assert ba_trace.final_fitness < 1e-4
 
     def test_final_fitness_matches_naive_recomputation(self):
-        topology = NetworkTopology(2, (3,), 1)
+        topology = NetworkTopology(2, 3)
         rng = np.random.default_rng(8)
         X = rng.uniform(0.1, 0.9, (15, 2))
         y = rng.uniform(0.1, 0.9, 15)
@@ -632,8 +633,9 @@ class TestTrainHybrid:
         ("gwo", GwoConfig(population=8, iterations=20, seed=0)),
         ("ba", BaConfig(population=8, iterations=20, seed=0))])
     def test_search_box_bound(self, algorithm, config):
-        # the best fit, slope 1 and intercept -0.1, lies outside the box: the search stops at its edge
-        topology = NetworkTopology(1, (), 1)
+        # the data has slope 1, but in the box the net's slope is at most 0.5 * 0.5 * tanh' <= 0.25:
+        # the best fit lies outside the box, and the search stops at its edge
+        topology = NetworkTopology(1, 1)
         X = np.array([[0.5], [0.7]])
         y = np.array([0.4, 0.6])
         weights, _ = train_hybrid(algorithm, topology, X, y, config)
@@ -642,9 +644,9 @@ class TestTrainHybrid:
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            train_hybrid("sa", NetworkTopology(1, (), 1), np.zeros((2, 1)), np.zeros(2), PsoConfig())
+            train_hybrid("sa", NetworkTopology(1, 1), np.zeros((2, 1)), np.zeros(2), PsoConfig())
 
     def test_config_type_checked(self):
         with pytest.raises(ValueError, match="expects"):
-            train_hybrid("pso", NetworkTopology(1, (), 1), np.zeros((2, 1)), np.zeros(2),
+            train_hybrid("pso", NetworkTopology(1, 1), np.zeros((2, 1)), np.zeros(2),
                          GwoConfig())
