@@ -392,8 +392,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # DatasetFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:  # MemoryError: a size too large to allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -69,10 +69,12 @@ def _workspace(topology: NetworkTopology, n: int, dtype=float) -> tuple[np.ndarr
 def _forward(params, X, acts=None) -> np.ndarray:
     """Forward pass through the (W1, b1, W2, b2) views unflatten returns, in
     their dtype, writing the hidden and output activations into acts, or
-    into fresh arrays when acts is None; returns the output's."""
+    into fresh arrays when acts is None; returns the output's. A None b1
+    means W1 is [W1; b1] and X ends in a ones column, so the matmul adds it."""
     W1, b1, W2, b2 = params
     hidden = np.matmul(X, W1, out=None if acts is None else acts[0])
-    hidden += b1
+    if b1 is not None:
+        hidden += b1
     np.tanh(hidden, out=hidden)
     out = np.matmul(hidden, W2, out=None if acts is None else acts[1])
     out += b2

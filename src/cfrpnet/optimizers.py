@@ -361,15 +361,23 @@ def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
     A fitness only ranks candidates, so the forward pass runs in float32:
     the training set is checked and cast once, here, and so are the per-layer
     views of a float32 weight buffer; each call copies the position into that
-    buffer, and the squared errors are summed in float64. The objective owns
-    its scratch buffers, so a call allocates no batch-sized array: it is
-    deterministic and invariant to the order of the training rows, but not
-    re-entrant across threads.
+    buffer, and the squared errors are summed in float64. The flat layout
+    puts b1 right after W1, so the first (n + 1) * h weights are [W1; b1] as
+    one view, and X gets a ones column: the hidden bias is added inside the
+    first matmul. On OpenBLAS that kept every bit where numpy hands the
+    matmul to sgemm; a hidden width of 1 or a 1-row set goes to sgemv,
+    which may round the sums differently. The objective owns its scratch
+    buffers, so a call allocates no batch-sized array: it is deterministic
+    and invariant to the order of the training rows, but not re-entrant
+    across threads.
     """
-    X, Y = (a.astype(np.float32) for a in _check_batch(topology, X, y))
+    X, Y = _check_batch(topology, X, y)
+    X, Y = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32), Y.astype(np.float32)
     acts = _workspace(topology, X.shape[0], np.float32)
     w = np.empty(parameter_count(topology), np.float32)
-    params = unflatten(topology, w, np.float32)  # views of w
+    n, h = topology.input_size, topology.hidden_size
+    W2, b2 = unflatten(topology, w, np.float32)[2:]
+    params = (w[:(n + 1) * h].reshape(n + 1, h), None, W2, b2)  # views of w; b1 is in [W1; b1]
 
     def objective(position: np.ndarray) -> float:
         if np.shape(position) != w.shape:  # copyto would broadcast a scalar

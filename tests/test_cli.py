@@ -455,6 +455,39 @@ def test_fix_naming_swept_variable_exit_2(fix, tmp_path, capsys):
     assert captured.out == "" and captured.err == "error: --fix names the swept variable 'd'\n"
 
 
+class TestOutOfMemory:
+    # a size too large to allocate (say --steps or --neurons 100000000000) raises numpy's
+    # MemoryError subclass; the callee raises it here, so no test makes a real huge allocation
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+         "Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+        (MemoryError(), "MemoryError")])
+    def test_sweep_exit_3(self, error, message, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_DOC))
+
+        def no_memory(*args):
+            raise error
+
+        monkeypatch.setattr("cfrpnet.cli.parametric_sweep", no_memory)
+        assert main(["sweep", str(path), "--var", "d", "--from", "100", "--to", "200",
+                     "--steps", "100000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_train_exit_3(self, dataset_csv, tmp_path, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 43.7 TiB")
+
+        monkeypatch.setattr("cfrpnet.cli.train_model", no_memory)
+        out = tmp_path / "out"
+        assert main(["train", dataset_csv, "--model", "ann", "--neurons", "100000000000",
+                     "--out", str(out), "--quiet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: Unable to allocate 43.7 TiB\n"
+        assert not out.exists()
+
+
 def _model_document():
     """A valid model document over the seven default features."""
     topology = NetworkTopology(7, 3)

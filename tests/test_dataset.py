@@ -134,6 +134,28 @@ class TestParseAnyText:
         assert all(isinstance(r, SpecimenRecord) for r in records)
 
 
+@st.composite
+def valid_records(draw):
+    """Any record the rules accept: positive finite fields, h >= d, eps_h_rup None
+    or non-negative and finite (subnormals and the largest floats included)."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    values = {name: draw(positive) for name in FIELDS}
+    values["h"] = max(values["h"], values["d"])
+    eps = draw(st.none() | st.floats(min_value=0.0, allow_infinity=False))
+    return SpecimenRecord(**values, eps_h_rup=eps)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(valid_records(), min_size=1, max_size=12), st.booleans())
+    def test_write_parse_write_is_exact(self, records, as_bytes):
+        text = records_to_csv(records)
+        source = text.encode("utf-8") if as_bytes else io.StringIO(text, newline="")
+        parsed = parse_dataset(source)
+        assert parsed == records
+        assert records_to_csv(parsed) == text
+
+
 class TestParseSources:
     """A path streams through open(); bytes and file objects are read whole.
     The same bytes must give the same records or the same error either way."""

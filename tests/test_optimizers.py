@@ -42,13 +42,23 @@ SMALL = dict(population=12, iterations=60, seed=3)
 REL32 = 1e-6
 
 
-def float32_mse(topology, w, X, y):
+def two_step_float32_mse(topology, w, X, y):
     """The shared kernel on a float32 workspace and float32 copies of the
-    inputs: what the swarm objective computes."""
+    inputs, adding the hidden bias after the first matmul."""
     X, Y = (a.astype(np.float32) for a in _check_batch(topology, X, y))
     acts = _workspace(topology, X.shape[0], np.float32)
     params = unflatten(topology, np.asarray(w).astype(np.float32), np.float32)
     return _mse(params, X, Y, acts, acts[1])
+
+
+def float32_mse(topology, w, X, y):
+    """What the swarm objective computes: the shared kernel in float32 with the
+    hidden bias inside the first matmul, [X, 1] @ [W1; b1]."""
+    X, Y = _check_batch(topology, X, y)
+    X1 = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32)
+    W1, b1, W2, b2 = unflatten(topology, np.asarray(w).astype(np.float32), np.float32)
+    acts = _workspace(topology, X.shape[0], np.float32)
+    return _mse((np.vstack([W1, b1]), None, W2, b2), X1, Y.astype(np.float32), acts, acts[1])
 
 
 def small_configs():
@@ -525,6 +535,29 @@ class TestObjectiveFromDataset:
             assert loss == _mse(unflatten(topology, w), X64, Y64, acts64, acts64[1])
             assert objective(w) == pytest.approx(loss, rel=REL32)
 
+    @pytest.mark.parametrize("hidden_size", [5, 50])
+    @pytest.mark.parametrize("rows", [17, 45, 531, 708])
+    @pytest.mark.parametrize("input_size", [1, 3, 7])
+    def test_folded_bias_is_bit_identical_on_sgemm_shapes(self, input_size, rows, hidden_size):
+        # numpy hands these shapes' first matmul to sgemm, whose [X, 1] @ [W1; b1] lands on the
+        # bits of X @ W1 + b1: at the paper's 50 hidden units the fold changes no output. A
+        # hidden width of 1 or a single row goes to sgemv, which may round the sums differently.
+        topology = NetworkTopology(input_size, hidden_size)
+        rng = np.random.default_rng(1000 * input_size + 10 * hidden_size + rows)
+        X = rng.uniform(0.0, 1.0, (rows, input_size))
+        y = rng.uniform(0.0, 1.0, rows)
+        objective = objective_from_dataset(topology, X, y)
+        X32, X1 = X.astype(np.float32), np.hstack([X, np.ones((rows, 1))]).astype(np.float32)
+        folded_acts, two_step_acts = (_workspace(topology, rows, np.float32) for _ in range(2))
+        for _ in range(100):
+            w = rng.uniform(-2.0, 2.0, parameter_count(topology))
+            W1, b1, W2, b2 = unflatten(topology, w, np.float32)
+            neuralnet._forward((np.vstack([W1, b1]), None, W2, b2), X1, folded_acts)
+            neuralnet._forward((W1, b1, W2, b2), X32, two_step_acts)
+            for folded, two_step in zip(folded_acts, two_step_acts):
+                assert folded.tobytes() == two_step.tobytes()
+            assert objective(w) == two_step_float32_mse(topology, w, X, y)
+
     def test_repeated_and_interleaved_calls(self):
         topology = NetworkTopology(3, 6)
         rng = np.random.default_rng(4)
@@ -586,10 +619,21 @@ class TestObjectiveFromDataset:
         assert len(views) == 4 and not seen
         fitness = objective(w)
         assert objective(w) == fitness
+        # per call: [W1; b1], no separate b1, W2, b2, X with its ones column, two workspaces
         assert len(views) == 4 and len(seen) == 2 * (4 + 1 + 2) and len(outputs) == 2
-        # both calls run on the views bound when the objective was made
-        assert [id(a) for a in seen[:4]] == [id(a) for a in seen[7:11]] == [id(a) for a in views]
-        assert {a.dtype for a in views + seen + outputs} == {np.dtype(np.float32)}
+        folded, no_bias, W2, b2, X1 = seen[:5]
+        # both calls run on the views bound when the objective was made: [W1; b1] spans
+        # unflatten's W1 and b1 in the one float32 weight buffer, which holds the position
+        assert [id(a) for a in seen[:4]] == [id(a) for a in seen[7:11]]
+        assert no_bias is None and W2 is views[2] and b2 is views[3]
+        assert folded.shape == (4, 5) and folded.base is views[0].base is W2.base
+        assert np.shares_memory(folded, views[0]) and np.shares_memory(folded, views[1])
+        assert np.array_equal(folded, np.vstack(views[:2]))
+        assert np.array_equal(np.concatenate([folded.ravel(), W2.ravel(), b2]), w.astype(np.float32))
+        assert X1.shape == (13, 4) and np.array_equal(X1, np.hstack([X, np.ones((13, 1))]).astype(np.float32))
+        arrays = [a for a in views + seen + outputs if a is not None]
+        assert len(arrays) == 4 + 2 * (3 + 1 + 2) + 2
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         # float32 squared errors, summed in float64
         errors = outputs[0] - y.astype(np.float32)[:, None]
         assert fitness == np.square(errors).astype(np.float64).sum() / errors.size
@@ -600,7 +644,8 @@ class TestObjectiveFromDataset:
         gradient(topology, w, X, y)
         forward(topology, w, X[0])
         neuralnet.forward_batch(topology, w, X)
-        assert views and seen and {a.dtype for a in views + seen + outputs} == {np.dtype(np.float64)}
+        assert views and seen and all(a is not None for a in seen)  # unfolded: b1 is added
+        assert {a.dtype for a in views + seen + outputs} == {np.dtype(np.float64)}
 
 
 class TestTrainHybrid:
