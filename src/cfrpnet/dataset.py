@@ -172,7 +172,7 @@ class DatasetFormatError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecimenRecord:
     """One CFRP-confined cylinder observation.
 
@@ -195,10 +195,25 @@ class SpecimenRecord:
         check_values(self)
 
 
+_field_values = operator.attrgetter(*FIELDS)
+
+
 def check_values(values) -> None:
     """A record's rules for the fields an object holds (a record, or a namespace
     of some fields): FIELDS positive and finite, h not below d, eps_h_rup None
-    or non-negative and finite. NaN fails every comparison."""
+    or non-negative and finite. NaN fails every comparison. A holder of every field
+    passes on one chained comparison; the walk below names the first failing field."""
+    inf = math.inf
+    try:
+        d, h, nt, ef, fco, eco, ecc, fcc = _field_values(values)
+    except AttributeError:  # some fields absent: walked below
+        pass
+    else:
+        eps = getattr(values, "eps_h_rup", None)
+        if (0.0 < d < inf and 0.0 < h < inf and 0.0 < nt < inf and 0.0 < ef < inf
+                and 0.0 < fco < inf and 0.0 < eco < inf and 0.0 < ecc < inf and 0.0 < fcc < inf
+                and not h < d and (eps is None or 0.0 <= eps < inf)):
+            return
     for name in FIELDS:
         value = getattr(values, name, 1.0)
         if not 0.0 < value < math.inf:
@@ -242,12 +257,13 @@ def parse_dataset(source) -> list[SpecimenRecord]:
     skipped. Row numbers in errors are 1-based file lines (header is 1); a
     record whose quoted cell spans lines is reported at its last line.
     A path is streamed row by row; bytes and file objects are read whole.
+    Paths and bytes are UTF-8, with or without a byte-order mark.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
+        with open(source, encoding="utf-8-sig", newline="") as fh:
             return _parse_rows(csv.reader(fh))
     data = source if isinstance(source, bytes) else source.read()
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     return _parse_rows(csv.reader(io.StringIO(text, newline="")))
 
 
@@ -265,19 +281,26 @@ def _read_records(reader) -> list[SpecimenRecord]:
         raise DatasetFormatError("empty input: missing header") from None
     has_rupture = _check_header(header)
 
+    width = len(CSV_HEADER)
     records: list[SpecimenRecord] = []
     for row in reader:
         line_no = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if len(row) != len(header):
             raise DatasetFormatError(f"expected {len(header)} columns, found {len(row)}", row=line_no)
-        values = list(map(_parse_float, row, itertools.repeat(line_no), CSV_HEADER))  # FIELDS order
-        eps = None
-        if has_rupture and row[len(CSV_HEADER)].strip():
-            eps = _parse_float(row[len(CSV_HEADER)], line_no, RUPTURE_COLUMN)
+        # FIELDS order, then eps_hrup unless blank (the record's default None)
+        cells = row if has_rupture and row[width].strip() else row[:width]
         try:
-            records.append(SpecimenRecord(*values, eps_h_rup=eps))
+            values = list(map(float, cells))
+            finite = math.isfinite(sum(values))
+        except ValueError:
+            finite = False
+        if not finite:  # name the bad cell; finite cells whose sum overflows parse again here
+            values = list(map(_parse_float, cells, itertools.repeat(line_no),
+                              (*CSV_HEADER, RUPTURE_COLUMN)))
+        try:
+            records.append(SpecimenRecord(*values))
         except ValueError as exc:
             raise DatasetFormatError(str(exc), row=line_no) from None
     return records
@@ -360,7 +383,10 @@ class DatasetSummary:
 
 
 def raw_matrix(records: Sequence[SpecimenRecord], fields: Sequence[str]) -> np.ndarray:
-    return np.array(list(map(operator.attrgetter(*fields), records)), dtype=float).reshape(-1, len(fields))
+    values = map(operator.attrgetter(*fields), records)
+    if len(fields) > 1:  # one field's getter returns the value, not a tuple
+        values = itertools.chain.from_iterable(values)
+    return np.fromiter(values, dtype=float, count=len(records) * len(fields)).reshape(-1, len(fields))
 
 
 def summary_stats(records: Sequence[SpecimenRecord]) -> DatasetSummary:

@@ -9,6 +9,7 @@ at the boundary. All functions are pure.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -18,10 +19,16 @@ LAM_TENG_COEFFICIENT = 3.3
 MIYAUCHI_COEFFICIENT = 3.485
 
 EMPIRICAL_MODELS = ("lam_teng", "miyauchi", "nonlinear")
+_RECORD_FIELDS = ("d", "nt", "ef", "fco", "eps_h_rup")
+_record_fields = operator.attrgetter(*_RECORD_FIELDS)
 
 
 def _require(name: str, value: float, zero_ok: bool = False) -> None:
-    """Raise unless ``value`` is finite and positive (or zero, when ``zero_ok``)."""
+    """Raise unless ``value`` is finite and positive (or zero, when ``zero_ok``).
+
+    confinement_stress and the strength models make these comparisons for all
+    their arguments as one chain, in the same order, and call this only when
+    the chain fails, to name the first bad argument."""
     if not 0.0 <= value < math.inf or (value == 0.0 and not zero_ok):
         rule = "non-negative" if zero_ok else "positive"
         raise ValueError(f"{name} must be {rule} and finite, got {value}")
@@ -36,24 +43,32 @@ def hoop_rupture_strain(eps_f: float, fco: float) -> float:
 
 def confinement_stress(ef_mpa: float, eps_h_rup: float, t: float, d: float) -> float:
     """Maximum lateral pressure exerted by the jacket, MPa."""
-    _require("ef_mpa", ef_mpa)
-    _require("t", t)
-    _require("d", d)
-    _require("eps_h_rup", eps_h_rup, zero_ok=True)
+    inf = math.inf
+    if not (0.0 <= ef_mpa < inf and ef_mpa != 0.0 and 0.0 <= t < inf and t != 0.0
+            and 0.0 <= d < inf and d != 0.0 and 0.0 <= eps_h_rup < inf):
+        _require("ef_mpa", ef_mpa)
+        _require("t", t)
+        _require("d", d)
+        _require("eps_h_rup", eps_h_rup, zero_ok=True)
     return 2.0 * ef_mpa * eps_h_rup * t / d
+
+
+def _require_strength(fco: float, f_l: float) -> None:
+    """fco positive and f_l non-negative, both finite."""
+    if not (0.0 <= fco < math.inf and fco != 0.0 and 0.0 <= f_l < math.inf):
+        _require("fco", fco)
+        _require("f_l", f_l, zero_ok=True)
 
 
 def lam_teng(fco: float, f_l: float) -> float:
     """Lam-Teng confined strength, linear in the confinement ratio."""
-    _require("fco", fco)
-    _require("f_l", f_l, zero_ok=True)
+    _require_strength(fco, f_l)
     return fco * (1.0 + LAM_TENG_COEFFICIENT * f_l / fco)
 
 
 def miyauchi(fco: float, f_l: float) -> float:
     """Miyauchi confined strength, linear with a steeper coefficient."""
-    _require("fco", fco)
-    _require("f_l", f_l, zero_ok=True)
+    _require_strength(fco, f_l)
     return fco * (1.0 + MIYAUCHI_COEFFICIENT * f_l / fco)
 
 
@@ -72,8 +87,7 @@ class EmpiricalModelParams(ConfigBase):
 
 def nonlinear_model(fco: float, f_l: float, params: EmpiricalModelParams) -> float:
     """Nonlinear confined strength fcc = fco * (1 + k * (f_l / fco)**n)."""
-    _require("fco", fco)
-    _require("f_l", f_l, zero_ok=True)
+    _require_strength(fco, f_l)
     return fco * (1.0 + params.k * (f_l / fco) ** params.n)
 
 
@@ -83,13 +97,6 @@ def eurocode_strains(fcm: float) -> tuple[float, float]:
     eps_c1 = 0.0014 * (2.0 - math.exp(-0.024 * fcm) - math.exp(-0.140 * fcm))
     eps_cu1 = 0.004 - 0.0011 * (1.0 - math.exp(-0.0215 * fcm))
     return eps_c1, eps_cu1
-
-
-def _fields(record, names) -> list:
-    """The named fields of a mapping or an object, None where absent."""
-    if isinstance(record, Mapping):
-        return [record.get(name) for name in names]
-    return [getattr(record, name, None) for name in names]
 
 
 def check_model(model: str, params: EmpiricalModelParams | None) -> None:
@@ -116,11 +123,17 @@ def predict_record(
     configuration error is raised rather than guessing.
     """
     check_model(model, params)
-    names = ("d", "nt", "ef", "fco", "eps_h_rup")
-    d, nt, ef, fco, record_eps = _fields(record, names)
-    for name, value in zip(names, (d, nt, ef, fco)):
-        if value is None:
-            raise ValueError(f"record is missing field {name!r}")
+    if isinstance(record, Mapping):
+        values = map(record.get, _RECORD_FIELDS)
+    else:
+        try:
+            values = _record_fields(record)
+        except AttributeError:  # an absent field reads as None
+            values = [getattr(record, name, None) for name in _RECORD_FIELDS]
+    d, nt, ef, fco, record_eps = values
+    if d is None or nt is None or ef is None or fco is None:
+        missing = next(n for n, v in zip(_RECORD_FIELDS, (d, nt, ef, fco)) if v is None)
+        raise ValueError(f"record is missing field {missing!r}")
     eps = eps_h_rup if eps_h_rup is not None else record_eps
     if eps is None and eps_f is not None:
         eps = hoop_rupture_strain(eps_f, fco)

@@ -1,6 +1,12 @@
+import codecs
+import copy
+import dataclasses
 import io
 import math
+import operator
+import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,18 +15,21 @@ from hypothesis import strategies as st
 
 from cfrpnet.dataset import (
     CSV_HEADER,
+    DEFAULT_FEATURES,
     FIELD_BOUNDS,
     FIELDS,
     DatasetFormatError,
     FeatureRange,
     NormalizationSpec,
     SpecimenRecord,
+    check_values,
     correlation_matrix,
     csv_text,
     feature_matrix,
     fit_normalizer,
     json_text,
     parse_dataset,
+    raw_matrix,
     records_to_csv,
     split,
     summary_stats,
@@ -99,6 +108,56 @@ class TestParse:
 
 
 ROW = "150,300,0.167,231,30,0.2,1.2,45"
+BAD_CELLS = {"x": "could not parse number from 'x'", "": "could not parse number from ''",
+             "nan": "non-finite value 'nan'", "inf": "non-finite value 'inf'",
+             "-inf": "non-finite value '-inf'", "1e999": "non-finite value '1e999'"}
+
+
+def _row_with(cells: dict) -> str:
+    values = ROW.split(",")
+    for column, cell in cells.items():
+        values[CSV_HEADER.index(column)] = cell
+    return ",".join(values)
+
+
+class TestParseErrorsKept:
+    """A row is converted in one pass and walked cell by cell only when that
+    pass fails; the walk gives each error its message, row and column."""
+
+    @pytest.mark.parametrize("column", CSV_HEADER)
+    @pytest.mark.parametrize("cell", sorted(BAD_CELLS))
+    def test_bad_cell_message_row_and_column(self, column, cell):
+        text = f"{HEADER}\n{ROW}\n{_row_with({column: cell})}\n"
+        with pytest.raises(DatasetFormatError) as exc:
+            parse_dataset(io.StringIO(text))
+        assert str(exc.value) == f"{BAD_CELLS[cell]} (row 3, column {column!r})"
+        assert (exc.value.row, exc.value.column) == (3, column)
+
+    def test_first_bad_cell_is_named(self):
+        text = f"{HEADER}\n{_row_with({'h_mm': 'nan', 'ef_gpa': 'x', 'fcc_mpa': ''})}\n"
+        with pytest.raises(DatasetFormatError, match=r"^non-finite value 'nan' \(row 2, column 'h_mm'\)$"):
+            parse_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("cell", ["x", "nan", "inf", "1e999"])
+    def test_bad_rupture_cell(self, cell):
+        text = f"{HEADER},eps_hrup\n{ROW},0.01\n{ROW},{cell}\n"
+        with pytest.raises(DatasetFormatError) as exc:
+            parse_dataset(io.StringIO(text))
+        assert str(exc.value) == f"{BAD_CELLS[cell]} (row 3, column 'eps_hrup')"
+
+    def test_largest_finite_cells_parse(self):
+        # their sum overflows, yet every cell is finite: the row is a record
+        (record,) = parse_dataset(io.StringIO(f"{HEADER}\n{','.join(['1e308'] * 8)}\n"))
+        assert [getattr(record, f) for f in FIELDS] == [1e308] * 8
+
+    def test_blank_and_padded_rows(self):
+        padded = ",".join(f" {v}\t" for v in ROW.split(","))
+        text = (f"{HEADER},eps_hrup\n   \n{' ,' * 8}\t\n{padded}, \n{ROW},\n\t\n"
+                f"{ROW}, 0.01 \n,,,,,,,,\n")
+        records = parse_dataset(io.StringIO(text))
+        assert [r.eps_h_rup for r in records] == [None, None, 0.01]
+        assert records[0] == records[1] == dataclasses.replace(records[2], eps_h_rup=None)
+        assert (records[0].d, records[0].fcc) == (150.0, 45.0)
 SOURCE_CASES = {
     "crlf": f"{HEADER}\r\n{ROW}\r\n{ROW.replace('150', '160')}\r\n",
     "lone_cr": f"{HEADER}\r{ROW}\r{ROW.replace('30', '35')}\r",
@@ -173,6 +232,15 @@ class TestParseSources:
         else:
             assert len(outcomes[0]) == 2
 
+    @pytest.mark.parametrize("kind", ["path", "str_path", "bytes", "binary_file"])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, kind):
+        # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+        data = codecs.BOM_UTF8 + f"{HEADER},eps_hrup\n{ROW},0.01\n".encode()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        source = {"path": path, "str_path": str(path), "bytes": data, "binary_file": io.BytesIO(data)}[kind]
+        assert parse_dataset(source) == parse_dataset(data[len(codecs.BOM_UTF8):])
+
     @pytest.mark.parametrize("case", ["bad_cell_row_4", "bad_cell_after_quoted_newline"])
     def test_bad_cell_row_number(self, tmp_path, case):
         # the row is the file line, also after a quoted cell that spans two lines
@@ -228,6 +296,71 @@ class TestRecordInvariants:
     def test_fcc_below_fco_allowed(self):
         r = SpecimenRecord(d=150, h=300, nt=0.2, ef=231, fco=50, eco=0.2, ecc=1.2, fcc=45)
         assert r.fcc < r.fco
+
+    def test_slotted_record_copies_pickles_and_replaces(self):
+        r = SpecimenRecord(d=150, h=300, nt=0.2, ef=231, fco=50, eco=0.2, ecc=1.2, fcc=45, eps_h_rup=0.01)
+        assert not hasattr(r, "__dict__")
+        for other in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert other == r and other is not r
+        assert dataclasses.replace(r, d=100.0) == SpecimenRecord(
+            d=100.0, h=300, nt=0.2, ef=231, fco=50, eco=0.2, ecc=1.2, fcc=45, eps_h_rup=0.01)
+        with pytest.raises(ValueError, match="height"):
+            dataclasses.replace(r, d=400.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.d = 1.0
+
+
+def _check_by_field(values) -> None:
+    """The per-field rules check_values applies, one field at a time (the oracle)."""
+    for name in FIELDS:
+        value = getattr(values, name, 1.0)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"field {name!r} must be positive and finite, got {value}")
+    if getattr(values, "h", math.inf) < getattr(values, "d", 0.0):
+        raise ValueError(f"cylinder height {values.h} is smaller than diameter {values.d}")
+    eps = getattr(values, "eps_h_rup", None)
+    if eps is not None and not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps_h_rup must be non-negative and finite, got {eps}")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except (ValueError, TypeError) as exc:
+        return (type(exc), str(exc))
+
+
+# Zero, negatives, NaN, infinities, subnormals, the largest floats, ints and
+# a string: every kind of value the rules must accept or reject.
+CHECKED_VALUES = (st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 150.0, "x"])
+                  | st.floats() | st.integers(-3, 400))
+
+
+class TestCheckValuesAgreesWithFieldRules:
+    @settings(max_examples=500, deadline=None)
+    @given(valid_records(), st.dictionaries(st.sampled_from(FIELDS), CHECKED_VALUES, max_size=3),
+           st.sets(st.sampled_from(FIELDS), max_size=2),
+           st.just("absent") | st.none() | st.floats(0.0, 1.0) | CHECKED_VALUES)
+    def test_namespaces_and_records(self, record, changed, absent, eps):
+        # a valid record with up to three values replaced and up to two fields absent
+        values = {**{name: getattr(record, name) for name in FIELDS}, **changed}
+        fields = {name: value for name, value in values.items() if name not in absent}
+        if eps != "absent":
+            fields["eps_h_rup"] = eps
+        expected = _outcome(_check_by_field, SimpleNamespace(**fields))
+        assert _outcome(check_values, SimpleNamespace(**fields)) == expected
+        if not absent:  # a record checks itself on construction
+            assert _outcome(lambda: check_values(SpecimenRecord(**fields))) == expected
+
+    def test_each_field_each_bad_value(self):
+        base = {"d": 150.0, "h": 300.0, "nt": 0.2, "ef": 231.0, "fco": 30.0, "eco": 0.2,
+                "ecc": 1.2, "fcc": 45.0, "eps_h_rup": 0.01}
+        for name in base:
+            for value in (0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, "x"):
+                fields = {**base, name: value}
+                expected = _outcome(_check_by_field, SimpleNamespace(**fields))
+                assert _outcome(check_values, SimpleNamespace(**fields)) == expected
+                assert _outcome(lambda: check_values(SpecimenRecord(**fields))) == expected
 
 
 class TestValidateRanges:
@@ -432,6 +565,16 @@ class TestNormalization:
         X = feature_matrix(records, ("d", "fco"), spec)
         assert X.shape == (len(records), 2)
         assert np.all((X >= 0.1) & (X <= 0.9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(valid_records(), max_size=30),
+           st.sampled_from([(f,) for f in FIELDS] + [DEFAULT_FEATURES, DEFAULT_FEATURES[::-1]]))
+    def test_raw_matrix_equals_array_of_tuples(self, records, fields):
+        expected = np.array(list(map(operator.attrgetter(*fields), records)),
+                            dtype=float).reshape(-1, len(fields))
+        got = raw_matrix(records, fields)
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()
 
 
 # Fractions of the fitted range: both endpoints, interior values and

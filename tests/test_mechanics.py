@@ -5,10 +5,15 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrpnet.dataset import SpecimenRecord
 from cfrpnet.mechanics import (
+    LAM_TENG_COEFFICIENT,
+    MIYAUCHI_COEFFICIENT,
     EmpiricalModelParams,
+    check_model,
     confinement_stress,
     eurocode_strains,
     hoop_rupture_strain,
@@ -302,3 +307,116 @@ def test_repeated_calls_agree_bitwise():
     args = (231000.0, 0.00912, 0.334, 203.0)
     assert confinement_stress(*args) == confinement_stress(*args)
     assert eurocode_strains(47.3) == eurocode_strains(47.3)
+
+
+# The oracle: the checked chain predict_record ran before its checks were
+# merged, one argument at a time in the checked functions' order.
+def _require_one(name, value, zero_ok=False):
+    if not 0.0 <= value < math.inf or (value == 0.0 and not zero_ok):
+        rule = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {rule} and finite, got {value}")
+
+
+def _confinement_by_argument(ef_mpa, eps_h_rup, t, d):
+    for name, value in (("ef_mpa", ef_mpa), ("t", t), ("d", d)):
+        _require_one(name, value)
+    _require_one("eps_h_rup", eps_h_rup, zero_ok=True)
+    return 2.0 * ef_mpa * eps_h_rup * t / d
+
+
+def _strength_by_argument(model, fco, f_l, params=None):
+    _require_one("fco", fco)
+    _require_one("f_l", f_l, zero_ok=True)
+    if model == "nonlinear":
+        return fco * (1.0 + params.k * (f_l / fco) ** params.n)
+    coefficient = LAM_TENG_COEFFICIENT if model == "lam_teng" else MIYAUCHI_COEFFICIENT
+    return fco * (1.0 + coefficient * f_l / fco)
+
+
+def _predict_by_argument(record, model="lam_teng", params=None, eps_h_rup=None, eps_f=None):
+    check_model(model, params)
+    names = ("d", "nt", "ef", "fco", "eps_h_rup")
+    if isinstance(record, collections.abc.Mapping):
+        d, nt, ef, fco, record_eps = [record.get(name) for name in names]
+    else:
+        d, nt, ef, fco, record_eps = [getattr(record, name, None) for name in names]
+    for name, value in zip(names, (d, nt, ef, fco)):
+        if value is None:
+            raise ValueError(f"record is missing field {name!r}")
+    eps = eps_h_rup if eps_h_rup is not None else record_eps
+    if eps is None and eps_f is not None:
+        _require_one("eps_f", eps_f)
+        _require_one("fco", fco)
+        eps = eps_f / fco ** 0.125
+    if eps is None:
+        raise ValueError("no rupture-strain source: supply eps_h_rup, a record value, or eps_f")
+    return _strength_by_argument(model, fco, _confinement_by_argument(ef * 1000.0, eps, nt, d), params)
+
+
+def _bits(fn, *args, **kwargs):
+    """The result's exact bits, or the error's type and message."""
+    try:
+        return float(fn(*args, **kwargs)).hex()
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# Valid inputs, zero, negatives, NaN, infinities, subnormals, huge values
+# (so that the pressure overflows), ints and a string.
+MECH_VALUES = (st.floats(0.01, 1000.0) | st.floats()
+               | st.sampled_from([0.0, -1.0, 5e-324, 1e300, 3, "x"]))
+PARAMS = st.builds(EmpiricalModelParams, k=st.floats(0.1, 5.0), n=st.floats(0.2, 2.0))
+
+
+class TestMergedChecksAgreeWithArgumentChecks:
+    """The guards test all their arguments in one chained comparison and the
+    fields are fetched at once; bits and errors must stay those of checking
+    one argument after another."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(MECH_VALUES, MECH_VALUES, MECH_VALUES, MECH_VALUES, PARAMS)
+    def test_guards(self, a, b, c, e, params):
+        assert _bits(confinement_stress, a, b, c, e) == _bits(_confinement_by_argument, a, b, c, e)
+        for model, fn, extra in (("lam_teng", lam_teng, ()), ("miyauchi", miyauchi, ()),
+                                 ("nonlinear", nonlinear_model, (params,))):
+            assert _bits(fn, a, b, *extra) == _bits(_strength_by_argument, model, a, b, *extra)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.fixed_dictionaries({name: MECH_VALUES for name in ("d", "nt", "ef", "fco")}),
+           st.sets(st.sampled_from(["d", "nt", "ef", "fco"]), max_size=1),
+           st.sampled_from(["lam_teng", "miyauchi", "nonlinear"]), PARAMS,
+           st.sampled_from(["argument", "record", "eps_f", "none"]), MECH_VALUES)
+    def test_predict_record(self, values, absent, model, params, source, strain):
+        fields = {k: v for k, v in values.items() if k not in absent}
+        kwargs = {"model": model, "params": params}
+        if source == "record":
+            fields["eps_h_rup"] = strain
+        elif source != "none":
+            kwargs["eps_h_rup" if source == "argument" else "eps_f"] = strain
+        containers = [fields, types.SimpleNamespace(**fields), types.MappingProxyType(fields)]
+        try:
+            d = fields["d"]
+            containers.append(SpecimenRecord(d=d, h=2 * d, nt=fields["nt"], ef=fields["ef"],
+                                             fco=fields["fco"], eco=0.2, ecc=1.2, fcc=45.0,
+                                             eps_h_rup=fields.get("eps_h_rup")))
+        except (KeyError, ValueError, TypeError):
+            pass  # not a valid record
+        expected = _bits(_predict_by_argument, fields, **kwargs)
+        for record in containers:
+            assert _bits(predict_record, record, **kwargs) == expected
+
+    def test_errors_kept(self):
+        fields = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.01}
+        cases = [
+            ({**fields, "ef": 1e300, "nt": 1e300, "d": 1.0}, "f_l must be non-negative and finite, got inf"),
+            ({**fields, "nt": -1.0}, "t must be positive and finite, got -1.0"),
+            ({**fields, "fco": math.nan}, "fco must be positive and finite, got nan"),
+            ({**fields, "eps_h_rup": -0.01}, "eps_h_rup must be non-negative and finite, got -0.01"),
+            ({k: v for k, v in fields.items() if k != "nt"}, "record is missing field 'nt'"),
+        ]
+        for values, message in cases:
+            for record in (values, types.SimpleNamespace(**values)):
+                for model in ("lam_teng", "miyauchi"):
+                    with pytest.raises(ValueError) as exc:
+                        predict_record(record, model=model)
+                    assert str(exc.value) == message
