@@ -456,19 +456,25 @@ class NormalizationSpec:
             if not r.x_max > r.x_min:
                 raise ValueError(f"feature {name!r} has empty range [{r.x_min}, {r.x_max}]")
 
-    # An int or float takes plain float arithmetic: the same IEEE double
-    # operations in the same order as the array path, so the same bits,
-    # without numpy's per-call cost on a single value.
     def normalize(self, field: str, x):
+        if isinstance(x, (int, float)):
+            return self.normalize_value(field, float(x))[0]
         r = self.ranges[field]
-        scalar = isinstance(x, (int, float))
-        arr = float(x) if scalar else np.asarray(x, dtype=float)
+        arr = np.asarray(x, dtype=float)
         z = (self.lo * (r.x_max - arr) + self.hi * (arr - r.x_min)) / (r.x_max - r.x_min)
         # pin the endpoints so the fitted bounds map to lo/hi bit-exactly
-        if scalar:
-            return float(self.lo) if arr == r.x_min else float(self.hi) if arr == r.x_max else z
         z = np.where(arr == r.x_min, self.lo, np.where(arr == r.x_max, self.hi, z))
         return float(z) if np.ndim(x) == 0 else z
+
+    # Plain float arithmetic: the same IEEE double operations in the same
+    # order as the array path, so the same bits, without numpy's per-call
+    # cost on a single value.
+    def normalize_value(self, field: str, x: float) -> tuple[float, bool]:
+        """normalize of one float, and whether it lies in the fitted range."""
+        r = self.ranges[field]
+        z = (self.lo * (r.x_max - x) + self.hi * (x - r.x_min)) / (r.x_max - r.x_min)
+        return (float(self.lo) if x == r.x_min else float(self.hi) if x == r.x_max else z,
+                r.x_min <= x <= r.x_max)
 
     def denormalize(self, field: str, z):
         r = self.ranges[field]
@@ -478,10 +484,6 @@ class NormalizationSpec:
         if scalar:
             return x
         return float(x) if np.ndim(z) == 0 else x
-
-    def in_range(self, field: str, x: float) -> bool:
-        r = self.ranges[field]
-        return r.x_min <= x <= r.x_max
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .dataset import ConfigBase
+from .dataset import ConfigBase, SpecimenRecord
 
 LAM_TENG_COEFFICIENT = 3.3
 MIYAUCHI_COEFFICIENT = 3.485
@@ -88,7 +88,11 @@ class EmpiricalModelParams(ConfigBase):
 def nonlinear_model(fco: float, f_l: float, params: EmpiricalModelParams) -> float:
     """Nonlinear confined strength fcc = fco * (1 + k * (f_l / fco)**n)."""
     _require_strength(fco, f_l)
-    return fco * (1.0 + params.k * (f_l / fco) ** params.n)
+    try:
+        return fco * (1.0 + params.k * (f_l / fco) ** params.n)
+    except OverflowError:  # a bad input like any other, not an arithmetic fault
+        raise ValueError(f"nonlinear model overflows: (f_l / fco) ** n with f_l={f_l}, fco={fco}, "
+                         f"n={params.n}") from None
 
 
 def eurocode_strains(fcm: float) -> tuple[float, float]:
@@ -123,7 +127,8 @@ def predict_record(
     configuration error is raised rather than guessing.
     """
     check_model(model, params)
-    if isinstance(record, Mapping):
+    # the concrete class first: an ABC's isinstance check runs in Python
+    if not isinstance(record, SpecimenRecord) and isinstance(record, Mapping):
         values = map(record.get, _RECORD_FIELDS)
     else:
         try:

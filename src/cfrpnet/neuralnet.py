@@ -89,12 +89,12 @@ def forward_batch(topology: NetworkTopology, weights, X) -> np.ndarray:
     return _forward(unflatten(topology, weights), X)
 
 
-def forward(topology: NetworkTopology, weights, x) -> float:
-    """Prediction for a single feature vector."""
+def forward(params, x) -> float:
+    """Prediction for a single feature vector, through unflatten's (W1, b1, W2, b2) views."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != topology.input_size:
-        raise ValueError(f"expected {topology.input_size} inputs, got shape {x.shape}")
-    return float(_forward(unflatten(topology, weights), x[None, :])[0, 0])
+    if x.ndim != 1 or x.size != params[0].shape[0]:
+        raise ValueError(f"expected {params[0].shape[0]} inputs, got shape {x.shape}")
+    return float(_forward(params, x[None, :])[0, 0])
 
 
 def _check_batch(topology, X, y):
@@ -204,12 +204,13 @@ def train_backprop(
     return w, history
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     """A trained network bundled with its normalization and provenance.
 
     The model is self-contained: predictions in physical units need only
-    the serialized file, not the training data.
+    the serialized file, not the training data. It is frozen because it
+    binds its weights' float64 views once, for every single-record call.
     """
 
     topology: NetworkTopology
@@ -217,21 +218,24 @@ class TrainedModel:
     normalization: NormalizationSpec
     features: tuple[str, ...] = DEFAULT_FEATURES
     provenance: dict = field(default_factory=dict)
+    params: tuple = field(init=False, repr=False, compare=False)  # unflatten's views of weights
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
         expected = parameter_count(self.topology)
-        if self.weights.shape != (expected,):
-            raise ValueError(f"weight vector has length {self.weights.size}, topology needs {expected}")
-        if not np.all(np.isfinite(self.weights)):
+        if weights.shape != (expected,):
+            raise ValueError(f"weight vector has length {weights.size}, topology needs {expected}")
+        if not np.all(np.isfinite(weights)):
             raise ValueError("weight vector contains non-finite entries")
-        self.features = tuple(self.features)
-        if len(self.features) != self.topology.input_size:
-            raise ValueError(
-                f"{len(self.features)} features do not match input size {self.topology.input_size}")
-        missing = [f for f in (*self.features, TARGET_FIELD) if f not in self.normalization.ranges]
+        features = tuple(self.features)
+        if len(features) != self.topology.input_size:
+            raise ValueError(f"{len(features)} features do not match input size {self.topology.input_size}")
+        missing = [f for f in (*features, TARGET_FIELD) if f not in self.normalization.ranges]
         if missing:
             raise ValueError(f"normalization spec lacks field(s): {', '.join(missing)}")
+        for name, value in (("weights", weights), ("features", features),
+                            ("params", unflatten(self.topology, weights))):
+            object.__setattr__(self, name, value)
 
     def predict_normalized(self, X) -> np.ndarray:
         return forward_batch(self.topology, self.weights, X)[:, 0]
@@ -247,20 +251,21 @@ class TrainedModel:
         Returns the prediction and a list of extrapolation warnings for
         inputs outside the fitted normalization range.
         """
-        missing = [f for f in self.features if f not in values]
-        if missing:
-            raise ValueError(f"missing feature: {missing[0]}")
-        warnings = []
-        x = np.empty(len(self.features))
+        try:
+            raw = [values[name] for name in self.features]
+        except KeyError:
+            missing = next(f for f in self.features if f not in values)
+            raise ValueError(f"missing feature: {missing}") from None
+        spec, warnings, x = self.normalization, [], np.empty(len(raw))
         for j, name in enumerate(self.features):
-            v = float(values[name])
-            if not self.normalization.in_range(name, v):
-                r = self.normalization.ranges[name]
+            v = float(raw[j])
+            x[j], inside = spec.normalize_value(name, v)
+            if not inside:
+                r = spec.ranges[name]
                 warnings.append(
                     f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
-            x[j] = self.normalization.normalize(name, v)
-        z = forward(self.topology, self.weights, x)
-        return float(self.normalization.denormalize(TARGET_FIELD, z)), warnings
+        z = forward(self.params, x)
+        return spec.denormalize(TARGET_FIELD, z), warnings
 
 
 def _topology_to_dict(topology: NetworkTopology) -> dict:

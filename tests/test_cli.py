@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cfrpnet.cli import build_parser, main
 from cfrpnet.dataset import (
     DEFAULT_FEATURES,
+    FIELDS,
     DatasetFormatError,
     FeatureRange,
     NormalizationSpec,
@@ -418,6 +419,30 @@ class TestPredict:
         assert captured.out == "" and "finite" in captured.err
 
 
+class TestParserReuse:
+    def test_calls_share_no_state(self, dataset_csv, tmp_path, capsys):
+        # one parser serves every call in a process; flags and defaults do not carry over
+        model = _perfect_model(tmp_path)
+        assert build_parser() is build_parser()
+        assert main(["predict", model, "--input", "fco=40", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"fcc_mpa": _perfect().predict_values({"fco": 40.0})[0]}
+        assert main(["predict", model, "--input", "fco=40"]) == 0
+        assert capsys.readouterr().out == f"fcc = {_perfect_fcc(40.0):.4f} MPa\n"
+        assert main(["validate", dataset_csv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_records"] == 40
+        assert main(["predict", model]) == 2  # a usage error in between
+        assert "required: --input" in capsys.readouterr().err
+        assert main(["predict", model, "--input", "fco=50"]) == 0
+        assert capsys.readouterr().out == f"fcc = {_perfect_fcc(50.0):.4f} MPa\n"
+        out = tmp_path / "synth"
+        assert main(["synth", "--n", "10", "--seed", "4", "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["synth", "--n", "10", "--out", str(out)]) == 0
+        assert "(seed 0, noise 0.02)" in capsys.readouterr().out
+        first, second = (build_parser().parse_args(["synth", *flags]) for flags in (["--seed", "4"], []))
+        assert (first.seed, second.seed) == (4, 0)
+
+
 class TestSweep:
     def test_reversed_bounds_exit_2(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
@@ -629,6 +654,34 @@ TOPOLOGIES = (JSON_VALUES | st.dictionaries(st.sampled_from(sorted(_TOPOLOGY)), 
                           st.sampled_from(sorted(_TOPOLOGY)), NEAR_VALUES | JSON_VALUES))
 
 
+# --input text: any text, name=value pairs over known and unknown names, or the valid
+# input followed by such pairs or by known names with any float
+_INPUT_NAMES = st.sampled_from([*FIELDS, "eps_h_rup", "fcc", "x", " d ", ""])
+_INPUT_CELLS = (st.floats().map(repr) | st.integers(-10 ** 400, 10 ** 400).map(str) | st.text(max_size=6)
+                | st.sampled_from(["", "nan", "-inf", "1e999", "1_0", "0x10", " 150 ", "5e-324"]))
+_INPUT_PAIRS = st.lists(st.tuples(_INPUT_NAMES, st.sampled_from(["=", "==", ""]), _INPUT_CELLS).map("".join),
+                        max_size=8).map(",".join)
+_NUMBER_PAIRS = st.lists(st.tuples(st.sampled_from([*FIELDS, "eps_h_rup"]), st.floats(-1e3, 1e6) | st.floats())
+                        .map("{0[0]}={0[1]!r}".format), max_size=4).map(",".join)
+INPUT_TEXTS = (st.text() | _INPUT_PAIRS
+               | st.builds("{},{}".format, st.just(VALID_INPUT), _INPUT_PAIRS | _NUMBER_PAIRS))
+
+
+class TestPredictInputBoundary:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(INPUT_TEXTS)
+    def test_exit_code_without_traceback(self, tmp_path, capsys, text):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_DOC))
+        code = main(["predict", str(path), "--input", text])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3) and "Traceback" not in captured.err
+        if code == 0:
+            assert re.fullmatch(r"fcc = \S+ MPa\n", captured.out)
+        else:
+            assert captured.out == "" and captured.err.startswith(("error: ", "usage: "))
+
+
 class TestModelFileBoundary:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(["topology", "target"]), TOPOLOGIES | NEAR_VALUES)
@@ -735,6 +788,22 @@ class TestCompare:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"roster": ["svm"]}))
         assert main(["compare", "--config", str(path)]) == 2
+
+    # the lam_teng row's squared errors overflow too, which numpy only warns about
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonlinear_overflow_recorded_as_failure(self, tmp_path, capsys):
+        # moduli near 1e200 GPa are valid cells, but (f_l / fco) ** n overflows
+        records = make_records(30, seed=5, with_rupture=True)
+        data_path = tmp_path / "huge_moduli.csv"
+        data_path.write_text(records_to_csv([dataclasses.replace(r, ef=r.ef * 1e198) for r in records]))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dataset": str(data_path), "roster": ["lam_teng", "nonlinear"],
+                                   "seed": 1, "models": {"nonlinear": {"k": 2, "n": 2}}}))
+        assert main(["compare", "--config", str(cfg), "--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert re.search(r"^ +lam_teng +\d", captured.out, re.M)
+        assert re.search(r"^ +nonlinear  FAILED: ValueError: nonlinear model overflows", captured.out, re.M)
+        assert "Traceback" not in captured.err
 
     def test_whole_roster_failing_exit_3(self, tmp_path, capsys):
         # no rupture strains and no fallback fiber strain: every model fails

@@ -116,6 +116,17 @@ class TestNonlinearModel:
         # 25 * (1 + 2 * (4/25)**0.5) = 25 * (1 + 2*0.4) = 45
         assert nonlinear_model(25.0, 4.0, EmpiricalModelParams(k=2.0, n=0.5)) == pytest.approx(45.0, rel=1e-12)
 
+    def test_overflow_is_a_value_error(self):
+        # (f_l / fco) ** n overflows: a bad input that per-model isolation records
+        params = EmpiricalModelParams(k=1.0, n=2.0)
+        with pytest.raises(ValueError) as exc:
+            nonlinear_model(1.0, 1e300, params)
+        assert str(exc.value) == "nonlinear model overflows: (f_l / fco) ** n with f_l=1e+300, fco=1.0, n=2.0"
+        record = {"d": 1.0, "nt": 1.0, "ef": 1e200, "fco": 1.0, "eps_h_rup": 0.01}
+        with pytest.raises(ValueError, match="^nonlinear model overflows"):
+            predict_record(record, model="nonlinear", params=params)
+        assert predict_record(record, model="lam_teng") == 1.0 + LAM_TENG_COEFFICIENT * 2e201
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             EmpiricalModelParams(k=0.0, n=1.0)
@@ -242,6 +253,16 @@ class TestPredictRecord:
         with pytest.raises(ValueError, match=f"^record is missing field '{missing}'$"):
             predict_record(container(fields), eps_f=0.015)
 
+    def test_mapping_read_by_key_not_attribute(self):
+        # a mapping that also carries record attributes is read as a mapping
+        class MappingWithAttributes(_UserMapping):
+            d, nt, ef, fco, eps_h_rup = 300.0, 1.0, 100.0, 50.0, 0.02
+
+        fields = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.01}
+        expected = predict_record(self._record(**fields))
+        assert predict_record(MappingWithAttributes(fields)) == predict_record(fields) == expected
+        assert predict_record(types.SimpleNamespace(**fields)) == expected
+
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown empirical model"):
             predict_record(self._record(), model="svm", eps_h_rup=0.01)
@@ -328,7 +349,11 @@ def _strength_by_argument(model, fco, f_l, params=None):
     _require_one("fco", fco)
     _require_one("f_l", f_l, zero_ok=True)
     if model == "nonlinear":
-        return fco * (1.0 + params.k * (f_l / fco) ** params.n)
+        try:
+            return fco * (1.0 + params.k * (f_l / fco) ** params.n)
+        except OverflowError:
+            raise ValueError(f"nonlinear model overflows: (f_l / fco) ** n with f_l={f_l}, fco={fco}, "
+                             f"n={params.n}") from None
     coefficient = LAM_TENG_COEFFICIENT if model == "lam_teng" else MIYAUCHI_COEFFICIENT
     return fco * (1.0 + coefficient * f_l / fco)
 
@@ -354,10 +379,11 @@ def _predict_by_argument(record, model="lam_teng", params=None, eps_h_rup=None, 
 
 
 def _bits(fn, *args, **kwargs):
-    """The result's exact bits, or the error's type and message."""
+    """The result's exact bits, or the error's type and message; any other
+    error, an ArithmeticError included, fails the test."""
     try:
         return float(fn(*args, **kwargs)).hex()
-    except (ArithmeticError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
 
 

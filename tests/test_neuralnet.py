@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfrpnet.dataset import FeatureRange, NormalizationSpec
+from cfrpnet import neuralnet
+from cfrpnet.dataset import DEFAULT_FEATURES, FeatureRange, NormalizationSpec
 from cfrpnet.neuralnet import (
+    _forward,
     WEIGHT_BOUND,
     BackpropConfig,
     NetworkTopology,
@@ -151,19 +155,19 @@ class TestForward:
         topology = NetworkTopology(4, 6)
         w = np.zeros(parameter_count(topology))
         for x in ([0.1, 0.5, 0.9, 0.3], [1.0, -2.0, 3.0, 0.0]):
-            assert forward(topology, w, x) == 0.0
+            assert forward(unflatten(topology, w), x) == 0.0
 
     def test_direct_affine(self):
         # the output layer is affine in the hidden unit: 2 * tanh(0) + 7
         topology = NetworkTopology(1, 1)
-        assert forward(topology, np.array([0.0, 0.0, 2.0, 7.0]), [3.0]) == 7.0
-        assert forward(topology, np.array([1.0, 0.0, 2.0, 7.0]), [0.0]) == 7.0
+        assert forward(unflatten(topology, np.array([0.0, 0.0, 2.0, 7.0])), [3.0]) == 7.0
+        assert forward(unflatten(topology, np.array([1.0, 0.0, 2.0, 7.0])), [0.0]) == 7.0
 
     def test_single_tanh_unit(self):
         topology = NetworkTopology(2, 1)
         # hidden w=(1,1), b=0; output w=1, b=0
         w = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
-        assert forward(topology, w, [0.5, 0.5]) == pytest.approx(math.tanh(1.0), rel=1e-12)
+        assert forward(unflatten(topology, w), [0.5, 0.5]) == pytest.approx(math.tanh(1.0), rel=1e-12)
 
     def test_batch_matches_single(self):
         topology = NetworkTopology(3, 5)
@@ -173,7 +177,7 @@ class TestForward:
         batch = forward_batch(topology, w, X)
         assert batch.shape == (10, 1)
         for i in range(10):
-            assert forward(topology, w, X[i]) == pytest.approx(batch[i, 0], rel=1e-15)
+            assert forward(unflatten(topology, w), X[i]) == pytest.approx(batch[i, 0], rel=1e-15)
 
     def test_tanh_output_bounded(self):
         # |tanh| <= 1, so the output lies within b2 +- sum |W2|, however large the inputs
@@ -183,14 +187,14 @@ class TestForward:
             for _ in range(30):
                 w = rng.normal(scale=scale, size=parameter_count(topology))
                 _, _, W2, b2 = unflatten(topology, w)
-                out = forward(topology, w, rng.normal(scale=scale, size=3))
+                out = forward(unflatten(topology, w), rng.normal(scale=scale, size=3))
                 assert abs(out - b2[0]) <= np.abs(W2).sum() * (1 + 1e-12)
 
     def test_dimension_mismatch(self):
         topology = NetworkTopology(3, 4)
         w = np.zeros(parameter_count(topology))
         with pytest.raises(ValueError):
-            forward(topology, w, [0.1, 0.2])
+            forward(unflatten(topology, w), [0.1, 0.2])
 
 
 class TestInitWeights:
@@ -346,6 +350,87 @@ class TestPredictValuesMatchesReference:
                          for v in rng.uniform(r.x_min - (r.x_max - r.x_min), 2 * r.x_max, 40)]
         for values in requests:
             assert model.predict_values(values) == reference_predict_values(model, values)
+
+
+def per_field_predict_values(model, values):
+    """predict_values as it was before the model bound its views: a pass for missing
+    features, then a range check and normalize per field (the array path), then
+    _forward on fresh unflatten views."""
+    missing = [f for f in model.features if f not in values]
+    if missing:
+        raise ValueError(f"missing feature: {missing[0]}")
+    spec, warnings = model.normalization, []
+    x = np.empty(len(model.features))
+    for j, name in enumerate(model.features):
+        v, r = float(values[name]), spec.ranges[name]
+        if not r.x_min <= v <= r.x_max:
+            warnings.append(f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
+        with np.errstate(invalid="ignore", over="ignore"):  # plain floats do not warn on inf
+            x[j] = spec.normalize(name, np.asarray(v))
+    z = float(_forward(unflatten(model.topology, model.weights), x[None, :])[0, 0])
+    return float(spec.denormalize("fcc", z)), warnings
+
+
+def _served(predict, model, values):
+    """The prediction's bits and the warnings, or the error message."""
+    try:
+        value, warnings = predict(model, values)
+        return value.hex(), warnings
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def served_models(draw):
+    features = draw(st.lists(st.sampled_from(DEFAULT_FEATURES), min_size=1, max_size=7, unique=True))
+    ranges = {}
+    for name in (*features, "fcc"):
+        x_min = draw(st.floats(-1e3, 1e3))
+        ranges[name] = FeatureRange(x_min, x_min + draw(st.floats(1e-2, 1e3)))
+    topology = NetworkTopology(len(features), draw(st.integers(1, 12)))
+    weights = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        -2.0, 2.0, parameter_count(topology))
+    return TrainedModel(topology, weights, NormalizationSpec(ranges), tuple(features))
+
+
+class TestServingPathMatchesPerFieldPath:
+    @settings(max_examples=300, deadline=None)
+    @given(served_models(), st.data())
+    def test_bits_warnings_and_errors(self, model, data):
+        values = {"eps_h_rup": 0.01}  # a name the model does not read
+        for name in model.features:
+            r = model.normalization.ranges[name]
+            values[name] = data.draw(
+                st.sampled_from([r.x_min, r.x_max])  # pinned to lo/hi
+                | st.floats(r.x_min, r.x_max) | st.floats(r.x_max, 2 * r.x_max + 1e3)
+                | st.floats(r.x_min - 1e3 - abs(r.x_min), r.x_min) | st.floats()
+                | st.integers(-10 ** 4, 10 ** 4) | st.floats(-1e3, 1e3).map(np.float64), label=name)
+        for name in data.draw(st.sets(st.sampled_from(model.features)), label="absent"):
+            del values[name]
+        expected = _served(per_field_predict_values, model, values)
+        assert _served(TrainedModel.predict_values, model, values) == expected
+
+    def test_missing_feature_named_in_feature_order(self):
+        model = _toy_model()
+        for values, message in (({}, "missing feature: d"), ({"fco": 30.0}, "missing feature: d"),
+                                ({"d": "not checked"}, "missing feature: fco")):
+            assert _served(TrainedModel.predict_values, model, values) == message
+            assert _served(per_field_predict_values, model, values) == message
+
+    def test_views_bound_once_and_frozen(self, monkeypatch):
+        model = _toy_model()
+        assert model.params is model.params and len(model.params) == 4
+        assert all(np.shares_memory(view, model.weights) for view in model.params)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.weights = np.zeros(13)
+        other = dataclasses.replace(model, weights=np.zeros(13))  # a new model binds its own views
+        assert all(np.shares_memory(view, other.weights) for view in other.params)
+        assert other.predict_values({"d": 150.0, "fco": 30.0})[0] == other.normalization.denormalize(
+            "fcc", 0.0)
+        seen = []  # the single-record path goes through the module-level forward
+        monkeypatch.setattr(neuralnet, "forward", lambda params, x: seen.append(params) or 0.5)
+        model.predict_values({"d": 150.0, "fco": 30.0})
+        assert len(seen) == 1 and seen[0] is model.params
 
 
 class TestTrainedModel:

@@ -642,7 +642,7 @@ class TestObjectiveFromDataset:
             spied.clear()
         loss_mse(topology, w, X, y)
         gradient(topology, w, X, y)
-        forward(topology, w, X[0])
+        forward(neuralnet.unflatten(topology, w), X[0])
         neuralnet.forward_batch(topology, w, X)
         assert views and seen and all(a is not None for a in seen)  # unfolded: b1 is added
         assert {a.dtype for a in views + seen + outputs} == {np.dtype(np.float64)}
@@ -670,7 +670,8 @@ class TestTrainHybrid:
                                       PsoConfig(population=10, iterations=40, seed=2))
         # the trace holds the float32-ranked fitness of the returned weights
         assert trace.final_fitness == float32_mse(topology, weights, X, y)
-        recomputed = sum((forward(topology, weights, X[i]) - y[i]) ** 2 for i in range(15)) / 15
+        params = unflatten(topology, weights)
+        recomputed = sum((forward(params, X[i]) - y[i]) ** 2 for i in range(15)) / 15
         assert recomputed == pytest.approx(trace.final_fitness, rel=REL32)
 
     @pytest.mark.parametrize("algorithm, config", [
