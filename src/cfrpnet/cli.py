@@ -10,7 +10,6 @@ the seed they use, never the wall clock: for train and compare a given
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -305,7 +304,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-@functools.cache  # parse_args keeps no state in the parser; building it costs milliseconds
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfrpnet",

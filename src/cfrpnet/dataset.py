@@ -457,8 +457,6 @@ class NormalizationSpec:
                 raise ValueError(f"feature {name!r} has empty range [{r.x_min}, {r.x_max}]")
 
     def normalize(self, field: str, x):
-        if isinstance(x, (int, float)):
-            return self.normalize_value(field, float(x))[0]
         r = self.ranges[field]
         arr = np.asarray(x, dtype=float)
         z = (self.lo * (r.x_max - arr) + self.hi * (arr - r.x_min)) / (r.x_max - r.x_min)

@@ -81,12 +81,12 @@ def _forward(params, X, acts=None) -> np.ndarray:
     return out
 
 
-def forward_batch(topology: NetworkTopology, weights, X) -> np.ndarray:
-    """Predictions for a batch of inputs, shape (n, 1)."""
+def forward_batch(params, X) -> np.ndarray:
+    """Predictions for a batch of inputs through unflatten's (W1, b1, W2, b2) views, shape (n, 1)."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != topology.input_size:
-        raise ValueError(f"expected inputs of shape (n, {topology.input_size}), got {X.shape}")
-    return _forward(unflatten(topology, weights), X)
+    if X.ndim != 2 or X.shape[1] != params[0].shape[0]:
+        raise ValueError(f"expected inputs of shape (n, {params[0].shape[0]}), got {X.shape}")
+    return _forward(params, X)
 
 
 def forward(params, x) -> float:
@@ -238,7 +238,7 @@ class TrainedModel:
             object.__setattr__(self, name, value)
 
     def predict_normalized(self, X) -> np.ndarray:
-        return forward_batch(self.topology, self.weights, X)[:, 0]
+        return forward_batch(self.params, X)[:, 0]
 
     def predict_records(self, records) -> np.ndarray:
         """Physical-unit predictions for a sequence of specimen records."""

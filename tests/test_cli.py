@@ -419,30 +419,6 @@ class TestPredict:
         assert captured.out == "" and "finite" in captured.err
 
 
-class TestParserReuse:
-    def test_calls_share_no_state(self, dataset_csv, tmp_path, capsys):
-        # one parser serves every call in a process; flags and defaults do not carry over
-        model = _perfect_model(tmp_path)
-        assert build_parser() is build_parser()
-        assert main(["predict", model, "--input", "fco=40", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"fcc_mpa": _perfect().predict_values({"fco": 40.0})[0]}
-        assert main(["predict", model, "--input", "fco=40"]) == 0
-        assert capsys.readouterr().out == f"fcc = {_perfect_fcc(40.0):.4f} MPa\n"
-        assert main(["validate", dataset_csv, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["n_records"] == 40
-        assert main(["predict", model]) == 2  # a usage error in between
-        assert "required: --input" in capsys.readouterr().err
-        assert main(["predict", model, "--input", "fco=50"]) == 0
-        assert capsys.readouterr().out == f"fcc = {_perfect_fcc(50.0):.4f} MPa\n"
-        out = tmp_path / "synth"
-        assert main(["synth", "--n", "10", "--seed", "4", "--out", str(out), "--quiet"]) == 0
-        assert capsys.readouterr().out == ""
-        assert main(["synth", "--n", "10", "--out", str(out)]) == 0
-        assert "(seed 0, noise 0.02)" in capsys.readouterr().out
-        first, second = (build_parser().parse_args(["synth", *flags]) for flags in (["--seed", "4"], []))
-        assert (first.seed, second.seed) == (4, 0)
-
-
 class TestSweep:
     def test_reversed_bounds_exit_2(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)

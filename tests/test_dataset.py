@@ -599,8 +599,8 @@ def _scalar_inputs(values, ints):
 
 
 class TestScalarNormalization:
-    """An int or float is normalized with plain float arithmetic, an array
-    with numpy: the two paths must give the same bits."""
+    """A scalar in gives a float out, with the bits the array path gives:
+    denormalize takes plain float arithmetic for an int or float."""
 
     @settings(max_examples=300, deadline=None)
     @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10**6, 10**6), max_size=4))

@@ -74,7 +74,7 @@ class TestWorkspaceKernelMatchesReference:
         for _ in range(3):
             w = rng.uniform(-2.0, 2.0, parameter_count(topology))
             pred = reference_forward(topology, w, X)[1]
-            assert np.array_equal(forward_batch(topology, w, X), pred)
+            assert np.array_equal(forward_batch(unflatten(topology, w), X), pred)
             assert loss_mse(topology, w, X, y) == float(np.mean((pred - y[:, None]) ** 2))
             assert np.array_equal(gradient(topology, w, X, y), reference_gradient(topology, w, X, y))
 
@@ -174,7 +174,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         w = rng.uniform(-0.5, 0.5, parameter_count(topology))
         X = rng.uniform(0.1, 0.9, (10, 3))
-        batch = forward_batch(topology, w, X)
+        batch = forward_batch(unflatten(topology, w), X)
         assert batch.shape == (10, 1)
         for i in range(10):
             assert forward(unflatten(topology, w), X[i]) == pytest.approx(batch[i, 0], rel=1e-15)
@@ -195,6 +195,9 @@ class TestForward:
         w = np.zeros(parameter_count(topology))
         with pytest.raises(ValueError):
             forward(unflatten(topology, w), [0.1, 0.2])
+        for X in (np.zeros((5, 2)), np.zeros(3)):
+            with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 3\)"):
+                forward_batch(unflatten(topology, w), X)
 
 
 class TestInitWeights:
@@ -215,7 +218,7 @@ class TestGradient:
         # labels that are the net's own predictions
         w = np.array([0.8, -0.1, 1.5, 0.2])
         X = np.array([[0.2], [0.5], [0.8]])
-        g = gradient(topology, w, X, forward_batch(topology, w, X)[:, 0])
+        g = gradient(topology, w, X, forward_batch(unflatten(topology, w), X)[:, 0])
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_hand_derivative(self):
@@ -258,7 +261,7 @@ class TestTrainBackprop:
         # labels from a one-unit teacher net the student can match exactly
         topology = NetworkTopology(1, 1)
         X = np.linspace(0.1, 0.9, 8)[:, None]
-        y = forward_batch(topology, np.array([1.5, -0.5, 0.8, 0.5]), X)[:, 0]
+        y = forward_batch(unflatten(topology, np.array([1.5, -0.5, 0.8, 0.5])), X)[:, 0]
         w, history = train_backprop(topology, X, y,
                                     BackpropConfig(learning_rate=0.5, epochs=1000, seed=0))
         assert history[-1] < 1e-4 and history[-1] < 1e-4 * history[0]

@@ -643,7 +643,7 @@ class TestObjectiveFromDataset:
         loss_mse(topology, w, X, y)
         gradient(topology, w, X, y)
         forward(neuralnet.unflatten(topology, w), X[0])
-        neuralnet.forward_batch(topology, w, X)
+        neuralnet.forward_batch(neuralnet.unflatten(topology, w), X)
         assert views and seen and all(a is not None for a in seen)  # unfolded: b1 is added
         assert {a.dtype for a in views + seen + outputs} == {np.dtype(np.float64)}
 
