@@ -54,6 +54,7 @@ from .neuralnet import TrainedModel, load_model
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+COMMANDS = ("stats", "validate", "train", "evaluate", "predict", "compare", "sweep", "synth")
 
 
 def _say(args, message: str) -> None:
@@ -304,16 +305,24 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or the parser of command ``only`` alone, since building unused
+    subparsers is most of a parse's cost. Its metavar keeps the usage line byte-identical;
+    the full parser has none, as it would also rename ``argument command`` in errors."""
     parser = argparse.ArgumentParser(
         prog="cfrpnet",
         description="Predict the axial strength of CFRP-confined concrete cylinders.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = only if only in COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=only and "{" + ",".join(COMMANDS) + "}")
 
     def command(name, handler, summary, formats=(), reports=False, seed=None):
         """A subcommand with only the shared flags its handler reads: --format
         when ``formats`` names its choices, --out and --quiet when it
-        ``reports``, and --seed when ``seed`` is a (default, help) pair."""
+        ``reports``, and --seed when ``seed`` is a (default, help) pair; None
+        when another subcommand was chosen."""
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         if seed:
@@ -327,61 +336,62 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     config_seed = (None, "random seed (non-negative); overrides the config's seed (default 0)")
-    p = command("stats", cmd_stats, "summary statistics and correlation matrix of a dataset",
-                formats=("text", "json"), reports=True)
-    p.add_argument("dataset", help="CSV dataset path")
+    if p := command("stats", cmd_stats, "summary statistics and correlation matrix of a dataset",
+                    formats=("text", "json"), reports=True):
+        p.add_argument("dataset", help="CSV dataset path")
 
-    p = command("validate", cmd_validate, "flag records outside the reference ranges",
-                formats=("text", "json"))
-    p.add_argument("dataset")
+    if p := command("validate", cmd_validate, "flag records outside the reference ranges",
+                    formats=("text", "json")):
+        p.add_argument("dataset")
 
-    p = command("train", cmd_train, "train one prediction model", reports=True, seed=config_seed)
-    p.add_argument("dataset")
-    p.add_argument("--model", choices=TRAINABLE_MODELS, required=True)
-    p.add_argument("--config", help="JSON file with optimizer/trainer settings")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="override iteration (epoch) count")
-    p.add_argument("--population", type=int, default=None,
-                   help="override swarm population size")
-    p.add_argument("--neurons", type=int, default=50, help="hidden layer width")
-    p.add_argument("--train-fraction", type=float, default=1.0,
-                   help="fraction of the file used for training (default: all of it)")
+    if p := command("train", cmd_train, "train one prediction model", reports=True, seed=config_seed):
+        p.add_argument("dataset")
+        p.add_argument("--model", choices=TRAINABLE_MODELS, required=True)
+        p.add_argument("--config", help="JSON file with optimizer/trainer settings")
+        p.add_argument("--iterations", type=int, default=None,
+                       help="override iteration (epoch) count")
+        p.add_argument("--population", type=int, default=None,
+                       help="override swarm population size")
+        p.add_argument("--neurons", type=int, default=50, help="hidden layer width")
+        p.add_argument("--train-fraction", type=float, default=1.0,
+                       help="fraction of the file used for training (default: all of it)")
 
-    p = command("evaluate", cmd_evaluate, "score a trained model against a dataset",
-                formats=("text", "json"), reports=True)
-    p.add_argument("model", help="model JSON path")
-    p.add_argument("dataset")
+    if p := command("evaluate", cmd_evaluate, "score a trained model against a dataset",
+                    formats=("text", "json"), reports=True):
+        p.add_argument("model", help="model JSON path")
+        p.add_argument("dataset")
 
-    p = command("predict", cmd_predict, "single-specimen prediction from a trained model",
-                formats=("text", "json"))
-    p.add_argument("model", help="model JSON path")
-    p.add_argument("--input", required=True,
-                   help='comma-separated name=value pairs, e.g. "d=150,h=300,nt=0.334,'
-                        'ef=231,fco=16.5,eco=0.2,ecc=1.1"')
+    if p := command("predict", cmd_predict, "single-specimen prediction from a trained model",
+                    formats=("text", "json")):
+        p.add_argument("model", help="model JSON path")
+        p.add_argument("--input", required=True,
+                       help='comma-separated name=value pairs, e.g. "d=150,h=300,nt=0.334,'
+                            'ef=231,fco=16.5,eco=0.2,ecc=1.1"')
 
-    p = command("compare", cmd_compare, "train and score a whole model roster on one shared split",
-                formats=("text", "json", "csv"), reports=True, seed=config_seed)
-    p.add_argument("--config", required=True, help="experiment config JSON path")
+    if p := command("compare", cmd_compare, "train and score a whole model roster on one shared split",
+                    formats=("text", "json", "csv"), reports=True, seed=config_seed):
+        p.add_argument("--config", required=True, help="experiment config JSON path")
 
-    p = command("sweep", cmd_sweep, "predict over a grid in one input variable",
-                formats=("text", "json"), reports=True)
-    p.add_argument("model", help="model JSON path")
-    p.add_argument("--var", choices=SWEEP_VARIABLES, required=True)
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--fix", help="fixed values as name=value pairs (default: range midpoints)")
+    if p := command("sweep", cmd_sweep, "predict over a grid in one input variable",
+                    formats=("text", "json"), reports=True):
+        p.add_argument("model", help="model JSON path")
+        p.add_argument("--var", choices=SWEEP_VARIABLES, required=True)
+        p.add_argument("--from", dest="start", type=float, required=True)
+        p.add_argument("--to", dest="stop", type=float, required=True)
+        p.add_argument("--steps", type=int, default=10)
+        p.add_argument("--fix", help="fixed values as name=value pairs (default: range midpoints)")
 
-    p = command("synth", cmd_synth, "generate a synthetic dataset with known ground truth",
-                reports=True, seed=(0, "random seed (non-negative; default 0)"))
-    p.add_argument("--n", type=int, default=708)
-    p.add_argument("--noise", type=float, default=0.02,
-                   help="multiplicative label noise fraction")
+    if p := command("synth", cmd_synth, "generate a synthetic dataset with known ground truth",
+                    reports=True, seed=(0, "random seed (non-negative; default 0)")):
+        p.add_argument("--n", type=int, default=708)
+        p.add_argument("--noise", type=float, default=0.02,
+                       help="multiplicative label noise fraction")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

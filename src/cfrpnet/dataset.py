@@ -60,18 +60,25 @@ FIELD_BOUNDS: dict[str, tuple[float, float]] = {
 def _csv_cell(value) -> str:
     if value is None or isinstance(value, str):
         return "" if value is None else value
-    return str(int(value)) if isinstance(value, numbers.Integral) else repr(float(value))
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"report cell {number!r} is not a finite number")
+    return repr(number)
 
 
 def csv_text(header: Sequence[str], rows) -> str:
     """CSV of every report, one line per row: strings as given, integers as
-    digits, other numbers as ``repr(float)`` (exact round trips), None empty."""
+    digits, other numbers as ``repr(float)`` (exact round trips), None empty.
+    A non-finite number raises ValueError."""
     return "\n".join([",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]) + "\n"
 
 
 def json_text(obj) -> str:
-    """JSON of every report and model file: sorted keys, indent 2, final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """JSON of every report and model file: sorted keys, indent 2, final newline.
+    Strict JSON: NaN or an infinity raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_text(path, text: str) -> None:
@@ -107,8 +114,10 @@ def _matches(value, hint) -> bool:
     if hint is int:
         return isinstance(value, numbers.Integral)
     if hint is float:
-        return isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and math.isfinite(value))
+        try:
+            return isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            return False
     if get_origin(hint) is tuple:
         return isinstance(value, tuple) and all(_matches(v, get_args(hint)[0]) for v in value)
     return isinstance(value, hint)

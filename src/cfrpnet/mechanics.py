@@ -60,16 +60,28 @@ def _require_strength(fco: float, f_l: float) -> None:
         _require("f_l", f_l, zero_ok=True)
 
 
+def _overflow(model: str, fco: float, f_l: float, fcc: float) -> None:
+    """Raise for a strength that overflowed to inf without an OverflowError:
+    a bad input like any other, not an arithmetic fault."""
+    raise ValueError(f"{model} model overflows: fcc={fcc} with f_l={f_l}, fco={fco}")
+
+
 def lam_teng(fco: float, f_l: float) -> float:
     """Lam-Teng confined strength, linear in the confinement ratio."""
     _require_strength(fco, f_l)
-    return fco * (1.0 + LAM_TENG_COEFFICIENT * f_l / fco)
+    fcc = fco * (1.0 + LAM_TENG_COEFFICIENT * f_l / fco)
+    if not fcc < math.inf:
+        _overflow("lam_teng", fco, f_l, fcc)
+    return fcc
 
 
 def miyauchi(fco: float, f_l: float) -> float:
     """Miyauchi confined strength, linear with a steeper coefficient."""
     _require_strength(fco, f_l)
-    return fco * (1.0 + MIYAUCHI_COEFFICIENT * f_l / fco)
+    fcc = fco * (1.0 + MIYAUCHI_COEFFICIENT * f_l / fco)
+    if not fcc < math.inf:
+        _overflow("miyauchi", fco, f_l, fcc)
+    return fcc
 
 
 @dataclass(frozen=True)
@@ -89,10 +101,13 @@ def nonlinear_model(fco: float, f_l: float, params: EmpiricalModelParams) -> flo
     """Nonlinear confined strength fcc = fco * (1 + k * (f_l / fco)**n)."""
     _require_strength(fco, f_l)
     try:
-        return fco * (1.0 + params.k * (f_l / fco) ** params.n)
+        fcc = fco * (1.0 + params.k * (f_l / fco) ** params.n)
     except OverflowError:  # a bad input like any other, not an arithmetic fault
         raise ValueError(f"nonlinear model overflows: (f_l / fco) ** n with f_l={f_l}, fco={fco}, "
                          f"n={params.n}") from None
+    if not fcc < math.inf:
+        _overflow("nonlinear", fco, f_l, fcc)
+    return fcc
 
 
 def eurocode_strains(fcm: float) -> tuple[float, float]:

@@ -91,11 +91,13 @@ class EvaluationReport:
         return csv_text(("target_mpa", "prediction_mpa"), zip(self.targets, self.predictions))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned about
 def report_from_pairs(targets_mpa, predictions_mpa, spec: NormalizationSpec | None = None) -> EvaluationReport:
     """Build a report from physical-scale pairs.
 
     Normalized-scale metrics are included when a normalization spec is
     given (pairs are mapped through the target's affine normalization).
+    A metric that overflows float64 raises ValueError.
     """
     t, p = _paired(targets_mpa, predictions_mpa)
     mse_mpa = mse(t, p)
@@ -116,6 +118,9 @@ def report_from_pairs(targets_mpa, predictions_mpa, spec: NormalizationSpec | No
             accuracy = 100.0 * r2
         except ValueError as exc:
             notes.append(str(exc))
+    if not all(math.isfinite(v) for v in (mse_mpa, mae_mpa, mse_pct, mae_pct, accuracy) if v is not None):
+        raise ValueError(f"error metrics overflow for values up to "
+                         f"{max(np.abs(t).max(), np.abs(p).max()):g} MPa")
     return EvaluationReport(
         n=int(t.size),
         scale="mpa",

@@ -204,7 +204,7 @@ def train_backprop(
     return w, history
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality and hash: the weights are an array
 class TrainedModel:
     """A trained network bundled with its normalization and provenance.
 

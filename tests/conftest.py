@@ -50,7 +50,7 @@ def assert_rejects_bad_values(config):
     """Every int, float and str field of a valid config rejects ill-typed values.
 
     NaN, +-inf, booleans and strings fail as ints and floats, 7.5 fails as
-    an int, and 5 fails as a string; each raises ValueError on
+    an int, 10**400 as a float, and 5 as a string; each raises ValueError on
     construction and through from_dict.
     """
     hints = typing.get_type_hints(type(config))
@@ -59,8 +59,8 @@ def assert_rejects_bad_values(config):
         kinds = set(typing.get_args(hints[f.name])) or {hints[f.name]}
         if int in kinds:
             bad = BAD_INTS
-        elif float in kinds:
-            bad = tuple(v for v in BAD_INTS if v != 7.5)
+        elif float in kinds:  # and an int too large for a float
+            bad = (*(v for v in BAD_INTS if v != 7.5), 10**400)
         elif str in kinds:
             bad = (5, True)
         else:

@@ -1,14 +1,17 @@
+import argparse
 import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cfrpnet.cli import build_parser, main
+from cfrpnet import cli
+from cfrpnet.cli import COMMANDS, build_parser, main
 from cfrpnet.dataset import (
     DEFAULT_FEATURES,
     FIELDS,
@@ -152,6 +155,82 @@ class TestHelp:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def _subcommands(parser):
+    return list(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+def _parser_cases(tmp_path):
+    """Argv lists that reach every parser outcome: the top level's, each
+    subcommand's help, its missing, bad and unknown arguments, and a valid run."""
+    data = str(tmp_path / "synth.csv")
+    (tmp_path / "synth.csv").write_text(records_to_csv(synth_dataset(40, seed=2)))
+    model = _perfect_model(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": data, "roster": ["ann", "lam_teng"], "hidden_neurons": 2,
+                                  "models": {"ann": {"epochs": 3}}}))
+    out = str(tmp_path / "out")
+    valid = {
+        "stats": ["stats", data],
+        "validate": ["validate", data],
+        "train": ["train", data, "--model", "ann", "--iterations", "3", "--neurons", "2", "--out", out],
+        "evaluate": ["evaluate", model, data],
+        "predict": ["predict", model, "--input", "fco=40"],
+        "compare": ["compare", "--config", str(config), "--out", out],
+        "sweep": ["sweep", model, "--var", "fco", "--from", "20", "--to", "40", "--steps", "3"],
+        "synth": ["synth", "--n", "20", "--out", out],
+    }
+    missing = {"stats": ["stats"], "validate": ["validate"], "train": ["train", data],
+               "evaluate": ["evaluate", model], "predict": ["predict", model],
+               "compare": ["compare"], "sweep": ["sweep", model, "--var", "fco"], "synth": ["synth", "--n"]}
+    bad = {"train": ["--model", "svm"], "compare": ["--format", "xml"], "sweep": ["--var", "h"],
+           "synth": ["--noise", "x"]}  # synth has no choices: a bad value instead
+    cases = [[], ["-h"], ["--help"], ["predcit"], ["-h", "predict"], ["--"], ["--", "predict"]]
+    for command in COMMANDS:
+        run = valid[command]
+        cases += [[command, "--help"], missing[command], run + bad.get(command, ["--format", "csv"]),
+                  run + ["--bogus"], run + ["extra"], run]
+    return cases
+
+
+class TestOneCommandParser:
+    """main builds the parser of the chosen command alone; every byte it prints
+    and every exit code stay those of the full parser."""
+
+    def test_command_list_is_the_full_parsers(self):
+        assert _subcommands(build_parser()) == list(COMMANDS)
+        for command in COMMANDS:
+            assert _subcommands(build_parser(command)) == [command]
+        assert _subcommands(build_parser("predcit")) == list(COMMANDS)
+
+    def test_full_parser_errors_name_the_command_argument(self, capsys):
+        # a metavar on the full parser would rename it in both messages
+        assert main(["predcit"]) == 2
+        assert "cfrpnet: error: argument command: invalid choice: 'predcit'" in capsys.readouterr().err
+        assert main([]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("cfrpnet: error: the following arguments are required: command\n")
+
+    @pytest.mark.parametrize("columns", [None, "60"])
+    def test_same_output_as_full_parser(self, columns, tmp_path, monkeypatch, capsys):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        full, built = build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(full(only)) or built[-1])
+        for argv in _parser_cases(tmp_path):
+            built.clear()
+            code = main(argv)
+            one = code, *capsys.readouterr()
+            chosen = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
+            assert [_subcommands(parser) for parser in built] == [chosen], argv
+            with monkeypatch.context() as m:
+                m.setattr(cli, "build_parser", lambda only=None: full())
+                code = main(argv)
+                assert (code, *capsys.readouterr()) == one, argv
+            assert "Traceback" not in one[2], argv
 
 
 class TestStats:
@@ -765,16 +844,15 @@ class TestCompare:
         path.write_text(json.dumps({"roster": ["svm"]}))
         assert main(["compare", "--config", str(path)]) == 2
 
-    # the lam_teng row's squared errors overflow too, which numpy only warns about
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonlinear_overflow_recorded_as_failure(self, tmp_path, capsys):
-        # moduli near 1e200 GPa are valid cells, but (f_l / fco) ** n overflows
+        # moduli near 1e100 GPa are valid cells and lam_teng scores them, but
+        # (f_l / fco) ** 4 overflows
         records = make_records(30, seed=5, with_rupture=True)
         data_path = tmp_path / "huge_moduli.csv"
-        data_path.write_text(records_to_csv([dataclasses.replace(r, ef=r.ef * 1e198) for r in records]))
+        data_path.write_text(records_to_csv([dataclasses.replace(r, ef=r.ef * 1e100) for r in records]))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"dataset": str(data_path), "roster": ["lam_teng", "nonlinear"],
-                                   "seed": 1, "models": {"nonlinear": {"k": 2, "n": 2}}}))
+                                   "seed": 1, "models": {"nonlinear": {"k": 2, "n": 4}}}))
         assert main(["compare", "--config", str(cfg), "--quiet"]) == 0
         captured = capsys.readouterr()
         assert re.search(r"^ +lam_teng +\d", captured.out, re.M)
@@ -789,6 +867,59 @@ class TestCompare:
         cfg.write_text(json.dumps({"dataset": str(data_path), "roster": ["lam_teng"], "seed": 1}))
         assert main(["compare", "--config", str(cfg), "--quiet"]) == 3
         assert "FAILED" in capsys.readouterr().out
+
+
+class TestStrictReports:
+    """A report that would hold NaN or an infinity is refused, as a per-model
+    error or exit 2, never a traceback; no file holds Infinity."""
+
+    @pytest.fixture
+    def huge_moduli_csv(self, tmp_path):
+        # odd rows at 1e200 GPa: valid cells whose strengths square to inf
+        records = make_records(40, seed=5, with_rupture=True)
+        path = tmp_path / "huge_moduli.csv"
+        path.write_text(records_to_csv([dataclasses.replace(r, ef=1e200) if i % 2 else r
+                                        for i, r in enumerate(records)]))
+        return str(path)
+
+    def test_compare_records_overflow_per_model(self, huge_moduli_csv, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dataset": huge_moduli_csv, "roster": ["lam_teng", "miyauchi"],
+                                   "seed": 1}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarning included
+            assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 3  # every model failed
+        captured = capsys.readouterr()
+        for name in ("lam_teng", "miyauchi"):
+            assert re.search(rf"^ +{name}  FAILED: ValueError: error metrics overflow", captured.out, re.M)
+        assert "Traceback" not in captured.err
+        for path in out.iterdir():
+            assert not re.search(r"Infinity|NaN|\binf\b|\bnan\b", path.read_text()), path.name
+        comparison = json.loads((out / "comparison.json").read_text(),
+                                parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
+        assert comparison["comparison"]["rows"] == []
+        assert sorted(comparison["comparison"]["errors"]) == ["lam_teng", "miyauchi"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's, in the summary
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("flags", [["--format", "json"], ["--out", "stats_out", "--quiet"]])
+    def test_stats_of_huge_values_exit_2(self, flags, huge_moduli_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", huge_moduli_csv, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "stats_out").exists() or not any((tmp_path / "stats_out").iterdir())
+
+    def test_evaluate_of_huge_targets_exit_2(self, tmp_path, capsys):
+        records = make_records(10, seed=2)
+        data = tmp_path / "huge_targets.csv"
+        data.write_text(records_to_csv([dataclasses.replace(r, fcc=1e200) for r in records]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", _perfect_model(tmp_path), str(data), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: error metrics overflow")
 
 
 class TestSynth:
@@ -831,6 +962,7 @@ BAD_CONFIGS = [
     ("compare", {"models": {"nonlinear": {"k": 1}}, "roster": ["pso", "lam_teng", "nonlinear"]}),
     ("train", {"population": 7.5}),
     ("train", {"iterations": math.inf}),
+    ("train", {"inertia_weight": 10**400}),  # an int too large for a float
     # the weight box, the network and the training length are fixed, not settings
     ("compare", {"models": {"ann": {"init_half_width": 0.25}}}),
     ("compare", {"models": {"ann": {"early_stop_patience": 5}}}),

@@ -273,6 +273,14 @@ class TestReportFormat:
         assert csv_text(header, [cells]) == ",".join(header) + "\n" + ",".join(expected) + "\n"
         assert csv_text(("cell",), [(c,) for c in cells]) == "cell\n" + "\n".join(expected) + "\n"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+    def test_non_finite_numbers_refused(self, value):
+        # reports are strict JSON (RFC 8259 has no NaN or Infinity) and finite CSV
+        with pytest.raises(ValueError):
+            json_text({"a": [1.0, value]})
+        with pytest.raises(ValueError, match="is not a finite number"):
+            csv_text(("a", "b"), [(1.0, 2.0), (None, value)])
+
     def test_json_text_ends_with_one_newline(self):
         text = json_text({"b": [1.5, None], "a": {}})
         assert text.endswith("}\n") and not text.endswith("\n\n")

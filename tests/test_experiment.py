@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrpnet import experiment, mechanics
 from cfrpnet.dataset import FIELD_BOUNDS, FIELDS, raw_matrix
 from cfrpnet.experiment import (
+    ALL_MODELS,
+    MODEL_CONFIGS,
     EmpiricalPredictor,
     ExperimentConfig,
     SweepSpec,
@@ -18,7 +23,7 @@ from cfrpnet.experiment import (
     synth_dataset,
 )
 from cfrpnet.mechanics import EmpiricalModelParams
-from cfrpnet.neuralnet import BackpropConfig, load_model, save_model
+from cfrpnet.neuralnet import BackpropConfig, NetworkTopology, load_model, save_model
 from cfrpnet.optimizers import BaConfig, GwoConfig, PsoConfig
 
 from conftest import assert_rejects_bad_values, make_records
@@ -131,6 +136,51 @@ class TestExperimentConfig:
                      {"features": 5}, {"roster": ["pso", 5]}, {"pso": {"population": 5}}):
             with pytest.raises(ValueError):
                 ExperimentConfig.from_dict(data)
+
+
+# Every kind of value a JSON config can hold, with NaN, the infinities and ints
+# too large for a float, nested; plus values that pass the type checks, so that
+# the range checks behind them run too.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                 | st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 0, 1, 3, 0.5]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.sampled_from([["pso", "lam_teng"], ["d", "fco"], "data.csv", {"n": 30}]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_ALL_KEYS = sorted({f.name for cls in (*MODEL_CONFIGS.values(), ExperimentConfig, SynthSpec, NetworkTopology)
+                    for f in dataclasses.fields(cls)})
+
+
+def _settings(keys):
+    """Mappings over the given keys, any of the config keys and unknown ones."""
+    return st.dictionaries(st.sampled_from(keys) | st.sampled_from(_ALL_KEYS) | st.text(max_size=4),
+                           _JSON_VALUES, max_size=5)
+
+
+def _config_documents(cls):
+    keys = [f.name for f in dataclasses.fields(cls)]
+    if cls is not ExperimentConfig:
+        return _JSON_VALUES | _settings(keys)
+    models = st.dictionaries(st.sampled_from(sorted(MODEL_CONFIGS)) | st.text(max_size=4),
+                             _JSON_VALUES | _settings(_ALL_KEYS), max_size=3)
+    roster = st.lists(st.sampled_from(ALL_MODELS), max_size=4)
+    return _JSON_VALUES | st.builds(lambda base, extra: {**base, **extra}, _settings(keys),
+                                    st.fixed_dictionaries({}, optional={"models": models, "roster": roster,
+                                                                        "synth": _settings(["n", "seed"])}))
+
+
+@pytest.mark.parametrize("cls", [PsoConfig, GwoConfig, BaConfig, BackpropConfig, EmpiricalModelParams,
+                                 ExperimentConfig, NetworkTopology], ids=lambda cls: cls.__name__)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_from_dict_builds_or_raises_value_error(cls, data):
+    """Any document either builds the config or raises ValueError; no other exception."""
+    document = data.draw(_config_documents(cls), label="document")
+    try:
+        config = cls.from_dict(document)
+    except ValueError:
+        return
+    assert isinstance(config, cls)
 
 
 class TestRunExperiment:

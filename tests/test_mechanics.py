@@ -91,6 +91,17 @@ class TestStrengthModels:
     def test_deterministic(self):
         assert lam_teng(31.7, 8.3) == lam_teng(31.7, 8.3)
 
+    @pytest.mark.parametrize("fn, args", [
+        (lam_teng, (1.0, 1e308)),
+        (miyauchi, (1.0, 1e308)),
+        (nonlinear_model, (5e-324, 1.0, EmpiricalModelParams(k=1.0, n=2.0))),
+        (nonlinear_model, (1.0, 1e300, EmpiricalModelParams(k=1e10, n=1.0))),
+    ])
+    def test_overflow_to_inf_is_a_value_error(self, fn, args):
+        # finite, valid inputs whose strength overflows to inf without an OverflowError
+        with pytest.raises(ValueError, match=r"model overflows: fcc=inf with f_l="):
+            fn(*args)
+
 
 class TestNonlinearModel:
     def test_reduces_to_lam_teng(self):
@@ -350,12 +361,16 @@ def _strength_by_argument(model, fco, f_l, params=None):
     _require_one("f_l", f_l, zero_ok=True)
     if model == "nonlinear":
         try:
-            return fco * (1.0 + params.k * (f_l / fco) ** params.n)
+            fcc = fco * (1.0 + params.k * (f_l / fco) ** params.n)
         except OverflowError:
             raise ValueError(f"nonlinear model overflows: (f_l / fco) ** n with f_l={f_l}, fco={fco}, "
                              f"n={params.n}") from None
-    coefficient = LAM_TENG_COEFFICIENT if model == "lam_teng" else MIYAUCHI_COEFFICIENT
-    return fco * (1.0 + coefficient * f_l / fco)
+    else:
+        coefficient = LAM_TENG_COEFFICIENT if model == "lam_teng" else MIYAUCHI_COEFFICIENT
+        fcc = fco * (1.0 + coefficient * f_l / fco)
+    if not math.isfinite(fcc):
+        raise ValueError(f"{model} model overflows: fcc={fcc} with f_l={f_l}, fco={fco}")
+    return fcc
 
 
 def _predict_by_argument(record, model="lam_teng", params=None, eps_h_rup=None, eps_f=None):

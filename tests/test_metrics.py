@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ class TestReports:
         report = report_from_pairs([45.0, 50.0], [44.0, 44.0], _fcc_spec())
         assert report.r_squared is None
         assert any("constant" in note for note in report.notes)
+
+    @pytest.mark.parametrize("targets, predictions", [
+        ([40.0, 90.0, 150.0], [3e200, 1e200, 7e199]),  # squared errors overflow
+        ([40.0, 90.0, 150.0], [1.5e308, -1.5e308, 1.0]),  # the differences overflow
+    ])
+    def test_overflowing_metrics_refused_without_warnings(self, targets, predictions):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in (None, _fcc_spec()):
+                with pytest.raises(ValueError, match="^error metrics overflow for values up to "):
+                    report_from_pairs(targets, predictions, spec)
 
     def test_pairs_csv(self):
         report = report_from_pairs([40.0, 90.0], [42.0, 88.0], _fcc_spec())

@@ -437,6 +437,13 @@ class TestServingPathMatchesPerFieldPath:
 
 
 class TestTrainedModel:
+    def test_identity_equality_and_hash(self):
+        # equal weights in distinct arrays: an array-wise __eq__ would raise
+        a, b = _toy_model(), _toy_model()
+        assert np.array_equal(a.weights, b.weights)
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_serialization_roundtrip_bitwise(self, tmp_path):
         model = _toy_model()
         path = tmp_path / "model.json"
