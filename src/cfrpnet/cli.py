@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dataset import (
+    DEFAULT_FEATURES,
     FIELDS,
     TARGET_FIELD,
     check_values,
@@ -169,13 +170,11 @@ def cmd_train(args) -> int:
         _say(args, f"using {len(train)} of {len(records)} records for training")
     else:
         train = records
-    network = ExperimentConfig(hidden_neurons=args.neurons)  # the network compare trains
-    topology = network.topology()
+    topology = ExperimentConfig(hidden_neurons=args.neurons).topology()  # the network compare trains
     norm = fit_normalizer(train)
-    X, y = feature_matrix(train, network.features, norm), target_vector(train, norm)
+    X, y = feature_matrix(train, norm), target_vector(train, norm)
     weights, history, provenance = train_model(args.model, cfg, topology, X, y)
-    model = TrainedModel(topology=topology, weights=weights, normalization=norm,
-                         features=network.features, provenance=provenance)
+    model = TrainedModel(topology=topology, weights=weights, normalization=norm, provenance=provenance)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     model_path, trace_path = write_model_files(out, args.model, model, history)
@@ -187,9 +186,6 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     records = parse_dataset(args.dataset)
-    for f in model.features:
-        if f not in FIELDS:
-            raise ValueError(f"model feature {f!r} not present in the dataset schema")
     targets = np.array([getattr(r, TARGET_FIELD) for r in records], dtype=float)
     report = report_from_pairs(targets, model.predict_records(records), model.normalization)
     if args.format == "json":
@@ -255,13 +251,11 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     model = load_model(args.model)
-    if args.var not in model.features:
-        raise ValueError(f"model does not use feature {args.var!r}")
     if not args.stop > args.start:
         raise ValueError(f"--from must be strictly less than --to, got {args.start} and {args.stop}")
     # unswept features default to the midpoint of their training ranges
     fixed = {}
-    for name in model.features:
+    for name in DEFAULT_FEATURES:
         if name == args.var:
             continue
         r = model.normalization.ranges[name]

@@ -17,6 +17,7 @@ import math
 import numbers
 import operator
 import os
+import sys
 import types
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -25,6 +26,7 @@ from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hint
 import numpy as np
 
 FIELDS = ("d", "h", "nt", "ef", "fco", "eco", "ecc", "fcc")
+# The network's inputs, in order: the paper's seven parameters. fcc is the target.
 DEFAULT_FEATURES = ("d", "h", "nt", "ef", "fco", "eco", "ecc")
 TARGET_FIELD = "fcc"
 
@@ -131,9 +133,10 @@ class ConfigBase:
     string, a ``tuple[X, ...]`` a list, tuple or array of X (stored as a
     tuple), a class an instance of it, and ``X | None`` also None; booleans
     pass only as ``bool``, and numpy integers are stored as ``int``. A
-    ``seed`` field must be non-negative and an ``iterations`` field at
-    least 1. Subclasses call ``super().__post_init__()`` and then add their
-    own range checks.
+    ``seed`` field must be non-negative, an ``iterations`` field at least
+    1, and a ``population`` field at most ``sys.maxsize``, the largest
+    count numpy takes. Subclasses call ``super().__post_init__()`` and
+    then add their own range checks.
     """
 
     def __post_init__(self):
@@ -149,6 +152,8 @@ class ConfigBase:
             raise ValueError("seed must be non-negative")
         if getattr(self, "iterations", 1) < 1:
             raise ValueError("iterations must be >= 1")
+        if getattr(self, "population", 0) > sys.maxsize:
+            raise ValueError(f"population must be at most {sys.maxsize}")
 
     @classmethod
     def from_dict(cls, data: Mapping):
@@ -392,14 +397,14 @@ class DatasetSummary:
 
 
 def raw_matrix(records: Sequence[SpecimenRecord], fields: Sequence[str]) -> np.ndarray:
-    values = map(operator.attrgetter(*fields), records)
-    if len(fields) > 1:  # one field's getter returns the value, not a tuple
-        values = itertools.chain.from_iterable(values)
+    values = itertools.chain.from_iterable(map(operator.attrgetter(*fields), records))
     return np.fromiter(values, dtype=float, count=len(records) * len(fields)).reshape(-1, len(fields))
 
 
+@np.errstate(all="ignore")  # a non-finite statistic is refused below, not warned about
 def summary_stats(records: Sequence[SpecimenRecord]) -> DatasetSummary:
-    """Per-field sample statistics (stdev uses the n-1 convention)."""
+    """Per-field sample statistics (stdev uses the n-1 convention).
+    A statistic that overflows float64 raises ValueError."""
     if len(records) < 2:
         raise ValueError("summary_stats requires at least 2 records")
     data = raw_matrix(records, FIELDS)
@@ -419,14 +424,18 @@ def summary_stats(records: Sequence[SpecimenRecord]) -> DatasetSummary:
             stdev=stdev,
             cov=stdev / mean,
         )
+        if not all(map(math.isfinite, astuple(stats[name]))):
+            raise ValueError(f"summary statistics of field {name!r} overflow for values up to {hi:g}")
     return DatasetSummary(n=len(records), fields=stats)
 
 
+@np.errstate(all="ignore")  # a non-finite coefficient is refused below, not warned about
 def correlation_matrix(records: Sequence[SpecimenRecord]) -> np.ndarray:
     """Pearson correlation matrix over FIELDS.
 
     Symmetric with an exact unit diagonal; entries clipped into [-1, 1].
-    A constant column makes the coefficient undefined and raises.
+    A constant column makes the coefficient undefined and raises, as does
+    a coefficient that overflows float64.
     """
     if len(records) < 2:
         raise ValueError("correlation_matrix requires at least 2 records")
@@ -435,6 +444,8 @@ def correlation_matrix(records: Sequence[SpecimenRecord]) -> np.ndarray:
         if s == 0.0:
             raise ValueError(f"column {name!r} is constant; correlation undefined")
     corr = np.corrcoef(data, rowvar=False)
+    if not np.isfinite(corr).all():
+        raise ValueError(f"correlation matrix overflows for values up to {data.max():g}")
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return corr
@@ -529,12 +540,10 @@ def fit_normalizer(records: Sequence[SpecimenRecord]) -> NormalizationSpec:
     return NormalizationSpec(ranges=ranges)
 
 
-def feature_matrix(
-    records: Sequence[SpecimenRecord], fields: Sequence[str], spec: NormalizationSpec
-) -> np.ndarray:
-    """Normalized feature matrix, one row per record."""
-    raw = raw_matrix(records, fields)
-    return np.column_stack([spec.normalize(f, raw[:, j]) for j, f in enumerate(fields)])
+def feature_matrix(records: Sequence[SpecimenRecord], spec: NormalizationSpec) -> np.ndarray:
+    """Normalized DEFAULT_FEATURES matrix, one row per record."""
+    raw = raw_matrix(records, DEFAULT_FEATURES)
+    return np.column_stack([spec.normalize(f, raw[:, j]) for j, f in enumerate(DEFAULT_FEATURES)])
 
 
 def target_vector(records: Sequence[SpecimenRecord], spec: NormalizationSpec) -> np.ndarray:

@@ -20,7 +20,6 @@ from . import mechanics
 from .dataset import (
     DEFAULT_FEATURES,
     FIELD_BOUNDS,
-    FIELDS,
     TARGET_FIELD,
     ConfigBase,
     SpecimenRecord,
@@ -139,7 +138,6 @@ class ExperimentConfig(ConfigBase):
 
     dataset: str | Path | None = None
     synth: SynthSpec | None = None
-    features: tuple[str, ...] = DEFAULT_FEATURES
     roster: tuple[str, ...] = ("ann", "pso", "gwo", "ba", "lam_teng", "miyauchi")
     train_fraction: float = 0.75
     seed: int = 0
@@ -161,11 +159,6 @@ class ExperimentConfig(ConfigBase):
                 raise ValueError(f"unknown roster model {name!r}; choose from {ALL_MODELS}")
         if len(set(self.roster)) != len(self.roster):
             raise ValueError("roster models must be unique")
-        unknown = [f for f in self.features if f not in FIELDS]
-        if unknown:
-            raise ValueError(f"unknown feature(s): {', '.join(unknown)}")
-        if TARGET_FIELD in self.features:
-            raise ValueError(f"{TARGET_FIELD!r} is the target and cannot be a feature")
         if "nonlinear" in self.roster and self.nonlinear is None:
             raise ValueError("roster includes 'nonlinear' but no k/n parameters were given")
         if self.hidden_neurons < 1:
@@ -173,7 +166,7 @@ class ExperimentConfig(ConfigBase):
 
     def topology(self) -> NetworkTopology:
         """The paper's network: one tanh hidden layer, one linear output."""
-        return NetworkTopology(len(self.features), self.hidden_neurons)
+        return NetworkTopology(len(DEFAULT_FEATURES), self.hidden_neurons)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
@@ -285,9 +278,9 @@ def run_experiment(
     train, test = split(records, config.train_fraction, seed=model_seed(config.seed, "split"))
     norm = fit_normalizer(train)
     topology = config.topology()
-    X_train = feature_matrix(train, config.features, norm)
+    X_train = feature_matrix(train, norm)
     y_train = target_vector(train, norm)
-    X_test = feature_matrix(test, config.features, norm)
+    X_test = feature_matrix(test, norm)
     t_test_mpa = np.array([r.fcc for r in test], dtype=float)
 
     reports: dict[str, EvaluationReport] = {}
@@ -301,7 +294,7 @@ def run_experiment(
                 cfg = replace(getattr(config, name), seed=model_seed(config.seed, name))
                 weights, history, provenance = train_model(name, cfg, topology, X_train, y_train)
                 model = TrainedModel(topology=topology, weights=weights, normalization=norm,
-                                     features=config.features, provenance=provenance)
+                                     provenance=provenance)
                 models[name] = model
                 histories[name] = history
                 p_mpa = norm.denormalize(TARGET_FIELD, model.predict_normalized(X_test))

@@ -8,6 +8,7 @@ expressed as percentages (the normalized MSE/MAE times 100).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -53,7 +54,10 @@ def r_squared(x, y) -> float:
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("r_squared is undefined for a constant sequence")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    product = sxx * syy  # can over- or underflow where neither sum does: then root each sum
+    root = (math.sqrt(product) if sys.float_info.min <= product < math.inf
+            else math.sqrt(sxx) * math.sqrt(syy))
+    r = float(np.dot(dx, dy)) / root
     return r * r
 
 

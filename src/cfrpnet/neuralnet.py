@@ -208,15 +208,15 @@ def train_backprop(
 class TrainedModel:
     """A trained network bundled with its normalization and provenance.
 
-    The model is self-contained: predictions in physical units need only
-    the serialized file, not the training data. It is frozen because it
-    binds its weights' float64 views once, for every single-record call.
+    Its inputs are DEFAULT_FEATURES, in order. The model is
+    self-contained: predictions in physical units need only the serialized
+    file, not the training data. It is frozen because it binds its
+    weights' float64 views once, for every single-record call.
     """
 
     topology: NetworkTopology
     weights: np.ndarray
     normalization: NormalizationSpec
-    features: tuple[str, ...] = DEFAULT_FEATURES
     provenance: dict = field(default_factory=dict)
     params: tuple = field(init=False, repr=False, compare=False)  # unflatten's views of weights
 
@@ -227,14 +227,13 @@ class TrainedModel:
             raise ValueError(f"weight vector has length {weights.size}, topology needs {expected}")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weight vector contains non-finite entries")
-        features = tuple(self.features)
-        if len(features) != self.topology.input_size:
-            raise ValueError(f"{len(features)} features do not match input size {self.topology.input_size}")
-        missing = [f for f in (*features, TARGET_FIELD) if f not in self.normalization.ranges]
+        if self.topology.input_size != len(DEFAULT_FEATURES):
+            raise ValueError(f"model input size {self.topology.input_size} is not the "
+                             f"{len(DEFAULT_FEATURES)} features {', '.join(DEFAULT_FEATURES)}")
+        missing = [f for f in (*DEFAULT_FEATURES, TARGET_FIELD) if f not in self.normalization.ranges]
         if missing:
             raise ValueError(f"normalization spec lacks field(s): {', '.join(missing)}")
-        for name, value in (("weights", weights), ("features", features),
-                            ("params", unflatten(self.topology, weights))):
+        for name, value in (("weights", weights), ("params", unflatten(self.topology, weights))):
             object.__setattr__(self, name, value)
 
     def predict_normalized(self, X) -> np.ndarray:
@@ -242,22 +241,22 @@ class TrainedModel:
 
     def predict_records(self, records) -> np.ndarray:
         """Physical-unit predictions for a sequence of specimen records."""
-        X = feature_matrix(records, self.features, self.normalization)
+        X = feature_matrix(records, self.normalization)
         return self.normalization.denormalize(TARGET_FIELD, self.predict_normalized(X))
 
     def predict_values(self, values: Mapping[str, float]) -> tuple[float, list[str]]:
-        """Physical-unit prediction from raw named inputs.
+        """Physical-unit prediction from raw named inputs, one per DEFAULT_FEATURES.
 
         Returns the prediction and a list of extrapolation warnings for
         inputs outside the fitted normalization range.
         """
         try:
-            raw = [values[name] for name in self.features]
+            raw = [values[name] for name in DEFAULT_FEATURES]
         except KeyError:
-            missing = next(f for f in self.features if f not in values)
+            missing = next(f for f in DEFAULT_FEATURES if f not in values)
             raise ValueError(f"missing feature: {missing}") from None
         spec, warnings, x = self.normalization, [], np.empty(len(raw))
-        for j, name in enumerate(self.features):
+        for j, name in enumerate(DEFAULT_FEATURES):
             v = float(raw[j])
             x[j], inside = spec.normalize_value(name, v)
             if not inside:
@@ -292,7 +291,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "topology": _topology_to_dict(model.topology),
-        "features": list(model.features),
+        "features": list(DEFAULT_FEATURES),
         "target": TARGET_FIELD,
         "weights": [float(w) for w in model.weights],
         "normalization": model.normalization.to_dict(),
@@ -313,8 +312,7 @@ def model_from_dict(data: Mapping) -> TrainedModel:
     features, weights = data["features"], np.asarray(data["weights"])
     target, provenance = data.get("target", TARGET_FIELD), data.get("provenance", {})
     for key, value, kind, ok in (
-            ("features", features, "a list of strings",
-             isinstance(features, list) and all(isinstance(f, str) for f in features)),
+            ("features", features, repr(list(DEFAULT_FEATURES)), features == list(DEFAULT_FEATURES)),
             ("weights", data["weights"], "a list of numbers", weights.dtype.kind in "iuf"),
             ("target", target, repr(TARGET_FIELD), target == TARGET_FIELD),
             ("provenance", provenance, "a mapping", isinstance(provenance, Mapping))):
@@ -324,7 +322,6 @@ def model_from_dict(data: Mapping) -> TrainedModel:
         topology=_topology_from_dict(data["topology"]),
         weights=weights,
         normalization=NormalizationSpec.from_dict(data["normalization"]),
-        features=tuple(features),
         provenance=dict(provenance),
     )
 

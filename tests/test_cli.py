@@ -14,6 +14,7 @@ from cfrpnet import cli
 from cfrpnet.cli import COMMANDS, build_parser, main
 from cfrpnet.dataset import (
     DEFAULT_FEATURES,
+    FIELD_BOUNDS,
     FIELDS,
     DatasetFormatError,
     FeatureRange,
@@ -26,7 +27,7 @@ from cfrpnet.dataset import (
     split,
     target_vector,
 )
-from cfrpnet.experiment import model_seed, synth_dataset, train_model
+from cfrpnet.experiment import SWEEP_VARIABLES, model_seed, synth_dataset, train_model
 from cfrpnet.neuralnet import (NetworkTopology, TrainedModel, init_weights, load_model, model_from_dict,
                                model_to_dict, save_model)
 from cfrpnet.optimizers import PsoConfig, trace_csv
@@ -50,13 +51,21 @@ def synth_csv(tmp_path):
 
 def _perfect():
     """One hidden unit, fcc = tanh(fco) on the [0.1, 0.9] scales of fco (10-100 MPa)
-    and fcc (20-200 MPa): exact on data labelled with its own predictions."""
-    spec = NormalizationSpec(ranges={"fco": FeatureRange(10.0, 100.0),
-                                     "fcc": FeatureRange(20.0, 200.0)})
-    return TrainedModel(topology=NetworkTopology(1, 1),
-                        weights=np.array([1.0, 0.0, 1.0, 0.0]),
-                        normalization=spec, features=("fco",),
+    and fcc (20-200 MPa): weight 1 on the fco input and 0 on the other six, so it is
+    exact on data labelled with its own predictions. The other inputs' ranges are
+    FIELD_BOUNDS."""
+    ranges = {name: FeatureRange(*FIELD_BOUNDS[name]) for name in FIELDS}
+    ranges.update(fco=FeatureRange(10.0, 100.0), fcc=FeatureRange(20.0, 200.0))
+    input_weights = [float(name == "fco") for name in DEFAULT_FEATURES]
+    return TrainedModel(topology=NetworkTopology(7, 1),
+                        weights=np.array([*input_weights, 0.0, 1.0, 0.0]),
+                        normalization=NormalizationSpec(ranges=ranges),
                         provenance={"optimizer": "pso", "seed": 0, "iterations": 1})
+
+
+def _perfect_input(fco):
+    """A --input with every feature, inside the perfect model's ranges but for fco."""
+    return f"d=150,h=300,nt=0.334,ef=231,fco={fco},eco=0.2,ecc=1.1"
 
 
 def _perfect_fcc(fco):
@@ -176,7 +185,7 @@ def _parser_cases(tmp_path):
         "validate": ["validate", data],
         "train": ["train", data, "--model", "ann", "--iterations", "3", "--neurons", "2", "--out", out],
         "evaluate": ["evaluate", model, data],
-        "predict": ["predict", model, "--input", "fco=40"],
+        "predict": ["predict", model, "--input", _perfect_input(40)],
         "compare": ["compare", "--config", str(config), "--out", out],
         "sweep": ["sweep", model, "--var", "fco", "--from", "20", "--to", "40", "--steps", "3"],
         "synth": ["synth", "--n", "20", "--out", out],
@@ -393,7 +402,7 @@ class TestTrain:
         norm = fit_normalizer(train)
         weights, history, provenance = train_model(
             "pso", PsoConfig(population=5, iterations=6, seed=3), NetworkTopology(7, 4),
-            feature_matrix(train, DEFAULT_FEATURES, norm), target_vector(train, norm))
+            feature_matrix(train, norm), target_vector(train, norm))
         written = load_model(out / "model_pso.json")
         assert np.array_equal(written.weights, weights)
         assert written.provenance == provenance
@@ -435,14 +444,11 @@ class TestEvaluate:
         assert payload["provenance"]["optimizer"] == "pso"
 
     def test_feature_mismatch_exit_2(self, tmp_path, dataset_csv, capsys):
-        spec = NormalizationSpec(ranges={"vol": FeatureRange(0.0, 1.0),
-                                         "fcc": FeatureRange(20.0, 200.0)})
-        model = TrainedModel(topology=NetworkTopology(1, 1), weights=np.array([1.0, 0.0, 1.0, 0.0]),
-                             normalization=spec, features=("vol",))
         path = tmp_path / "weird.json"
-        save_model(model, path)
+        path.write_text(json.dumps({**model_to_dict(_perfect()), "features": ["vol"]}))
         assert main(["evaluate", str(path), dataset_csv]) == 2
-        assert "vol" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: model features must be "
+                                           "['d', 'h', 'nt', 'ef', 'fco', 'eco', 'ecc'], got ['vol']\n")
 
     def test_header_only_dataset_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -463,18 +469,18 @@ class TestEvaluate:
 class TestPredict:
     def test_prediction_with_units(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
-        assert main(["predict", model_path, "--input", "fco=40"]) == 0
+        assert main(["predict", model_path, "--input", _perfect_input(40)]) == 0
         out = capsys.readouterr().out
         assert f"fcc = {_perfect_fcc(40.0):.4f} MPa" in out
 
     def test_missing_feature_exit_2(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
-        assert main(["predict", model_path, "--input", "d=150"]) == 2
+        assert main(["predict", model_path, "--input", _perfect_input(40).replace("fco=40,", "")]) == 2
         assert "missing feature: fco" in capsys.readouterr().err
 
     def test_out_of_range_warning_on_stderr(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
-        assert main(["predict", model_path, "--input", "fco=500"]) == 0
+        assert main(["predict", model_path, "--input", _perfect_input(500)]) == 0
         captured = capsys.readouterr()
         assert "extrapolating" in captured.err
         assert "fcc" in captured.out
@@ -485,7 +491,7 @@ class TestPredict:
 
     def test_json_format(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
-        assert main(["predict", model_path, "--input", "fco=40", "--format", "json"]) == 0
+        assert main(["predict", model_path, "--input", _perfect_input(40), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["fcc_mpa"] == pytest.approx(_perfect_fcc(40.0), rel=1e-12)
 
@@ -493,7 +499,7 @@ class TestPredict:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_input_exit_2(self, tmp_path, capsys, value):
         model_path = _perfect_model(tmp_path)
-        assert main(["predict", model_path, "--input", f"fco={value}"]) == 2
+        assert main(["predict", model_path, "--input", _perfect_input(value)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
 
@@ -513,10 +519,12 @@ class TestSweep:
         assert lines[0] == "fco,prediction_mpa"
         assert len(lines) == 11
 
-    def test_unused_variable_exit_2(self, tmp_path, capsys):
+    def test_every_sweep_variable_is_a_feature(self, tmp_path, capsys):
+        # --var takes SWEEP_VARIABLES alone, so a sweep never names an input the model lacks
+        assert set(SWEEP_VARIABLES) <= set(DEFAULT_FEATURES)
         model_path = _perfect_model(tmp_path)
-        assert main(["sweep", model_path, "--var", "d", "--from", "100", "--to", "200"]) == 2
-        assert "does not use" in capsys.readouterr().err
+        assert main(["sweep", model_path, "--var", "d", "--from", "100", "--to", "200", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["percent_change"] == 0.0  # it reads fco alone
 
     def test_non_finite_fix_exit_2(self, tmp_path, capsys):
         model_path = _perfect_model(tmp_path)
@@ -592,6 +600,11 @@ MALFORMED_MODELS += [{**_DOC, "target": "fco"},
                      {**_DOC, "topology": {**_TOPOLOGY, "output_size": 2}, "weights": [0.1] * 32}]
 # the valid sizes as JSON of another type
 MALFORMED_MODELS += [{**_DOC, "topology": {**_TOPOLOGY, "output_size": value}} for value in (True, 1.0)]
+# inputs other than the seven features in order: another list, or another input size
+MALFORMED_MODELS += [{**_DOC, "features": features} for features in (
+    list(DEFAULT_FEATURES[::-1]), list(DEFAULT_FEATURES[:6]), ["vol"], [*DEFAULT_FEATURES, "vol"])]
+MALFORMED_MODELS += [{**_DOC, "topology": {**_TOPOLOGY, "input_size": n}, "weights": [0.1] * ((n + 2) * 3 + 1)}
+                     for n in (1, 6, 8)]
 
 
 def test_model_document_control(dataset_csv, tmp_path, capsys):
@@ -707,6 +720,24 @@ NEAR_VALUES = (st.integers(-1, 60) | st.floats(0.0, 8.0) | st.lists(st.integers(
 TOPOLOGIES = (JSON_VALUES | st.dictionaries(st.sampled_from(sorted(_TOPOLOGY)), NEAR_VALUES)
               | st.builds(lambda key, value: {**_TOPOLOGY, key: value},
                           st.sampled_from(sorted(_TOPOLOGY)), NEAR_VALUES | JSON_VALUES))
+# the other fields of a model document: the seven features in any order or a list of
+# names; weight lists near the valid length (28 here); range maps merged into the valid
+# normalization; any provenance
+_NUMBERS = st.floats() | st.floats(-1e3, 1e3) | st.integers(-10 ** 400, 10 ** 400)
+_RANGES = _DOC["normalization"]["ranges"]
+MODEL_FIELDS = {
+    "features": (JSON_VALUES | st.permutations(DEFAULT_FEATURES).map(list)
+                 | st.lists(st.sampled_from([*FIELDS, "vol", "eps_h_rup"]), max_size=9)),
+    "weights": (JSON_VALUES | st.lists(_NUMBERS | NEAR_VALUES, min_size=27, max_size=29)
+                | st.builds(lambda i, v: [*_DOC["weights"][:i], v, *_DOC["weights"][i + 1:]],
+                            st.integers(0, 27), _NUMBERS | JSON_VALUES)),
+    "normalization": (JSON_VALUES | st.builds(
+        lambda ranges, bounds: {**_DOC["normalization"], "ranges": {**_RANGES, **ranges}, **bounds},
+        st.dictionaries(st.sampled_from([*FIELDS, "vol"]), JSON_VALUES | st.lists(_NUMBERS, max_size=3),
+                        max_size=3),
+        st.dictionaries(st.sampled_from(["lo", "hi"]), _NUMBERS | JSON_VALUES, max_size=2))),
+    "provenance": JSON_VALUES | st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4),
+}
 
 
 # --input text: any text, name=value pairs over known and unknown names, or the valid
@@ -755,23 +786,47 @@ class TestModelFileBoundary:
         if loaded:  # only the paper's network and fcc load
             assert json.dumps(document, sort_keys=True) == json.dumps(_DOC, sort_keys=True)
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(MODEL_FIELDS)).flatmap(lambda key: st.tuples(st.just(key), MODEL_FIELDS[key])),
+           st.sampled_from(["predict", "evaluate", "sweep"]), st.sampled_from(["text", "json"]))
+    def test_document_field_exit_code_without_traceback(self, tmp_path, dataset_csv, capsys, field, command,
+                                                        fmt):
+        # a valid document with its features, weights, normalization or provenance replaced
+        key, value = field
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**_DOC, key: value}))
+        argv = {"predict": ["predict", str(path), "--input", VALID_INPUT],
+                "evaluate": ["evaluate", str(path), dataset_csv],
+                "sweep": ["sweep", str(path), "--var", "fco", "--from", "10", "--to", "100"]}[command]
+        code = main(argv + ["--format", fmt])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3) and "Traceback" not in captured.err
+        if code:
+            assert captured.out == "" and captured.err.startswith("error: ")
+        if key == "features":  # only the seven features, in order, load
+            assert (code == 0) == (value == list(DEFAULT_FEATURES))
+            assert code == 0 or captured.err.startswith("error: model features must be ")
+
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
-    def test_round_trip(self, input_size, hidden_size, seed):
-        topology = NetworkTopology(input_size, hidden_size)
-        features = tuple(f"x{i}" for i in range(input_size))
-        spec = NormalizationSpec(ranges={name: FeatureRange(0.0, 1.0 + i)
-                                         for i, name in enumerate((*features, "fcc"))})
-        weights = np.random.default_rng(seed).normal(scale=10.0, size=(input_size + 2) * hidden_size + 1)
-        document = model_to_dict(TrainedModel(topology, weights, spec, features, {"seed": seed}))
+    @given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+    def test_round_trip(self, hidden_size, seed):
+        topology = NetworkTopology(7, hidden_size)
+        spec = NormalizationSpec(ranges={name: FeatureRange(0.0, 1.0 + i) for i, name in enumerate(FIELDS)})
+        weights = np.random.default_rng(seed).normal(scale=10.0, size=9 * hidden_size + 1)
+        document = model_to_dict(TrainedModel(topology, weights, spec, {"seed": seed}))
         assert document["topology"] == {"hidden_activation": "tanh", "hidden_sizes": [hidden_size],
-                                        "input_size": input_size, "output_activation": "linear",
-                                        "output_size": 1}
-        assert document["target"] == "fcc"
+                                        "input_size": 7, "output_activation": "linear", "output_size": 1}
+        assert document["features"] == list(DEFAULT_FEATURES) and document["target"] == "fcc"
         restored = model_from_dict(json.loads(json.dumps(document)))
-        assert restored.topology == topology and restored.features == features
+        assert restored.topology == topology
         assert np.array_equal(restored.weights, weights)
         assert model_to_dict(restored) == document
+
+    @pytest.mark.parametrize("input_size", [1, 6, 8])
+    def test_other_input_size_refused(self, input_size):
+        topology = NetworkTopology(input_size, 3)
+        with pytest.raises(ValueError, match=f"model input size {input_size} is not the 7 features"):
+            TrainedModel(topology, init_weights(topology, 0), _perfect().normalization)
 
 
 class TestCompare:
@@ -901,14 +956,14 @@ class TestStrictReports:
         assert comparison["comparison"]["rows"] == []
         assert sorted(comparison["comparison"]["errors"]) == ["lam_teng", "miyauchi"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's, in the summary
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("flags", [["--format", "json"], ["--out", "stats_out", "--quiet"]])
+    @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--out", "stats_out", "--quiet"]])
     def test_stats_of_huge_values_exit_2(self, flags, huge_moduli_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["stats", huge_moduli_csv, *flags]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarning included
+            assert main(["stats", huge_moduli_csv, *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err == "error: summary statistics of field 'ef' overflow for values up to 1e+200\n"
         assert not (tmp_path / "stats_out").exists() or not any((tmp_path / "stats_out").iterdir())
 
     def test_evaluate_of_huge_targets_exit_2(self, tmp_path, capsys):
@@ -963,6 +1018,9 @@ BAD_CONFIGS = [
     ("train", {"population": 7.5}),
     ("train", {"iterations": math.inf}),
     ("train", {"inertia_weight": 10**400}),  # an int too large for a float
+    ("train", {"population": 2**63}),  # a population numpy cannot count
+    ("train", {"population": 10**400}),
+    ("compare", {"models": {"pso": {"population": 10**400}}}),
     # the weight box, the network and the training length are fixed, not settings
     ("compare", {"models": {"ann": {"init_half_width": 0.25}}}),
     ("compare", {"models": {"ann": {"early_stop_patience": 5}}}),
@@ -981,6 +1039,11 @@ def _run_config(command, data, dataset_csv, tmp_path):
 @pytest.mark.parametrize("command", sorted(GOOD_CONFIGS))
 def test_good_configs_run(command, dataset_csv, tmp_path, capsys):
     assert _run_config(command, GOOD_CONFIGS[command], dataset_csv, tmp_path) == 0
+
+
+def test_huge_seed_trains(dataset_csv, tmp_path, capsys):
+    # unlike the population, a seed has no upper bound: SeedSequence takes any non-negative int
+    assert _run_config("train", {**GOOD_CONFIGS["train"], "seed": 10**400}, dataset_csv, tmp_path) == 0
 
 
 @pytest.mark.parametrize("command, bad", BAD_CONFIGS)

@@ -6,6 +6,7 @@ import math
 import operator
 import pickle
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -466,6 +467,20 @@ class TestSummaryStats:
             summary_stats(make_records(1))
 
 
+def _huge_moduli(n=20):
+    """Valid records, odd rows at 1e200 GPa: their squares overflow float64."""
+    return [dataclasses.replace(r, ef=1e200) if i % 2 else r for i, r in enumerate(make_records(n, seed=5))]
+
+
+@pytest.mark.parametrize("compute, message", [(summary_stats, "summary statistics of field 'ef' overflow"),
+                                              (correlation_matrix, "correlation matrix overflows")])
+def test_overflow_refused_without_warnings(compute, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow RuntimeWarning included
+        with pytest.raises(ValueError, match=message):
+            compute(_huge_moduli())
+
+
 class TestCorrelation:
     def test_unit_diagonal_and_symmetry(self, records):
         corr = correlation_matrix(records)
@@ -570,13 +585,14 @@ class TestNormalization:
 
     def test_feature_matrix_shape(self, records):
         spec = fit_normalizer(records)
-        X = feature_matrix(records, ("d", "fco"), spec)
-        assert X.shape == (len(records), 2)
+        X = feature_matrix(records, spec)
+        assert X.shape == (len(records), 7)
         assert np.all((X >= 0.1) & (X <= 0.9))
+        for j, name in enumerate(DEFAULT_FEATURES):  # the seven inputs, in order
+            assert np.array_equal(X[:, j], spec.normalize(name, [getattr(r, name) for r in records]))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(valid_records(), max_size=30),
-           st.sampled_from([(f,) for f in FIELDS] + [DEFAULT_FEATURES, DEFAULT_FEATURES[::-1]]))
+    @given(st.lists(valid_records(), max_size=30), st.sampled_from([FIELDS, DEFAULT_FEATURES, DEFAULT_FEATURES[::-1]]))
     def test_raw_matrix_equals_array_of_tuples(self, records, fields):
         expected = np.array(list(map(operator.attrgetter(*fields), records)),
                             dtype=float).reshape(-1, len(fields))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrpnet import experiment, mechanics
-from cfrpnet.dataset import FIELD_BOUNDS, FIELDS, raw_matrix
+from cfrpnet.dataset import DEFAULT_FEATURES, FIELD_BOUNDS, FIELDS, raw_matrix
 from cfrpnet.experiment import (
     ALL_MODELS,
     MODEL_CONFIGS,
@@ -117,9 +117,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="nonlinear"):
             ExperimentConfig(roster=("nonlinear",))
 
-    def test_target_cannot_be_feature(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(features=("d", "fcc"))
+    def test_features_are_not_a_setting(self):
+        # the network reads the paper's seven inputs; a config may not name others
+        assert ExperimentConfig(hidden_neurons=4).topology() == NetworkTopology(7, 4)
+        with pytest.raises(ValueError, match="unknown config key.*: features"):
+            ExperimentConfig.from_dict({"features": list(DEFAULT_FEATURES)})
 
     def test_readme_config_is_accepted(self):
         # the example under "### Experiment config" in README.md advertises only real keys
@@ -347,7 +349,7 @@ class TestParametricSweep:
         model = result.models["ann"]
         fixed = {name: 0.5 * (model.normalization.ranges[name].x_min +
                               model.normalization.ranges[name].x_max)
-                 for name in model.features if name != "fco"}
+                 for name in DEFAULT_FEATURES if name != "fco"}
         hi = model.normalization.ranges["fco"].x_max
         grid = parametric_sweep(model, SweepSpec("fco", 20.0, hi * 2.0, 5, fixed))
         assert any("extrapolating" in w for w in grid.warnings)
@@ -370,7 +372,7 @@ class TestModelExport:
         save_model(model, path)
         restored = load_model(path)
         rng = np.random.default_rng(1)
-        X = rng.uniform(0.1, 0.9, (50, len(model.features)))
+        X = rng.uniform(0.1, 0.9, (50, 7))
         assert np.array_equal(restored.predict_normalized(X), model.predict_normalized(X))
 
     def test_imported_model_predicts_raw_units(self, tmp_path):
@@ -381,7 +383,7 @@ class TestModelExport:
         restored = load_model(path)
         values = {f: 0.5 * (restored.normalization.ranges[f].x_min +
                             restored.normalization.ranges[f].x_max)
-                  for f in restored.features}
+                  for f in DEFAULT_FEATURES}
         fcc, warnings = restored.predict_values(values)
         assert math.isfinite(fcc)
         assert warnings == []

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cfrpnet.dataset import FeatureRange, NormalizationSpec
+from cfrpnet.dataset import FeatureRange, NormalizationSpec, split
+from cfrpnet.experiment import model_seed, synth_dataset
+from cfrpnet.mechanics import predict_record
 from cfrpnet.metrics import mae, mse, r_squared, report_from_pairs
 
 
@@ -98,6 +100,24 @@ class TestRSquared:
     def test_too_short(self):
         with pytest.raises(ValueError):
             r_squared([1.0], [2.0])
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-100])
+    def test_perfect_fit_at_extreme_scales(self, scale):
+        # the product of the two centered sums overflows (underflows) though each sum is finite
+        x = [0.0, scale, 2.0 * scale]
+        assert r_squared(x, x) == 1.0
+        assert report_from_pairs([40.0, *x[1:]], [40.0, *x[1:]]).accuracy_percent == 100.0
+
+    def test_reference_split_bits_kept(self):
+        # on the seed-1 reference split's test targets, r² is the one-root form's, bit for bit
+        _, test = split(synth_dataset(708, 1), 0.75, seed=model_seed(1, "split"))
+        t = np.array([r.fcc for r in test])
+        rng = np.random.default_rng(1)
+        for p in [np.array([predict_record(r) for r in test]),
+                  *(t + rng.normal(0.0, scale, t.size) for scale in (0.1, 1.0, 10.0, 100.0))]:
+            dx, dy = t - t.mean(), p - p.mean()
+            r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+            assert r_squared(t, p) == r * r
 
 
 class TestOracleEquivalence:

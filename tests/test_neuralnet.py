@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrpnet import neuralnet
-from cfrpnet.dataset import DEFAULT_FEATURES, FeatureRange, NormalizationSpec
+from cfrpnet.dataset import DEFAULT_FEATURES, FIELD_BOUNDS, FIELDS, FeatureRange, NormalizationSpec
 from cfrpnet.neuralnet import (
     _forward,
     WEIGHT_BOUND,
@@ -304,23 +304,21 @@ class TestTrainBackprop:
         assert_rejects_bad_values(BackpropConfig())
 
 
+TOY_SPEC = NormalizationSpec(ranges={name: FeatureRange(*FIELD_BOUNDS[name]) for name in FIELDS})
+# one request inside every range of TOY_SPEC; tests vary d and fco from it
+TOY_VALUES = {"d": 150.0, "h": 300.0, "nt": 0.334, "ef": 231.0, "fco": 30.0, "eco": 0.2, "ecc": 1.1}
+
+
 def _toy_model(seed=0):
-    topology = NetworkTopology(2, 3)
-    spec = NormalizationSpec(ranges={
-        "d": FeatureRange(51.0, 406.0),
-        "fco": FeatureRange(12.41, 188.2),
-        "fcc": FeatureRange(18.5, 302.2),
-    })
-    weights = init_weights(topology, seed)
-    return TrainedModel(topology=topology, weights=weights, normalization=spec,
-                        features=("d", "fco"),
+    topology = NetworkTopology(7, 3)
+    return TrainedModel(topology=topology, weights=init_weights(topology, seed), normalization=TOY_SPEC,
                         provenance={"optimizer": "pso", "seed": seed, "iterations": 10})
 
 
 def reference_predict_values(model, values):
     """predict_values as it was with numpy 0-d normalization: the exact reference."""
     spec, warnings, x = model.normalization, [], []
-    for name in model.features:
+    for name in DEFAULT_FEATURES:
         v, r = float(values[name]), spec.ranges[name]
         if not r.x_min <= v <= r.x_max:
             warnings.append(f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
@@ -336,11 +334,10 @@ class TestPredictValuesMatchesReference:
     @pytest.mark.parametrize("hidden_size", [1, 5, 50])
     @pytest.mark.parametrize("seed", range(6))
     def test_values_and_warnings_identical(self, seed, hidden_size):
-        topology = NetworkTopology(2, hidden_size)
+        topology = NetworkTopology(7, hidden_size)
         rng = np.random.default_rng(100 * seed + hidden_size + 7)
-        model = _toy_model()
         model = TrainedModel(topology=topology, weights=rng.uniform(-2.0, 2.0, parameter_count(topology)),
-                             normalization=model.normalization, features=model.features)
+                             normalization=TOY_SPEC)
         ranges = model.normalization.ranges
         requests = [{"d": ranges["d"].x_min, "fco": ranges["fco"].x_max},  # pinned endpoints
                     {"d": ranges["d"].x_max, "fco": ranges["fco"].x_min},
@@ -351,7 +348,7 @@ class TestPredictValuesMatchesReference:
             r = ranges[name]
             requests += [{"d": 200.0, "fco": 60.0, name: v}
                          for v in rng.uniform(r.x_min - (r.x_max - r.x_min), 2 * r.x_max, 40)]
-        for values in requests:
+        for values in ({**TOY_VALUES, **request} for request in requests):
             assert model.predict_values(values) == reference_predict_values(model, values)
 
 
@@ -359,12 +356,12 @@ def per_field_predict_values(model, values):
     """predict_values as it was before the model bound its views: a pass for missing
     features, then a range check and normalize per field (the array path), then
     _forward on fresh unflatten views."""
-    missing = [f for f in model.features if f not in values]
+    missing = [f for f in DEFAULT_FEATURES if f not in values]
     if missing:
         raise ValueError(f"missing feature: {missing[0]}")
     spec, warnings = model.normalization, []
-    x = np.empty(len(model.features))
-    for j, name in enumerate(model.features):
+    x = np.empty(len(DEFAULT_FEATURES))
+    for j, name in enumerate(DEFAULT_FEATURES):
         v, r = float(values[name]), spec.ranges[name]
         if not r.x_min <= v <= r.x_max:
             warnings.append(f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
@@ -385,15 +382,14 @@ def _served(predict, model, values):
 
 @st.composite
 def served_models(draw):
-    features = draw(st.lists(st.sampled_from(DEFAULT_FEATURES), min_size=1, max_size=7, unique=True))
     ranges = {}
-    for name in (*features, "fcc"):
+    for name in FIELDS:
         x_min = draw(st.floats(-1e3, 1e3))
         ranges[name] = FeatureRange(x_min, x_min + draw(st.floats(1e-2, 1e3)))
-    topology = NetworkTopology(len(features), draw(st.integers(1, 12)))
+    topology = NetworkTopology(7, draw(st.integers(1, 12)))
     weights = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
         -2.0, 2.0, parameter_count(topology))
-    return TrainedModel(topology, weights, NormalizationSpec(ranges), tuple(features))
+    return TrainedModel(topology, weights, NormalizationSpec(ranges))
 
 
 class TestServingPathMatchesPerFieldPath:
@@ -401,22 +397,23 @@ class TestServingPathMatchesPerFieldPath:
     @given(served_models(), st.data())
     def test_bits_warnings_and_errors(self, model, data):
         values = {"eps_h_rup": 0.01}  # a name the model does not read
-        for name in model.features:
+        for name in DEFAULT_FEATURES:
             r = model.normalization.ranges[name]
             values[name] = data.draw(
                 st.sampled_from([r.x_min, r.x_max])  # pinned to lo/hi
                 | st.floats(r.x_min, r.x_max) | st.floats(r.x_max, 2 * r.x_max + 1e3)
                 | st.floats(r.x_min - 1e3 - abs(r.x_min), r.x_min) | st.floats()
                 | st.integers(-10 ** 4, 10 ** 4) | st.floats(-1e3, 1e3).map(np.float64), label=name)
-        for name in data.draw(st.sets(st.sampled_from(model.features)), label="absent"):
+        for name in data.draw(st.sets(st.sampled_from(DEFAULT_FEATURES)), label="absent"):
             del values[name]
         expected = _served(per_field_predict_values, model, values)
         assert _served(TrainedModel.predict_values, model, values) == expected
 
     def test_missing_feature_named_in_feature_order(self):
         model = _toy_model()
+        without_fco = {name: v for name, v in TOY_VALUES.items() if name != "fco"}
         for values, message in (({}, "missing feature: d"), ({"fco": 30.0}, "missing feature: d"),
-                                ({"d": "not checked"}, "missing feature: fco")):
+                                ({**without_fco, "d": "not checked"}, "missing feature: fco")):
             assert _served(TrainedModel.predict_values, model, values) == message
             assert _served(per_field_predict_values, model, values) == message
 
@@ -425,14 +422,13 @@ class TestServingPathMatchesPerFieldPath:
         assert model.params is model.params and len(model.params) == 4
         assert all(np.shares_memory(view, model.weights) for view in model.params)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.weights = np.zeros(13)
-        other = dataclasses.replace(model, weights=np.zeros(13))  # a new model binds its own views
+            model.weights = np.zeros(28)
+        other = dataclasses.replace(model, weights=np.zeros(28))  # a new model binds its own views
         assert all(np.shares_memory(view, other.weights) for view in other.params)
-        assert other.predict_values({"d": 150.0, "fco": 30.0})[0] == other.normalization.denormalize(
-            "fcc", 0.0)
+        assert other.predict_values(TOY_VALUES)[0] == other.normalization.denormalize("fcc", 0.0)
         seen = []  # the single-record path goes through the module-level forward
         monkeypatch.setattr(neuralnet, "forward", lambda params, x: seen.append(params) or 0.5)
-        model.predict_values({"d": 150.0, "fco": 30.0})
+        model.predict_values(TOY_VALUES)
         assert len(seen) == 1 and seen[0] is model.params
 
 
@@ -451,7 +447,6 @@ class TestTrainedModel:
         restored = load_model(path)
         assert np.array_equal(restored.weights, model.weights)
         assert restored.topology == model.topology
-        assert restored.features == model.features
         assert restored.normalization.ranges == model.normalization.ranges
         assert restored.provenance == model.provenance
 
@@ -461,20 +456,18 @@ class TestTrainedModel:
         save_model(model, path)
         restored = load_model(path)
         rng = np.random.default_rng(11)
-        X = rng.uniform(0.1, 0.9, (100, 2))
+        X = rng.uniform(0.1, 0.9, (100, 7))
         assert np.array_equal(restored.predict_normalized(X), model.predict_normalized(X))
 
     @pytest.mark.parametrize("hidden_size", [np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_sizes_save_and_reload(self, tmp_path, hidden_size):
-        topology = NetworkTopology(np.int64(2), hidden_size)
-        assert topology == NetworkTopology(2, 3)
+        topology = NetworkTopology(np.int64(7), hidden_size)
+        assert topology == NetworkTopology(7, 3)
         assert all(type(s) is int for s in (topology.input_size, topology.hidden_size))
-        model = _toy_model()
-        model = TrainedModel(topology=topology, weights=model.weights,
-                             normalization=model.normalization, features=model.features)
+        model = TrainedModel(topology=topology, weights=_toy_model().weights, normalization=TOY_SPEC)
         path = tmp_path / "model.json"
         save_model(model, path)
-        assert load_model(path).topology == NetworkTopology(2, 3)
+        assert load_model(path).topology == NetworkTopology(7, 3)
 
     def test_truncated_weights_rejected(self, tmp_path):
         data = model_to_dict(_toy_model())
@@ -488,6 +481,17 @@ class TestTrainedModel:
         with pytest.raises(ValueError, match="format"):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("features", [list(DEFAULT_FEATURES[::-1]), list(DEFAULT_FEATURES[:6]),
+                                          ["vol"], [*DEFAULT_FEATURES, "fcc"], 5])
+    def test_other_feature_list_refused(self, features):
+        # the file still names its inputs, and they must be the seven, in order
+        data = {**model_to_dict(_toy_model()), "features": features}
+        with pytest.raises(ValueError, match=r"model features must be \['d', 'h', 'nt', 'ef', 'fco', 'eco', "):
+            model_from_dict(data)
+        del data["features"]
+        with pytest.raises(ValueError, match="lacks features"):
+            model_from_dict(data)
+
     def test_missing_normalization_field(self):
         model = _toy_model()
         data = model_to_dict(model)
@@ -497,15 +501,15 @@ class TestTrainedModel:
 
     def test_predict_values_missing_feature(self):
         with pytest.raises(ValueError, match="missing feature: fco"):
-            _toy_model().predict_values({"d": 150.0})
+            _toy_model().predict_values({name: v for name, v in TOY_VALUES.items() if name != "fco"})
 
     def test_predict_values_warns_out_of_range(self):
-        fcc, warnings = _toy_model().predict_values({"d": 1000.0, "fco": 30.0})
+        fcc, warnings = _toy_model().predict_values({**TOY_VALUES, "d": 1000.0})
         assert math.isfinite(fcc)
         assert any("d=1000" in w and "extrapolating" in w for w in warnings)
 
     def test_predict_values_clean_in_range(self):
-        fcc, warnings = _toy_model().predict_values({"d": 150.0, "fco": 30.0})
+        fcc, warnings = _toy_model().predict_values(TOY_VALUES)
         assert warnings == []
         assert math.isfinite(fcc)
 
@@ -514,7 +518,7 @@ class TestTrainedModel:
         save_model(_toy_model(), path)
         data = json.loads(path.read_text())
         assert data["format"] == "cfrpnet-model"
-        assert len(data["weights"]) == 13
-        assert data["target"] == "fcc"
-        assert data["topology"] == {"hidden_activation": "tanh", "hidden_sizes": [3], "input_size": 2,
+        assert len(data["weights"]) == 28
+        assert data["features"] == list(DEFAULT_FEATURES) and data["target"] == "fcc"
+        assert data["topology"] == {"hidden_activation": "tanh", "hidden_sizes": [3], "input_size": 7,
                                     "output_activation": "linear", "output_size": 1}

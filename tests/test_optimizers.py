@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -86,6 +87,14 @@ class TestConfigs:
             BaConfig(alpha=1.0)
         for config in (PsoConfig(), GwoConfig(), BaConfig()):
             assert_rejects_bad_values(config)
+
+    @pytest.mark.parametrize("cls", [PsoConfig, GwoConfig, BaConfig])
+    @pytest.mark.parametrize("population", [2 ** 63, 10 ** 400], ids=["2**63", "10**400"])
+    def test_population_past_maxsize_refused(self, cls, population):
+        # numpy counts in a C ssize_t: SeedSequence.spawn raised OverflowError on these
+        with pytest.raises(ValueError, match=f"population must be at most {sys.maxsize}$"):
+            cls.from_dict({"population": population})
+        assert cls(seed=10 ** 400).seed == 10 ** 400  # a seed has no upper bound
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
