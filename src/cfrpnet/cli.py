@@ -50,7 +50,7 @@ from .experiment import (
     write_model_files,
 )
 from .metrics import report_from_pairs
-from .neuralnet import TrainedModel, load_model
+from .neuralnet import NetworkTopology, load_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,6 +93,13 @@ def _parse_kv(text: str) -> dict[str, float]:
     if not values:
         raise ValueError("no input values given")
     return values
+
+
+def _require_finite(predictions) -> None:
+    """Refuse a model whose finite weights overflow the forward pass; its callers
+    run under np.errstate, so the overflow is refused here, not warned about."""
+    if not np.all(np.isfinite(predictions)):
+        raise ValueError("the model's prediction is not finite: its weights overflow the forward pass")
 
 
 def cmd_stats(args) -> int:
@@ -170,11 +177,10 @@ def cmd_train(args) -> int:
         _say(args, f"using {len(train)} of {len(records)} records for training")
     else:
         train = records
-    topology = ExperimentConfig(hidden_neurons=args.neurons).topology()  # the network compare trains
+    topology = NetworkTopology(len(DEFAULT_FEATURES), args.neurons)  # the network compare trains
     norm = fit_normalizer(train)
     X, y = feature_matrix(train, norm), target_vector(train, norm)
-    weights, history, provenance = train_model(args.model, cfg, topology, X, y)
-    model = TrainedModel(topology=topology, weights=weights, normalization=norm, provenance=provenance)
+    model, history = train_model(args.model, cfg, topology, norm, X, y)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     model_path, trace_path = write_model_files(out, args.model, model, history)
@@ -183,11 +189,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     records = parse_dataset(args.dataset)
     targets = np.array([getattr(r, TARGET_FIELD) for r in records], dtype=float)
-    report = report_from_pairs(targets, model.predict_records(records), model.normalization)
+    predictions = model.predict_records(records)
+    _require_finite(predictions)
+    report = report_from_pairs(targets, predictions, model.normalization)
     if args.format == "json":
         print(json_text({**report.to_dict(), "provenance": model.provenance}), end="")
     else:
@@ -208,11 +217,13 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     values = _parse_kv(args.input)
     check_values(SimpleNamespace(**values))
     fcc, warnings = model.predict_values(values)
+    _require_finite(fcc)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.format == "json":
@@ -238,17 +249,18 @@ def cmd_compare(args) -> int:
     else:
         print(f"split: {result.n_train} train / {result.n_test} test")
         print(f"{'model':>10}{'accuracy %':>12}{'mse %':>12}{'mae %':>12}{'mse MPa':>12}{'mae MPa':>12}")
-        for r in result.comparison.rows:
+        for name, r in result.reports.items():
             acc = f"{r.accuracy_percent:.2f}" if r.accuracy_percent is not None else "n/a"
-            print(f"{r.model:>10}{acc:>12}{r.mse_pct:>12.4g}{r.mae_pct:>12.4g}"
+            print(f"{name:>10}{acc:>12}{r.mse_pct:>12.4g}{r.mae_pct:>12.4g}"
                   f"{r.mse_mpa:>12.4g}{r.mae_mpa:>12.4g}")
         for name, message in result.comparison.errors.items():
             print(f"{name:>10}  FAILED: {message}")
     if config.out_dir:
         _say(args, f"wrote report files to {config.out_dir}")
-    return EXIT_OK if result.comparison.rows else EXIT_RUNTIME
+    return EXIT_OK if result.reports else EXIT_RUNTIME
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_sweep(args) -> int:
     model = load_model(args.model)
     if not args.stop > args.start:
@@ -271,6 +283,7 @@ def cmd_sweep(args) -> int:
     spec = SweepSpec(var=args.var, start=args.start, stop=args.stop,
                      steps=args.steps, fixed=fixed)
     grid = parametric_sweep(model, spec)
+    _require_finite(grid.predictions)
     for w in grid.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.format == "json":

@@ -8,7 +8,6 @@ data behind the plots.
 """
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,8 +19,8 @@ from . import mechanics
 from .dataset import (
     DEFAULT_FEATURES,
     FIELD_BOUNDS,
-    TARGET_FIELD,
     ConfigBase,
+    NormalizationSpec,
     SpecimenRecord,
     csv_text,
     feature_matrix,
@@ -164,10 +163,6 @@ class ExperimentConfig(ConfigBase):
         if self.hidden_neurons < 1:
             raise ValueError("hidden_neurons must be >= 1")
 
-    def topology(self) -> NetworkTopology:
-        """The paper's network: one tanh hidden layer, one linear output."""
-        return NetworkTopology(len(DEFAULT_FEATURES), self.hidden_neurons)
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
         """Build from a JSON-style mapping: each model's settings sit under
@@ -187,69 +182,62 @@ class ExperimentConfig(ConfigBase):
         return super().from_dict(kwargs)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    model: str
-    n: int
-    accuracy_percent: float | None
-    r_squared: float | None
-    mse_pct: float | None
-    mae_pct: float | None
-    mse_mpa: float
-    mae_mpa: float
+# The comparison table's columns after "model", each a field of the model's EvaluationReport.
+COMPARISON_COLUMNS = ("n", "accuracy_percent", "r_squared", "mse_pct", "mae_pct", "mse_mpa", "mae_mpa")
 
 
 @dataclass
 class ComparisonTable:
-    """One row per successfully evaluated roster model, plus failures."""
+    """The report of each roster model that was scored, in roster order, plus the failures."""
 
-    rows: list[ComparisonRow]
+    reports: dict[str, EvaluationReport]
     errors: dict[str, str]
 
+    def _rows(self) -> list[tuple]:
+        return [(name, *(getattr(report, c) for c in COMPARISON_COLUMNS))
+                for name, report in self.reports.items()]
+
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        header = ("model", *COMPARISON_COLUMNS)
+        return {"rows": [dict(zip(header, row)) for row in self._rows()], "errors": dict(self.errors)}
 
     def to_csv(self) -> str:
-        header = [f.name for f in dataclasses.fields(ComparisonRow)]
-        return csv_text(header, (dataclasses.astuple(r) for r in self.rows))
+        return csv_text(("model", *COMPARISON_COLUMNS), self._rows())
 
 
 @dataclass
 class ExperimentResult:
     comparison: ComparisonTable
-    reports: dict[str, EvaluationReport]
     models: dict[str, TrainedModel]
     histories: dict[str, list[float]]
     n_train: int
     n_test: int
-    seed: int
+
+    @property
+    def reports(self) -> dict[str, EvaluationReport]:
+        return self.comparison.reports
 
 
-def train_model(name: str, cfg, topology: NetworkTopology, X, y):
-    """Train one network of the roster on normalized rows.
+def train_model(name: str, cfg, topology: NetworkTopology, norm: NormalizationSpec,
+                X, y) -> tuple[TrainedModel, list[float]]:
+    """Train one network of the roster on rows normalized by ``norm``.
 
     ``cfg`` is an instance of ``MODEL_CONFIGS[name]``; its seed is used as
-    given. Returns the flat weights, the training history (loss per epoch
-    for ann, best fitness per iteration for the swarms), and the
-    provenance record stored in the model file.
+    given. Returns the model, which carries ``norm`` and the provenance
+    record stored in its file, and the training history (loss per epoch
+    for ann, best fitness per iteration for the swarms).
     """
     if name == "ann":
         weights, history = train_backprop(topology, X, y, cfg)
-        return weights, history, {"optimizer": "ann", "seed": cfg.seed, "iterations": cfg.epochs,
-                                  "learning_rate": cfg.learning_rate}
-    weights, trace = train_hybrid(name, topology, X, y, cfg)
-    history = [float(v) for v in trace.best_fitness]
-    return weights, history, {"optimizer": name, "seed": cfg.seed, "iterations": cfg.iterations,
-                              "population": cfg.population}
-
-
-def _empirical_predictions(name, config, records) -> np.ndarray:
-    params = config.nonlinear if name == "nonlinear" else None
-    out = np.empty(len(records))
-    for i, r in enumerate(records):
-        out[i] = mechanics.predict_record(r, model=name, params=params,
-                                          eps_f=config.fiber_strain)
-    return out
+        provenance = {"optimizer": "ann", "seed": cfg.seed, "iterations": cfg.epochs,
+                      "learning_rate": cfg.learning_rate}
+    else:
+        weights, trace = train_hybrid(name, topology, X, y, cfg)
+        history = [float(v) for v in trace.best_fitness]
+        provenance = {"optimizer": name, "seed": cfg.seed, "iterations": cfg.iterations,
+                      "population": cfg.population}
+    model = TrainedModel(topology=topology, weights=weights, normalization=norm, provenance=provenance)
+    return model, history
 
 
 def run_experiment(
@@ -277,44 +265,27 @@ def run_experiment(
 
     train, test = split(records, config.train_fraction, seed=model_seed(config.seed, "split"))
     norm = fit_normalizer(train)
-    topology = config.topology()
+    topology = NetworkTopology(len(DEFAULT_FEATURES), config.hidden_neurons)
     X_train = feature_matrix(train, norm)
     y_train = target_vector(train, norm)
-    X_test = feature_matrix(test, norm)
     t_test_mpa = np.array([r.fcc for r in test], dtype=float)
 
-    reports: dict[str, EvaluationReport] = {}
+    comparison = ComparisonTable(reports={}, errors={})
     models: dict[str, TrainedModel] = {}
     histories: dict[str, list[float]] = {}
-    errors: dict[str, str] = {}
-    rows: list[ComparisonRow] = []
     for name in config.roster:
         try:
             if name in TRAINABLE_MODELS:
                 cfg = replace(getattr(config, name), seed=model_seed(config.seed, name))
-                weights, history, provenance = train_model(name, cfg, topology, X_train, y_train)
-                model = TrainedModel(topology=topology, weights=weights, normalization=norm,
-                                     provenance=provenance)
-                models[name] = model
-                histories[name] = history
-                p_mpa = norm.denormalize(TARGET_FIELD, model.predict_normalized(X_test))
+                models[name], histories[name] = train_model(name, cfg, topology, norm, X_train, y_train)
+                predictor = models[name]
             else:
-                p_mpa = _empirical_predictions(name, config, test)
-            report = report_from_pairs(t_test_mpa, p_mpa, norm)
-            reports[name] = report
-            rows.append(ComparisonRow(
-                model=name, n=report.n,
-                accuracy_percent=report.accuracy_percent, r_squared=report.r_squared,
-                mse_pct=report.mse_pct, mae_pct=report.mae_pct,
-                mse_mpa=report.mse_mpa, mae_mpa=report.mae_mpa,
-            ))
+                predictor = EmpiricalPredictor(name, config.nonlinear, eps_f=config.fiber_strain)
+            comparison.reports[name] = report_from_pairs(t_test_mpa, predictor.predict_records(test), norm)
         except (ValueError, RuntimeError) as exc:  # isolate per-model domain failures
-            errors[name] = f"{type(exc).__name__}: {exc}"
-    result = ExperimentResult(
-        comparison=ComparisonTable(rows=rows, errors=errors),
-        reports=reports, models=models, histories=histories,
-        n_train=len(train), n_test=len(test), seed=config.seed,
-    )
+            comparison.errors[name] = f"{type(exc).__name__}: {exc}"
+    result = ExperimentResult(comparison=comparison, models=models, histories=histories,
+                              n_train=len(train), n_test=len(test))
     if config.out_dir is not None:
         write_experiment_outputs(result, config)
     return result
@@ -333,7 +304,7 @@ def write_experiment_outputs(result: ExperimentResult, config: ExperimentConfig)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "seed": result.seed,
+        "seed": config.seed,
         "train_fraction": config.train_fraction,
         "n_train": result.n_train,
         "n_test": result.n_test,
@@ -362,6 +333,12 @@ class EmpiricalPredictor:
         self.params = params
         self.eps_h_rup = eps_h_rup
         self.eps_f = eps_f
+
+    def predict_records(self, records) -> np.ndarray:
+        """Physical-unit predictions for a sequence of specimen records."""
+        return np.array([mechanics.predict_record(r, model=self.model, params=self.params,
+                                                  eps_h_rup=self.eps_h_rup, eps_f=self.eps_f)
+                         for r in records], dtype=float)
 
     def predict_values(self, values: Mapping[str, float]) -> tuple[float, list[str]]:
         fcc = mechanics.predict_record(values, model=self.model, params=self.params,

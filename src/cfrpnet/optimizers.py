@@ -150,9 +150,14 @@ def _streams(seed: int, population: int) -> list[np.random.Generator]:
 
 def _start(config, dim: int, bound: float) -> tuple[list[np.random.Generator], np.ndarray]:
     """The member streams and the (population, dim) initial positions, each
-    member's drawn from its own stream, uniform on [-bound, bound]."""
+    member's drawn from its own stream, uniform on [-bound, bound]. The
+    positions come first: a population that memory cannot hold raises
+    MemoryError before a single stream is built."""
+    x = np.empty((config.population, dim))
     streams = _streams(config.seed, config.population)
-    return streams, np.array([s.uniform(-bound, bound, dim) for s in streams])
+    for stream, row in zip(streams, x):
+        row[:] = stream.uniform(-bound, bound, dim)
+    return streams, x
 
 
 def _checked(objective: Objective, x: np.ndarray, iteration: int, member: int) -> float:

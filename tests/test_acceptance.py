@@ -135,7 +135,7 @@ def test_criterion_5_synthetic_reproduction():
     start = time.perf_counter()
     result = synthetic_experiment(1)
     elapsed = time.perf_counter() - start
-    r2 = {row.model: row.r_squared for row in result.comparison.rows}
+    r2 = {name: report.r_squared for name, report in result.reports.items()}
     ok = (r2["pso"] >= 0.95 and r2["gwo"] >= 0.93 and r2["ann"] >= 0.90
           and r2["lam_teng"] >= 0.99)
     _report(5, f"synthetic 708/seed 1/2% noise: pso {r2['pso']:.4f} (>=0.95), "
@@ -149,7 +149,7 @@ def test_criterion_6_relative_ordering():
     wins = 0
     detail = []
     for seed in (1, 2, 3):
-        r2 = {row.model: row.r_squared for row in synthetic_experiment(seed).comparison.rows}
+        r2 = {name: report.r_squared for name, report in synthetic_experiment(seed).reports.items()}
         worst = r2["ba"] <= r2["pso"] and r2["ba"] <= r2["gwo"]
         wins += int(worst)
         detail.append(f"seed {seed}: ba {r2['ba']:.3f} vs pso {r2['pso']:.3f}/gwo {r2['gwo']:.3f}")

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from cfrpnet import cli
@@ -27,7 +27,7 @@ from cfrpnet.dataset import (
     split,
     target_vector,
 )
-from cfrpnet.experiment import SWEEP_VARIABLES, model_seed, synth_dataset, train_model
+from cfrpnet.experiment import ALL_MODELS, SWEEP_VARIABLES, model_seed, synth_dataset, train_model
 from cfrpnet.neuralnet import (NetworkTopology, TrainedModel, init_weights, load_model, model_from_dict,
                                model_to_dict, save_model)
 from cfrpnet.optimizers import PsoConfig, trace_csv
@@ -400,12 +400,12 @@ class TestTrain:
                      "--train-fraction", "0.75", "--out", str(out), "--quiet"]) == 0
         train, _ = split(parse_dataset(synth_csv), 0.75, seed=model_seed(3, "split"))
         norm = fit_normalizer(train)
-        weights, history, provenance = train_model(
-            "pso", PsoConfig(population=5, iterations=6, seed=3), NetworkTopology(7, 4),
+        model, history = train_model(
+            "pso", PsoConfig(population=5, iterations=6, seed=3), NetworkTopology(7, 4), norm,
             feature_matrix(train, norm), target_vector(train, norm))
         written = load_model(out / "model_pso.json")
-        assert np.array_equal(written.weights, weights)
-        assert written.provenance == provenance
+        assert np.array_equal(written.weights, model.weights)
+        assert written.provenance == model.provenance
         assert (out / "trace_pso.csv").read_text() == trace_csv(history)
 
     def test_failed_write_keeps_previous_model(self, dataset_csv, tmp_path, monkeypatch, capsys):
@@ -574,6 +574,14 @@ class TestOutOfMemory:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: Unable to allocate 43.7 TiB\n"
         assert not out.exists()
+
+    def test_train_population_past_memory_exit_3(self, dataset_csv, tmp_path, monkeypatch, capsys):
+        # 2**40 positions of 451 weights are 3.5 PiB, past any address space: they raise
+        # before the member streams, which would grow the process one by one until memory ran out
+        monkeypatch.setattr("cfrpnet.optimizers._streams", lambda *args: pytest.fail("member streams built"))
+        assert main(["train", dataset_csv, "--model", "pso", "--population", str(2 ** 40),
+                     "--iterations", "1", "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
 def _model_document():
@@ -975,6 +983,94 @@ class TestStrictReports:
             assert main(["evaluate", _perfect_model(tmp_path), str(data), "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: error metrics overflow")
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "{model}", "--input", VALID_INPUT],
+    ["predict", "{model}", "--input", VALID_INPUT, "--format", "json"],
+    ["sweep", "{model}", "--var", "fco", "--from", "20", "--to", "60"],
+    ["evaluate", "{model}", "{data}"]], ids=["predict", "predict-json", "sweep", "evaluate"])
+def test_non_finite_prediction_exit_2(argv, dataset_csv, tmp_path, capsys):
+    # every weight 1e308 is a valid finite float, but the forward pass overflows
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**_DOC, "weights": [1e308] * len(_DOC["weights"])}))
+    argv = [arg.format(model=path, data=dataset_csv) for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow RuntimeWarning included
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the model's prediction is not finite: its weights overflow the forward pass\n"
+
+
+# compare config documents: a valid one with small settings for every trainable model,
+# since its defaults (900 iterations) would be slow, or the same with one entry (a
+# top-level key or one model's settings) set to junk, an unknown name or a duplicate
+_SMALL_MODELS = {
+    "ann": st.fixed_dictionaries({"epochs": st.integers(1, 3)},
+                                 optional={"learning_rate": st.floats(0.001, 0.5)}),
+    "pso": st.fixed_dictionaries({"population": st.integers(2, 4), "iterations": st.integers(1, 3)}),
+    "gwo": st.fixed_dictionaries({"population": st.integers(3, 4), "iterations": st.integers(1, 3)}),
+    "ba": st.fixed_dictionaries({"population": st.integers(2, 4), "iterations": st.integers(1, 3)}),
+}
+_VALID_COMPARE = st.fixed_dictionaries(
+    {"roster": st.lists(st.sampled_from(ALL_MODELS), min_size=1, max_size=4, unique=True),
+     "models": st.fixed_dictionaries(_SMALL_MODELS, optional={"nonlinear": st.fixed_dictionaries(
+         {"k": st.floats(0.5, 5.0), "n": st.floats(0.5, 2.0)})}),
+     "synth": st.fixed_dictionaries({"n": st.integers(10, 40)},
+                                    optional={"noise_fraction": st.floats(0.0, 0.2), "seed": st.integers(0, 9)}),
+     "seed": st.integers(0, 2 ** 64)},
+    optional={"train_fraction": st.floats(0.3, 0.9), "hidden_neurons": st.integers(1, 3),
+              "fiber_strain": st.floats(0.005, 0.03)})
+_BAD_ENTRIES = st.tuples(
+    st.sampled_from(["roster", "synth", "seed", "train_fraction", "hidden_neurons", "fiber_strain",
+                     *(f"models.{name}" for name in (*_SMALL_MODELS, "nonlinear"))]),
+    st.sampled_from([None, True, -1, 0, 1.5, math.nan, "x", [1], {"n": 5}, {"population": "many"},
+                     ["pso", "pso"], ["svm", "lam_teng"], []]))
+
+
+def _with_entry(document, entry):
+    """The document with one entry, ``key`` or ``models.name``, set to a value."""
+    if entry is None:
+        return document
+    key, value = entry
+    document = {**document, "models": dict(document["models"])}
+    (document["models"] if key.startswith("models.") else document)[key.removeprefix("models.")] = value
+    return document
+
+
+COMPARE_CONFIGS = st.builds(_with_entry, _VALID_COMPARE, st.none() | _BAD_ENTRIES)
+
+
+def _csv_cell_value(cell):
+    """A comparison.csv cell as the JSON table holds it: None, an int, a float or a name."""
+    for parse in (int, float):
+        try:
+            return parse(cell)
+        except ValueError:
+            pass
+    return cell or None
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=COMPARE_CONFIGS)
+def test_compare_property_exit_code_and_agreeing_tables(document, tmp_path_factory, capsys):
+    """Any config exits 0, 2 or 3 without a traceback; on 0 the CSV and JSON tables agree."""
+    work = tmp_path_factory.mktemp("compare")
+    path = work / "config.json"
+    path.write_text(json.dumps(document))
+    code = main(["compare", "--config", str(path), "--out", str(work / "out"), "--quiet"])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3) and "Traceback" not in captured.err
+    if code != 0:
+        event(f"exit {code}")
+        return
+    lines = (work / "out" / "comparison.csv").read_text().splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    table = json.loads((work / "out" / "comparison.json").read_text())["comparison"]
+    assert table["rows"] and [dict(zip(header, map(_csv_cell_value, row))) for row in rows] == table["rows"]
+    event(f"exit 0 with {len(rows)} model(s)")
 
 
 class TestSynth:

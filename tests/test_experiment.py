@@ -119,7 +119,6 @@ class TestExperimentConfig:
 
     def test_features_are_not_a_setting(self):
         # the network reads the paper's seven inputs; a config may not name others
-        assert ExperimentConfig(hidden_neurons=4).topology() == NetworkTopology(7, 4)
         with pytest.raises(ValueError, match="unknown config key.*: features"):
             ExperimentConfig.from_dict({"features": list(DEFAULT_FEATURES)})
 
@@ -185,23 +184,32 @@ def test_config_from_dict_builds_or_raises_value_error(cls, data):
     assert isinstance(config, cls)
 
 
+@pytest.mark.parametrize("model, params", [("lam_teng", None), ("miyauchi", None),
+                                           ("nonlinear", EmpiricalModelParams(k=2.9, n=0.9))])
+def test_empirical_predict_records_is_predict_record(model, params):
+    # records with their own rupture strain, then records that take it from eps_f
+    records = [*synth_dataset(20, seed=3), *make_records(20, seed=3)]
+    got = EmpiricalPredictor(model, params, eps_f=0.015).predict_records(records)
+    want = [mechanics.predict_record(r, model=model, params=params, eps_f=0.015) for r in records]
+    assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+
 class TestRunExperiment:
     def test_empirical_only_roster_no_training(self):
         records = synth_dataset(80, seed=7, noise_fraction=0.0)
         config = ExperimentConfig(roster=("lam_teng",), seed=7)
         result = run_experiment(config, records=records)
-        assert [r.model for r in result.comparison.rows] == ["lam_teng"]
+        assert list(result.reports) == ["lam_teng"]
         assert result.models == {} and result.histories == {}
         # the generator labels ARE lam_teng outputs, so the fit is exact
-        assert result.comparison.rows[0].r_squared == pytest.approx(1.0, abs=1e-9)
+        assert result.reports["lam_teng"].r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_noisy_lam_teng_still_near_perfect(self):
         records = synth_dataset(120, seed=8, noise_fraction=0.02)
         result = run_experiment(ExperimentConfig(roster=("lam_teng", "miyauchi"), seed=8),
                                 records=records)
-        rows = {r.model: r for r in result.comparison.rows}
-        assert rows["lam_teng"].r_squared > 0.99
-        assert rows["miyauchi"].r_squared > 0.9
+        assert result.reports["lam_teng"].r_squared > 0.99
+        assert result.reports["miyauchi"].r_squared > 0.9
 
     def test_shared_split_sizes(self):
         records = synth_dataset(80, seed=9)
@@ -219,7 +227,7 @@ class TestRunExperiment:
         records = synth_dataset(60, seed=11)
         config = small_config(seed=11)
         result = run_experiment(config, records=records)
-        seen = [r.model for r in result.comparison.rows] + list(result.comparison.errors)
+        seen = list(result.reports) + list(result.comparison.errors)
         assert sorted(seen) == sorted(config.roster)
 
     def test_failure_isolation(self):
@@ -227,7 +235,7 @@ class TestRunExperiment:
         records = make_records(60, seed=12)
         config = small_config(roster=("ann", "lam_teng"), seed=12)
         result = run_experiment(config, records=records)
-        assert [r.model for r in result.comparison.rows] == ["ann"]
+        assert list(result.reports) == ["ann"]
         assert result.comparison.errors["lam_teng"].startswith("ValueError")
         assert "rupture" in result.comparison.errors["lam_teng"]
 
@@ -287,8 +295,8 @@ class TestRunExperiment:
         records = synth_dataset(60, seed=24)
         config = small_config(roster=("ann", "lam_teng"), seed=24, out_dir=str(tmp_path / "out"))
         result = run_experiment(config, records=records)
-        for row in result.comparison.rows:
-            with open(tmp_path / "out" / f"predictions_{row.model}.csv", newline="") as fh:
+        for name, row in result.reports.items():
+            with open(tmp_path / "out" / f"predictions_{name}.csv", newline="") as fh:
                 reader = csvmod.reader(fh)
                 next(reader)
                 pairs = [(float(a), float(b)) for a, b in reader]

@@ -96,6 +96,15 @@ class TestConfigs:
             cls.from_dict({"population": population})
         assert cls(seed=10 ** 400).seed == 10 ** 400  # a seed has no upper bound
 
+    @pytest.mark.parametrize("run, cls", [(pso_run, PsoConfig), (gwo_run, GwoConfig), (ba_run, BaConfig)])
+    def test_population_past_memory_raises_before_member_streams(self, run, cls, monkeypatch):
+        # 2**40 positions of the paper network's 451 weights are 3.5 PiB, past any address
+        # space, so their allocation fails at once; the member streams, built one by one
+        # until memory ran out, must not be reached
+        monkeypatch.setattr(optimizers, "_streams", lambda *args: pytest.fail("member streams built"))
+        with pytest.raises(MemoryError):
+            run(cls(population=2 ** 40, iterations=1), 451, WEIGHT_BOUND, sphere)
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             PsoConfig.from_dict({"population": 10, "bananas": 3})
