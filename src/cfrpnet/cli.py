@@ -74,7 +74,7 @@ def _load_json(path) -> dict:
 
 
 def _parse_kv(text: str) -> dict[str, float]:
-    """Parse 'name=value,name=value' input pairs; a later pair replaces an earlier one."""
+    """Parse 'name=value,name=value' pairs of the model's inputs; a later pair replaces an earlier one."""
     values: dict[str, float] = {}
     for part in text.split(","):
         part = part.strip()
@@ -84,8 +84,8 @@ def _parse_kv(text: str) -> dict[str, float]:
             raise ValueError(f"expected name=value, got {part!r}")
         name, _, raw = part.partition("=")
         name = name.strip()
-        if name not in FIELDS and name != "eps_h_rup":
-            raise ValueError(f"unknown input {name!r}; known names: {', '.join(FIELDS)}, eps_h_rup")
+        if name not in DEFAULT_FEATURES:
+            raise ValueError(f"unknown input {name!r}; known names: {', '.join(DEFAULT_FEATURES)}")
         try:
             values[name] = float(raw)
         except ValueError:

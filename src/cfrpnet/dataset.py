@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -41,6 +40,8 @@ CSV_COLUMNS = {
     "fcc": "fcc_mpa",
 }
 CSV_HEADER = tuple(CSV_COLUMNS[f] for f in FIELDS)
+# The normalized range every field is mapped onto.
+LO, HI = 0.1, 0.9
 # Optional trailing column carrying measured hoop rupture strains
 # (dimensionless), used by the empirical strength baselines.
 RUPTURE_COLUMN = "eps_hrup"
@@ -262,30 +263,22 @@ def _parse_float(cell: str, row: int, column: str) -> float:
     return value
 
 
-def parse_dataset(source) -> list[SpecimenRecord]:
-    """Parse specimen records from a CSV path (str or Path), file object, or bytes.
+def parse_dataset(path) -> list[SpecimenRecord]:
+    """Parse specimen records from a UTF-8 CSV file (str or Path), streamed row by row.
 
     The header must carry the canonical columns ``d_mm,h_mm,nt_mm,ef_gpa,
     fco_mpa,eco_pct,ecc_pct,fcc_mpa`` in that order; an optional trailing
     ``eps_hrup`` column supplies hoop rupture strains. Blank lines are
-    skipped. Row numbers in errors are 1-based file lines (header is 1); a
-    record whose quoted cell spans lines is reported at its last line.
-    A path is streamed row by row; bytes and file objects are read whole.
-    Paths and bytes are UTF-8, with or without a byte-order mark.
+    skipped, and so is a byte-order mark. Row numbers in errors are 1-based
+    file lines (header is 1); a record whose quoted cell spans lines is
+    reported at its last line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8-sig", newline="") as fh:
-            return _parse_rows(csv.reader(fh))
-    data = source if isinstance(source, bytes) else source.read()
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    return _parse_rows(csv.reader(io.StringIO(text, newline="")))
-
-
-def _parse_rows(reader) -> list[SpecimenRecord]:
-    try:
-        return _read_records(reader)
-    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-        raise DatasetFormatError(str(exc), row=reader.line_num) from None
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return _read_records(reader)
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise DatasetFormatError(str(exc), row=reader.line_num) from None
 
 
 def _read_records(reader) -> list[SpecimenRecord]:
@@ -459,30 +452,25 @@ class FeatureRange:
 
 @dataclass
 class NormalizationSpec:
-    """Per-field affine maps sending [x_min, x_max] onto [lo, hi].
+    """Per-field affine maps sending [x_min, x_max] onto [LO, HI].
 
     Values beyond the fitted range extrapolate linearly; out-of-range
     inputs are the business of validate_ranges, not of this map.
     """
 
     ranges: dict[str, FeatureRange]
-    lo: float = 0.1
-    hi: float = 0.9
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError(f"hi must exceed lo, got [{self.lo}, {self.hi}]")
         for name, r in self.ranges.items():
             if not r.x_max > r.x_min:
                 raise ValueError(f"feature {name!r} has empty range [{r.x_min}, {r.x_max}]")
 
-    def normalize(self, field: str, x):
+    def normalize(self, field: str, x) -> np.ndarray:
         r = self.ranges[field]
         arr = np.asarray(x, dtype=float)
-        z = (self.lo * (r.x_max - arr) + self.hi * (arr - r.x_min)) / (r.x_max - r.x_min)
-        # pin the endpoints so the fitted bounds map to lo/hi bit-exactly
-        z = np.where(arr == r.x_min, self.lo, np.where(arr == r.x_max, self.hi, z))
-        return float(z) if np.ndim(x) == 0 else z
+        z = (LO * (r.x_max - arr) + HI * (arr - r.x_min)) / (r.x_max - r.x_min)
+        # pin the endpoints so the fitted bounds map to LO/HI bit-exactly
+        return np.where(arr == r.x_min, LO, np.where(arr == r.x_max, HI, z))
 
     # Plain float arithmetic: the same IEEE double operations in the same
     # order as the array path, so the same bits, without numpy's per-call
@@ -490,43 +478,41 @@ class NormalizationSpec:
     def normalize_value(self, field: str, x: float) -> tuple[float, bool]:
         """normalize of one float, and whether it lies in the fitted range."""
         r = self.ranges[field]
-        z = (self.lo * (r.x_max - x) + self.hi * (x - r.x_min)) / (r.x_max - r.x_min)
-        return (float(self.lo) if x == r.x_min else float(self.hi) if x == r.x_max else z,
-                r.x_min <= x <= r.x_max)
+        z = (LO * (r.x_max - x) + HI * (x - r.x_min)) / (r.x_max - r.x_min)
+        return LO if x == r.x_min else HI if x == r.x_max else z, r.x_min <= x <= r.x_max
 
     def denormalize(self, field: str, z):
+        """The inverse map, of a plain float (to a float) or of an array."""
         r = self.ranges[field]
-        scalar = isinstance(z, (int, float))
-        arr = float(z) if scalar else np.asarray(z, dtype=float)
-        x = r.x_min + (arr - self.lo) * (r.x_max - r.x_min) / (self.hi - self.lo)
-        if scalar:
-            return x
-        return float(x) if np.ndim(z) == 0 else x
+        z = float(z) if isinstance(z, (int, float)) else np.asarray(z, dtype=float)
+        return r.x_min + (z - LO) * (r.x_max - r.x_min) / (HI - LO)
 
     def to_dict(self) -> dict:
         return {
-            "lo": self.lo,
-            "hi": self.hi,
+            "lo": LO,
+            "hi": HI,
             "ranges": {name: [r.x_min, r.x_max] for name, r in self.ranges.items()},
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "NormalizationSpec":
-        """Build from the ``to_dict`` layout; any other shape raises ValueError."""
+        """Build from the ``to_dict`` layout; any other shape, or a range other than
+        [LO, HI] (the keys may be absent), raises ValueError."""
         ranges = data.get("ranges") if isinstance(data, Mapping) else None
         if not isinstance(ranges, Mapping):
             raise ValueError("normalization must be a mapping holding a 'ranges' mapping")
-        lo, hi = data.get("lo", 0.1), data.get("hi", 0.9)
-        for name, pair in [*ranges.items(), ("lo/hi", [lo, hi])]:
+        lo_hi = [data.get("lo", LO), data.get("hi", HI)]
+        if lo_hi != [LO, HI]:
+            raise ValueError(f"normalization lo/hi must be [{LO}, {HI}], got {lo_hi!r:.80}")
+        for name, pair in ranges.items():
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and _matches(pair[0], float) and _matches(pair[1], float)):
                 raise ValueError(f"normalization {name} must be a [min, max] pair, got {pair!r}")
-        ranges = {name: FeatureRange(float(a), float(b)) for name, (a, b) in ranges.items()}
-        return cls(ranges=ranges, lo=float(lo), hi=float(hi))
+        return cls({name: FeatureRange(float(a), float(b)) for name, (a, b) in ranges.items()})
 
 
 def fit_normalizer(records: Sequence[SpecimenRecord]) -> NormalizationSpec:
-    """Fit every field's min/max from the given (training) records, onto [0.1, 0.9]."""
+    """Fit every field's min/max from the given (training) records, onto [LO, HI]."""
     if len(records) < 2:
         raise ValueError("fit_normalizer requires at least 2 records")
     data = raw_matrix(records, FIELDS)

@@ -42,8 +42,7 @@ from .neuralnet import (
 )
 from .optimizers import BaConfig, GwoConfig, PsoConfig, trace_csv, train_hybrid
 
-SWARM_MODELS = ("pso", "gwo", "ba")
-TRAINABLE_MODELS = ("ann",) + SWARM_MODELS
+TRAINABLE_MODELS = ("ann", "pso", "gwo", "ba")
 ALL_MODELS = TRAINABLE_MODELS + mechanics.EMPIRICAL_MODELS
 # Settings class of every model that takes settings. ExperimentConfig holds
 # one of each under the model's name, read from its "models" mapping.
@@ -83,6 +82,8 @@ def synth_dataset(n: int, seed: int, noise_fraction: float = 0.02) -> list[Speci
     """
     if n < 10:
         raise ValueError("synthetic datasets need n >= 10")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if not 0.0 <= noise_fraction < np.inf:
         raise ValueError(f"noise_fraction must be non-negative and finite, got {noise_fraction}")
     rng = np.random.default_rng(seed)
@@ -322,27 +323,24 @@ def write_experiment_outputs(result: ExperimentResult, config: ExperimentConfig)
 class EmpiricalPredictor:
     """Closed-form strength model behind the predict_values interface.
 
-    The rupture strain comes from the constructor value, the input's own
-    ``eps_h_rup`` entry, or the constructor fiber strain, in that order.
+    The rupture strain is the input's own ``eps_h_rup`` entry, else derived
+    from the constructor fiber strain ``eps_f``.
     """
 
     def __init__(self, model: str = "lam_teng", params: EmpiricalModelParams | None = None,
-                 eps_h_rup: float | None = None, eps_f: float | None = None):
+                 eps_f: float | None = None):
         mechanics.check_model(model, params)
         self.model = model
         self.params = params
-        self.eps_h_rup = eps_h_rup
         self.eps_f = eps_f
 
     def predict_records(self, records) -> np.ndarray:
         """Physical-unit predictions for a sequence of specimen records."""
-        return np.array([mechanics.predict_record(r, model=self.model, params=self.params,
-                                                  eps_h_rup=self.eps_h_rup, eps_f=self.eps_f)
+        return np.array([mechanics.predict_record(r, model=self.model, params=self.params, eps_f=self.eps_f)
                          for r in records], dtype=float)
 
     def predict_values(self, values: Mapping[str, float]) -> tuple[float, list[str]]:
-        fcc = mechanics.predict_record(values, model=self.model, params=self.params,
-                                       eps_h_rup=self.eps_h_rup, eps_f=self.eps_f)
+        fcc = mechanics.predict_record(values, model=self.model, params=self.params, eps_f=self.eps_f)
         return fcc, []
 
 

@@ -130,16 +130,15 @@ def predict_record(
     record,
     model: str = "lam_teng",
     params: EmpiricalModelParams | None = None,
-    eps_h_rup: float | None = None,
     eps_f: float | None = None,
 ) -> float:
     """Chain rupture strain and lateral pressure into one strength model.
 
     ``record`` may be a SpecimenRecord or mapping carrying ``d``, ``nt``,
-    ``ef`` (GPa), and ``fco`` (MPa). The rupture strain comes from the
-    ``eps_h_rup`` argument, then the record's own value, then from
-    ``eps_f`` via the rupture-strain relation; with no source available a
-    configuration error is raised rather than guessing.
+    ``ef`` (GPa), and ``fco`` (MPa). The rupture strain is the record's own
+    ``eps_h_rup``, else derived from ``eps_f`` via the rupture-strain
+    relation; with neither a configuration error is raised rather than
+    guessing.
     """
     check_model(model, params)
     # the concrete class first: an ABC's isinstance check runs in Python
@@ -150,11 +149,10 @@ def predict_record(
             values = _record_fields(record)
         except AttributeError:  # an absent field reads as None
             values = [getattr(record, name, None) for name in _RECORD_FIELDS]
-    d, nt, ef, fco, record_eps = values
+    d, nt, ef, fco, eps = values
     if d is None or nt is None or ef is None or fco is None:
         missing = next(n for n, v in zip(_RECORD_FIELDS, (d, nt, ef, fco)) if v is None)
         raise ValueError(f"record is missing field {missing!r}")
-    eps = eps_h_rup if eps_h_rup is not None else record_eps
     if eps is None and eps_f is not None:
         eps = hoop_rupture_strain(eps_f, fco)
     if eps is None:

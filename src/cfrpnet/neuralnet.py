@@ -177,9 +177,7 @@ class BackpropConfig(ConfigBase):
             raise ValueError("epochs must be >= 1")
 
 
-def train_backprop(
-    topology: NetworkTopology, X, y, config: BackpropConfig | None = None
-) -> tuple[np.ndarray, list[float]]:
+def train_backprop(topology: NetworkTopology, X, y, config: BackpropConfig) -> tuple[np.ndarray, list[float]]:
     """Full-batch gradient descent on MSE.
 
     Returns the trained flat weights and the loss history; entry 0 is the
@@ -187,16 +185,15 @@ def train_backprop(
     Raises TrainingDivergedError with the offending epoch when the loss
     leaves the finite range.
     """
-    cfg = config or BackpropConfig()
     X, Y = _check_batch(topology, X, y)
     acts, tmp = _workspace(topology, X.shape[0]), _workspace(topology, X.shape[0])
-    w = init_weights(topology, cfg.seed)
+    w = init_weights(topology, config.seed)
     params = unflatten(topology, w)  # views of w, which each epoch updates in place
     with np.errstate(over="ignore", invalid="ignore"):
         # each loss leaves in acts the forward pass the next gradient starts from
         history = [_mse(params, X, Y, acts, tmp[1])]
-        for epoch in range(1, cfg.epochs + 1):
-            w -= cfg.learning_rate * _backward(topology, params, X, Y, acts, tmp)
+        for epoch in range(1, config.epochs + 1):
+            w -= config.learning_rate * _backward(topology, params, X, Y, acts, tmp)
             current = _mse(params, X, Y, acts, tmp[1])
             if not math.isfinite(current):
                 raise TrainingDivergedError(epoch, current)
@@ -222,9 +219,7 @@ class TrainedModel:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
-        expected = parameter_count(self.topology)
-        if weights.shape != (expected,):
-            raise ValueError(f"weight vector has length {weights.size}, topology needs {expected}")
+        params = unflatten(self.topology, weights)  # views of weights; checks the length
         if not np.all(np.isfinite(weights)):
             raise ValueError("weight vector contains non-finite entries")
         if self.topology.input_size != len(DEFAULT_FEATURES):
@@ -233,7 +228,7 @@ class TrainedModel:
         missing = [f for f in (*DEFAULT_FEATURES, TARGET_FIELD) if f not in self.normalization.ranges]
         if missing:
             raise ValueError(f"normalization spec lacks field(s): {', '.join(missing)}")
-        for name, value in (("weights", weights), ("params", unflatten(self.topology, weights))):
+        for name, value in (("weights", weights), ("params", params)):
             object.__setattr__(self, name, value)
 
     def predict_normalized(self, X) -> np.ndarray:

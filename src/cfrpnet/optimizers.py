@@ -133,10 +133,6 @@ class OptimizationTrace:
         if np.any(np.diff(self.best_fitness) > 0.0):
             raise ValueError("best-fitness trace must be non-increasing")
 
-    @property
-    def final_fitness(self) -> float:
-        return float(self.best_fitness[-1])
-
 
 def trace_csv(history: Sequence[float]) -> str:
     """Render a fitness/loss history as iteration,best_fitness CSV."""

@@ -121,12 +121,12 @@ def test_criterion_4_optimizer_sanity():
     pso2 = pso_run(PsoConfig(seed=0), *box, sphere)
     elapsed = time.perf_counter() - start
 
-    thresholds = pso1.final_fitness < 1e-3 and gwo1.final_fitness < 1e-3 and ba1.final_fitness < 0.1
+    thresholds = pso1.best_fitness[-1] < 1e-3 and gwo1.best_fitness[-1] < 1e-3 and ba1.best_fitness[-1] < 0.1
     monotone = all(np.all(np.diff(t.best_fitness) <= 0.0) for t in (pso1, gwo1, ba1))
     bitwise = np.array_equal(pso1.best_fitness, pso2.best_fitness) and np.array_equal(
         pso1.best_position, pso2.best_position)
-    _report(4, f"sphere d=10: pso {pso1.final_fitness:.1e}, gwo {gwo1.final_fitness:.1e}, "
-               f"ba {ba1.final_fitness:.1e}, traces monotone, bitwise repeat, {elapsed:.1f}s",
+    _report(4, f"sphere d=10: pso {pso1.best_fitness[-1]:.1e}, gwo {gwo1.best_fitness[-1]:.1e}, "
+               f"ba {ba1.best_fitness[-1]:.1e}, traces monotone, bitwise repeat, {elapsed:.1f}s",
             thresholds and monotone and bitwise and elapsed < 30.0)
 
 
@@ -193,11 +193,11 @@ def test_criterion_7_metric_oracles():
 
 
 def test_criterion_8_sweep_monotonicity():
-    fixed_t = {"d": 150.0, "ef": 231.0, "fco": 30.0}
-    fixed_e = {"d": 150.0, "nt": 0.334, "fco": 30.0}
+    fixed_t = {"d": 150.0, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.009}
+    fixed_e = {"d": 150.0, "nt": 0.334, "fco": 30.0, "eps_h_rup": 0.009}
     ok = True
     for model in ("lam_teng", "miyauchi"):
-        predictor = EmpiricalPredictor(model, eps_h_rup=0.009)
+        predictor = EmpiricalPredictor(model)
         t_grid = parametric_sweep(predictor, SweepSpec("nt", 0.15, 1.05, 10, fixed_t))
         e_grid = parametric_sweep(predictor, SweepSpec("ef", 110.0, 245.0, 10, fixed_e))
         ok &= bool(np.all(np.diff(t_grid.predictions) > 0.0))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cfrpnet import cli
 from cfrpnet.cli import COMMANDS, build_parser, main
 from cfrpnet.dataset import (
+    CSV_HEADER,
     DEFAULT_FEATURES,
     FIELD_BOUNDS,
     FIELDS,
@@ -613,6 +614,9 @@ MALFORMED_MODELS += [{**_DOC, "features": features} for features in (
     list(DEFAULT_FEATURES[::-1]), list(DEFAULT_FEATURES[:6]), ["vol"], [*DEFAULT_FEATURES, "vol"])]
 MALFORMED_MODELS += [{**_DOC, "topology": {**_TOPOLOGY, "input_size": n}, "weights": [0.1] * ((n + 2) * 3 + 1)}
                      for n in (1, 6, 8)]
+# a normalized range other than the fixed [0.1, 0.9]
+MALFORMED_MODELS += [{**_DOC, "normalization": {**_DOC["normalization"], key: value}}
+                     for key, value in (("lo", 0.2), ("hi", 1.0), ("lo", 0), ("hi", "0.9"))]
 
 
 def test_model_document_control(dataset_csv, tmp_path, capsys):
@@ -631,11 +635,8 @@ BAD_RECORD_VALUES = [
     ("fco=0", "field 'fco' must be positive and finite, got 0.0"),
     ("nt=-0.334", "field 'nt' must be positive and finite, got -0.334"),
     ("d=150,h=100", "cylinder height 100.0 is smaller than diameter 150.0"),
-    ("eps_h_rup=-0.01", "eps_h_rup must be non-negative and finite, got -0.01"),
-    ("eps_h_rup=nan", "eps_h_rup must be non-negative and finite, got nan"),
-    # the first rule broken is reported: FIELDS in order, then h >= d, then eps_h_rup
-    ("eps_h_rup=-1,h=100,ecc=-1", "field 'ecc' must be positive and finite, got -1.0"),
-    ("eps_h_rup=-1,h=100", "cylinder height 100.0 is smaller than diameter 150.0"),
+    # the first rule broken is reported: FIELDS in order, then h >= d
+    ("h=100,ecc=-1", "field 'ecc' must be positive and finite, got -1.0"),
 ]
 
 
@@ -693,7 +694,7 @@ def test_sweep_lists_each_warning_once(tmp_path, capsys):
     assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
 
 
-@pytest.mark.parametrize("values", ["", "h=150", "eps_h_rup=0", "eps_h_rup=0.012"])
+@pytest.mark.parametrize("values", ["", "h=150"])
 def test_input_within_record_rules_runs(values, tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_DOC))
@@ -702,6 +703,27 @@ def test_input_within_record_rules_runs(values, tmp_path, capsys):
     assert "fcc_mpa" in json.loads(capsys.readouterr().out)
     assert main(["sweep", str(path), "--var", "ef", "--from", "110", "--to", "245",
                  "--fix", f"{VALID_FIX},{values}"]) == 0
+
+
+# names a CSV row holds but the model does not read: the first such name is refused,
+# before any record rule, whatever its value
+UNREAD_INPUTS = [("fcc=40", "fcc"), ("eps_h_rup=0", "eps_h_rup"), ("eps_h_rup=0.012", "eps_h_rup"),
+                 ("eps_h_rup=-0.01", "eps_h_rup"), ("eps_h_rup=nan", "eps_h_rup"),
+                 ("eps_h_rup=-1,h=100,ecc=-1", "eps_h_rup"), ("d=-150,fcc=40,eps_h_rup=0.01", "fcc")]
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep"])
+@pytest.mark.parametrize("values, name", UNREAD_INPUTS)
+def test_input_the_model_does_not_read_refused(command, values, name, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_DOC))
+    argv = {"predict": ["predict", str(path), "--format", "json", "--input", f"{VALID_INPUT},{values}"],
+            "sweep": ["sweep", str(path), "--var", "ef", "--from", "110", "--to", "245",
+                      "--fix", f"{VALID_FIX},{values}"]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown input {name!r}; known names: d, h, nt, ef, fco, eco, ecc\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
@@ -1073,6 +1095,146 @@ def test_compare_property_exit_code_and_agreeing_tables(document, tmp_path_facto
     event(f"exit 0 with {len(rows)} model(s)")
 
 
+def _main_exit(argv, capsys):
+    """Run one command: its exit code and stdout, after checking the boundary every
+    input must keep: exit 0, 2 or 3, no traceback, no numpy warning (raised here), and on
+    failure nothing on stdout and exactly one error line on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3) and "Traceback" not in captured.err
+    if code != 0:
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            captured.err.splitlines()[-1]]
+        assert captured.err.startswith(("error: ", "usage: "))
+    event(f"exit {code}")
+    return code, captured.out
+
+
+_JUNK_CELLS = st.sampled_from(["", "x", "nan", "-inf", "1e999", "-1", "0", "1e308", "5e-324", '"7"', " 7 "])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with 0-4 rows of plausible records, and at most one flaw: a junk cell
+    or a constant column; optionally a rupture column, a BOM, CRLF and blank lines."""
+    rupture = draw(st.booleans())
+    header = list(CSV_HEADER) + ["eps_hrup"] * rupture
+    n = draw(st.sampled_from([4, 3, 4, 2, 4, 1, 0]))  # most files have rows enough to train on
+    records = make_records(n, seed=draw(st.integers(0, 2 ** 16)), with_rupture=rupture)
+    rows = [[repr(float(getattr(r, f))) for f in (*FIELDS, "eps_h_rup")[:len(header)]] for r in records]
+    flaw = draw(st.sampled_from([None, None, None, "junk", "constant"]))
+    column = draw(st.integers(0, len(header) - 1))
+    if rows and flaw == "junk":
+        rows[draw(st.integers(0, len(rows) - 1))][column] = draw(_JUNK_CELLS)
+    elif flaw == "constant":
+        for row in rows:
+            row[column] = rows[0][column]
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", ",,,"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+_NON_FINITE = ["nan", "inf", "-inf"]
+_TRAIN_CONFIGS = (st.dictionaries(st.sampled_from(["seed", "population", "iterations", "epochs", "learning_rate",
+                                                     "inertia_weight", "pulse_rate", "unknown"]),
+                                    st.integers(-2, 3) | st.floats(-1.0, 2.0) | st.sampled_from(
+                                        [None, True, "x", math.nan, 10 ** 400]), max_size=3)
+                  | st.sampled_from(["not json {", [], 5, "pso"]))
+
+
+@st.composite
+def train_arguments(draw, dataset, work):
+    """train flags: a model and small settings, at most one of them bad or a config document."""
+    model = draw(st.sampled_from(cli.TRAINABLE_MODELS))
+    flaw = draw(st.sampled_from([None, "iterations", None, "neurons", None, "fraction", None, "population",
+                                 None, "seed", None, "config"]))
+    values = {
+        "iterations": draw(st.integers(1, 3).map(str)),  # always given: the default is 900
+        "neurons": draw(st.integers(1, 3).map(str)),
+        "train-fraction": draw(st.sampled_from(["1", "0.75"]) | st.floats(0.3, 1.0).map(repr)),
+        "population": None if model == "ann" else draw(st.none() | st.integers(3, 4).map(str)),
+        "seed": draw(st.none() | st.integers(0, 2 ** 70).map(str)),
+    }
+    bad = {"iterations": st.sampled_from(["0", "-1", "1.5", "nan"]), "neurons": st.sampled_from(["0", "-1"]),
+           "fraction": st.sampled_from(["0", "1.5", "0.01", *_NON_FINITE]),
+           "population": st.sampled_from(["-1", "1", "2", "3"]), "seed": st.sampled_from(["-3", *_NON_FINITE])}
+    if flaw in bad:
+        values["train-fraction" if flaw == "fraction" else flaw] = draw(bad[flaw])
+    # each value joined to its flag, so that "-inf" is a value, not an option
+    argv = ["train", dataset, "--model", model, "--out", str(work / "out"), "--quiet",
+            *(f"--{flag}={value}" for flag, value in values.items() if value is not None)]
+    if flaw == "config":
+        config = draw(_TRAIN_CONFIGS)
+        path = work / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(path)]
+    return argv
+
+
+class TestDatasetCommandsProperty:
+    """stats, validate, train and synth on generated inputs, through cli.main."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), fmt=st.sampled_from(["text", "json"]), out=st.booleans())
+    def test_stats(self, text, fmt, out, tmp_path_factory, capsys):
+        work = tmp_path_factory.mktemp("stats")
+        (work / "data.csv").write_text(text, encoding="utf-8", newline="")
+        argv = ["stats", str(work / "data.csv"), "--format", fmt, "--quiet"]
+        code, stdout = _main_exit(argv + ["--out", str(work / "out")] * out, capsys)
+        if code == 0 and fmt == "json":
+            assert json.loads(stdout)["summary"]["n"] >= 2
+        if code == 0 and out:
+            assert sorted(p.name for p in (work / "out").iterdir()) == ["correlation.csv", "summary.csv",
+                                                                      "summary.json"]
+
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), fmt=st.sampled_from(["text", "json"]))
+    def test_validate(self, text, fmt, tmp_path_factory, capsys):
+        work = tmp_path_factory.mktemp("validate")
+        (work / "data.csv").write_text(text, encoding="utf-8", newline="")
+        code, stdout = _main_exit(["validate", str(work / "data.csv"), "--format", fmt], capsys)
+        if code == 0 and fmt == "json":
+            assert json.loads(stdout)["n_records"] >= 1
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), data=st.data())
+    def test_train(self, text, data, tmp_path_factory, capsys):
+        work = tmp_path_factory.mktemp("train")
+        (work / "data.csv").write_text(text, encoding="utf-8", newline="")
+        argv = data.draw(train_arguments(str(work / "data.csv"), work), label="argv")
+        code, _ = _main_exit(argv, capsys)
+        if code == 0:
+            model = argv[argv.index("--model") + 1]
+            neurons = int(next(arg for arg in argv if arg.startswith("--neurons=")).partition("=")[2])
+            assert load_model(work / "out" / f"model_{model}.json").topology.hidden_size == neurons
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_synth(self, data, tmp_path_factory, capsys):
+        draw = data.draw
+        flaw = draw(st.sampled_from([None, "n", None, "noise", None, "seed"]), label="flaw")
+        n = draw(st.integers(0, 9) if flaw == "n" else st.integers(10, 40), label="n")
+        noise = draw(st.sampled_from(["-0.1", "1e999", *_NON_FINITE]) if flaw == "noise"
+                     else st.floats(0.0, 0.3).map(repr), label="noise")
+        seed = draw(st.sampled_from(["-1", "-3", "1.5", *_NON_FINITE]) if flaw == "seed"
+                    else st.integers(0, 2 ** 70).map(str), label="seed")
+        work = tmp_path_factory.mktemp("synth")
+        argv = ["synth", f"--n={n}", f"--noise={noise}", f"--seed={seed}", "--out", str(work), "--quiet"]
+        code, _ = _main_exit(argv, capsys)
+        assert (work / "synth.csv").exists() == (code == 0)
+        if code == 0:
+            assert len(parse_dataset(work / "synth.csv")) == n
+
+
 class TestSynth:
     def test_writes_parseable_csv(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -1088,6 +1250,11 @@ class TestSynth:
             assert main(["synth", "--n", "20", "--seed", "9", "--out", str(out), "--quiet"]) == 0
             blobs.append((out / "synth.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        assert main(["synth", "--n", "20", "--seed", "-1", "--out", str(tmp_path), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not (tmp_path / "synth.csv").exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
     def test_bad_noise_exit_2(self, noise, tmp_path, capsys):

@@ -1,7 +1,6 @@
 import codecs
 import copy
 import dataclasses
-import io
 import math
 import operator
 import pickle
@@ -11,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cfrpnet.dataset import (
@@ -19,6 +18,8 @@ from cfrpnet.dataset import (
     DEFAULT_FEATURES,
     FIELD_BOUNDS,
     FIELDS,
+    HI,
+    LO,
     DatasetFormatError,
     FeatureRange,
     NormalizationSpec,
@@ -42,70 +43,90 @@ from conftest import make_records, table1_extremes
 HEADER = ",".join(CSV_HEADER)
 
 
+@pytest.fixture
+def parse_text(tmp_path):
+    """parse_dataset of a file holding the given text (or bytes) exactly, newlines as given."""
+    path = tmp_path / "data.csv"
+
+    def parse(text):
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8", newline="")
+        return parse_dataset(path)
+    return parse
+
+
+# every example of one test call rewrites the fixture's one file
+ONE_FILE = [HealthCheck.function_scoped_fixture]
+
+
 class TestParse:
-    def test_single_row(self):
+    def test_single_row(self, parse_text):
         text = HEADER + "\n150,300,0.167,231,30,0.2,1.2,45\n"
-        records = parse_dataset(io.StringIO(text))
+        records = parse_text(text)
         assert len(records) == 1
         r = records[0]
         assert (r.d, r.h, r.nt, r.ef) == (150.0, 300.0, 0.167, 231.0)
         assert (r.fco, r.eco, r.ecc, r.fcc) == (30.0, 0.2, 1.2, 45.0)
         assert r.eps_h_rup is None
 
-    def test_empty_after_header(self):
-        assert parse_dataset(io.StringIO(HEADER + "\n")) == []
+    def test_empty_after_header(self, parse_text):
+        assert parse_text(HEADER + "\n") == []
 
-    def test_bytes_input(self):
-        text = HEADER + "\n150,300,0.167,231,30,0.2,1.2,45\n"
-        assert len(parse_dataset(text.encode())) == 1
+    def test_str_path(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(HEADER + "\n150,300,0.167,231,30,0.2,1.2,45\n")
+        assert parse_dataset(str(path)) == parse_dataset(path)
+        assert len(parse_dataset(str(path))) == 1
 
-    def test_negative_field_names_column(self):
+    def test_negative_field_names_column(self, parse_text):
         text = HEADER + "\n-1,300,0.167,231,30,0.2,1.2,45\n"
         with pytest.raises(DatasetFormatError, match="'d'"):
-            parse_dataset(io.StringIO(text))
+            parse_text(text)
 
-    def test_malformed_cell_carries_row_and_column(self):
+    def test_malformed_cell_carries_row_and_column(self, parse_text):
         text = HEADER + "\n150,300,0.167,231,30,0.2,1.2,45\n150,xx,0.167,231,30,0.2,1.2,45\n"
         with pytest.raises(DatasetFormatError) as exc:
-            parse_dataset(io.StringIO(text))
+            parse_text(text)
         assert exc.value.row == 3
         assert exc.value.column == "h_mm"
 
-    def test_missing_header_column(self):
+    def test_missing_header_column(self, parse_text):
         bad = HEADER.replace("h_mm,", "")
         with pytest.raises(DatasetFormatError, match="h_mm"):
-            parse_dataset(io.StringIO(bad + "\n"))
+            parse_text(bad + "\n")
 
-    def test_wrong_column_count(self):
+    def test_wrong_column_count(self, parse_text):
         text = HEADER + "\n150,300,0.167\n"
         with pytest.raises(DatasetFormatError, match="columns"):
-            parse_dataset(io.StringIO(text))
+            parse_text(text)
 
-    def test_empty_file(self):
+    def test_empty_file(self, parse_text):
         with pytest.raises(DatasetFormatError, match="header"):
-            parse_dataset(io.StringIO(""))
+            parse_text("")
 
-    def test_unexpected_extra_column(self):
+    def test_unexpected_extra_column(self, parse_text):
         with pytest.raises(DatasetFormatError, match="unexpected"):
-            parse_dataset(io.StringIO(HEADER + ",banana\n"))
+            parse_text(HEADER + ",banana\n")
 
-    def test_rupture_column_roundtrip(self):
+    def test_rupture_column_roundtrip(self, parse_text):
         records = make_records(5, seed=3, with_rupture=True)
-        parsed = parse_dataset(io.StringIO(records_to_csv(records)))
+        parsed = parse_text(records_to_csv(records))
         assert len(parsed) == 5
         for a, b in zip(records, parsed):
             assert b.eps_h_rup == pytest.approx(a.eps_h_rup, rel=1e-15)
 
-    def test_plain_roundtrip(self):
+    def test_plain_roundtrip(self, parse_text):
         records = make_records(7, seed=4)
-        parsed = parse_dataset(io.StringIO(records_to_csv(records)))
+        parsed = parse_text(records_to_csv(records))
         for a, b in zip(records, parsed):
             for f in FIELDS:
                 assert getattr(b, f) == getattr(a, f)
 
-    def test_blank_lines_skipped(self):
+    def test_blank_lines_skipped(self, parse_text):
         text = HEADER + "\n\n150,300,0.167,231,30,0.2,1.2,45\n\n"
-        assert len(parse_dataset(io.StringIO(text))) == 1
+        assert len(parse_text(text)) == 1
 
 
 ROW = "150,300,0.167,231,30,0.2,1.2,45"
@@ -127,67 +148,78 @@ class TestParseErrorsKept:
 
     @pytest.mark.parametrize("column", CSV_HEADER)
     @pytest.mark.parametrize("cell", sorted(BAD_CELLS))
-    def test_bad_cell_message_row_and_column(self, column, cell):
+    def test_bad_cell_message_row_and_column(self, parse_text, column, cell):
         text = f"{HEADER}\n{ROW}\n{_row_with({column: cell})}\n"
         with pytest.raises(DatasetFormatError) as exc:
-            parse_dataset(io.StringIO(text))
+            parse_text(text)
         assert str(exc.value) == f"{BAD_CELLS[cell]} (row 3, column {column!r})"
         assert (exc.value.row, exc.value.column) == (3, column)
 
-    def test_first_bad_cell_is_named(self):
+    def test_first_bad_cell_is_named(self, parse_text):
         text = f"{HEADER}\n{_row_with({'h_mm': 'nan', 'ef_gpa': 'x', 'fcc_mpa': ''})}\n"
         with pytest.raises(DatasetFormatError, match=r"^non-finite value 'nan' \(row 2, column 'h_mm'\)$"):
-            parse_dataset(io.StringIO(text))
+            parse_text(text)
 
     @pytest.mark.parametrize("cell", ["x", "nan", "inf", "1e999"])
-    def test_bad_rupture_cell(self, cell):
+    def test_bad_rupture_cell(self, parse_text, cell):
         text = f"{HEADER},eps_hrup\n{ROW},0.01\n{ROW},{cell}\n"
         with pytest.raises(DatasetFormatError) as exc:
-            parse_dataset(io.StringIO(text))
+            parse_text(text)
         assert str(exc.value) == f"{BAD_CELLS[cell]} (row 3, column 'eps_hrup')"
 
-    def test_largest_finite_cells_parse(self):
+    def test_largest_finite_cells_parse(self, parse_text):
         # their sum overflows, yet every cell is finite: the row is a record
-        (record,) = parse_dataset(io.StringIO(f"{HEADER}\n{','.join(['1e308'] * 8)}\n"))
+        (record,) = parse_text(f"{HEADER}\n{','.join(['1e308'] * 8)}\n")
         assert [getattr(record, f) for f in FIELDS] == [1e308] * 8
 
-    def test_blank_and_padded_rows(self):
+    def test_blank_and_padded_rows(self, parse_text):
         padded = ",".join(f" {v}\t" for v in ROW.split(","))
         text = (f"{HEADER},eps_hrup\n   \n{' ,' * 8}\t\n{padded}, \n{ROW},\n\t\n"
                 f"{ROW}, 0.01 \n,,,,,,,,\n")
-        records = parse_dataset(io.StringIO(text))
+        records = parse_text(text)
         assert [r.eps_h_rup for r in records] == [None, None, 0.01]
         assert records[0] == records[1] == dataclasses.replace(records[2], eps_h_rup=None)
         assert (records[0].d, records[0].fcc) == (150.0, 45.0)
+
+
+RECORD = SpecimenRecord(150.0, 300.0, 0.167, 231.0, 30.0, 0.2, 1.2, 45.0)
+# Each file's outcome: its records, or the error's (message, row, column).
 SOURCE_CASES = {
-    "crlf": f"{HEADER}\r\n{ROW}\r\n{ROW.replace('150', '160')}\r\n",
-    "lone_cr": f"{HEADER}\r{ROW}\r{ROW.replace('30', '35')}\r",
-    "blank_lines": f"{HEADER}\n\n{ROW}\n\r\n\n{ROW}\n\n",
-    "quoted_cells": f'{HEADER}\n"150","300",0.167,"231",30,0.2,1.2,"45"\n"150\r\n",300,0.167,231,30,0.2,1.2,45\n',
-    "bad_cell_row_4": f"{HEADER}\n{ROW}\n\n150,300,0.167,231,xx,0.2,1.2,45\n{ROW}\n",
-    "bad_cell_after_quoted_newline": f'{HEADER}\n"150\n",300,0.167,231,30,0.2,1.2,45\n150,300,0.167,231,xx,0.2,1.2,45\n',
-    "bad_cell_crlf": f"{HEADER}\r\n{ROW}\r\n150,300,0.167,231,30,0.2,zz,45\r\n",
-    "bad_quoted_cell": f'{HEADER}\n{ROW}\n150,"3\r\n00",0.167,231,30,0.2,1.2,45\n',
-    "bad_record_lone_cr": f"{HEADER}\r{ROW}\r-150,300,0.167,231,30,0.2,1.2,45\r",
+    "crlf": (f"{HEADER}\r\n{ROW}\r\n{ROW.replace('150', '160')}\r\n",
+             [RECORD, dataclasses.replace(RECORD, d=160.0)]),
+    "lone_cr": (f"{HEADER}\r{ROW}\r{ROW.replace('30', '35')}\r",
+                [RECORD, dataclasses.replace(RECORD, h=350.0, fco=35.0)]),
+    "blank_lines": (f"{HEADER}\n\n{ROW}\n\r\n\n{ROW}\n\n", [RECORD, RECORD]),
+    "quoted_cells": (f'{HEADER}\n"150","300",0.167,"231",30,0.2,1.2,"45"\n"150\r\n",300,0.167,231,30,0.2,1.2,45\n',
+                     [RECORD, RECORD]),
+    "bad_cell_row_4": (f"{HEADER}\n{ROW}\n\n150,300,0.167,231,xx,0.2,1.2,45\n{ROW}\n",
+                       ("could not parse number from 'xx' (row 4, column 'fco_mpa')", 4, "fco_mpa")),
+    "bad_cell_after_quoted_newline": (
+        f'{HEADER}\n"150\n",300,0.167,231,30,0.2,1.2,45\n150,300,0.167,231,xx,0.2,1.2,45\n',
+        ("could not parse number from 'xx' (row 4, column 'fco_mpa')", 4, "fco_mpa")),
+    "bad_cell_crlf": (f"{HEADER}\r\n{ROW}\r\n150,300,0.167,231,30,0.2,zz,45\r\n",
+                      ("could not parse number from 'zz' (row 3, column 'ecc_pct')", 3, "ecc_pct")),
+    "bad_quoted_cell": (f'{HEADER}\n{ROW}\n150,"3\r\n00",0.167,231,30,0.2,1.2,45\n',
+                        ("could not parse number from '3\\r\\n00' (row 4, column 'h_mm')", 4, "h_mm")),
+    "bad_record_lone_cr": (f"{HEADER}\r{ROW}\r-150,300,0.167,231,30,0.2,1.2,45\r",
+                           ("field 'd' must be positive and finite, got -150.0 (row 3)", 3, None)),
 }
 
 
-def _parse_outcome(source):
+def _parse_outcome(parse, text):
     try:
-        return parse_dataset(source)
+        return parse(text)
     except DatasetFormatError as exc:
         return (str(exc), exc.row, exc.column)
 
 
 class TestParseAnyText:
-    @settings(max_examples=300, deadline=None)
-    @given(st.text() | st.text(alphabet='0123456789.,-+eE"\r\n infa'), st.booleans())
-    def test_records_or_value_error(self, body, as_bytes):
-        # the canonical header and any body, as text or as UTF-8 bytes
-        text = f"{HEADER}\n{body}"
-        source = text.encode("utf-8") if as_bytes else io.StringIO(text, newline="")
+    @settings(max_examples=300, deadline=None, suppress_health_check=ONE_FILE)
+    @given(body=st.text() | st.text(alphabet='0123456789.,-+eE"\r\n infa'))
+    def test_records_or_value_error(self, parse_text, body):
+        # the canonical header and any body
         try:
-            records = parse_dataset(source)
+            records = parse_text(f"{HEADER}\n{body}")
         except ValueError:
             return
         assert isinstance(records, list)
@@ -206,55 +238,37 @@ def valid_records(draw):
 
 
 class TestCsvRoundTrip:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(valid_records(), min_size=1, max_size=12), st.booleans())
-    def test_write_parse_write_is_exact(self, records, as_bytes):
+    @settings(max_examples=300, deadline=None, suppress_health_check=ONE_FILE)
+    @given(records=st.lists(valid_records(), min_size=1, max_size=12))
+    def test_write_parse_write_is_exact(self, parse_text, records):
         text = records_to_csv(records)
-        source = text.encode("utf-8") if as_bytes else io.StringIO(text, newline="")
-        parsed = parse_dataset(source)
+        parsed = parse_text(text)
         assert parsed == records
         assert records_to_csv(parsed) == text
 
 
 class TestParseSources:
-    """A path streams through open(); bytes and file objects are read whole.
-    The same bytes must give the same records or the same error either way."""
+    """A file is streamed through open(): line endings, quoting and blank lines
+    as the csv module reads them, errors at the file line."""
 
     @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
-    def test_path_bytes_and_file_object_agree(self, tmp_path, case):
-        data = SOURCE_CASES[case].encode()
-        path = tmp_path / "data.csv"
-        path.write_bytes(data)
-        outcomes = [_parse_outcome(source) for source in
-                    (path, str(path), data, io.BytesIO(data), io.StringIO(data.decode(), newline=""))]
-        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
-        if case.startswith("bad"):
-            assert isinstance(outcomes[0], tuple)
-        else:
-            assert len(outcomes[0]) == 2
+    def test_records_or_error_of_each_file(self, parse_text, case):
+        text, expected = SOURCE_CASES[case]
+        assert _parse_outcome(parse_text, text) == expected
 
-    @pytest.mark.parametrize("kind", ["path", "str_path", "bytes", "binary_file"])
-    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, kind):
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
-        data = codecs.BOM_UTF8 + f"{HEADER},eps_hrup\n{ROW},0.01\n".encode()
-        path = tmp_path / "bom.csv"
-        path.write_bytes(data)
-        source = {"path": path, "str_path": str(path), "bytes": data, "binary_file": io.BytesIO(data)}[kind]
-        assert parse_dataset(source) == parse_dataset(data[len(codecs.BOM_UTF8):])
+        data = f"{HEADER},eps_hrup\n{ROW},0.01\n".encode()
+        marked, plain = tmp_path / "bom.csv", tmp_path / "plain.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + data)
+        plain.write_bytes(data)
+        assert parse_dataset(marked) == parse_dataset(plain) == [dataclasses.replace(RECORD, eps_h_rup=0.01)]
 
-    @pytest.mark.parametrize("case", ["bad_cell_row_4", "bad_cell_after_quoted_newline"])
-    def test_bad_cell_row_number(self, tmp_path, case):
-        # the row is the file line, also after a quoted cell that spans two lines
-        path = tmp_path / "data.csv"
-        path.write_text(SOURCE_CASES[case])
-        assert _parse_outcome(path) == ("could not parse number from 'xx' (row 4, column 'fco_mpa')",
-                                        4, "fco_mpa")
-
-    def test_path_parse_keeps_only_the_records(self, tmp_path):
+    def test_path_parse_keeps_only_the_records(self, tmp_path, parse_text):
         # streaming holds a few rows at a time, not the file's text and a copy of it
         path = tmp_path / "big.csv"
         path.write_text(records_to_csv(make_records(8000, seed=5, with_rupture=True)))
-        parse_dataset(io.StringIO(HEADER + "\n" + ROW + "\n"))  # warm up one-time caches
+        parse_text(HEADER + "\n" + ROW + "\n")  # warm up one-time caches
         tracemalloc.start()
         try:
             records = parse_dataset(path)
@@ -574,7 +588,8 @@ class TestNormalization:
         spec = fit_normalizer(records)
         restored = NormalizationSpec.from_dict(spec.to_dict())
         assert restored.ranges == spec.ranges
-        assert (restored.lo, restored.hi) == (spec.lo, spec.hi)
+        assert restored.to_dict() == spec.to_dict()
+        assert (spec.to_dict()["lo"], spec.to_dict()["hi"]) == (LO, HI) == (0.1, 0.9)
 
     @pytest.mark.parametrize("data", [[], {}, {"ranges": []}, {"ranges": {"d": 5}},
                                       {"ranges": {"d": [1.0]}}, {"ranges": {"d": [1.0, "2"]}},
@@ -582,6 +597,12 @@ class TestNormalization:
     def test_spec_dict_malformed(self, data):
         with pytest.raises(ValueError):
             NormalizationSpec.from_dict(data)
+
+    @pytest.mark.parametrize("bounds", [{"lo": 0.2}, {"hi": 1.0}, {"lo": 0.9, "hi": 0.1}, {"lo": 0}, {"hi": None}])
+    def test_spec_dict_other_range_refused(self, bounds):
+        # the range is fixed: a spec mapping onto another would be read as [0.1, 0.9]
+        with pytest.raises(ValueError, match=r"^normalization lo/hi must be \[0\.1, 0\.9\], got \["):
+            NormalizationSpec.from_dict({"ranges": {"d": [1.0, 2.0]}, **bounds})
 
     def test_feature_matrix_shape(self, records):
         spec = fit_normalizer(records)
@@ -610,40 +631,34 @@ FRACTIONS = st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(-3.0, 4.0), mi
 def fitted_specs(draw):
     x_min = draw(st.floats(-1e5, 1e5))
     x_max = x_min + draw(st.floats(1e-6, 1e5))
-    lo = draw(st.sampled_from([0.1, 0.0, -1.0]) | st.floats(-2.0, 2.0))
-    hi = lo + draw(st.floats(1e-3, 2.0))
     if not x_max > x_min:
         x_max = x_min + 1.0
-    return NormalizationSpec({"v": FeatureRange(x_min, x_max)}, lo=lo, hi=hi)
-
-
-def _scalar_inputs(values, ints):
-    """Each value as a float and as np.float64, plus the ints as int."""
-    return [*values, *map(np.float64, values), *ints]
+    return NormalizationSpec({"v": FeatureRange(x_min, x_max)})
 
 
 class TestScalarNormalization:
-    """A scalar in gives a float out, with the bits the array path gives:
-    denormalize takes plain float arithmetic for an int or float."""
+    """One value through the single-value paths (normalize_value, and
+    denormalize of an int or float) gives a float with the bits the array
+    paths give."""
 
     @settings(max_examples=300, deadline=None)
     @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10**6, 10**6), max_size=4))
-    def test_normalize_scalar_equals_array(self, spec, fractions, ints):
+    def test_normalize_value_equals_array(self, spec, fractions, ints):
         r = spec.ranges["v"]
         values = [r.x_min, r.x_max, *(r.x_min + f * (r.x_max - r.x_min) for f in fractions)]
-        inputs = _scalar_inputs(values, ints)
-        scalars = [spec.normalize("v", x) for x in inputs]
+        inputs = [*values, *map(float, ints)]
+        scalars = [spec.normalize_value("v", x)[0] for x in inputs]
         assert all(type(z) is float for z in scalars)
         with np.errstate(all="ignore"):
             array = spec.normalize("v", np.array(inputs, dtype=float))
         assert np.array(scalars).tobytes() == array.tobytes()
-        assert scalars[0] == spec.lo and scalars[1] == spec.hi  # pinned endpoints
+        assert scalars[0] == LO and scalars[1] == HI  # pinned endpoints
 
     @settings(max_examples=300, deadline=None)
     @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10, 10), max_size=4))
     def test_denormalize_scalar_equals_array(self, spec, fractions, ints):
-        values = [spec.lo, spec.hi, *(spec.lo + f * (spec.hi - spec.lo) for f in fractions)]
-        inputs = _scalar_inputs(values, ints)
+        values = [LO, HI, *(LO + f * (HI - LO) for f in fractions)]
+        inputs = [*values, *map(np.float64, values), *ints]
         scalars = [spec.denormalize("v", z) for z in inputs]
         assert all(type(x) is float for x in scalars)
         with np.errstate(all="ignore"):
@@ -651,10 +666,10 @@ class TestScalarNormalization:
         assert np.array(scalars).tobytes() == array.tobytes()
 
     def test_integer_bounds_keep_float_results(self):
-        spec = NormalizationSpec({"v": FeatureRange(0, 10)}, lo=0, hi=1)
+        spec = NormalizationSpec({"v": FeatureRange(0, 10)})
         for x in (0, 10, 0.0, 10.0, 5):
-            z = spec.normalize("v", x)
-            assert type(z) is float and z == spec.normalize("v", np.array([x], dtype=float))[0]
+            z, inside = spec.normalize_value("v", x)
+            assert type(z) is float and z == spec.normalize("v", np.array([x], dtype=float))[0] and inside
 
 
 class TestSplit:

@@ -310,8 +310,8 @@ class TestRunExperiment:
 class TestParametricSweep:
     def test_lam_teng_fco_sweep_closed_form(self):
         # with rupture strain and geometry fixed, f_l is constant over an fco sweep
-        predictor = EmpiricalPredictor("lam_teng", eps_h_rup=0.01)
-        fixed = {"d": 150.0, "nt": 0.167, "ef": 231.0}
+        predictor = EmpiricalPredictor("lam_teng")
+        fixed = {"d": 150.0, "nt": 0.167, "ef": 231.0, "eps_h_rup": 0.01}
         f_l = mechanics.confinement_stress(231000.0, 0.01, 0.167, 150.0)
         grid = parametric_sweep(predictor, SweepSpec("fco", 5.0, 50.0, 10, fixed))
         expected = 100.0 * ((50.0 + 3.3 * f_l) - (5.0 + 3.3 * f_l)) / (5.0 + 3.3 * f_l)
@@ -319,8 +319,8 @@ class TestParametricSweep:
         assert np.all(np.diff(grid.predictions) > 0.0)
 
     def test_thickness_sweep_strictly_increasing(self):
-        predictor = EmpiricalPredictor("lam_teng", eps_h_rup=0.008)
-        fixed = {"d": 150.0, "ef": 231.0, "fco": 30.0}
+        predictor = EmpiricalPredictor("lam_teng")
+        fixed = {"d": 150.0, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.008}
         grid = parametric_sweep(predictor, SweepSpec("nt", 0.15, 1.05, 7, fixed))
         assert np.all(np.diff(grid.predictions) > 0.0)
         # f_l scales with thickness: 7x thickness multiplies the gain by 7
@@ -329,14 +329,14 @@ class TestParametricSweep:
         assert gain_last == pytest.approx(7.0 * gain_first, rel=1e-12)
 
     def test_modulus_sweep_strictly_increasing(self):
-        predictor = EmpiricalPredictor("miyauchi", eps_h_rup=0.008)
-        fixed = {"d": 150.0, "nt": 0.334, "fco": 30.0}
+        predictor = EmpiricalPredictor("miyauchi")
+        fixed = {"d": 150.0, "nt": 0.334, "fco": 30.0, "eps_h_rup": 0.008}
         grid = parametric_sweep(predictor, SweepSpec("ef", 110.0, 245.0, 12, fixed))
         assert np.all(np.diff(grid.predictions) > 0.0)
 
     def test_grid_is_strictly_increasing_with_endpoints(self):
-        predictor = EmpiricalPredictor("lam_teng", eps_h_rup=0.01)
-        fixed = {"d": 150.0, "nt": 0.167, "ef": 231.0}
+        predictor = EmpiricalPredictor("lam_teng")
+        fixed = {"d": 150.0, "nt": 0.167, "ef": 231.0, "eps_h_rup": 0.01}
         grid = parametric_sweep(predictor, SweepSpec("fco", 5.0, 50.0, 10, fixed))
         assert grid.values[0] == 5.0 and grid.values[-1] == 50.0
         assert np.all(np.diff(grid.values) > 0.0)
@@ -363,9 +363,9 @@ class TestParametricSweep:
         assert any("extrapolating" in w for w in grid.warnings)
 
     def test_sweep_csv(self):
-        predictor = EmpiricalPredictor("lam_teng", eps_h_rup=0.01)
+        predictor = EmpiricalPredictor("lam_teng")
         grid = parametric_sweep(predictor, SweepSpec("fco", 5.0, 50.0, 3,
-                                                     {"d": 150.0, "nt": 0.167, "ef": 231.0}))
+                                                     {"d": 150.0, "nt": 0.167, "ef": 231.0, "eps_h_rup": 0.01}))
         lines = grid.to_csv().strip().split("\n")
         assert lines[0] == "fco,prediction_mpa"
         assert len(lines) == 4

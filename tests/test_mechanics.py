@@ -194,32 +194,32 @@ class TestPredictRecord:
         return SpecimenRecord(**base)
 
     def test_chained_hand_value(self):
-        fcc = predict_record(self._record(), model="lam_teng", eps_h_rup=0.01)
+        fcc = predict_record(self._record(eps_h_rup=0.01), model="lam_teng")
         assert fcc == pytest.approx(46.974, rel=1e-4)
 
     def test_zero_confinement_path(self):
-        r = self._record()
+        r = self._record(eps_h_rup=0.0)
         params = EmpiricalModelParams(k=2.0, n=0.7)
         for model, kwargs in [("lam_teng", {}), ("miyauchi", {}), ("nonlinear", {"params": params})]:
-            assert predict_record(r, model=model, eps_h_rup=0.0, **kwargs) == r.fco
+            assert predict_record(r, model=model, **kwargs) == r.fco
 
     def test_nonlinear_reduction_on_records(self):
         params = EmpiricalModelParams(k=3.3, n=1.0)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            r = self._record(nt=rng.uniform(0.1, 1.0), fco=rng.uniform(15.0, 90.0))
-            eps = rng.uniform(0.004, 0.02)
-            a = predict_record(r, model="nonlinear", params=params, eps_h_rup=eps)
-            b = predict_record(r, model="lam_teng", eps_h_rup=eps)
+            nt, fco, eps = rng.uniform(0.1, 1.0), rng.uniform(15.0, 90.0), rng.uniform(0.004, 0.02)
+            r = self._record(nt=nt, fco=fco, eps_h_rup=eps)
+            a = predict_record(r, model="nonlinear", params=params)
+            b = predict_record(r, model="lam_teng")
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_record_rupture_strain_used(self):
         r = self._record(eps_h_rup=0.01)
         assert predict_record(r) == pytest.approx(46.974, rel=1e-4)
 
-    def test_explicit_overrides_record(self):
-        r = self._record(eps_h_rup=0.01)
-        assert predict_record(r, eps_h_rup=0.0) == r.fco
+    def test_record_strain_before_fiber_strain(self):
+        r = self._record(eps_h_rup=0.0)
+        assert predict_record(r, eps_f=0.015) == r.fco
 
     def test_fiber_strain_fallback(self):
         r = self._record(fco=40.0)
@@ -231,8 +231,8 @@ class TestPredictRecord:
             predict_record(self._record())
 
     def test_mapping_input(self):
-        values = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0}
-        assert predict_record(values, eps_h_rup=0.01) == pytest.approx(46.974, rel=1e-4)
+        values = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.01}
+        assert predict_record(values) == pytest.approx(46.974, rel=1e-4)
 
     @pytest.mark.parametrize("container", [dict, types.MappingProxyType, _UserMapping,
                                            lambda fields: types.SimpleNamespace(**fields)])
@@ -243,11 +243,11 @@ class TestPredictRecord:
             r = self._record(d=rng.uniform(100.0, 300.0), nt=rng.uniform(0.1, 2.0),
                              ef=rng.uniform(50.0, 400.0), fco=rng.uniform(15.0, 80.0),
                              eps_h_rup=rng.uniform(0.005, 0.015))
-            other = container({f: getattr(r, f) for f in ("d", "nt", "ef", "fco", "eps_h_rup")})
-            for model in ("lam_teng", "miyauchi", "nonlinear"):
-                for kwargs in ({}, {"eps_h_rup": 0.02}):
-                    expected = predict_record(r, model=model, params=params, **kwargs)
-                    assert predict_record(other, model=model, params=params, **kwargs) == expected
+            for record in (r, dataclasses.replace(r, eps_h_rup=0.02)):
+                other = container({f: getattr(record, f) for f in ("d", "nt", "ef", "fco", "eps_h_rup")})
+                for model in ("lam_teng", "miyauchi", "nonlinear"):
+                    expected = predict_record(record, model=model, params=params)
+                    assert predict_record(other, model=model, params=params) == expected
             fields = {"d": r.d, "nt": r.nt, "ef": r.ef, "fco": r.fco}  # rupture strain from eps_f
             expected = predict_record(dataclasses.replace(r, eps_h_rup=None), eps_f=0.015)
             assert predict_record(container(fields), eps_f=0.015) == expected
@@ -276,11 +276,11 @@ class TestPredictRecord:
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown empirical model"):
-            predict_record(self._record(), model="svm", eps_h_rup=0.01)
+            predict_record(self._record(eps_h_rup=0.01), model="svm")
 
     def test_nonlinear_needs_params(self):
         with pytest.raises(ValueError, match="nonlinear"):
-            predict_record(self._record(), model="nonlinear", eps_h_rup=0.01)
+            predict_record(self._record(eps_h_rup=0.01), model="nonlinear")
 
 
 # Each guarded function with valid arguments, and the rule each argument must meet.
@@ -373,17 +373,16 @@ def _strength_by_argument(model, fco, f_l, params=None):
     return fcc
 
 
-def _predict_by_argument(record, model="lam_teng", params=None, eps_h_rup=None, eps_f=None):
+def _predict_by_argument(record, model="lam_teng", params=None, eps_f=None):
     check_model(model, params)
     names = ("d", "nt", "ef", "fco", "eps_h_rup")
     if isinstance(record, collections.abc.Mapping):
-        d, nt, ef, fco, record_eps = [record.get(name) for name in names]
+        d, nt, ef, fco, eps = [record.get(name) for name in names]
     else:
-        d, nt, ef, fco, record_eps = [getattr(record, name, None) for name in names]
+        d, nt, ef, fco, eps = [getattr(record, name, None) for name in names]
     for name, value in zip(names, (d, nt, ef, fco)):
         if value is None:
             raise ValueError(f"record is missing field {name!r}")
-    eps = eps_h_rup if eps_h_rup is not None else record_eps
     if eps is None and eps_f is not None:
         _require_one("eps_f", eps_f)
         _require_one("fco", fco)
@@ -426,14 +425,14 @@ class TestMergedChecksAgreeWithArgumentChecks:
     @given(st.fixed_dictionaries({name: MECH_VALUES for name in ("d", "nt", "ef", "fco")}),
            st.sets(st.sampled_from(["d", "nt", "ef", "fco"]), max_size=1),
            st.sampled_from(["lam_teng", "miyauchi", "nonlinear"]), PARAMS,
-           st.sampled_from(["argument", "record", "eps_f", "none"]), MECH_VALUES)
+           st.sampled_from(["record", "eps_f", "both", "none"]), MECH_VALUES)
     def test_predict_record(self, values, absent, model, params, source, strain):
         fields = {k: v for k, v in values.items() if k not in absent}
         kwargs = {"model": model, "params": params}
-        if source == "record":
+        if source in ("record", "both"):
             fields["eps_h_rup"] = strain
-        elif source != "none":
-            kwargs["eps_h_rup" if source == "argument" else "eps_f"] = strain
+        if source in ("eps_f", "both"):
+            kwargs["eps_f"] = strain if source == "eps_f" else 0.015
         containers = [fields, types.SimpleNamespace(**fields), types.MappingProxyType(fields)]
         try:
             d = fields["d"]

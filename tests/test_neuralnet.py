@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrpnet import neuralnet
-from cfrpnet.dataset import DEFAULT_FEATURES, FIELD_BOUNDS, FIELDS, FeatureRange, NormalizationSpec
+from cfrpnet.dataset import DEFAULT_FEATURES, FIELD_BOUNDS, FIELDS, HI, LO, FeatureRange, NormalizationSpec
 from cfrpnet.neuralnet import (
     _forward,
     WEIGHT_BOUND,
@@ -323,11 +323,11 @@ def reference_predict_values(model, values):
         if not r.x_min <= v <= r.x_max:
             warnings.append(f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
         arr = np.asarray(v, dtype=float)
-        z = (spec.lo * (r.x_max - arr) + spec.hi * (arr - r.x_min)) / (r.x_max - r.x_min)
-        x.append(float(np.where(arr == r.x_min, spec.lo, np.where(arr == r.x_max, spec.hi, z))))
+        z = (LO * (r.x_max - arr) + HI * (arr - r.x_min)) / (r.x_max - r.x_min)
+        x.append(float(np.where(arr == r.x_min, LO, np.where(arr == r.x_max, HI, z))))
     out = reference_forward(model.topology, model.weights, np.array([x]))[1]
     r, z = spec.ranges["fcc"], np.asarray(float(out[0, 0]), dtype=float)
-    return float(r.x_min + (z - spec.lo) * (r.x_max - r.x_min) / (spec.hi - spec.lo)), warnings
+    return float(r.x_min + (z - LO) * (r.x_max - r.x_min) / (HI - LO)), warnings
 
 
 class TestPredictValuesMatchesReference:

@@ -125,7 +125,6 @@ class TestTraceContract:
             trace = run(cfg, 4, HALF, sphere)
             diffs = np.diff(trace.best_fitness)
             assert np.all(diffs <= 0.0), name
-            assert trace.final_fitness == trace.best_fitness[-1]
             assert len(trace.best_fitness) == cfg.iterations + 1
 
     def test_positions_stay_in_box(self):
@@ -137,7 +136,7 @@ class TestTraceContract:
     def test_final_fitness_matches_position(self):
         for name, run, cfg in small_configs():
             trace = run(cfg, 4, HALF, sphere)
-            assert sphere(trace.best_position) == pytest.approx(trace.final_fitness, rel=1e-12), name
+            assert sphere(trace.best_position) == pytest.approx(trace.best_fitness[-1], rel=1e-12), name
 
     def test_evaluation_budget(self):
         for name, run, cfg in small_configs():
@@ -470,7 +469,7 @@ class TestBaUpdate:
         # a small run pinned to the values of the array-box version
         trace = ba_run(BaConfig(population=6, iterations=20, seed=4), 4, HALF, sphere)
         assert trace.best_fitness[0] == 11.770849027235725
-        assert trace.final_fitness == 0.22949788218087352
+        assert trace.best_fitness[-1] == 0.22949788218087352
         assert trace.best_position.tolist() == [-0.002228280468333038, 0.07264323323401722,
                                                 -0.3738305196090322, -0.2906314164387208]
         assert trace.acceptances.tolist() == [2, 6, 3, 6, 5, 5]
@@ -489,9 +488,9 @@ class TestBaUpdate:
 class TestSphereConvergence:
     def test_reference_runs_2d(self):
         # pinned reference runs: seeds recorded once (BA is seed-sensitive)
-        assert pso_run(PsoConfig(seed=0), 2, HALF, sphere).final_fitness < 1e-6
-        assert gwo_run(GwoConfig(seed=0), 2, HALF, sphere).final_fitness < 1e-6
-        assert ba_run(BaConfig(seed=1), 2, HALF, sphere).final_fitness < 1e-6
+        assert pso_run(PsoConfig(seed=0), 2, HALF, sphere).best_fitness[-1] < 1e-6
+        assert gwo_run(GwoConfig(seed=0), 2, HALF, sphere).best_fitness[-1] < 1e-6
+        assert ba_run(BaConfig(seed=1), 2, HALF, sphere).best_fitness[-1] < 1e-6
 
 
 class TestObjectiveFromDataset:
@@ -674,10 +673,10 @@ class TestTrainHybrid:
         for algorithm, cfg in [("pso", PsoConfig(population=15, iterations=150, seed=0)),
                                ("gwo", GwoConfig(population=15, iterations=150, seed=0))]:
             weights, trace = train_hybrid(algorithm, topology, X, y, cfg)
-            assert trace.final_fitness < 1e-8, algorithm
+            assert trace.best_fitness[-1] < 1e-8, algorithm
         _, ba_trace = train_hybrid("ba", topology, X, y,
                                    BaConfig(population=15, iterations=150, seed=1))
-        assert ba_trace.final_fitness < 1e-4
+        assert ba_trace.best_fitness[-1] < 1e-4
 
     def test_final_fitness_matches_naive_recomputation(self):
         topology = NetworkTopology(2, 3)
@@ -687,10 +686,10 @@ class TestTrainHybrid:
         weights, trace = train_hybrid("pso", topology, X, y,
                                       PsoConfig(population=10, iterations=40, seed=2))
         # the trace holds the float32-ranked fitness of the returned weights
-        assert trace.final_fitness == float32_mse(topology, weights, X, y)
+        assert trace.best_fitness[-1] == float32_mse(topology, weights, X, y)
         params = unflatten(topology, weights)
         recomputed = sum((forward(params, X[i]) - y[i]) ** 2 for i in range(15)) / 15
-        assert recomputed == pytest.approx(trace.final_fitness, rel=REL32)
+        assert recomputed == pytest.approx(trace.best_fitness[-1], rel=REL32)
 
     @pytest.mark.parametrize("algorithm, config", [
         ("pso", PsoConfig(population=8, iterations=20, seed=0)),
