@@ -20,7 +20,7 @@ import sys
 import types
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -475,11 +475,17 @@ class NormalizationSpec:
     # Plain float arithmetic: the same IEEE double operations in the same
     # order as the array path, so the same bits, without numpy's per-call
     # cost on a single value.
-    def normalize_value(self, field: str, x: float) -> tuple[float, bool]:
-        """normalize of one float, and whether it lies in the fitted range."""
-        r = self.ranges[field]
-        z = (LO * (r.x_max - x) + HI * (x - r.x_min)) / (r.x_max - r.x_min)
-        return LO if x == r.x_min else HI if x == r.x_max else z, r.x_min <= x <= r.x_max
+    def normalize_row(self, named: Iterable[tuple[str, float]]) -> tuple[list[float], list[tuple]]:
+        """normalize of each (field, value) pair as a list of floats, and the
+        (field, value, range) of each value outside its fitted range."""
+        row, outside = [], []
+        for field, x in named:
+            x, r = float(x), self.ranges[field]
+            lo, hi = r.x_min, r.x_max
+            row.append(LO if x == lo else HI if x == hi else (LO * (hi - x) + HI * (x - lo)) / (hi - lo))
+            if not lo <= x <= hi:
+                outside.append((field, x, r))
+        return row, outside
 
     def denormalize(self, field: str, z):
         """The inverse map, of a plain float (to a float) or of an array."""

@@ -156,7 +156,7 @@ def predict_record(
     if eps is None and eps_f is not None:
         eps = hoop_rupture_strain(eps_f, fco)
     if eps is None:
-        raise ValueError("no rupture-strain source: supply eps_h_rup, a record value, or eps_f")
+        raise ValueError("no rupture-strain source: the record has no eps_h_rup and no fiber strain was given")
     f_l = confinement_stress(ef * 1000.0, eps, nt, d)
     if model == "lam_teng":
         return lam_teng(fco, f_l)

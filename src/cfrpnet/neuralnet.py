@@ -90,11 +90,18 @@ def forward_batch(params, X) -> np.ndarray:
 
 
 def forward(params, x) -> float:
-    """Prediction for a single feature vector, through unflatten's (W1, b1, W2, b2) views."""
+    """Prediction for a single feature vector, through unflatten's (W1, b1, W2, b2) views.
+
+    It computes on 1-D vectors with np.dot, which costs less per call than
+    the matmul ufunc of the batch kernel and gives the same bits."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != params[0].shape[0]:
-        raise ValueError(f"expected {params[0].shape[0]} inputs, got shape {x.shape}")
-    return float(_forward(params, x[None, :])[0, 0])
+    W1, b1, W2, b2 = params
+    if x.ndim != 1 or x.size != W1.shape[0]:
+        raise ValueError(f"expected {W1.shape[0]} inputs, got shape {x.shape}")
+    hidden = np.dot(x, W1)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    return float(np.dot(hidden, W2)[0] + b2[0])
 
 
 def _check_batch(topology, X, y):
@@ -250,16 +257,10 @@ class TrainedModel:
         except KeyError:
             missing = next(f for f in DEFAULT_FEATURES if f not in values)
             raise ValueError(f"missing feature: {missing}") from None
-        spec, warnings, x = self.normalization, [], np.empty(len(raw))
-        for j, name in enumerate(DEFAULT_FEATURES):
-            v = float(raw[j])
-            x[j], inside = spec.normalize_value(name, v)
-            if not inside:
-                r = spec.ranges[name]
-                warnings.append(
-                    f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
-        z = forward(self.params, x)
-        return spec.denormalize(TARGET_FIELD, z), warnings
+        x, outside = self.normalization.normalize_row(zip(DEFAULT_FEATURES, raw))
+        warnings = [f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating"
+                    for name, v, r in outside]
+        return self.normalization.denormalize(TARGET_FIELD, forward(self.params, x)), warnings
 
 
 def _topology_to_dict(topology: NetworkTopology) -> dict:

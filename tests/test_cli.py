@@ -1177,7 +1177,15 @@ def train_arguments(draw, dataset, work):
 
 
 class TestDatasetCommandsProperty:
-    """stats, validate, train and synth on generated inputs, through cli.main."""
+    """stats, validate, train, evaluate and synth on generated inputs, through cli.main."""
+
+    @pytest.fixture(scope="class")
+    def trained_ann(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("evaluate_model")
+        (work / "data.csv").write_text(records_to_csv(make_records(40, seed=1)))
+        argv = ["train", str(work / "data.csv"), "--model", "ann", "--iterations", "5", "--out", str(work), "--quiet"]
+        assert main(argv) == 0
+        return str(work / "model_ann.json")
 
     @settings(max_examples=80, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1215,6 +1223,17 @@ class TestDatasetCommandsProperty:
             model = argv[argv.index("--model") + 1]
             neurons = int(next(arg for arg in argv if arg.startswith("--neurons=")).partition("=")[2])
             assert load_model(work / "out" / f"model_{model}.json").topology.hidden_size == neurons
+
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), fmt=st.sampled_from(["text", "json"]))
+    def test_evaluate(self, trained_ann, text, fmt, tmp_path_factory, capsys):
+        work = tmp_path_factory.mktemp("evaluate")
+        (work / "data.csv").write_text(text, encoding="utf-8", newline="")
+        code, stdout = _main_exit(["evaluate", trained_ann, str(work / "data.csv"), "--format", fmt], capsys)
+        assert code in (0, 2)
+        if code == 0 and fmt == "json":
+            assert json.loads(stdout)["n"] == len(parse_dataset(work / "data.csv"))
 
     @settings(max_examples=40, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -637,22 +637,23 @@ def fitted_specs(draw):
 
 
 class TestScalarNormalization:
-    """One value through the single-value paths (normalize_value, and
-    denormalize of an int or float) gives a float with the bits the array
+    """Single values through the plain-float paths (normalize_row, and
+    denormalize of an int or float) give floats with the bits the array
     paths give."""
 
     @settings(max_examples=300, deadline=None)
     @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10**6, 10**6), max_size=4))
-    def test_normalize_value_equals_array(self, spec, fractions, ints):
+    def test_normalize_row_equals_array(self, spec, fractions, ints):
         r = spec.ranges["v"]
         values = [r.x_min, r.x_max, *(r.x_min + f * (r.x_max - r.x_min) for f in fractions)]
         inputs = [*values, *map(float, ints)]
-        scalars = [spec.normalize_value("v", x)[0] for x in inputs]
+        scalars, outside = spec.normalize_row(("v", x) for x in inputs)
         assert all(type(z) is float for z in scalars)
         with np.errstate(all="ignore"):
             array = spec.normalize("v", np.array(inputs, dtype=float))
         assert np.array(scalars).tobytes() == array.tobytes()
         assert scalars[0] == LO and scalars[1] == HI  # pinned endpoints
+        assert outside == [("v", x, r) for x in inputs if not r.x_min <= x <= r.x_max]
 
     @settings(max_examples=300, deadline=None)
     @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10, 10), max_size=4))
@@ -668,8 +669,10 @@ class TestScalarNormalization:
     def test_integer_bounds_keep_float_results(self):
         spec = NormalizationSpec({"v": FeatureRange(0, 10)})
         for x in (0, 10, 0.0, 10.0, 5):
-            z, inside = spec.normalize_value("v", x)
-            assert type(z) is float and z == spec.normalize("v", np.array([x], dtype=float))[0] and inside
+            (z,), outside = spec.normalize_row([("v", x)])
+            assert type(z) is float and z == spec.normalize("v", np.array([x], dtype=float))[0] and not outside
+        _, outside = spec.normalize_row([("v", 10), ("v", -1), ("v", 11.5)])
+        assert outside == [("v", -1.0, spec.ranges["v"]), ("v", 11.5, spec.ranges["v"])]
 
 
 class TestSplit:

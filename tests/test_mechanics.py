@@ -388,7 +388,7 @@ def _predict_by_argument(record, model="lam_teng", params=None, eps_f=None):
         _require_one("fco", fco)
         eps = eps_f / fco ** 0.125
     if eps is None:
-        raise ValueError("no rupture-strain source: supply eps_h_rup, a record value, or eps_f")
+        raise ValueError("no rupture-strain source: the record has no eps_h_rup and no fiber strain was given")
     return _strength_by_argument(model, fco, _confinement_by_argument(ef * 1000.0, eps, nt, d), params)
 
 

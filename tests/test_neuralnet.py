@@ -193,8 +193,13 @@ class TestForward:
     def test_dimension_mismatch(self):
         topology = NetworkTopology(3, 4)
         w = np.zeros(parameter_count(topology))
-        with pytest.raises(ValueError):
-            forward(unflatten(topology, w), [0.1, 0.2])
+        for x in ([0.1, 0.2], np.zeros((1, 3)), np.array(0.5)):
+            with pytest.raises(ValueError, match="expected 3 inputs"):
+                forward(unflatten(topology, w), x)
+        params = unflatten(topology, np.random.default_rng(3).uniform(-1.0, 1.0, parameter_count(topology)))
+        values = [0.1, 0.7, 0.35]
+        outputs = {forward(params, x).hex() for x in (values, tuple(values), np.array(values))}
+        assert len(outputs) == 1
         for X in (np.zeros((5, 2)), np.zeros(3)):
             with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 3\)"):
                 forward_batch(unflatten(topology, w), X)
