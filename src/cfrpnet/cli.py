@@ -50,7 +50,7 @@ from .experiment import (
     write_model_files,
 )
 from .metrics import report_from_pairs
-from .neuralnet import NetworkTopology, load_model
+from .neuralnet import load_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -177,10 +177,9 @@ def cmd_train(args) -> int:
         _say(args, f"using {len(train)} of {len(records)} records for training")
     else:
         train = records
-    topology = NetworkTopology(len(DEFAULT_FEATURES), args.neurons)  # the network compare trains
     norm = fit_normalizer(train)
     X, y = feature_matrix(train, norm), target_vector(train, norm)
-    model, history = train_model(args.model, cfg, topology, norm, X, y)
+    model, history = train_model(args.model, cfg, args.neurons, norm, X, y)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     model_path, trace_path = write_model_files(out, args.model, model, history)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import mechanics
 from .dataset import (
-    DEFAULT_FEATURES,
     FIELD_BOUNDS,
     ConfigBase,
     NormalizationSpec,
@@ -33,13 +32,7 @@ from .dataset import (
 )
 from .mechanics import EmpiricalModelParams
 from .metrics import EvaluationReport, report_from_pairs
-from .neuralnet import (
-    BackpropConfig,
-    NetworkTopology,
-    TrainedModel,
-    save_model,
-    train_backprop,
-)
+from .neuralnet import BackpropConfig, TrainedModel, save_model, train_backprop
 from .optimizers import BaConfig, GwoConfig, PsoConfig, trace_csv, train_hybrid
 
 TRAINABLE_MODELS = ("ann", "pso", "gwo", "ba")
@@ -219,9 +212,9 @@ class ExperimentResult:
         return self.comparison.reports
 
 
-def train_model(name: str, cfg, topology: NetworkTopology, norm: NormalizationSpec,
+def train_model(name: str, cfg, hidden: int, norm: NormalizationSpec,
                 X, y) -> tuple[TrainedModel, list[float]]:
-    """Train one network of the roster on rows normalized by ``norm``.
+    """Train one network of the roster, ``hidden`` tanh units wide, on rows normalized by ``norm``.
 
     ``cfg`` is an instance of ``MODEL_CONFIGS[name]``; its seed is used as
     given. Returns the model, which carries ``norm`` and the provenance
@@ -229,15 +222,15 @@ def train_model(name: str, cfg, topology: NetworkTopology, norm: NormalizationSp
     for ann, best fitness per iteration for the swarms).
     """
     if name == "ann":
-        weights, history = train_backprop(topology, X, y, cfg)
+        weights, history = train_backprop(hidden, X, y, cfg)
         provenance = {"optimizer": "ann", "seed": cfg.seed, "iterations": cfg.epochs,
                       "learning_rate": cfg.learning_rate}
     else:
-        weights, trace = train_hybrid(name, topology, X, y, cfg)
+        weights, trace = train_hybrid(name, hidden, X, y, cfg)
         history = [float(v) for v in trace.best_fitness]
         provenance = {"optimizer": name, "seed": cfg.seed, "iterations": cfg.iterations,
                       "population": cfg.population}
-    model = TrainedModel(topology=topology, weights=weights, normalization=norm, provenance=provenance)
+    model = TrainedModel(weights=weights, normalization=norm, provenance=provenance)
     return model, history
 
 
@@ -266,7 +259,6 @@ def run_experiment(
 
     train, test = split(records, config.train_fraction, seed=model_seed(config.seed, "split"))
     norm = fit_normalizer(train)
-    topology = NetworkTopology(len(DEFAULT_FEATURES), config.hidden_neurons)
     X_train = feature_matrix(train, norm)
     y_train = target_vector(train, norm)
     t_test_mpa = np.array([r.fcc for r in test], dtype=float)
@@ -278,7 +270,8 @@ def run_experiment(
         try:
             if name in TRAINABLE_MODELS:
                 cfg = replace(getattr(config, name), seed=model_seed(config.seed, name))
-                models[name], histories[name] = train_model(name, cfg, topology, norm, X_train, y_train)
+                models[name], histories[name] = train_model(name, cfg, config.hidden_neurons, norm,
+                                                            X_train, y_train)
                 predictor = models[name]
             else:
                 predictor = EmpiricalPredictor(name, config.nonlinear, eps_f=config.fiber_strain)

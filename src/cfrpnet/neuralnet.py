@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -25,45 +26,41 @@ MODEL_VERSION = 1
 # Half-width of the one weight box: init_weights draws from it and the
 # swarm trainers search it, so every trainer explores the same space.
 WEIGHT_BOUND = 0.5
+# The network reads the seven DEFAULT_FEATURES; its one size is the hidden width h.
+INPUT_SIZE = len(DEFAULT_FEATURES)
 
 
-@dataclass(frozen=True)
-class NetworkTopology(ConfigBase):
-    """input_size inputs, one tanh hidden layer of hidden_size units, one linear output."""
-
-    input_size: int
-    hidden_size: int = 50
-
-    def __post_init__(self):
-        super().__post_init__()
-        if min(self.input_size, self.hidden_size) < 1:
-            raise ValueError(f"layer sizes must be >= 1, got input_size={self.input_size}, "
-                             f"hidden_size={self.hidden_size}")
+def parameter_count(hidden: int) -> int:
+    """Total number of weights and biases for hidden width h: (7 + 1) * h in, h + 1 out.
+    Every path that builds a network passes here, so here a width that is not an int >= 1
+    (a bool or a float included) raises ValueError."""
+    if isinstance(hidden, bool) or not isinstance(hidden, numbers.Integral) or hidden < 1:
+        raise ValueError(f"hidden width must be an integer >= 1, got {hidden!r}")
+    return (INPUT_SIZE + 2) * int(hidden) + 1  # int: a numpy width would wrap
 
 
-def parameter_count(topology: NetworkTopology) -> int:
-    """Total number of weights and biases: (n + 1) * h in, h + 1 out."""
-    return (topology.input_size + 2) * topology.hidden_size + 1
+def unflatten(weights, dtype=float) -> tuple[np.ndarray, ...]:
+    """Split a flat parameter vector into (W1, b1, W2, b2) views of the given dtype.
 
-
-def unflatten(topology: NetworkTopology, weights, dtype=float) -> tuple[np.ndarray, ...]:
-    """Split a flat parameter vector into (W1, b1, W2, b2) views of the given dtype."""
+    The vector's length fixes the hidden width h: it must be 9h + 1 with h >= 1."""
     w = np.asarray(weights, dtype=dtype)
-    if w.shape != (parameter_count(topology),):
-        raise ValueError(f"weight vector has length {w.size}, topology needs {parameter_count(topology)}")
-    n, h = topology.input_size, topology.hidden_size
+    h, rest = divmod(w.size - 1, INPUT_SIZE + 2)
+    if w.ndim != 1 or rest or h < 1:
+        raise ValueError(f"weight vector has shape {w.shape}, the network needs a 1-D length of "
+                         f"{INPUT_SIZE + 2}h + 1 for a hidden width h >= 1")
+    n = INPUT_SIZE
     return w[:n * h].reshape(n, h), w[n * h:(n + 1) * h], w[(n + 1) * h:-1].reshape(h, 1), w[-1:]
 
 
-def init_weights(topology: NetworkTopology, seed: int) -> np.ndarray:
+def init_weights(hidden: int, seed: int) -> np.ndarray:
     """Draw a flat parameter vector, i.i.d. uniform on [-WEIGHT_BOUND, WEIGHT_BOUND]."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-WEIGHT_BOUND, WEIGHT_BOUND, parameter_count(topology))
+    return rng.uniform(-WEIGHT_BOUND, WEIGHT_BOUND, parameter_count(hidden))
 
 
-def _workspace(topology: NetworkTopology, n: int, dtype=float) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, hidden_size) and (n, 1) buffers of the activations of n rows."""
-    return np.empty((n, topology.hidden_size), dtype), np.empty((n, 1), dtype)
+def _workspace(hidden: int, n: int, dtype=float) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, hidden) and (n, 1) buffers of the activations of n rows."""
+    return np.empty((n, hidden), dtype), np.empty((n, 1), dtype)
 
 
 def _forward(params, X, acts=None) -> np.ndarray:
@@ -104,11 +101,11 @@ def forward(params, x) -> float:
     return float(np.dot(hidden, W2)[0] + b2[0])
 
 
-def _check_batch(topology, X, y):
+def _check_batch(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[1] != topology.input_size:
-        raise ValueError(f"expected inputs of shape (n, {topology.input_size}), got {X.shape}")
+    if X.ndim != 2 or X.shape[1] != INPUT_SIZE:
+        raise ValueError(f"expected inputs of shape (n, {INPUT_SIZE}), got {X.shape}")
     if X.shape[0] == 0:
         raise ValueError("batch is empty")
     if y.ndim == 1:
@@ -126,19 +123,20 @@ def _mse(params, X, Y, acts, out) -> float:
     return float(np.square(out, out=out).sum(dtype=np.float64)) / out.size  # np.mean's, in float64
 
 
-def loss_mse(topology: NetworkTopology, weights, X, y) -> float:
+def loss_mse(weights, X, y) -> float:
     """Mean squared error of the forward pass over a batch."""
-    X, Y = _check_batch(topology, X, y)
-    acts = _workspace(topology, X.shape[0])
-    return _mse(unflatten(topology, weights), X, Y, acts, acts[1])
+    X, Y = _check_batch(X, y)
+    params = unflatten(weights)
+    acts = _workspace(params[1].size, X.shape[0])
+    return _mse(params, X, Y, acts, acts[1])
 
 
-def _backward(topology, params, X, Y, acts, tmp) -> np.ndarray:
+def _backward(params, X, Y, acts, tmp) -> np.ndarray:
     """Gradient of the batch MSE from the activations _forward left in acts;
     overwrites acts and tmp[0], a buffer of the hidden layer's shape."""
     W2 = params[2]
-    grad = np.empty(parameter_count(topology))
-    gW1, gb1, gW2, gb2 = unflatten(topology, grad)
+    grad = np.empty(parameter_count(params[1].size))
+    gW1, gb1, gW2, gb2 = unflatten(grad)
     hidden, delta = acts
     np.subtract(delta, Y, out=delta)  # the output is linear: its derivative is 1
     delta *= 2.0
@@ -153,12 +151,13 @@ def _backward(topology, params, X, Y, acts, tmp) -> np.ndarray:
     return grad
 
 
-def gradient(topology: NetworkTopology, weights, X, y) -> np.ndarray:
+def gradient(weights, X, y) -> np.ndarray:
     """Exact gradient of the batch MSE with respect to the flat parameters."""
-    X, Y = _check_batch(topology, X, y)
-    acts, params = _workspace(topology, X.shape[0]), unflatten(topology, weights)
+    X, Y = _check_batch(X, y)
+    params = unflatten(weights)
+    acts, tmp = (_workspace(params[1].size, X.shape[0]) for _ in range(2))
     _forward(params, X, acts)
-    return _backward(topology, params, X, Y, acts, _workspace(topology, X.shape[0]))
+    return _backward(params, X, Y, acts, tmp)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -184,7 +183,7 @@ class BackpropConfig(ConfigBase):
             raise ValueError("epochs must be >= 1")
 
 
-def train_backprop(topology: NetworkTopology, X, y, config: BackpropConfig) -> tuple[np.ndarray, list[float]]:
+def train_backprop(hidden: int, X, y, config: BackpropConfig) -> tuple[np.ndarray, list[float]]:
     """Full-batch gradient descent on MSE.
 
     Returns the trained flat weights and the loss history; entry 0 is the
@@ -192,15 +191,15 @@ def train_backprop(topology: NetworkTopology, X, y, config: BackpropConfig) -> t
     Raises TrainingDivergedError with the offending epoch when the loss
     leaves the finite range.
     """
-    X, Y = _check_batch(topology, X, y)
-    acts, tmp = _workspace(topology, X.shape[0]), _workspace(topology, X.shape[0])
-    w = init_weights(topology, config.seed)
-    params = unflatten(topology, w)  # views of w, which each epoch updates in place
+    w = init_weights(hidden, config.seed)
+    X, Y = _check_batch(X, y)
+    acts, tmp = _workspace(hidden, X.shape[0]), _workspace(hidden, X.shape[0])
+    params = unflatten(w)  # views of w, which each epoch updates in place
     with np.errstate(over="ignore", invalid="ignore"):
         # each loss leaves in acts the forward pass the next gradient starts from
         history = [_mse(params, X, Y, acts, tmp[1])]
         for epoch in range(1, config.epochs + 1):
-            w -= config.learning_rate * _backward(topology, params, X, Y, acts, tmp)
+            w -= config.learning_rate * _backward(params, X, Y, acts, tmp)
             current = _mse(params, X, Y, acts, tmp[1])
             if not math.isfinite(current):
                 raise TrainingDivergedError(epoch, current)
@@ -212,13 +211,13 @@ def train_backprop(topology: NetworkTopology, X, y, config: BackpropConfig) -> t
 class TrainedModel:
     """A trained network bundled with its normalization and provenance.
 
-    Its inputs are DEFAULT_FEATURES, in order. The model is
+    Its inputs are DEFAULT_FEATURES, in order, and its hidden width is
+    params[1].size, read from the length of the weights. The model is
     self-contained: predictions in physical units need only the serialized
     file, not the training data. It is frozen because it binds its
     weights' float64 views once, for every single-record call.
     """
 
-    topology: NetworkTopology
     weights: np.ndarray
     normalization: NormalizationSpec
     provenance: dict = field(default_factory=dict)
@@ -226,12 +225,9 @@ class TrainedModel:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
-        params = unflatten(self.topology, weights)  # views of weights; checks the length
+        params = unflatten(weights)  # views of weights; checks the length
         if not np.all(np.isfinite(weights)):
             raise ValueError("weight vector contains non-finite entries")
-        if self.topology.input_size != len(DEFAULT_FEATURES):
-            raise ValueError(f"model input size {self.topology.input_size} is not the "
-                             f"{len(DEFAULT_FEATURES)} features {', '.join(DEFAULT_FEATURES)}")
         missing = [f for f in (*DEFAULT_FEATURES, TARGET_FIELD) if f not in self.normalization.ranges]
         if missing:
             raise ValueError(f"normalization spec lacks field(s): {', '.join(missing)}")
@@ -263,30 +259,26 @@ class TrainedModel:
         return self.normalization.denormalize(TARGET_FIELD, forward(self.params, x)), warnings
 
 
-def _topology_to_dict(topology: NetworkTopology) -> dict:
+def _topology_dict(hidden: int) -> dict:
     """The topology object of a model file, in the format's first-version keys."""
-    return {"hidden_activation": "tanh", "hidden_sizes": [topology.hidden_size],
-            "input_size": topology.input_size, "output_activation": "linear", "output_size": 1}
+    return {"hidden_activation": "tanh", "hidden_sizes": [hidden],
+            "input_size": INPUT_SIZE, "output_activation": "linear", "output_size": 1}
 
 
-def _topology_from_dict(data) -> NetworkTopology:
-    """The topology a model file holds; anything but the paper's network raises ValueError."""
-    hidden = data.get("hidden_sizes") if isinstance(data, Mapping) else None
-    if isinstance(hidden, list) and len(hidden) == 1:
-        topology = NetworkTopology(data.get("input_size"), hidden[0])
-        typed = [{key: (type(value), value) for key, value in d.items()}  # so 1.0 or true is not 1
-                 for d in (data, _topology_to_dict(topology))]
-        if typed[0] == typed[1]:
-            return topology
-    raise ValueError("model topology must be one tanh hidden layer and one linear output, "
-                     f"got {data!r:.80}")
+def _typed(value):
+    """A JSON value with the type of every scalar in it kept, so that 1.0 or true is not 1."""
+    if isinstance(value, Mapping):
+        return {key: _typed(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
 
 
 def model_to_dict(model: TrainedModel) -> dict:
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "topology": _topology_to_dict(model.topology),
+        "topology": _topology_dict(model.params[1].size),
         "features": list(DEFAULT_FEATURES),
         "target": TARGET_FIELD,
         "weights": [float(w) for w in model.weights],
@@ -314,12 +306,16 @@ def model_from_dict(data: Mapping) -> TrainedModel:
             ("provenance", provenance, "a mapping", isinstance(provenance, Mapping))):
         if not ok:
             raise ValueError(f"model {key} must be {kind}, got {value!r:.80}")
-    return TrainedModel(
-        topology=_topology_from_dict(data["topology"]),
+    model = TrainedModel(
         weights=weights,
         normalization=NormalizationSpec.from_dict(data["normalization"]),
         provenance=dict(provenance),
     )
+    hidden = model.params[1].size  # the width its weights give; the topology must agree
+    if _typed(data["topology"]) != _typed(_topology_dict(hidden)):
+        raise ValueError(f"model topology must be one tanh hidden layer of the {hidden} units its "
+                         f"weights give and one linear output, got {data['topology']!r:.80}")
+    return model
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -30,8 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ConfigBase, csv_text
-from .neuralnet import (WEIGHT_BOUND, NetworkTopology, _check_batch, _mse, _workspace, parameter_count,
-                        unflatten)
+from .neuralnet import INPUT_SIZE, WEIGHT_BOUND, _check_batch, _mse, _workspace, parameter_count, unflatten
 
 Objective = Callable[[np.ndarray], float]
 
@@ -356,7 +355,7 @@ def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> Op
                              loudness=loudness, acceptances=acceptances)
 
 
-def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
+def objective_from_dataset(hidden: int, X, y) -> Objective:
     """MSE of forward-pass predictions on a fixed normalized training set.
 
     A fitness only ranks candidates, so the forward pass runs in float32:
@@ -372,17 +371,18 @@ def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
     and invariant to the order of the training rows, but not re-entrant
     across threads.
     """
-    X, Y = _check_batch(topology, X, y)
+    w = np.empty(parameter_count(hidden), np.float32)
+    W2, b2 = unflatten(w, np.float32)[2:]
+    n, h = INPUT_SIZE, W2.size
+    X, Y = _check_batch(X, y)
     X, Y = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32), Y.astype(np.float32)
-    acts = _workspace(topology, X.shape[0], np.float32)
-    w = np.empty(parameter_count(topology), np.float32)
-    n, h = topology.input_size, topology.hidden_size
-    W2, b2 = unflatten(topology, w, np.float32)[2:]
+    acts = _workspace(h, X.shape[0], np.float32)
     params = (w[:(n + 1) * h].reshape(n + 1, h), None, W2, b2)  # views of w; b1 is in [W1; b1]
 
     def objective(position: np.ndarray) -> float:
         if np.shape(position) != w.shape:  # copyto would broadcast a scalar
-            raise ValueError(f"weight vector has length {np.size(position)}, topology needs {w.size}")
+            raise ValueError(f"weight vector has length {np.size(position)}, the network of hidden "
+                             f"width {h} needs {w.size}")
         np.copyto(w, position)
         return _mse(params, X, Y, acts, acts[1])
 
@@ -392,7 +392,7 @@ def objective_from_dataset(topology: NetworkTopology, X, y) -> Objective:
 _RUNNERS = {"pso": (pso_run, PsoConfig), "gwo": (gwo_run, GwoConfig), "ba": (ba_run, BaConfig)}
 
 
-def train_hybrid(algorithm: str, topology: NetworkTopology, X, y,
+def train_hybrid(algorithm: str, hidden: int, X, y,
                  config) -> tuple[np.ndarray, OptimizationTrace]:
     """Train the network's flat weights with one of the swarm optimizers.
 
@@ -405,6 +405,6 @@ def train_hybrid(algorithm: str, topology: NetworkTopology, X, y,
     runner, config_cls = _RUNNERS[algorithm]
     if not isinstance(config, config_cls):
         raise ValueError(f"{algorithm} expects a {config_cls.__name__}, got {type(config).__name__}")
-    objective = objective_from_dataset(topology, X, y)
-    trace = runner(config, parameter_count(topology), WEIGHT_BOUND, objective)
+    objective = objective_from_dataset(hidden, X, y)
+    trace = runner(config, parameter_count(hidden), WEIGHT_BOUND, objective)
     return trace.best_position.copy(), trace

@@ -29,7 +29,7 @@ from cfrpnet.mechanics import (
     miyauchi,
 )
 from cfrpnet.metrics import mae, mse, r_squared
-from cfrpnet.neuralnet import NetworkTopology, gradient, loss_mse, parameter_count
+from cfrpnet.neuralnet import gradient, loss_mse, parameter_count
 from cfrpnet.optimizers import BaConfig, GwoConfig, PsoConfig, ba_run, gwo_run, pso_run
 
 from conftest import table1_extremes
@@ -87,22 +87,22 @@ def test_criterion_2_normalization_contract():
 
 
 def test_criterion_3_gradient_correctness():
-    topology = NetworkTopology(3, 5)
+    # the paper's seven inputs, five hidden units
     rng = np.random.default_rng(99)
     start = time.perf_counter()
     worst = 0.0
     for _ in range(10):
-        w = rng.uniform(-0.5, 0.5, parameter_count(topology))
-        X = rng.uniform(0.1, 0.9, (10, 3))
+        w = rng.uniform(-0.5, 0.5, parameter_count(5))
+        X = rng.uniform(0.1, 0.9, (10, 7))
         y = rng.uniform(0.1, 0.9, 10)
-        g = gradient(topology, w, X, y)
+        g = gradient(w, X, y)
         fd = np.zeros_like(w)
         h = 1e-6
         for i in range(w.size):
             wp, wm = w.copy(), w.copy()
             wp[i] += h
             wm[i] -= h
-            fd[i] = (loss_mse(topology, wp, X, y) - loss_mse(topology, wm, X, y)) / (2 * h)
+            fd[i] = (loss_mse(wp, X, y) - loss_mse(wm, X, y)) / (2 * h)
         worst = max(worst, float(np.linalg.norm(g - fd) / np.linalg.norm(g)))
     elapsed = time.perf_counter() - start
     _report(3, f"backprop vs central differences, worst rel err {worst:.2e} in {elapsed:.2f}s",

@@ -29,8 +29,7 @@ from cfrpnet.dataset import (
     target_vector,
 )
 from cfrpnet.experiment import ALL_MODELS, SWEEP_VARIABLES, model_seed, synth_dataset, train_model
-from cfrpnet.neuralnet import (NetworkTopology, TrainedModel, init_weights, load_model, model_from_dict,
-                               model_to_dict, save_model)
+from cfrpnet.neuralnet import TrainedModel, init_weights, load_model, model_from_dict, model_to_dict, save_model
 from cfrpnet.optimizers import PsoConfig, trace_csv
 
 from conftest import make_records
@@ -58,8 +57,7 @@ def _perfect():
     ranges = {name: FeatureRange(*FIELD_BOUNDS[name]) for name in FIELDS}
     ranges.update(fco=FeatureRange(10.0, 100.0), fcc=FeatureRange(20.0, 200.0))
     input_weights = [float(name == "fco") for name in DEFAULT_FEATURES]
-    return TrainedModel(topology=NetworkTopology(7, 1),
-                        weights=np.array([*input_weights, 0.0, 1.0, 0.0]),
+    return TrainedModel(weights=np.array([*input_weights, 0.0, 1.0, 0.0]),
                         normalization=NormalizationSpec(ranges=ranges),
                         provenance={"optimizer": "pso", "seed": 0, "iterations": 1})
 
@@ -402,7 +400,7 @@ class TestTrain:
         train, _ = split(parse_dataset(synth_csv), 0.75, seed=model_seed(3, "split"))
         norm = fit_normalizer(train)
         model, history = train_model(
-            "pso", PsoConfig(population=5, iterations=6, seed=3), NetworkTopology(7, 4), norm,
+            "pso", PsoConfig(population=5, iterations=6, seed=3), 4, norm,
             feature_matrix(train, norm), target_vector(train, norm))
         written = load_model(out / "model_pso.json")
         assert np.array_equal(written.weights, model.weights)
@@ -587,9 +585,8 @@ class TestOutOfMemory:
 
 def _model_document():
     """A valid model document over the seven default features."""
-    topology = NetworkTopology(7, 3)
     norm = fit_normalizer(make_records(20, seed=4))
-    return model_to_dict(TrainedModel(topology, init_weights(topology, 0), norm))
+    return model_to_dict(TrainedModel(init_weights(3, 0), norm))
 
 
 _DOC = _model_document()
@@ -614,6 +611,11 @@ MALFORMED_MODELS += [{**_DOC, "features": features} for features in (
     list(DEFAULT_FEATURES[::-1]), list(DEFAULT_FEATURES[:6]), ["vol"], [*DEFAULT_FEATURES, "vol"])]
 MALFORMED_MODELS += [{**_DOC, "topology": {**_TOPOLOGY, "input_size": n}, "weights": [0.1] * ((n + 2) * 3 + 1)}
                      for n in (1, 6, 8)]
+# a hidden width that is not a JSON integer >= 1, each with as many weights as the width
+# it stands for has where there is one; then a width that disagrees with the weight count
+MALFORMED_MODELS += [{**_DOC, "topology": {**_TOPOLOGY, "hidden_sizes": sizes}, "weights": [0.1] * n}
+                     for sizes, n in (([True], 10), ([1.0], 10), (["3"], 28), ([None], 28), ([0], 1),
+                                      ([-1], 28), ([4], 28))]
 # a normalized range other than the fixed [0.1, 0.9]
 MALFORMED_MODELS += [{**_DOC, "normalization": {**_DOC["normalization"], key: value}}
                      for key, value in (("lo", 0.2), ("hi", 1.0), ("lo", 0), ("hi", "0.9"))]
@@ -840,23 +842,25 @@ class TestModelFileBoundary:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
     def test_round_trip(self, hidden_size, seed):
-        topology = NetworkTopology(7, hidden_size)
         spec = NormalizationSpec(ranges={name: FeatureRange(0.0, 1.0 + i) for i, name in enumerate(FIELDS)})
         weights = np.random.default_rng(seed).normal(scale=10.0, size=9 * hidden_size + 1)
-        document = model_to_dict(TrainedModel(topology, weights, spec, {"seed": seed}))
+        document = model_to_dict(TrainedModel(weights, spec, {"seed": seed}))
         assert document["topology"] == {"hidden_activation": "tanh", "hidden_sizes": [hidden_size],
                                         "input_size": 7, "output_activation": "linear", "output_size": 1}
         assert document["features"] == list(DEFAULT_FEATURES) and document["target"] == "fcc"
         restored = model_from_dict(json.loads(json.dumps(document)))
-        assert restored.topology == topology
+        assert restored.params[1].size == hidden_size
         assert np.array_equal(restored.weights, weights)
         assert model_to_dict(restored) == document
 
     @pytest.mark.parametrize("input_size", [1, 6, 8])
     def test_other_input_size_refused(self, input_size):
-        topology = NetworkTopology(input_size, 3)
-        with pytest.raises(ValueError, match=f"model input size {input_size} is not the 7 features"):
-            TrainedModel(topology, init_weights(topology, 0), _perfect().normalization)
+        # the weights of a 3-unit net on another input size: the loader refuses the file even
+        # where the count also fits a 7-input net (input size 1: 10 weights, hidden width 1)
+        document = {**_DOC, "topology": {**_TOPOLOGY, "input_size": input_size},
+                    "weights": [0.1] * ((input_size + 2) * 3 + 1)}
+        with pytest.raises(ValueError, match="model topology must be|weight vector has shape"):
+            model_from_dict(document)
 
 
 class TestCompare:
@@ -1222,7 +1226,7 @@ class TestDatasetCommandsProperty:
         if code == 0:
             model = argv[argv.index("--model") + 1]
             neurons = int(next(arg for arg in argv if arg.startswith("--neurons=")).partition("=")[2])
-            assert load_model(work / "out" / f"model_{model}.json").topology.hidden_size == neurons
+            assert load_model(work / "out" / f"model_{model}.json").params[1].size == neurons
 
     @settings(max_examples=80, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrpnet import experiment, mechanics
-from cfrpnet.dataset import DEFAULT_FEATURES, FIELD_BOUNDS, FIELDS, raw_matrix
+from cfrpnet.dataset import (DEFAULT_FEATURES, FIELD_BOUNDS, FIELDS, feature_matrix, fit_normalizer, raw_matrix,
+                             target_vector)
 from cfrpnet.experiment import (
     ALL_MODELS,
     MODEL_CONFIGS,
@@ -21,9 +22,10 @@ from cfrpnet.experiment import (
     parametric_sweep,
     run_experiment,
     synth_dataset,
+    train_model,
 )
 from cfrpnet.mechanics import EmpiricalModelParams
-from cfrpnet.neuralnet import BackpropConfig, NetworkTopology, load_model, save_model
+from cfrpnet.neuralnet import BackpropConfig, load_model, save_model
 from cfrpnet.optimizers import BaConfig, GwoConfig, PsoConfig
 
 from conftest import assert_rejects_bad_values, make_records
@@ -148,7 +150,7 @@ _JSON_VALUES = st.recursive(
     _JSON_SCALARS | st.sampled_from([["pso", "lam_teng"], ["d", "fco"], "data.csv", {"n": 30}]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
-_ALL_KEYS = sorted({f.name for cls in (*MODEL_CONFIGS.values(), ExperimentConfig, SynthSpec, NetworkTopology)
+_ALL_KEYS = sorted({f.name for cls in (*MODEL_CONFIGS.values(), ExperimentConfig, SynthSpec)
                     for f in dataclasses.fields(cls)})
 
 
@@ -171,7 +173,7 @@ def _config_documents(cls):
 
 
 @pytest.mark.parametrize("cls", [PsoConfig, GwoConfig, BaConfig, BackpropConfig, EmpiricalModelParams,
-                                 ExperimentConfig, NetworkTopology], ids=lambda cls: cls.__name__)
+                                 ExperimentConfig], ids=lambda cls: cls.__name__)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_config_from_dict_builds_or_raises_value_error(cls, data):
@@ -192,6 +194,17 @@ def test_empirical_predict_records_is_predict_record(model, params):
     got = EmpiricalPredictor(model, params, eps_f=0.015).predict_records(records)
     want = [mechanics.predict_record(r, model=model, params=params, eps_f=0.015) for r in records]
     assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("width", [0, -1, True, 2.0], ids=repr)
+@pytest.mark.parametrize("name", ["ann", "pso", "gwo", "ba"])
+def test_train_model_refuses_hidden_width(name, width):
+    # the one hidden-width check, on every trainer's path, before any training
+    records = synth_dataset(20, seed=4)
+    norm = fit_normalizer(records)
+    cfg = MODEL_CONFIGS[name](seed=1)
+    with pytest.raises(ValueError, match="hidden width must be an integer >= 1"):
+        train_model(name, cfg, width, norm, feature_matrix(records, norm), target_vector(records, norm))
 
 
 class TestRunExperiment:

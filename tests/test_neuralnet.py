@@ -13,7 +13,6 @@ from cfrpnet.neuralnet import (
     _forward,
     WEIGHT_BOUND,
     BackpropConfig,
-    NetworkTopology,
     TrainedModel,
     TrainingDivergedError,
     forward,
@@ -33,7 +32,7 @@ from cfrpnet.neuralnet import (
 from conftest import assert_rejects_bad_values
 
 
-def fd_gradient(topology, w, X, y, h=1e-6):
+def fd_gradient(w, X, y, h=1e-6):
     """Central finite differences, the independent gradient oracle."""
     g = np.zeros_like(w)
     for i in range(w.size):
@@ -41,21 +40,21 @@ def fd_gradient(topology, w, X, y, h=1e-6):
         wp[i] += h
         wm = w.copy()
         wm[i] -= h
-        g[i] = (loss_mse(topology, wp, X, y) - loss_mse(topology, wm, X, y)) / (2 * h)
+        g[i] = (loss_mse(wp, X, y) - loss_mse(wm, X, y)) / (2 * h)
     return g
 
 
 # The allocating kernel the workspace kernel replaced, kept as the exact reference.
-def reference_forward(topology, w, X):
+def reference_forward(w, X):
     """The hidden activations and the predictions, as fresh arrays."""
-    W1, b1, W2, b2 = unflatten(topology, w)
+    W1, b1, W2, b2 = unflatten(w)
     hidden = np.tanh(X @ W1 + b1)
     return hidden, hidden @ W2 + b2
 
 
-def reference_gradient(topology, w, X, y):
-    _, _, W2, _ = unflatten(topology, w)
-    hidden, pred = reference_forward(topology, w, X)
+def reference_gradient(w, X, y):
+    _, _, W2, _ = unflatten(w)
+    hidden, pred = reference_forward(w, X)
     delta = 2.0 * (pred - y[:, None]) / pred.size  # the output is linear
     grad_out = (hidden.T @ delta, delta.sum(axis=0))
     delta = (delta @ W2.T) * (1.0 - hidden * hidden)
@@ -65,240 +64,224 @@ def reference_gradient(topology, w, X, y):
 class TestWorkspaceKernelMatchesReference:
     @pytest.mark.parametrize("hidden_size", [1, 5, 50])
     @pytest.mark.parametrize("rows", [1, 23, 531])
-    @pytest.mark.parametrize("input_size", [1, 7])
-    def test_bit_identical(self, input_size, rows, hidden_size):
-        topology = NetworkTopology(input_size, hidden_size)
-        rng = np.random.default_rng(hidden_size * rows + input_size)
-        X = rng.uniform(0.1, 0.9, (rows, input_size))
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_bit_identical(self, seed, rows, hidden_size):
+        rng = np.random.default_rng(hidden_size * rows + seed)
+        X = rng.uniform(0.1, 0.9, (rows, 7))
         y = rng.uniform(0.1, 0.9, rows)
         for _ in range(3):
-            w = rng.uniform(-2.0, 2.0, parameter_count(topology))
-            pred = reference_forward(topology, w, X)[1]
-            assert np.array_equal(forward_batch(unflatten(topology, w), X), pred)
-            assert loss_mse(topology, w, X, y) == float(np.mean((pred - y[:, None]) ** 2))
-            assert np.array_equal(gradient(topology, w, X, y), reference_gradient(topology, w, X, y))
+            w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
+            pred = reference_forward(w, X)[1]
+            assert np.array_equal(forward_batch(unflatten(w), X), pred)
+            assert loss_mse(w, X, y) == float(np.mean((pred - y[:, None]) ** 2))
+            assert np.array_equal(gradient(w, X, y), reference_gradient(w, X, y))
 
     @pytest.mark.parametrize("hidden_size", [1, 5, 50])
-    @pytest.mark.parametrize("input_size", [1, 3])
-    def test_backprop_history_matches_two_pass_loop(self, input_size, hidden_size):
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_backprop_history_matches_two_pass_loop(self, seed, hidden_size):
         # one forward pass per epoch gives the losses and weights of loss + gradient calls
-        topology = NetworkTopology(input_size, hidden_size)
-        rng = np.random.default_rng(12)
-        X = rng.uniform(0.1, 0.9, (15, input_size))
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.1, 0.9, (15, 7))
         y = rng.uniform(0.1, 0.9, 15)
         cfg = BackpropConfig(learning_rate=0.2, epochs=8, seed=3)
-        w, history = train_backprop(topology, X, y, cfg)
-        w_ref = init_weights(topology, cfg.seed)
-        expected = [loss_mse(topology, w_ref, X, y)]
+        w, history = train_backprop(hidden_size, X, y, cfg)
+        w_ref = init_weights(hidden_size, cfg.seed)
+        expected = [loss_mse(w_ref, X, y)]
         for _ in range(cfg.epochs):
-            w_ref = w_ref - cfg.learning_rate * reference_gradient(topology, w_ref, X, y)
-            expected.append(loss_mse(topology, w_ref, X, y))
+            w_ref = w_ref - cfg.learning_rate * reference_gradient(w_ref, X, y)
+            expected.append(loss_mse(w_ref, X, y))
         assert history == expected
         assert np.array_equal(w, w_ref)
 
 
-class TestTopology:
+# hidden widths that are not an integer >= 1: a bool passes only as a bool, as in ConfigBase
+BAD_WIDTHS = [0, -1, True, False, 2.0, 5.0, "3", None, [5], np.float64(3.0), np.int64(0)]
+
+
+class TestHiddenWidth:
     def test_parameter_counts(self):
-        assert parameter_count(NetworkTopology(7, 50)) == 451
-        assert parameter_count(NetworkTopology(7)) == 451
-        assert parameter_count(NetworkTopology(1, 1)) == 4
-        assert parameter_count(NetworkTopology(2, 3)) == 13
+        # seven inputs: (7 + 1) * h in, h + 1 out
+        assert parameter_count(50) == 451
+        assert parameter_count(1) == 10
+        assert parameter_count(3) == 28
+        assert parameter_count(13) == 118
 
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            NetworkTopology(0, 5)
-        with pytest.raises(ValueError):
-            NetworkTopology(3, 0)
+    @pytest.mark.parametrize("width", BAD_WIDTHS, ids=repr)
+    def test_invalid_width_raises_value_error(self, width):
+        with pytest.raises(ValueError, match="hidden width must be an integer >= 1"):
+            parameter_count(width)
+        with pytest.raises(ValueError, match="hidden width"):
+            init_weights(width, 0)
+        with pytest.raises(ValueError, match="hidden width"):
+            train_backprop(width, np.full((3, 7), 0.5), np.full(3, 0.5), BackpropConfig(epochs=1))
 
-    def test_invalid_activations(self):
-        # the activations, the depth and the output width are the paper's, not settings
-        assert [f.name for f in dataclasses.fields(NetworkTopology)] == ["input_size", "hidden_size"]
-        for key, value in (("hidden_activation", "relu"), ("output_activation", "sigmoid"),
-                           ("hidden_sizes", [5, 4]), ("output_size", 2)):
-            with pytest.raises(ValueError, match="unknown config key"):
-                NetworkTopology.from_dict({"input_size": 3, key: value})
-
-    def test_dict_roundtrip(self):
-        t = NetworkTopology(4, 8)
-        assert NetworkTopology.from_dict(dataclasses.asdict(t)) == t
-
-    def test_from_dict_checks_types(self):
-        assert_rejects_bad_values(NetworkTopology(3, 5))
-        assert NetworkTopology.from_dict({"input_size": 3}).hidden_size == 50
-        for data in (5, {"input_size": 3, "hidden_size": 5.0}, {"input_size": 3, "width": 5},
-                     {"input_size": 3, "hidden_size": [5]}, {"hidden_size": 5}):
-            with pytest.raises(ValueError):
-                NetworkTopology.from_dict(data)
+    @pytest.mark.parametrize("width", [np.int64(50), np.int32(50), np.uint8(50)], ids=repr)
+    def test_numpy_integer_width(self, width):
+        # 9 * np.uint8(50) would wrap in uint8: the count is taken in Python ints
+        assert parameter_count(width) == 451 and type(parameter_count(width)) is int
+        assert np.array_equal(init_weights(width, 5), init_weights(50, 5))
 
 
 class TestFlattenUnflatten:
     def test_roundtrip_identity(self):
-        topology = NetworkTopology(3, 5)
-        w = np.random.default_rng(0).normal(size=parameter_count(topology))
-        views = unflatten(topology, w)
+        w = np.random.default_rng(0).normal(size=parameter_count(5))
+        views = unflatten(w)
         assert np.array_equal(np.concatenate([part.ravel() for part in views]), w)
         assert all(np.shares_memory(part, w) for part in views)
 
     def test_shapes(self):
-        topology = NetworkTopology(3, 5)
-        W1, b1, W2, b2 = unflatten(topology, np.zeros(parameter_count(topology)))
-        assert W1.shape == (3, 5) and b1.shape == (5,)
+        W1, b1, W2, b2 = unflatten(np.zeros(parameter_count(5)))
+        assert W1.shape == (7, 5) and b1.shape == (5,)
         assert W2.shape == (5, 1) and b2.shape == (1,)
 
+    @pytest.mark.parametrize("hidden_size", [1, 2, 50])
+    def test_width_read_from_length(self, hidden_size):
+        assert [a.shape for a in unflatten(np.zeros(9 * hidden_size + 1))] == [
+            (7, hidden_size), (hidden_size,), (hidden_size, 1), (1,)]
+
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            unflatten(NetworkTopology(3, 5), np.zeros(10))
+        # a length that is not 9h + 1 for a width h >= 1, or not a flat vector
+        for w in (np.zeros(0), np.zeros(1), np.zeros(9), np.zeros(11), np.zeros(44), np.zeros(452),
+                  np.zeros((1, 10)), np.zeros((2, 10)), np.float64(0.0)):
+            with pytest.raises(ValueError, match=r"the network needs a 1-D length of 9h \+ 1"):
+                unflatten(w)
 
 
 class TestForward:
     def test_zero_weights_give_zero(self):
-        topology = NetworkTopology(4, 6)
-        w = np.zeros(parameter_count(topology))
-        for x in ([0.1, 0.5, 0.9, 0.3], [1.0, -2.0, 3.0, 0.0]):
-            assert forward(unflatten(topology, w), x) == 0.0
+        w = np.zeros(parameter_count(6))
+        for x in ([0.1, 0.5, 0.9, 0.3, 0.2, 0.8, 0.4], [1.0, -2.0, 3.0, 0.0, 5.0, -0.5, 9.0]):
+            assert forward(unflatten(w), x) == 0.0
 
     def test_direct_affine(self):
         # the output layer is affine in the hidden unit: 2 * tanh(0) + 7
-        topology = NetworkTopology(1, 1)
-        assert forward(unflatten(topology, np.array([0.0, 0.0, 2.0, 7.0])), [3.0]) == 7.0
-        assert forward(unflatten(topology, np.array([1.0, 0.0, 2.0, 7.0])), [0.0]) == 7.0
+        assert forward(unflatten(np.array([0.0] * 7 + [0.0, 2.0, 7.0])), [3.0] * 7) == 7.0
+        assert forward(unflatten(np.array([1.0] * 7 + [0.0, 2.0, 7.0])), [0.0] * 7) == 7.0
 
     def test_single_tanh_unit(self):
-        topology = NetworkTopology(2, 1)
-        # hidden w=(1,1), b=0; output w=1, b=0
-        w = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
-        assert forward(unflatten(topology, w), [0.5, 0.5]) == pytest.approx(math.tanh(1.0), rel=1e-12)
+        # hidden w=(1,1,0,...), b=0; output w=1, b=0
+        w = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+        x = [0.5, 0.5, 0.3, 0.9, 0.1, 0.7, 0.2]
+        assert forward(unflatten(w), x) == pytest.approx(math.tanh(1.0), rel=1e-12)
 
     def test_batch_matches_single(self):
-        topology = NetworkTopology(3, 5)
         rng = np.random.default_rng(1)
-        w = rng.uniform(-0.5, 0.5, parameter_count(topology))
-        X = rng.uniform(0.1, 0.9, (10, 3))
-        batch = forward_batch(unflatten(topology, w), X)
+        w = rng.uniform(-0.5, 0.5, parameter_count(5))
+        X = rng.uniform(0.1, 0.9, (10, 7))
+        batch = forward_batch(unflatten(w), X)
         assert batch.shape == (10, 1)
         for i in range(10):
-            assert forward(unflatten(topology, w), X[i]) == pytest.approx(batch[i, 0], rel=1e-15)
+            assert forward(unflatten(w), X[i]) == pytest.approx(batch[i, 0], rel=1e-15)
 
     def test_tanh_output_bounded(self):
         # |tanh| <= 1, so the output lies within b2 +- sum |W2|, however large the inputs
-        topology = NetworkTopology(3, 4)
         rng = np.random.default_rng(2)
         for scale in (2.0, 50.0):
             for _ in range(30):
-                w = rng.normal(scale=scale, size=parameter_count(topology))
-                _, _, W2, b2 = unflatten(topology, w)
-                out = forward(unflatten(topology, w), rng.normal(scale=scale, size=3))
+                w = rng.normal(scale=scale, size=parameter_count(4))
+                _, _, W2, b2 = unflatten(w)
+                out = forward(unflatten(w), rng.normal(scale=scale, size=7))
                 assert abs(out - b2[0]) <= np.abs(W2).sum() * (1 + 1e-12)
 
     def test_dimension_mismatch(self):
-        topology = NetworkTopology(3, 4)
-        w = np.zeros(parameter_count(topology))
-        for x in ([0.1, 0.2], np.zeros((1, 3)), np.array(0.5)):
-            with pytest.raises(ValueError, match="expected 3 inputs"):
-                forward(unflatten(topology, w), x)
-        params = unflatten(topology, np.random.default_rng(3).uniform(-1.0, 1.0, parameter_count(topology)))
-        values = [0.1, 0.7, 0.35]
+        w = np.zeros(parameter_count(4))
+        for x in ([0.1, 0.2], np.zeros(8), np.zeros((1, 7)), np.array(0.5)):
+            with pytest.raises(ValueError, match="expected 7 inputs"):
+                forward(unflatten(w), x)
+        params = unflatten(np.random.default_rng(3).uniform(-1.0, 1.0, parameter_count(4)))
+        values = [0.1, 0.7, 0.35, 0.5, 0.2, 0.9, 0.6]
         outputs = {forward(params, x).hex() for x in (values, tuple(values), np.array(values))}
         assert len(outputs) == 1
-        for X in (np.zeros((5, 2)), np.zeros(3)):
-            with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 3\)"):
-                forward_batch(unflatten(topology, w), X)
+        for X in (np.zeros((5, 2)), np.zeros((5, 8)), np.zeros(7)):
+            with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 7\)"):
+                forward_batch(unflatten(w), X)
 
 
 class TestInitWeights:
     def test_determinism(self):
-        topology = NetworkTopology(5, 9)
-        assert np.array_equal(init_weights(topology, 42), init_weights(topology, 42))
+        assert np.array_equal(init_weights(9, 42), init_weights(9, 42))
 
     def test_length_and_bounds(self):
-        topology = NetworkTopology(7, 50)
-        w = init_weights(topology, 3)
+        w = init_weights(50, 3)
         assert w.shape == (451,)
         assert np.all(np.abs(w) <= WEIGHT_BOUND)
 
 
 class TestGradient:
     def test_zero_at_minimum(self):
-        topology = NetworkTopology(1, 1)
-        # labels that are the net's own predictions
-        w = np.array([0.8, -0.1, 1.5, 0.2])
-        X = np.array([[0.2], [0.5], [0.8]])
-        g = gradient(topology, w, X, forward_batch(unflatten(topology, w), X)[:, 0])
+        # labels that are the net's own predictions, through one hidden unit
+        w = np.array([0.8, 0.3, -0.4, 0.1, 0.6, -0.2, 0.5, -0.1, 1.5, 0.2])
+        X = np.random.default_rng(14).uniform(0.1, 0.9, (3, 7))
+        g = gradient(w, X, forward_batch(unflatten(w), X)[:, 0])
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_hand_derivative(self):
-        # tanh(0) = 0 and tanh'(0) = 1: d(pred)/d(W1, b1, W2, b2) = (x * W2, W2, 0, 1) at x = 1
-        topology = NetworkTopology(1, 1)
-        g = gradient(topology, np.array([0.0, 0.0, 1.0, 0.0]), np.array([[1.0]]), np.array([1.0]))
-        assert g == pytest.approx([-2.0, -2.0, 0.0, -2.0], rel=1e-12)
+        # tanh(0) = 0 and tanh'(0) = 1: d(pred)/d(W1, b1, W2, b2) = (x * W2, W2, 0, 1), and the
+        # loss's derivative in pred is 2 * (0 - 1) = -2
+        x = [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 2.0]
+        g = gradient(np.array([0.0] * 8 + [1.0, 0.0]), np.array([x]), np.array([1.0]))
+        assert g == pytest.approx([-2.0, -1.0, 0.0, 0.0, 0.0, 0.0, -4.0, -2.0, 0.0, -2.0], rel=1e-12)
 
-    @pytest.mark.parametrize("input_size, hidden_size", [(1, 1), (3, 5), (2, 13), (7, 20)])
-    def test_matches_finite_differences(self, input_size, hidden_size):
-        topology = NetworkTopology(input_size, hidden_size)
-        rng = np.random.default_rng(input_size * 100 + hidden_size)
-        w = rng.uniform(-0.5, 0.5, parameter_count(topology))
-        X = rng.uniform(0.1, 0.9, (12, input_size))
+    @pytest.mark.parametrize("hidden_size", [1, 5, 13, 20])
+    def test_matches_finite_differences(self, hidden_size):
+        rng = np.random.default_rng(700 + hidden_size)
+        w = rng.uniform(-0.5, 0.5, parameter_count(hidden_size))
+        X = rng.uniform(0.1, 0.9, (12, 7))
         y = rng.uniform(0.1, 0.9, 12)
-        g = gradient(topology, w, X, y)
-        fd = fd_gradient(topology, w, X, y)
+        g = gradient(w, X, y)
+        fd = fd_gradient(w, X, y)
         assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(g), 1e-12)
 
     def test_ten_random_nets_against_oracle(self):
-        topology = NetworkTopology(3, 5)
         rng = np.random.default_rng(77)
         for _ in range(10):
-            w = rng.uniform(-0.5, 0.5, parameter_count(topology))
-            X = rng.uniform(0.1, 0.9, (8, 3))
+            w = rng.uniform(-0.5, 0.5, parameter_count(5))
+            X = rng.uniform(0.1, 0.9, (8, 7))
             y = rng.uniform(0.1, 0.9, 8)
-            g = gradient(topology, w, X, y)
-            fd = fd_gradient(topology, w, X, y)
+            g = gradient(w, X, y)
+            fd = fd_gradient(w, X, y)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)
             assert rel <= 1e-5
 
     def test_empty_batch(self):
-        topology = NetworkTopology(2, 1)
         with pytest.raises(ValueError, match="empty"):
-            gradient(topology, np.zeros(5), np.empty((0, 2)), np.empty(0))
+            gradient(np.zeros(10), np.empty((0, 7)), np.empty(0))
 
 
 class TestTrainBackprop:
     def test_linear_toy_converges(self):
-        # labels from a one-unit teacher net the student can match exactly
-        topology = NetworkTopology(1, 1)
-        X = np.linspace(0.1, 0.9, 8)[:, None]
-        y = forward_batch(unflatten(topology, np.array([1.5, -0.5, 0.8, 0.5])), X)[:, 0]
-        w, history = train_backprop(topology, X, y,
-                                    BackpropConfig(learning_rate=0.5, epochs=1000, seed=0))
+        # labels from a one-unit teacher net the student can match exactly: one input
+        # varies, the other six are zero, so their weights neither help nor hinder
+        X = np.zeros((8, 7))
+        X[:, 0] = np.linspace(0.1, 0.9, 8)
+        y = forward_batch(unflatten(np.array([1.5, 0, 0, 0, 0, 0, 0, -0.5, 0.8, 0.5])), X)[:, 0]
+        w, history = train_backprop(1, X, y, BackpropConfig(learning_rate=0.5, epochs=1000, seed=0))
         assert history[-1] < 1e-4 and history[-1] < 1e-4 * history[0]
         assert len(history) == 1001
 
     def test_one_epoch_one_update(self):
-        topology = NetworkTopology(1, 1)
-        X = np.array([[0.5]])
-        w0 = init_weights(topology, 4)
-        w, history = train_backprop(topology, X, np.array([0.7]),
-                                    BackpropConfig(learning_rate=0.05, epochs=1, seed=4))
-        expected = w0 - 0.05 * gradient(topology, w0, X, np.array([0.7]))
+        X = np.array([[0.5, 0.2, 0.8, 0.4, 0.6, 0.1, 0.9]])
+        w0 = init_weights(1, 4)
+        w, history = train_backprop(1, X, np.array([0.7]), BackpropConfig(learning_rate=0.05, epochs=1, seed=4))
+        expected = w0 - 0.05 * gradient(w0, X, np.array([0.7]))
         assert np.array_equal(w, expected)
         assert len(history) == 2
 
     def test_history_deterministic(self):
-        topology = NetworkTopology(2, 3)
         rng = np.random.default_rng(5)
-        X = rng.uniform(0.1, 0.9, (20, 2))
+        X = rng.uniform(0.1, 0.9, (20, 7))
         y = rng.uniform(0.1, 0.9, 20)
         cfg = BackpropConfig(learning_rate=0.05, epochs=50, seed=9)
-        _, h1 = train_backprop(topology, X, y, cfg)
-        _, h2 = train_backprop(topology, X, y, cfg)
+        _, h1 = train_backprop(3, X, y, cfg)
+        _, h2 = train_backprop(3, X, y, cfg)
         assert h1 == h2
 
     def test_divergence_raises_with_epoch(self):
-        topology = NetworkTopology(2, 3)
         rng = np.random.default_rng(6)
-        X = rng.uniform(0.1, 0.9, (10, 2))
+        X = rng.uniform(0.1, 0.9, (10, 7))
         y = rng.uniform(0.1, 0.9, 10)
         with pytest.raises(TrainingDivergedError) as exc:
-            train_backprop(topology, X, y, BackpropConfig(learning_rate=1e12, epochs=200, seed=0))
+            train_backprop(3, X, y, BackpropConfig(learning_rate=1e12, epochs=200, seed=0))
         assert exc.value.epoch >= 1
 
     def test_invalid_config(self):
@@ -315,8 +298,7 @@ TOY_VALUES = {"d": 150.0, "h": 300.0, "nt": 0.334, "ef": 231.0, "fco": 30.0, "ec
 
 
 def _toy_model(seed=0):
-    topology = NetworkTopology(7, 3)
-    return TrainedModel(topology=topology, weights=init_weights(topology, seed), normalization=TOY_SPEC,
+    return TrainedModel(weights=init_weights(3, seed), normalization=TOY_SPEC,
                         provenance={"optimizer": "pso", "seed": seed, "iterations": 10})
 
 
@@ -330,7 +312,7 @@ def reference_predict_values(model, values):
         arr = np.asarray(v, dtype=float)
         z = (LO * (r.x_max - arr) + HI * (arr - r.x_min)) / (r.x_max - r.x_min)
         x.append(float(np.where(arr == r.x_min, LO, np.where(arr == r.x_max, HI, z))))
-    out = reference_forward(model.topology, model.weights, np.array([x]))[1]
+    out = reference_forward(model.weights, np.array([x]))[1]
     r, z = spec.ranges["fcc"], np.asarray(float(out[0, 0]), dtype=float)
     return float(r.x_min + (z - LO) * (r.x_max - r.x_min) / (HI - LO)), warnings
 
@@ -339,10 +321,8 @@ class TestPredictValuesMatchesReference:
     @pytest.mark.parametrize("hidden_size", [1, 5, 50])
     @pytest.mark.parametrize("seed", range(6))
     def test_values_and_warnings_identical(self, seed, hidden_size):
-        topology = NetworkTopology(7, hidden_size)
         rng = np.random.default_rng(100 * seed + hidden_size + 7)
-        model = TrainedModel(topology=topology, weights=rng.uniform(-2.0, 2.0, parameter_count(topology)),
-                             normalization=TOY_SPEC)
+        model = TrainedModel(weights=rng.uniform(-2.0, 2.0, parameter_count(hidden_size)), normalization=TOY_SPEC)
         ranges = model.normalization.ranges
         requests = [{"d": ranges["d"].x_min, "fco": ranges["fco"].x_max},  # pinned endpoints
                     {"d": ranges["d"].x_max, "fco": ranges["fco"].x_min},
@@ -372,7 +352,7 @@ def per_field_predict_values(model, values):
             warnings.append(f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
         with np.errstate(invalid="ignore", over="ignore"):  # plain floats do not warn on inf
             x[j] = spec.normalize(name, np.asarray(v))
-    z = float(_forward(unflatten(model.topology, model.weights), x[None, :])[0, 0])
+    z = float(_forward(unflatten(model.weights), x[None, :])[0, 0])
     return float(spec.denormalize("fcc", z)), warnings
 
 
@@ -391,10 +371,10 @@ def served_models(draw):
     for name in FIELDS:
         x_min = draw(st.floats(-1e3, 1e3))
         ranges[name] = FeatureRange(x_min, x_min + draw(st.floats(1e-2, 1e3)))
-    topology = NetworkTopology(7, draw(st.integers(1, 12)))
+    hidden_size = draw(st.integers(1, 12))
     weights = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
-        -2.0, 2.0, parameter_count(topology))
-    return TrainedModel(topology, weights, NormalizationSpec(ranges))
+        -2.0, 2.0, parameter_count(hidden_size))
+    return TrainedModel(weights, NormalizationSpec(ranges))
 
 
 class TestServingPathMatchesPerFieldPath:
@@ -451,7 +431,7 @@ class TestTrainedModel:
         save_model(model, path)
         restored = load_model(path)
         assert np.array_equal(restored.weights, model.weights)
-        assert restored.topology == model.topology
+        assert restored.params[1].size == model.params[1].size == 3
         assert restored.normalization.ranges == model.normalization.ranges
         assert restored.provenance == model.provenance
 
@@ -466,13 +446,12 @@ class TestTrainedModel:
 
     @pytest.mark.parametrize("hidden_size", [np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_sizes_save_and_reload(self, tmp_path, hidden_size):
-        topology = NetworkTopology(np.int64(7), hidden_size)
-        assert topology == NetworkTopology(7, 3)
-        assert all(type(s) is int for s in (topology.input_size, topology.hidden_size))
-        model = TrainedModel(topology=topology, weights=_toy_model().weights, normalization=TOY_SPEC)
+        model = TrainedModel(weights=init_weights(hidden_size, 0), normalization=TOY_SPEC)
+        assert np.array_equal(model.weights, _toy_model().weights)
         path = tmp_path / "model.json"
         save_model(model, path)
-        assert load_model(path).topology == NetworkTopology(7, 3)
+        assert json.loads(path.read_text())["topology"]["hidden_sizes"] == [3]
+        assert load_model(path).params[1].size == 3
 
     def test_truncated_weights_rejected(self, tmp_path):
         data = model_to_dict(_toy_model())

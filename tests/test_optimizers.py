@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cfrpnet import neuralnet, optimizers
-from cfrpnet.neuralnet import (WEIGHT_BOUND, NetworkTopology, _check_batch, _mse, _workspace, forward,
-                               gradient, loss_mse, parameter_count, unflatten)
+from cfrpnet.neuralnet import (WEIGHT_BOUND, _check_batch, _mse, _workspace, forward, gradient, loss_mse,
+                               parameter_count, unflatten)
 from cfrpnet.optimizers import (
     BaConfig,
     GwoConfig,
@@ -43,22 +43,22 @@ SMALL = dict(population=12, iterations=60, seed=3)
 REL32 = 1e-6
 
 
-def two_step_float32_mse(topology, w, X, y):
+def two_step_float32_mse(w, X, y):
     """The shared kernel on a float32 workspace and float32 copies of the
     inputs, adding the hidden bias after the first matmul."""
-    X, Y = (a.astype(np.float32) for a in _check_batch(topology, X, y))
-    acts = _workspace(topology, X.shape[0], np.float32)
-    params = unflatten(topology, np.asarray(w).astype(np.float32), np.float32)
+    X, Y = (a.astype(np.float32) for a in _check_batch(X, y))
+    params = unflatten(np.asarray(w).astype(np.float32), np.float32)
+    acts = _workspace(params[1].size, X.shape[0], np.float32)
     return _mse(params, X, Y, acts, acts[1])
 
 
-def float32_mse(topology, w, X, y):
+def float32_mse(w, X, y):
     """What the swarm objective computes: the shared kernel in float32 with the
     hidden bias inside the first matmul, [X, 1] @ [W1; b1]."""
-    X, Y = _check_batch(topology, X, y)
+    X, Y = _check_batch(X, y)
     X1 = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32)
-    W1, b1, W2, b2 = unflatten(topology, np.asarray(w).astype(np.float32), np.float32)
-    acts = _workspace(topology, X.shape[0], np.float32)
+    W1, b1, W2, b2 = unflatten(np.asarray(w).astype(np.float32), np.float32)
+    acts = _workspace(b1.size, X.shape[0], np.float32)
     return _mse((np.vstack([W1, b1]), None, W2, b2), X1, Y.astype(np.float32), acts, acts[1])
 
 
@@ -408,11 +408,9 @@ class TestVectorisedMatchesPerMemberLoop:
     @pytest.mark.parametrize("problem", ["sphere", "shifted_sphere", "rounded_sphere", "dataset"])
     def test_ba(self, problem, seed):
         if problem == "dataset":
-            topology = NetworkTopology(3, 4)
             rng = np.random.default_rng(12)
-            objective = objective_from_dataset(topology, rng.uniform(0.1, 0.9, (20, 3)),
-                                               rng.uniform(0.1, 0.9, 20))
-            dim, half = parameter_count(topology), WEIGHT_BOUND
+            objective = objective_from_dataset(4, rng.uniform(0.1, 0.9, (20, 7)), rng.uniform(0.1, 0.9, 20))
+            dim, half = parameter_count(4), WEIGHT_BOUND
         else:
             objective, dim, half = {"sphere": (sphere, 4, 5.12), "shifted_sphere": (shifted_sphere, 6, 0.2),
                                     "rounded_sphere": (rounded_sphere, 3, 0.5)}[problem]
@@ -496,94 +494,88 @@ class TestSphereConvergence:
 class TestObjectiveFromDataset:
     def test_perfect_fit_is_zero(self):
         # labels that are the net's own float32 predictions
-        topology = NetworkTopology(1, 1)
-        X = np.array([[0.2], [0.6]])
-        w = np.array([1.0, 0.1, 0.8, 0.3])
-        y = neuralnet._forward(unflatten(topology, w, np.float32), X.astype(np.float32))[:, 0]
-        objective = objective_from_dataset(topology, X, y.astype(float))
+        X = np.array([[0.2, 0.4, 0.1, 0.9, 0.3, 0.5, 0.7], [0.6, 0.8, 0.2, 0.1, 0.5, 0.3, 0.4]])
+        w = np.array([1.0, -0.3, 0.5, 0.2, -0.6, 0.4, 0.1, 0.1, 0.8, 0.3])
+        y = neuralnet._forward(unflatten(w, np.float32), X.astype(np.float32))[:, 0]
+        objective = objective_from_dataset(1, X, y.astype(float))
         assert objective(w) == 0.0
 
     def test_zero_weights_against_constant_targets(self):
-        topology = NetworkTopology(3, 4)
-        X = np.full((5, 3), 0.4)
+        X = np.full((5, 7), 0.4)
         y = np.full(5, 0.5)
-        objective = objective_from_dataset(topology, X, y)
-        assert objective(np.zeros(parameter_count(topology))) == pytest.approx(0.25, rel=1e-15)
+        objective = objective_from_dataset(4, X, y)
+        assert objective(np.zeros(parameter_count(4))) == pytest.approx(0.25, rel=1e-15)
 
     def test_row_order_invariance(self):
-        topology = NetworkTopology(2, 3)
         rng = np.random.default_rng(7)
-        X = rng.uniform(0.1, 0.9, (20, 2))
+        X = rng.uniform(0.1, 0.9, (20, 7))
         y = rng.uniform(0.1, 0.9, 20)
-        w = rng.uniform(-0.5, 0.5, parameter_count(topology))
+        w = rng.uniform(-0.5, 0.5, parameter_count(3))
         perm = rng.permutation(20)
-        a = objective_from_dataset(topology, X, y)(w)
-        b = objective_from_dataset(topology, X[perm], y[perm])(w)
+        a = objective_from_dataset(3, X, y)(w)
+        b = objective_from_dataset(3, X[perm], y[perm])(w)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_wrong_length_position(self):
-        topology = NetworkTopology(2, 3)
-        objective = objective_from_dataset(topology, np.zeros((3, 2)), np.zeros(3))
-        # a scalar or a length-1 array would broadcast into the weight buffer
-        for position in (np.zeros(5), np.zeros(1), 0.0, np.zeros((1, 13))):
-            with pytest.raises(ValueError, match="length"):
+        objective = objective_from_dataset(3, np.zeros((3, 7)), np.zeros(3))
+        # a scalar or a length-1 array would broadcast into the weight buffer; 10 weights are
+        # another network's, of hidden width 1
+        for position in (np.zeros(10), np.zeros(1), 0.0, np.zeros((1, 28))):
+            with pytest.raises(ValueError, match="length .*the network of hidden width 3 needs 28"):
                 objective(position)
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
-            objective_from_dataset(NetworkTopology(2, 1), np.empty((0, 2)), np.empty(0))
+            objective_from_dataset(1, np.empty((0, 7)), np.empty(0))
 
     @pytest.mark.parametrize("hidden_size", [1, 5, 50])
     @pytest.mark.parametrize("rows", [17, 531])
-    @pytest.mark.parametrize("input_size", [1, 3, 7])
-    def test_equals_loss_mse_exactly(self, input_size, rows, hidden_size):
-        topology = NetworkTopology(input_size, hidden_size)
-        rng = np.random.default_rng(hidden_size * rows + input_size)
-        X = rng.uniform(0.1, 0.9, (rows, input_size))
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_equals_loss_mse_exactly(self, seed, rows, hidden_size):
+        rng = np.random.default_rng(hidden_size * rows + seed)
+        X = rng.uniform(0.1, 0.9, (rows, 7))
         y = rng.uniform(0.1, 0.9, rows)
-        objective = objective_from_dataset(topology, X, y)
-        X64, Y64 = _check_batch(topology, X, y)
+        objective = objective_from_dataset(hidden_size, X, y)
+        X64, Y64 = _check_batch(X, y)
         for _ in range(3):
-            w = rng.uniform(-2.0, 2.0, parameter_count(topology))
-            assert objective(w) == float32_mse(topology, w, X, y)
+            w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
+            assert objective(w) == float32_mse(w, X, y)
             # loss_mse stays the float64 kernel; the float32 ranking agrees with it closely
-            acts64 = _workspace(topology, rows)
-            loss = loss_mse(topology, w, X, y)
-            assert loss == _mse(unflatten(topology, w), X64, Y64, acts64, acts64[1])
+            acts64 = _workspace(hidden_size, rows)
+            loss = loss_mse(w, X, y)
+            assert loss == _mse(unflatten(w), X64, Y64, acts64, acts64[1])
             assert objective(w) == pytest.approx(loss, rel=REL32)
 
     @pytest.mark.parametrize("hidden_size", [5, 50])
     @pytest.mark.parametrize("rows", [17, 45, 531, 708])
-    @pytest.mark.parametrize("input_size", [1, 3, 7])
-    def test_folded_bias_is_bit_identical_on_sgemm_shapes(self, input_size, rows, hidden_size):
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_folded_bias_is_bit_identical_on_sgemm_shapes(self, seed, rows, hidden_size):
         # numpy hands these shapes' first matmul to sgemm, whose [X, 1] @ [W1; b1] lands on the
         # bits of X @ W1 + b1: at the paper's 50 hidden units the fold changes no output. A
         # hidden width of 1 or a single row goes to sgemv, which may round the sums differently.
-        topology = NetworkTopology(input_size, hidden_size)
-        rng = np.random.default_rng(1000 * input_size + 10 * hidden_size + rows)
-        X = rng.uniform(0.0, 1.0, (rows, input_size))
+        rng = np.random.default_rng(1000 * seed + 10 * hidden_size + rows)
+        X = rng.uniform(0.0, 1.0, (rows, 7))
         y = rng.uniform(0.0, 1.0, rows)
-        objective = objective_from_dataset(topology, X, y)
+        objective = objective_from_dataset(hidden_size, X, y)
         X32, X1 = X.astype(np.float32), np.hstack([X, np.ones((rows, 1))]).astype(np.float32)
-        folded_acts, two_step_acts = (_workspace(topology, rows, np.float32) for _ in range(2))
+        folded_acts, two_step_acts = (_workspace(hidden_size, rows, np.float32) for _ in range(2))
         for _ in range(100):
-            w = rng.uniform(-2.0, 2.0, parameter_count(topology))
-            W1, b1, W2, b2 = unflatten(topology, w, np.float32)
+            w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
+            W1, b1, W2, b2 = unflatten(w, np.float32)
             neuralnet._forward((np.vstack([W1, b1]), None, W2, b2), X1, folded_acts)
             neuralnet._forward((W1, b1, W2, b2), X32, two_step_acts)
             for folded, two_step in zip(folded_acts, two_step_acts):
                 assert folded.tobytes() == two_step.tobytes()
-            assert objective(w) == two_step_float32_mse(topology, w, X, y)
+            assert objective(w) == two_step_float32_mse(w, X, y)
 
     def test_repeated_and_interleaved_calls(self):
-        topology = NetworkTopology(3, 6)
         rng = np.random.default_rng(4)
-        X1, X2 = rng.uniform(0.1, 0.9, (20, 3)), rng.uniform(0.1, 0.9, (9, 3))
+        X1, X2 = rng.uniform(0.1, 0.9, (20, 7)), rng.uniform(0.1, 0.9, (9, 7))
         y1, y2 = rng.uniform(0.1, 0.9, 20), rng.uniform(0.1, 0.9, 9)
-        w1, w2 = rng.uniform(-0.5, 0.5, (2, parameter_count(topology)))
-        first = objective_from_dataset(topology, X1, y1)
-        second = objective_from_dataset(topology, X2, y2)
-        expected = (float32_mse(topology, w1, X1, y1), float32_mse(topology, w2, X2, y2))
+        w1, w2 = rng.uniform(-0.5, 0.5, (2, parameter_count(6)))
+        first = objective_from_dataset(6, X1, y1)
+        second = objective_from_dataset(6, X2, y2)
+        expected = (float32_mse(w1, X1, y1), float32_mse(w2, X2, y2))
         for _ in range(3):
             assert first(w1) == expected[0]
             assert second(w2) == expected[1]
@@ -591,11 +583,9 @@ class TestObjectiveFromDataset:
 
     def test_calls_allocate_no_batch_sized_array(self):
         # the reference-scale objective: 531 rows, 7 -> 50 -> 1
-        topology = NetworkTopology(7, 50)
         rng = np.random.default_rng(9)
-        objective = objective_from_dataset(topology, rng.uniform(0.0, 1.0, (531, 7)),
-                                           rng.uniform(0.0, 1.0, 531))
-        w = rng.uniform(-0.5, 0.5, parameter_count(topology))
+        objective = objective_from_dataset(50, rng.uniform(0.0, 1.0, (531, 7)), rng.uniform(0.0, 1.0, 531))
+        w = rng.uniform(-0.5, 0.5, parameter_count(50))
         objective(w)
         tracemalloc.start()
         try:
@@ -611,10 +601,9 @@ class TestObjectiveFromDataset:
         # np.asarray(weights, dtype=float) anywhere on the path would silently compute in
         # float64: every weight view, input, workspace and output the objective's kernel
         # sees is float32, and the views are taken once, when the objective is made
-        topology = NetworkTopology(3, 5)
         rng = np.random.default_rng(11)
-        X, y = rng.uniform(0.1, 0.9, (13, 3)), rng.uniform(0.1, 0.9, 13)
-        w = rng.uniform(-0.5, 0.5, parameter_count(topology))
+        X, y = rng.uniform(0.1, 0.9, (13, 7)), rng.uniform(0.1, 0.9, 13)
+        w = rng.uniform(-0.5, 0.5, parameter_count(5))
         views, seen, outputs = [], [], []
         real_unflatten, real_forward = neuralnet.unflatten, neuralnet._forward
 
@@ -632,7 +621,7 @@ class TestObjectiveFromDataset:
         for module in (neuralnet, optimizers):
             monkeypatch.setattr(module, "unflatten", spy_unflatten)
         monkeypatch.setattr(neuralnet, "_forward", spy_forward)
-        objective = objective_from_dataset(topology, X, y)
+        objective = objective_from_dataset(5, X, y)
         assert len(views) == 4 and not seen
         fitness = objective(w)
         assert objective(w) == fitness
@@ -643,11 +632,11 @@ class TestObjectiveFromDataset:
         # unflatten's W1 and b1 in the one float32 weight buffer, which holds the position
         assert [id(a) for a in seen[:4]] == [id(a) for a in seen[7:11]]
         assert no_bias is None and W2 is views[2] and b2 is views[3]
-        assert folded.shape == (4, 5) and folded.base is views[0].base is W2.base
+        assert folded.shape == (8, 5) and folded.base is views[0].base is W2.base
         assert np.shares_memory(folded, views[0]) and np.shares_memory(folded, views[1])
         assert np.array_equal(folded, np.vstack(views[:2]))
         assert np.array_equal(np.concatenate([folded.ravel(), W2.ravel(), b2]), w.astype(np.float32))
-        assert X1.shape == (13, 4) and np.array_equal(X1, np.hstack([X, np.ones((13, 1))]).astype(np.float32))
+        assert X1.shape == (13, 8) and np.array_equal(X1, np.hstack([X, np.ones((13, 1))]).astype(np.float32))
         arrays = [a for a in views + seen + outputs if a is not None]
         assert len(arrays) == 4 + 2 * (3 + 1 + 2) + 2
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
@@ -657,37 +646,33 @@ class TestObjectiveFromDataset:
         # backprop and serving stay float64
         for spied in (views, seen, outputs):
             spied.clear()
-        loss_mse(topology, w, X, y)
-        gradient(topology, w, X, y)
-        forward(neuralnet.unflatten(topology, w), X[0])
-        neuralnet.forward_batch(neuralnet.unflatten(topology, w), X)
+        loss_mse(w, X, y)
+        gradient(w, X, y)
+        forward(neuralnet.unflatten(w), X[0])
+        neuralnet.forward_batch(neuralnet.unflatten(w), X)
         assert views and seen and all(a is not None for a in seen)  # unfolded: b1 is added
         assert {a.dtype for a in views + seen + outputs} == {np.dtype(np.float64)}
 
 
 class TestTrainHybrid:
     def test_single_record_exact_fit(self):
-        topology = NetworkTopology(1, 1)
-        X = np.array([[0.5]])
+        X = np.array([[0.5, 0.3, 0.7, 0.2, 0.6, 0.4, 0.8]])
         y = np.array([0.45])
         for algorithm, cfg in [("pso", PsoConfig(population=15, iterations=150, seed=0)),
                                ("gwo", GwoConfig(population=15, iterations=150, seed=0))]:
-            weights, trace = train_hybrid(algorithm, topology, X, y, cfg)
+            weights, trace = train_hybrid(algorithm, 1, X, y, cfg)
             assert trace.best_fitness[-1] < 1e-8, algorithm
-        _, ba_trace = train_hybrid("ba", topology, X, y,
-                                   BaConfig(population=15, iterations=150, seed=1))
+        _, ba_trace = train_hybrid("ba", 1, X, y, BaConfig(population=15, iterations=150, seed=1))
         assert ba_trace.best_fitness[-1] < 1e-4
 
     def test_final_fitness_matches_naive_recomputation(self):
-        topology = NetworkTopology(2, 3)
         rng = np.random.default_rng(8)
-        X = rng.uniform(0.1, 0.9, (15, 2))
+        X = rng.uniform(0.1, 0.9, (15, 7))
         y = rng.uniform(0.1, 0.9, 15)
-        weights, trace = train_hybrid("pso", topology, X, y,
-                                      PsoConfig(population=10, iterations=40, seed=2))
+        weights, trace = train_hybrid("pso", 3, X, y, PsoConfig(population=10, iterations=40, seed=2))
         # the trace holds the float32-ranked fitness of the returned weights
-        assert trace.best_fitness[-1] == float32_mse(topology, weights, X, y)
-        params = unflatten(topology, weights)
+        assert trace.best_fitness[-1] == float32_mse(weights, X, y)
+        params = unflatten(weights)
         recomputed = sum((forward(params, X[i]) - y[i]) ** 2 for i in range(15)) / 15
         assert recomputed == pytest.approx(trace.best_fitness[-1], rel=REL32)
 
@@ -696,20 +681,19 @@ class TestTrainHybrid:
         ("gwo", GwoConfig(population=8, iterations=20, seed=0)),
         ("ba", BaConfig(population=8, iterations=20, seed=0))])
     def test_search_box_bound(self, algorithm, config):
-        # the data has slope 1, but in the box the net's slope is at most 0.5 * 0.5 * tanh' <= 0.25:
-        # the best fit lies outside the box, and the search stops at its edge
-        topology = NetworkTopology(1, 1)
-        X = np.array([[0.5], [0.7]])
+        # the data has slope 1 in the one input that varies, but in the box the net's slope is at
+        # most 0.5 * 0.5 * tanh' <= 0.25: the best fit lies outside the box, and the search stops
+        # at its edge
+        X = np.array([[0.5, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3], [0.7, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3]])
         y = np.array([0.4, 0.6])
-        weights, _ = train_hybrid(algorithm, topology, X, y, config)
+        weights, _ = train_hybrid(algorithm, 1, X, y, config)
         assert np.all(np.abs(weights) <= WEIGHT_BOUND)
         assert np.any(np.abs(weights) == WEIGHT_BOUND)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            train_hybrid("sa", NetworkTopology(1, 1), np.zeros((2, 1)), np.zeros(2), PsoConfig())
+            train_hybrid("sa", 1, np.zeros((2, 7)), np.zeros(2), PsoConfig())
 
     def test_config_type_checked(self):
         with pytest.raises(ValueError, match="expects"):
-            train_hybrid("pso", NetworkTopology(1, 1), np.zeros((2, 1)), np.zeros(2),
-                         GwoConfig())
+            train_hybrid("pso", 1, np.zeros((2, 7)), np.zeros(2), GwoConfig())
