@@ -50,7 +50,7 @@ from .experiment import (
     write_model_files,
 )
 from .metrics import report_from_pairs
-from .neuralnet import load_model
+from .neuralnet import load_model, parameter_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -169,8 +169,9 @@ def _train_config(args):
 def cmd_train(args) -> int:
     if not 0.0 < args.train_fraction <= 1.0:  # NaN fails too
         raise ValueError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
-    records = parse_dataset(args.dataset)
+    parameter_count(args.neurons)  # flags and config first: a bad one exits before the dataset is read
     cfg = _train_config(args)
+    records = parse_dataset(args.dataset)
     _say(args, f"training {args.model} on {len(records)} records (seed {cfg.seed})")
     if args.train_fraction < 1.0:
         train, _ = split(records, args.train_fraction, seed=model_seed(cfg.seed, "split"))

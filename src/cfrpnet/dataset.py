@@ -450,20 +450,25 @@ class FeatureRange:
     x_max: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizationSpec:
     """Per-field affine maps sending [x_min, x_max] onto [LO, HI].
 
     Values beyond the fitted range extrapolate linearly; out-of-range
-    inputs are the business of validate_ranges, not of this map.
+    inputs are the business of validate_ranges, not of this map. Frozen, with
+    ``ranges`` a read-only view of its own copy: bounds a model bound stay current.
     """
 
-    ranges: dict[str, FeatureRange]
+    ranges: Mapping[str, FeatureRange]
 
     def __post_init__(self):
+        object.__setattr__(self, "ranges", types.MappingProxyType(dict(self.ranges)))
         for name, r in self.ranges.items():
             if not r.x_max > r.x_min:
                 raise ValueError(f"feature {name!r} has empty range [{r.x_min}, {r.x_max}]")
+
+    def __reduce__(self):  # a mappingproxy does not pickle or copy; a dict of the ranges does
+        return type(self), (dict(self.ranges),)
 
     def normalize(self, field: str, x) -> np.ndarray:
         r = self.ranges[field]
@@ -471,21 +476,6 @@ class NormalizationSpec:
         z = (LO * (r.x_max - arr) + HI * (arr - r.x_min)) / (r.x_max - r.x_min)
         # pin the endpoints so the fitted bounds map to LO/HI bit-exactly
         return np.where(arr == r.x_min, LO, np.where(arr == r.x_max, HI, z))
-
-    # Plain float arithmetic: the same IEEE double operations in the same
-    # order as the array path, so the same bits, without numpy's per-call
-    # cost on a single value.
-    def normalize_row(self, named: Iterable[tuple[str, float]]) -> tuple[list[float], list[tuple]]:
-        """normalize of each (field, value) pair as a list of floats, and the
-        (field, value, range) of each value outside its fitted range."""
-        row, outside = [], []
-        for field, x in named:
-            x, r = float(x), self.ranges[field]
-            lo, hi = r.x_min, r.x_max
-            row.append(LO if x == lo else HI if x == hi else (LO * (hi - x) + HI * (x - lo)) / (hi - lo))
-            if not lo <= x <= hi:
-                outside.append((field, x, r))
-        return row, outside
 
     def denormalize(self, field: str, z):
         """The inverse map, of a plain float (to a float) or of an array."""
@@ -515,6 +505,19 @@ class NormalizationSpec:
                     and _matches(pair[0], float) and _matches(pair[1], float)):
                 raise ValueError(f"normalization {name} must be a [min, max] pair, got {pair!r}")
         return cls({name: FeatureRange(float(a), float(b)) for name, (a, b) in ranges.items()})
+
+
+def normalize_row(rows: Sequence[tuple[str, float, float]], values: Iterable) -> tuple[list[float], list[str]]:
+    """normalize of each value by its (field, x_min, x_max) row, in plain floats with the same
+    IEEE operations in the same order (so the same bits, without numpy's per-call cost), and
+    an extrapolation warning for each value outside its row's range."""
+    row, warnings = [], []
+    for (field, lo, hi), x in zip(rows, values):
+        x = float(x)
+        row.append(LO if x == lo else HI if x == hi else (LO * (hi - x) + HI * (x - lo)) / (hi - lo))
+        if not lo <= x <= hi:
+            warnings.append(f"{field}={x:g} outside training range [{lo:g}, {hi:g}]; extrapolating")
+    return row, warnings
 
 
 def fit_normalizer(records: Sequence[SpecimenRecord]) -> NormalizationSpec:

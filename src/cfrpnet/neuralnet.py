@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .dataset import (DEFAULT_FEATURES, TARGET_FIELD, ConfigBase, NormalizationSpec, feature_matrix,
-                      json_text, write_text)
+from .dataset import (DEFAULT_FEATURES, HI, LO, TARGET_FIELD, ConfigBase, NormalizationSpec, feature_matrix,
+                      json_text, normalize_row, write_text)
 
 MODEL_FORMAT = "cfrpnet-model"
 MODEL_VERSION = 1
@@ -28,6 +29,7 @@ MODEL_VERSION = 1
 WEIGHT_BOUND = 0.5
 # The network reads the seven DEFAULT_FEATURES; its one size is the hidden width h.
 INPUT_SIZE = len(DEFAULT_FEATURES)
+_inputs_of = operator.itemgetter(*DEFAULT_FEATURES)
 
 
 def parameter_count(hidden: int) -> int:
@@ -214,24 +216,29 @@ class TrainedModel:
     Its inputs are DEFAULT_FEATURES, in order, and its hidden width is
     params[1].size, read from the length of the weights. The model is
     self-contained: predictions in physical units need only the serialized
-    file, not the training data. It is frozen because it binds its
-    weights' float64 views once, for every single-record call.
+    file, not the training data. It is frozen because it binds once, for every
+    single-record call, its weights' float64 views and its normalization bounds.
     """
 
     weights: np.ndarray
     normalization: NormalizationSpec
     provenance: dict = field(default_factory=dict)
     params: tuple = field(init=False, repr=False, compare=False)  # unflatten's views of weights
+    inputs: tuple = field(init=False, repr=False, compare=False)  # (name, x_min, x_max) per input
+    target: tuple = field(init=False, repr=False, compare=False)  # the target's (x_min, x_max - x_min)
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
         params = unflatten(weights)  # views of weights; checks the length
         if not np.all(np.isfinite(weights)):
             raise ValueError("weight vector contains non-finite entries")
-        missing = [f for f in (*DEFAULT_FEATURES, TARGET_FIELD) if f not in self.normalization.ranges]
+        ranges = self.normalization.ranges
+        missing = [f for f in (*DEFAULT_FEATURES, TARGET_FIELD) if f not in ranges]
         if missing:
             raise ValueError(f"normalization spec lacks field(s): {', '.join(missing)}")
-        for name, value in (("weights", weights), ("params", params)):
+        inputs = tuple((f, ranges[f].x_min, ranges[f].x_max) for f in DEFAULT_FEATURES)
+        target = (ranges[TARGET_FIELD].x_min, ranges[TARGET_FIELD].x_max - ranges[TARGET_FIELD].x_min)
+        for name, value in (("weights", weights), ("params", params), ("inputs", inputs), ("target", target)):
             object.__setattr__(self, name, value)
 
     def predict_normalized(self, X) -> np.ndarray:
@@ -249,14 +256,13 @@ class TrainedModel:
         inputs outside the fitted normalization range.
         """
         try:
-            raw = [values[name] for name in DEFAULT_FEATURES]
+            raw = _inputs_of(values)
         except KeyError:
             missing = next(f for f in DEFAULT_FEATURES if f not in values)
             raise ValueError(f"missing feature: {missing}") from None
-        x, outside = self.normalization.normalize_row(zip(DEFAULT_FEATURES, raw))
-        warnings = [f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating"
-                    for name, v, r in outside]
-        return self.normalization.denormalize(TARGET_FIELD, forward(self.params, x)), warnings
+        x, warnings = normalize_row(self.inputs, raw)
+        x_min, width = self.target  # denormalize's operations, on the bound pair
+        return x_min + (forward(self.params, x) - LO) * width / (HI - LO), warnings
 
 
 def _topology_dict(hidden: int) -> dict:

@@ -371,6 +371,25 @@ class TestTrain:
         assert err.startswith("error: ") and "--population" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "model_ann.json").exists()
 
+    @pytest.mark.parametrize("dataset", ["given", "missing"])
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--neurons", "0"], None, "hidden width must be an integer >= 1, got 0"),
+        (["--neurons", "-1"], None, "hidden width must be an integer >= 1, got -1"),
+        (["--population", "10"], None, "--population does not apply to --model ann (backprop has no population)"),
+        ([], {"epochs": 0}, "epochs must be >= 1")])
+    def test_bad_flag_or_config_exits_2_before_reading_the_dataset(self, dataset, flags, config, message,
+                                                                   dataset_csv, tmp_path, monkeypatch, capsys):
+        # a bad width or config wins over a bad dataset path, and nothing reaches stdout
+        monkeypatch.setattr(cli, "parse_dataset", lambda path: pytest.fail("dataset parsed"))
+        path = dataset_csv if dataset == "given" else str(tmp_path / "absent.csv")
+        argv = ["train", path, "--model", "ann", "--out", str(tmp_path / "out"), *flags]
+        if config is not None:
+            (tmp_path / "ann.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "ann.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("fraction", ["nan", "1.5", "inf", "0", "-0.5"])
     def test_train_fraction_outside_unit_interval_exit_2(self, fraction, dataset_csv, tmp_path,
                                                           capsys):

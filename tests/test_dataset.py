@@ -30,6 +30,7 @@ from cfrpnet.dataset import (
     feature_matrix,
     fit_normalizer,
     json_text,
+    normalize_row,
     parse_dataset,
     raw_matrix,
     records_to_csv,
@@ -591,6 +592,23 @@ class TestNormalization:
         assert restored.to_dict() == spec.to_dict()
         assert (spec.to_dict()["lo"], spec.to_dict()["hi"]) == (LO, HI) == (0.1, 0.9)
 
+    def test_spec_frozen_over_a_private_copy(self, records):
+        ranges = dict(fit_normalizer(records).ranges)
+        spec = NormalizationSpec(ranges)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.ranges = {}
+        with pytest.raises(TypeError):
+            spec.ranges["d"] = FeatureRange(0.0, 1.0)
+        ranges["d"] = FeatureRange(0.0, 1.0)  # the caller's dict is not the spec's
+        assert spec.ranges["d"] != ranges["d"] and spec == fit_normalizer(records)
+
+    def test_spec_copies_and_pickles(self, records):
+        spec = fit_normalizer(records)
+        for other in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert other == spec and other.to_dict() == spec.to_dict()
+            with pytest.raises(TypeError):
+                other.ranges["d"] = FeatureRange(0.0, 1.0)
+
     @pytest.mark.parametrize("data", [[], {}, {"ranges": []}, {"ranges": {"d": 5}},
                                       {"ranges": {"d": [1.0]}}, {"ranges": {"d": [1.0, "2"]}},
                                       {"ranges": {"d": [1.0, math.nan]}}, {"ranges": {}, "lo": [0]}])
@@ -636,10 +654,16 @@ def fitted_specs(draw):
     return NormalizationSpec({"v": FeatureRange(x_min, x_max)})
 
 
+def _rows(spec, n):
+    """n bound rows of spec's one field "v", as a model binds its inputs."""
+    r = spec.ranges["v"]
+    return [("v", r.x_min, r.x_max)] * n
+
+
 class TestScalarNormalization:
-    """Single values through the plain-float paths (normalize_row, and
-    denormalize of an int or float) give floats with the bits the array
-    paths give."""
+    """Single values through the plain-float paths (normalize_row over bound
+    rows, and denormalize of an int or float) give floats with the bits the
+    array paths give."""
 
     @settings(max_examples=300, deadline=None)
     @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10**6, 10**6), max_size=4))
@@ -647,13 +671,22 @@ class TestScalarNormalization:
         r = spec.ranges["v"]
         values = [r.x_min, r.x_max, *(r.x_min + f * (r.x_max - r.x_min) for f in fractions)]
         inputs = [*values, *map(float, ints)]
-        scalars, outside = spec.normalize_row(("v", x) for x in inputs)
+        scalars, warnings = normalize_row(_rows(spec, len(inputs)), iter(inputs))
         assert all(type(z) is float for z in scalars)
         with np.errstate(all="ignore"):
             array = spec.normalize("v", np.array(inputs, dtype=float))
         assert np.array(scalars).tobytes() == array.tobytes()
         assert scalars[0] == LO and scalars[1] == HI  # pinned endpoints
-        assert outside == [("v", x, r) for x in inputs if not r.x_min <= x <= r.x_max]
+        assert warnings == [f"v={x:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating"
+                            for x in inputs if not r.x_min <= x <= r.x_max]
+
+    def test_rows_pair_with_values_in_order(self):
+        rows = [("a", 0.0, 1.0), ("b", 10.0, 20.0)]
+        assert normalize_row(rows, [1.0, 10.0]) == ([HI, LO], [])
+        assert normalize_row(rows, [10.0, 1.0]) == (
+            [(LO * (1.0 - 10.0) + HI * (10.0 - 0.0)) / 1.0, (LO * (20.0 - 1.0) + HI * (1.0 - 10.0)) / 10.0],
+            ["a=10 outside training range [0, 1]; extrapolating",
+             "b=1 outside training range [10, 20]; extrapolating"])
 
     @settings(max_examples=300, deadline=None)
     @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10, 10), max_size=4))
@@ -669,10 +702,11 @@ class TestScalarNormalization:
     def test_integer_bounds_keep_float_results(self):
         spec = NormalizationSpec({"v": FeatureRange(0, 10)})
         for x in (0, 10, 0.0, 10.0, 5):
-            (z,), outside = spec.normalize_row([("v", x)])
-            assert type(z) is float and z == spec.normalize("v", np.array([x], dtype=float))[0] and not outside
-        _, outside = spec.normalize_row([("v", 10), ("v", -1), ("v", 11.5)])
-        assert outside == [("v", -1.0, spec.ranges["v"]), ("v", 11.5, spec.ranges["v"])]
+            (z,), warnings = normalize_row(_rows(spec, 1), [x])
+            assert type(z) is float and z == spec.normalize("v", np.array([x], dtype=float))[0] and not warnings
+        _, warnings = normalize_row(_rows(spec, 3), [10, -1, 11.5])
+        assert warnings == ["v=-1 outside training range [0, 10]; extrapolating",
+                            "v=11.5 outside training range [0, 10]; extrapolating"]
 
 
 class TestSplit:

@@ -417,6 +417,55 @@ class TestServingPathMatchesPerFieldPath:
         assert len(seen) == 1 and seen[0] is model.params
 
 
+class TestBoundNormalization:
+    """A model binds its inputs' (name, x_min, x_max) rows and its target's
+    (x_min, width) once; requests read the bound values, which stay current
+    because the spec is frozen."""
+
+    def test_bound_values_equal_the_spec(self):
+        model, ranges = _toy_model(), TOY_SPEC.ranges
+        assert model.inputs == tuple((f, ranges[f].x_min, ranges[f].x_max) for f in DEFAULT_FEATURES)
+        assert model.target == (ranges["fcc"].x_min, ranges["fcc"].x_max - ranges["fcc"].x_min)
+
+    def test_replaced_spec_binds_its_own_rows(self):
+        model = _toy_model(seed=2)
+        other_spec = NormalizationSpec({name: FeatureRange(0.5 * lo, 2.0 * hi)
+                                        for name, (lo, hi) in FIELD_BOUNDS.items()})
+        other = dataclasses.replace(model, normalization=other_spec)
+        assert other.inputs == tuple((f, *(0.5 * FIELD_BOUNDS[f][0], 2.0 * FIELD_BOUNDS[f][1]))
+                                     for f in DEFAULT_FEATURES)
+        assert other.target == (0.5 * 18.5, 2.0 * 302.2 - 0.5 * 18.5)
+        values = {**TOY_VALUES, "d": 30.0, "fco": 300.0}  # outside TOY_SPEC, inside other_spec
+        assert other.predict_values(values) == reference_predict_values(other, values)
+        assert other.predict_values(values) == per_field_predict_values(other, values)
+        assert other.predict_values(values)[0] != model.predict_values(values)[0]
+        assert other.predict_values(values)[1] == [] != model.predict_values(values)[1]
+
+    def test_spec_cannot_change_under_a_model(self):
+        model = _toy_model()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.normalization.ranges = {}
+        with pytest.raises(TypeError):
+            model.normalization.ranges["d"] = FeatureRange(0.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.inputs = ()
+
+    def test_integer_bounds_keep_float_results(self):
+        # bounds as ints, as NormalizationSpec takes them: the bound rows keep the ints,
+        # and the float answer has the array path's bits
+        spec = NormalizationSpec({name: FeatureRange(0, 10 * (j + 1)) for j, name in enumerate(FIELDS)})
+        model = TrainedModel(init_weights(4, 5), spec)
+        assert model.inputs[0] == ("d", 0, 10) and model.target == (0, 80)
+        for values in ({name: 5 for name in DEFAULT_FEATURES},
+                       {name: 10 * (j + 1) for j, name in enumerate(DEFAULT_FEATURES)},  # pinned to hi
+                       {name: 0 for name in DEFAULT_FEATURES},  # pinned to lo
+                       {name: -1.5 if j % 2 else 100 for j, name in enumerate(DEFAULT_FEATURES)}):
+            value, warnings = model.predict_values(values)
+            assert type(value) is float
+            assert _served(TrainedModel.predict_values, model, values) == \
+                _served(per_field_predict_values, model, values)
+
+
 class TestTrainedModel:
     def test_identity_equality_and_hash(self):
         # equal weights in distinct arrays: an array-wise __eq__ would raise
