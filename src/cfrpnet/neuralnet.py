@@ -42,16 +42,15 @@ def parameter_count(hidden: int) -> int:
 
 
 def unflatten(weights, dtype=float) -> tuple[np.ndarray, ...]:
-    """Split a flat parameter vector into (W1, b1, W2, b2) views of the given dtype.
-
-    The vector's length fixes the hidden width h: it must be 9h + 1 with h >= 1."""
+    """Split a flat parameter vector into (W1, b1, W2, b2) views of the given dtype, shaped
+    (7, h), (h,), (h,) and (). The length fixes the hidden width h: it must be 9h + 1, h >= 1."""
     w = np.asarray(weights, dtype=dtype)
     h, rest = divmod(w.size - 1, INPUT_SIZE + 2)
     if w.ndim != 1 or rest or h < 1:
         raise ValueError(f"weight vector has shape {w.shape}, the network needs a 1-D length of "
                          f"{INPUT_SIZE + 2}h + 1 for a hidden width h >= 1")
     n = INPUT_SIZE
-    return w[:n * h].reshape(n, h), w[n * h:(n + 1) * h], w[(n + 1) * h:-1].reshape(h, 1), w[-1:]
+    return w[:n * h].reshape(n, h), w[n * h:(n + 1) * h], w[(n + 1) * h:-1], w[-1:].reshape(())
 
 
 def init_weights(hidden: int, seed: int) -> np.ndarray:
@@ -61,46 +60,58 @@ def init_weights(hidden: int, seed: int) -> np.ndarray:
 
 
 def _workspace(hidden: int, n: int, dtype=float) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, hidden) and (n, 1) buffers of the activations of n rows."""
-    return np.empty((n, hidden), dtype), np.empty((n, 1), dtype)
+    """The (n, hidden) and (n,) buffers of the activations of n rows."""
+    return np.empty((n, hidden), dtype), np.empty(n, dtype)
 
 
-def _forward(params, X, acts=None) -> np.ndarray:
-    """Forward pass through the (W1, b1, W2, b2) views unflatten returns, in
-    their dtype, writing the hidden and output activations into acts, or
-    into fresh arrays when acts is None; returns the output's. A None b1
-    means W1 is [W1; b1] and X ends in a ones column, so the matmul adds it."""
+def _bind_mse(params, X, Y, acts, squares):
+    """The MSE of a batch checked by _check_batch, bound once to unflatten's views (W1, b1,
+    W2, b2), whose values each call of the returned mse() reads, in their dtype. mse() leaves
+    the hidden activations in acts[0], the errors in acts[1] and their squares in squares
+    (acts[1] when the errors are not needed), summed in float64 as np.mean does. A None b1
+    means W1 is [W1; b1] and X ends in a ones column. The products are bound ndarray.dot calls."""
     W1, b1, W2, b2 = params
-    hidden = np.matmul(X, W1, out=None if acts is None else acts[0])
-    if b1 is not None:
-        hidden += b1
-    np.tanh(hidden, out=hidden)
-    out = np.matmul(hidden, W2, out=None if acts is None else acts[1])
-    out += b2
-    return out
+    hidden, out = acts
+    x_dot, hidden_dot, tanh, subtract, square, add = X.dot, hidden.dot, np.tanh, np.subtract, np.square, np.add
+
+    def mse() -> float:
+        x_dot(W1, out=hidden)
+        if b1 is not None:
+            add(hidden, b1, out=hidden)
+        tanh(hidden, out=hidden)
+        hidden_dot(W2, out=out)
+        add(out, b2, out=out)
+        subtract(out, Y, out=out)
+        return float(add.reduce(square(out, out=squares), dtype=float)) / out.size
+
+    return mse
 
 
+@np.errstate(over="ignore")  # the squared errors are discarded; only the predictions matter
 def forward_batch(params, X) -> np.ndarray:
-    """Predictions for a batch of inputs through unflatten's (W1, b1, W2, b2) views, shape (n, 1)."""
+    """Predictions for a batch of inputs through unflatten's (W1, b1, W2, b2) views, shape (n,)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params[0].shape[0]:
         raise ValueError(f"expected inputs of shape (n, {params[0].shape[0]}), got {X.shape}")
-    return _forward(params, X)
+    acts = _workspace(params[1].size, len(X))
+    if len(X):  # the errors the batch kernel leaves against zero targets are the predictions
+        _bind_mse(params, X, 0.0, acts, np.empty(len(X)))()
+    return acts[1]
 
 
 def forward(params, x) -> float:
     """Prediction for a single feature vector, through unflatten's (W1, b1, W2, b2) views.
 
-    It computes on 1-D vectors with np.dot, which costs less per call than
-    the matmul ufunc of the batch kernel and gives the same bits."""
+    It computes on 1-D vectors, which costs less per call than the batch kernel; the
+    output is np.dot(hidden, W2.reshape(h, 1))[0] + b2[0], in Python floats."""
     x = np.asarray(x, dtype=float)
     W1, b1, W2, b2 = params
     if x.ndim != 1 or x.size != W1.shape[0]:
         raise ValueError(f"expected {W1.shape[0]} inputs, got shape {x.shape}")
-    hidden = np.dot(x, W1)
+    hidden = x.dot(W1)
     hidden += b1
     np.tanh(hidden, out=hidden)
-    return float(np.dot(hidden, W2)[0] + b2[0])
+    return float(hidden.dot(W2)) + float(b2)
 
 
 def _check_batch(X, y):
@@ -110,19 +121,9 @@ def _check_batch(X, y):
         raise ValueError(f"expected inputs of shape (n, {INPUT_SIZE}), got {X.shape}")
     if X.shape[0] == 0:
         raise ValueError("batch is empty")
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape != (X.shape[0], 1):
-        raise ValueError(f"targets have shape {y.shape}, expected ({X.shape[0]}, 1)")
-    return X, y
-
-
-def _mse(params, X, Y, acts, out) -> float:
-    """MSE of a batch checked by _check_batch, for unflatten's views: forward
-    pass in acts, squared errors in out (acts[1] when the predictions are not
-    needed afterwards)."""
-    np.subtract(_forward(params, X, acts), Y, out=out)
-    return float(np.square(out, out=out).sum(dtype=np.float64)) / out.size  # np.mean's, in float64
+    if y.shape not in ((len(X),), (len(X), 1)):  # (n, 1) targets are taken as (n,)
+        raise ValueError(f"targets have shape {y.shape}, expected ({len(X)},)")
+    return X, y.reshape(len(X))
 
 
 def loss_mse(weights, X, y) -> float:
@@ -130,25 +131,24 @@ def loss_mse(weights, X, y) -> float:
     X, Y = _check_batch(X, y)
     params = unflatten(weights)
     acts = _workspace(params[1].size, X.shape[0])
-    return _mse(params, X, Y, acts, acts[1])
+    return _bind_mse(params, X, Y, acts, acts[1])()
 
 
-def _backward(params, X, Y, acts, tmp) -> np.ndarray:
-    """Gradient of the batch MSE from the activations _forward left in acts;
-    overwrites acts and tmp[0], a buffer of the hidden layer's shape."""
-    W2 = params[2]
+def _backward(params, X, acts, tmp) -> np.ndarray:
+    """Gradient of the batch MSE from the activations and errors a bound
+    mse() left in acts; overwrites acts and tmp, a buffer of the hidden
+    layer's shape."""
     grad = np.empty(parameter_count(params[1].size))
     gW1, gb1, gW2, gb2 = unflatten(grad)
     hidden, delta = acts
-    np.subtract(delta, Y, out=delta)  # the output is linear: its derivative is 1
-    delta *= 2.0
+    delta *= 2.0  # the output is linear: its derivative is 1
     delta /= delta.size
-    np.matmul(hidden.T, delta, out=gW2)
-    np.sum(delta, axis=0, out=gb2)
-    dtanh = np.subtract(1.0, np.multiply(hidden, hidden, out=tmp[0]), out=tmp[0])
-    delta = np.matmul(delta, W2.T, out=hidden)
+    hidden.T.dot(delta, out=gW2)
+    np.sum(delta, out=gb2)
+    dtanh = np.subtract(1.0, np.multiply(hidden, hidden, out=tmp), out=tmp)
+    delta = np.multiply.outer(delta, params[2], out=hidden)
     delta *= dtanh
-    np.matmul(X.T, delta, out=gW1)
+    X.T.dot(delta, out=gW1)
     np.sum(delta, axis=0, out=gb1)
     return grad
 
@@ -158,8 +158,8 @@ def gradient(weights, X, y) -> np.ndarray:
     X, Y = _check_batch(X, y)
     params = unflatten(weights)
     acts, tmp = (_workspace(params[1].size, X.shape[0]) for _ in range(2))
-    _forward(params, X, acts)
-    return _backward(params, X, Y, acts, tmp)
+    _bind_mse(params, X, Y, acts, tmp[1])()
+    return _backward(params, X, acts, tmp[0])
 
 
 class TrainingDivergedError(RuntimeError):
@@ -197,12 +197,13 @@ def train_backprop(hidden: int, X, y, config: BackpropConfig) -> tuple[np.ndarra
     X, Y = _check_batch(X, y)
     acts, tmp = _workspace(hidden, X.shape[0]), _workspace(hidden, X.shape[0])
     params = unflatten(w)  # views of w, which each epoch updates in place
+    mse = _bind_mse(params, X, Y, acts, tmp[1])
     with np.errstate(over="ignore", invalid="ignore"):
         # each loss leaves in acts the forward pass the next gradient starts from
-        history = [_mse(params, X, Y, acts, tmp[1])]
+        history = [mse()]
         for epoch in range(1, config.epochs + 1):
-            w -= config.learning_rate * _backward(params, X, Y, acts, tmp)
-            current = _mse(params, X, Y, acts, tmp[1])
+            w -= config.learning_rate * _backward(params, X, acts, tmp[0])
+            current = mse()
             if not math.isfinite(current):
                 raise TrainingDivergedError(epoch, current)
             history.append(current)
@@ -242,7 +243,7 @@ class TrainedModel:
             object.__setattr__(self, name, value)
 
     def predict_normalized(self, X) -> np.ndarray:
-        return forward_batch(self.params, X)[:, 0]
+        return forward_batch(self.params, X)
 
     def predict_records(self, records) -> np.ndarray:
         """Physical-unit predictions for a sequence of specimen records."""

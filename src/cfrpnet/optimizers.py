@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ConfigBase, csv_text
-from .neuralnet import INPUT_SIZE, WEIGHT_BOUND, _check_batch, _mse, _workspace, parameter_count, unflatten
+from .neuralnet import INPUT_SIZE, WEIGHT_BOUND, _bind_mse, _check_batch, _workspace, parameter_count, unflatten
 
 Objective = Callable[[np.ndarray], float]
 
@@ -358,18 +358,17 @@ def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> Op
 def objective_from_dataset(hidden: int, X, y) -> Objective:
     """MSE of forward-pass predictions on a fixed normalized training set.
 
-    A fitness only ranks candidates, so the forward pass runs in float32:
-    the training set is checked and cast once, here, and so are the per-layer
-    views of a float32 weight buffer; each call copies the position into that
-    buffer, and the squared errors are summed in float64. The flat layout
-    puts b1 right after W1, so the first (n + 1) * h weights are [W1; b1] as
-    one view, and X gets a ones column: the hidden bias is added inside the
-    first matmul. On OpenBLAS that kept every bit where numpy hands the
-    matmul to sgemm; a hidden width of 1 or a 1-row set goes to sgemv,
-    which may round the sums differently. The objective owns its scratch
-    buffers, so a call allocates no batch-sized array: it is deterministic
-    and invariant to the order of the training rows, but not re-entrant
-    across threads.
+    A fitness only ranks candidates, so the forward pass runs in float32: the
+    batch kernel is bound once, here, to the checked and cast training set, to
+    its own buffers and to the views of a float32 weight buffer; each call
+    copies the position into that buffer and runs the bound mse(), which sums
+    the squared errors in float64. The flat layout puts b1 right after W1, so
+    the first (n + 1) * h weights are [W1; b1] as one view, and X gets a ones
+    column: the first product adds the hidden bias. On OpenBLAS's SkylakeX
+    kernels that kept every bit where the product goes to sgemm; a width of 1
+    or a 1-row set goes to sgemv, which may round the sums differently. A call
+    allocates no batch-sized array: it is deterministic and invariant to the
+    order of the training rows, but not re-entrant across threads.
     """
     w = np.empty(parameter_count(hidden), np.float32)
     W2, b2 = unflatten(w, np.float32)[2:]
@@ -377,14 +376,14 @@ def objective_from_dataset(hidden: int, X, y) -> Objective:
     X, Y = _check_batch(X, y)
     X, Y = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32), Y.astype(np.float32)
     acts = _workspace(h, X.shape[0], np.float32)
-    params = (w[:(n + 1) * h].reshape(n + 1, h), None, W2, b2)  # views of w; b1 is in [W1; b1]
+    mse = _bind_mse((w[:(n + 1) * h].reshape(n + 1, h), None, W2, b2), X, Y, acts, acts[1])  # views of w
 
     def objective(position: np.ndarray) -> float:
         if np.shape(position) != w.shape:  # copyto would broadcast a scalar
             raise ValueError(f"weight vector has length {np.size(position)}, the network of hidden "
                              f"width {h} needs {w.size}")
         np.copyto(w, position)
-        return _mse(params, X, Y, acts, acts[1])
+        return mse()
 
     return objective
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from cfrpnet import neuralnet
 from cfrpnet.dataset import DEFAULT_FEATURES, FIELD_BOUNDS, FIELDS, HI, LO, FeatureRange, NormalizationSpec
 from cfrpnet.neuralnet import (
-    _forward,
     WEIGHT_BOUND,
     BackpropConfig,
     TrainedModel,
@@ -44,26 +44,35 @@ def fd_gradient(w, X, y, h=1e-6):
     return g
 
 
-# The allocating kernel the workspace kernel replaced, kept as the exact reference.
+def matmul_layers(w):
+    """(W1, b1, W2, b2) of a flat vector as the matmul kernel shaped them: the output
+    layer an (h, 1) matrix and a (1,) bias. Taken here, not through unflatten, so the
+    kernel under test is checked against the arithmetic it replaced."""
+    h = (w.size - 1) // 9
+    return w[:7 * h].reshape(7, h), w[7 * h:8 * h], w[8 * h:-1].reshape(h, 1), w[-1:]
+
+
+# The allocating matmul kernel the bound np.dot kernel replaced, kept as the exact reference.
 def reference_forward(w, X):
-    """The hidden activations and the predictions, as fresh arrays."""
-    W1, b1, W2, b2 = unflatten(w)
-    hidden = np.tanh(X @ W1 + b1)
-    return hidden, hidden @ W2 + b2
+    """The hidden activations and the (n, 1) predictions, as fresh arrays."""
+    W1, b1, W2, b2 = matmul_layers(w)
+    hidden = np.tanh(np.matmul(X, W1) + b1)
+    return hidden, np.matmul(hidden, W2) + b2
 
 
 def reference_gradient(w, X, y):
-    _, _, W2, _ = unflatten(w)
+    W2 = matmul_layers(w)[2]
     hidden, pred = reference_forward(w, X)
     delta = 2.0 * (pred - y[:, None]) / pred.size  # the output is linear
-    grad_out = (hidden.T @ delta, delta.sum(axis=0))
-    delta = (delta @ W2.T) * (1.0 - hidden * hidden)
-    return np.concatenate([part.ravel() for part in (X.T @ delta, delta.sum(axis=0), *grad_out)])
+    grad_out = (np.matmul(hidden.T, delta), delta.sum(axis=0))
+    delta = np.matmul(delta, W2.T) * (1.0 - hidden * hidden)
+    return np.concatenate([part.ravel() for part in (np.matmul(X.T, delta), delta.sum(axis=0), *grad_out)])
 
 
 class TestWorkspaceKernelMatchesReference:
+    # one and two rows, and a width of 1, are where BLAS takes its dot and gemv paths
     @pytest.mark.parametrize("hidden_size", [1, 5, 50])
-    @pytest.mark.parametrize("rows", [1, 23, 531])
+    @pytest.mark.parametrize("rows", [1, 2, 23, 45, 531])
     @pytest.mark.parametrize("seed", [1, 7])
     def test_bit_identical(self, seed, rows, hidden_size):
         rng = np.random.default_rng(hidden_size * rows + seed)
@@ -72,17 +81,18 @@ class TestWorkspaceKernelMatchesReference:
         for _ in range(3):
             w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
             pred = reference_forward(w, X)[1]
-            assert np.array_equal(forward_batch(unflatten(w), X), pred)
+            assert forward_batch(unflatten(w), X).tobytes() == pred.tobytes()
             assert loss_mse(w, X, y) == float(np.mean((pred - y[:, None]) ** 2))
-            assert np.array_equal(gradient(w, X, y), reference_gradient(w, X, y))
+            assert gradient(w, X, y).tobytes() == reference_gradient(w, X, y).tobytes()
 
     @pytest.mark.parametrize("hidden_size", [1, 5, 50])
+    @pytest.mark.parametrize("rows", [1, 2, 15, 45])
     @pytest.mark.parametrize("seed", [12, 13])
-    def test_backprop_history_matches_two_pass_loop(self, seed, hidden_size):
+    def test_backprop_history_matches_two_pass_loop(self, seed, rows, hidden_size):
         # one forward pass per epoch gives the losses and weights of loss + gradient calls
         rng = np.random.default_rng(seed)
-        X = rng.uniform(0.1, 0.9, (15, 7))
-        y = rng.uniform(0.1, 0.9, 15)
+        X = rng.uniform(0.1, 0.9, (rows, 7))
+        y = rng.uniform(0.1, 0.9, rows)
         cfg = BackpropConfig(learning_rate=0.2, epochs=8, seed=3)
         w, history = train_backprop(hidden_size, X, y, cfg)
         w_ref = init_weights(hidden_size, cfg.seed)
@@ -91,7 +101,7 @@ class TestWorkspaceKernelMatchesReference:
             w_ref = w_ref - cfg.learning_rate * reference_gradient(w_ref, X, y)
             expected.append(loss_mse(w_ref, X, y))
         assert history == expected
-        assert np.array_equal(w, w_ref)
+        assert w.tobytes() == w_ref.tobytes()
 
 
 # hidden widths that are not an integer >= 1: a bool passes only as a bool, as in ConfigBase
@@ -132,12 +142,12 @@ class TestFlattenUnflatten:
     def test_shapes(self):
         W1, b1, W2, b2 = unflatten(np.zeros(parameter_count(5)))
         assert W1.shape == (7, 5) and b1.shape == (5,)
-        assert W2.shape == (5, 1) and b2.shape == (1,)
+        assert W2.shape == (5,) and b2.shape == ()
 
     @pytest.mark.parametrize("hidden_size", [1, 2, 50])
     def test_width_read_from_length(self, hidden_size):
         assert [a.shape for a in unflatten(np.zeros(9 * hidden_size + 1))] == [
-            (7, hidden_size), (hidden_size,), (hidden_size, 1), (1,)]
+            (7, hidden_size), (hidden_size,), (hidden_size,), ()]
 
     def test_length_mismatch(self):
         # a length that is not 9h + 1 for a width h >= 1, or not a flat vector
@@ -169,9 +179,9 @@ class TestForward:
         w = rng.uniform(-0.5, 0.5, parameter_count(5))
         X = rng.uniform(0.1, 0.9, (10, 7))
         batch = forward_batch(unflatten(w), X)
-        assert batch.shape == (10, 1)
+        assert batch.shape == (10,)
         for i in range(10):
-            assert forward(unflatten(w), X[i]) == pytest.approx(batch[i, 0], rel=1e-15)
+            assert forward(unflatten(w), X[i]) == pytest.approx(batch[i], rel=1e-15)
 
     def test_tanh_output_bounded(self):
         # |tanh| <= 1, so the output lies within b2 +- sum |W2|, however large the inputs
@@ -181,7 +191,7 @@ class TestForward:
                 w = rng.normal(scale=scale, size=parameter_count(4))
                 _, _, W2, b2 = unflatten(w)
                 out = forward(unflatten(w), rng.normal(scale=scale, size=7))
-                assert abs(out - b2[0]) <= np.abs(W2).sum() * (1 + 1e-12)
+                assert abs(out - b2) <= np.abs(W2).sum() * (1 + 1e-12)
 
     def test_dimension_mismatch(self):
         w = np.zeros(parameter_count(4))
@@ -195,6 +205,29 @@ class TestForward:
         for X in (np.zeros((5, 2)), np.zeros((5, 8)), np.zeros(7)):
             with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 7\)"):
                 forward_batch(unflatten(w), X)
+
+    def test_batch_of_no_rows_or_huge_predictions(self):
+        # the batch kernel squares its predictions against zero targets and discards the
+        # squares: an empty batch divides nothing, and 4e200 squared warns of nothing
+        params = unflatten(np.full(parameter_count(3), 1e200))
+        assert forward_batch(params, np.empty((0, 7))).shape == (0,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = forward_batch(params, np.full((2, 7), 0.5))
+        assert batch.tolist() == [forward(params, [0.5] * 7)] * 2 and math.isfinite(batch[0])
+
+    @pytest.mark.parametrize("hidden_size", [1, 2, 5, 50])
+    def test_bit_identical_to_column_output_layer(self, hidden_size):
+        # a float of the 1-D np.dot plus b2 as a float: the ddot and the add of the (h, 1)
+        # output layer forward had, np.dot(hidden, W2)[0] + b2[0]
+        rng = np.random.default_rng(40 + hidden_size)
+        for _ in range(200):
+            w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
+            x = rng.uniform(-0.5, 1.5, 7)
+            W1, b1, W2, b2 = matmul_layers(w)
+            hidden = np.tanh(np.dot(x, W1) + b1)
+            expected = np.dot(hidden, W2)[0] + b2[0]
+            assert forward(unflatten(w), x).hex() == float(expected).hex()
 
 
 class TestInitWeights:
@@ -212,7 +245,7 @@ class TestGradient:
         # labels that are the net's own predictions, through one hidden unit
         w = np.array([0.8, 0.3, -0.4, 0.1, 0.6, -0.2, 0.5, -0.1, 1.5, 0.2])
         X = np.random.default_rng(14).uniform(0.1, 0.9, (3, 7))
-        g = gradient(w, X, forward_batch(unflatten(w), X)[:, 0])
+        g = gradient(w, X, forward_batch(unflatten(w), X))
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_hand_derivative(self):
@@ -254,7 +287,7 @@ class TestTrainBackprop:
         # varies, the other six are zero, so their weights neither help nor hinder
         X = np.zeros((8, 7))
         X[:, 0] = np.linspace(0.1, 0.9, 8)
-        y = forward_batch(unflatten(np.array([1.5, 0, 0, 0, 0, 0, 0, -0.5, 0.8, 0.5])), X)[:, 0]
+        y = forward_batch(unflatten(np.array([1.5, 0, 0, 0, 0, 0, 0, -0.5, 0.8, 0.5])), X)
         w, history = train_backprop(1, X, y, BackpropConfig(learning_rate=0.5, epochs=1000, seed=0))
         assert history[-1] < 1e-4 and history[-1] < 1e-4 * history[0]
         assert len(history) == 1001
@@ -340,7 +373,7 @@ class TestPredictValuesMatchesReference:
 def per_field_predict_values(model, values):
     """predict_values as it was before the model bound its views: a pass for missing
     features, then a range check and normalize per field (the array path), then
-    _forward on fresh unflatten views."""
+    the allocating matmul kernel."""
     missing = [f for f in DEFAULT_FEATURES if f not in values]
     if missing:
         raise ValueError(f"missing feature: {missing[0]}")
@@ -352,7 +385,7 @@ def per_field_predict_values(model, values):
             warnings.append(f"{name}={v:g} outside training range [{r.x_min:g}, {r.x_max:g}]; extrapolating")
         with np.errstate(invalid="ignore", over="ignore"):  # plain floats do not warn on inf
             x[j] = spec.normalize(name, np.asarray(v))
-    z = float(_forward(unflatten(model.weights), x[None, :])[0, 0])
+    z = float(reference_forward(model.weights, x[None, :])[1][0, 0])
     return float(spec.denormalize("fcc", z)), warnings
 
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from cfrpnet import neuralnet, optimizers
-from cfrpnet.neuralnet import (WEIGHT_BOUND, _check_batch, _mse, _workspace, forward, gradient, loss_mse,
-                               parameter_count, unflatten)
+from cfrpnet.neuralnet import WEIGHT_BOUND, forward, gradient, loss_mse, parameter_count, unflatten
 from cfrpnet.optimizers import (
     BaConfig,
     GwoConfig,
@@ -43,23 +42,36 @@ SMALL = dict(population=12, iterations=60, seed=3)
 REL32 = 1e-6
 
 
+# The allocating matmul kernel the bound np.dot kernel replaced, kept as the exact reference.
+def float32_forward(w, X, folded):
+    """The float32 hidden activations and (n, 1) predictions, as fresh arrays, with the
+    output layer an (h, 1) matrix and a (1,) bias taken from the flat vector here, not
+    through unflatten. folded adds the hidden bias inside the first matmul, [X, 1] @ [W1; b1];
+    else it is added after X @ W1."""
+    w, h = np.asarray(w).astype(np.float32), (np.size(w) - 1) // 9
+    W1, b1, W2, b2 = w[:7 * h].reshape(7, h), w[7 * h:8 * h], w[8 * h:-1].reshape(h, 1), w[-1:]
+    if folded:
+        X1 = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32)
+        hidden = np.tanh(np.matmul(X1, np.vstack([W1, b1])))
+    else:
+        hidden = np.tanh(np.matmul(np.asarray(X).astype(np.float32), W1) + b1)
+    return hidden, np.matmul(hidden, W2) + b2
+
+
+def _float32_squares_mean(pred, y):
+    errors = pred - np.asarray(y).astype(np.float32)[:, None]
+    return float(np.square(errors).sum(dtype=np.float64)) / errors.size  # np.mean's, in float64
+
+
 def two_step_float32_mse(w, X, y):
-    """The shared kernel on a float32 workspace and float32 copies of the
-    inputs, adding the hidden bias after the first matmul."""
-    X, Y = (a.astype(np.float32) for a in _check_batch(X, y))
-    params = unflatten(np.asarray(w).astype(np.float32), np.float32)
-    acts = _workspace(params[1].size, X.shape[0], np.float32)
-    return _mse(params, X, Y, acts, acts[1])
+    """The float32 kernel adding the hidden bias after the first matmul."""
+    return _float32_squares_mean(float32_forward(w, X, folded=False)[1], y)
 
 
 def float32_mse(w, X, y):
-    """What the swarm objective computes: the shared kernel in float32 with the
-    hidden bias inside the first matmul, [X, 1] @ [W1; b1]."""
-    X, Y = _check_batch(X, y)
-    X1 = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32)
-    W1, b1, W2, b2 = unflatten(np.asarray(w).astype(np.float32), np.float32)
-    acts = _workspace(b1.size, X.shape[0], np.float32)
-    return _mse((np.vstack([W1, b1]), None, W2, b2), X1, Y.astype(np.float32), acts, acts[1])
+    """What the swarm objective computes: the float32 kernel with the hidden bias
+    inside the first matmul, [X, 1] @ [W1; b1]."""
+    return _float32_squares_mean(float32_forward(w, X, folded=True)[1], y)
 
 
 def small_configs():
@@ -496,7 +508,7 @@ class TestObjectiveFromDataset:
         # labels that are the net's own float32 predictions
         X = np.array([[0.2, 0.4, 0.1, 0.9, 0.3, 0.5, 0.7], [0.6, 0.8, 0.2, 0.1, 0.5, 0.3, 0.4]])
         w = np.array([1.0, -0.3, 0.5, 0.2, -0.6, 0.4, 0.1, 0.1, 0.8, 0.3])
-        y = neuralnet._forward(unflatten(w, np.float32), X.astype(np.float32))[:, 0]
+        y = float32_forward(w, X, folded=False)[1][:, 0]
         objective = objective_from_dataset(1, X, y.astype(float))
         assert objective(w) == 0.0
 
@@ -536,15 +548,30 @@ class TestObjectiveFromDataset:
         X = rng.uniform(0.1, 0.9, (rows, 7))
         y = rng.uniform(0.1, 0.9, rows)
         objective = objective_from_dataset(hidden_size, X, y)
-        X64, Y64 = _check_batch(X, y)
         for _ in range(3):
             w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
             assert objective(w) == float32_mse(w, X, y)
             # loss_mse stays the float64 kernel; the float32 ranking agrees with it closely
-            acts64 = _workspace(hidden_size, rows)
             loss = loss_mse(w, X, y)
-            assert loss == _mse(unflatten(w), X64, Y64, acts64, acts64[1])
+            hidden = np.tanh(np.matmul(X, w[:7 * hidden_size].reshape(7, hidden_size))
+                             + w[7 * hidden_size:8 * hidden_size])
+            pred = np.matmul(hidden, w[8 * hidden_size:-1].reshape(hidden_size, 1)) + w[-1:]
+            assert loss == float(np.mean(np.square(pred - y[:, None])))
             assert objective(w) == pytest.approx(loss, rel=REL32)
+
+    # one and two rows, and a width of 1, are where BLAS takes its dot and gemv paths; 45 rows
+    # is the small-data training split
+    @pytest.mark.parametrize("hidden_size", [1, 5, 50])
+    @pytest.mark.parametrize("rows", [1, 2, 45])
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_bit_identical_on_dot_and_gemv_shapes(self, seed, rows, hidden_size):
+        rng = np.random.default_rng(100 * seed + 10 * hidden_size + rows)
+        X = rng.uniform(0.1, 0.9, (rows, 7))
+        y = rng.uniform(0.1, 0.9, rows)
+        objective = objective_from_dataset(hidden_size, X, y)
+        for _ in range(20):
+            w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
+            assert objective(w) == float32_mse(w, X, y)
 
     @pytest.mark.parametrize("hidden_size", [5, 50])
     @pytest.mark.parametrize("rows", [17, 45, 531, 708])
@@ -557,15 +584,11 @@ class TestObjectiveFromDataset:
         X = rng.uniform(0.0, 1.0, (rows, 7))
         y = rng.uniform(0.0, 1.0, rows)
         objective = objective_from_dataset(hidden_size, X, y)
-        X32, X1 = X.astype(np.float32), np.hstack([X, np.ones((rows, 1))]).astype(np.float32)
-        folded_acts, two_step_acts = (_workspace(hidden_size, rows, np.float32) for _ in range(2))
         for _ in range(100):
             w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
-            W1, b1, W2, b2 = unflatten(w, np.float32)
-            neuralnet._forward((np.vstack([W1, b1]), None, W2, b2), X1, folded_acts)
-            neuralnet._forward((W1, b1, W2, b2), X32, two_step_acts)
-            for folded, two_step in zip(folded_acts, two_step_acts):
-                assert folded.tobytes() == two_step.tobytes()
+            folded, two_step = float32_forward(w, X, folded=True), float32_forward(w, X, folded=False)
+            for a, b in zip(folded, two_step):
+                assert a.tobytes() == b.tobytes()
             assert objective(w) == two_step_float32_mse(w, X, y)
 
     def test_repeated_and_interleaved_calls(self):
@@ -599,59 +622,59 @@ class TestObjectiveFromDataset:
 
     def test_computes_in_float32(self, monkeypatch):
         # np.asarray(weights, dtype=float) anywhere on the path would silently compute in
-        # float64: every weight view, input, workspace and output the objective's kernel
-        # sees is float32, and the views are taken once, when the objective is made
+        # float64: every weight view, input, target and buffer the objective binds is float32,
+        # and they are bound once, when the objective is made
         rng = np.random.default_rng(11)
         X, y = rng.uniform(0.1, 0.9, (13, 7)), rng.uniform(0.1, 0.9, 13)
         w = rng.uniform(-0.5, 0.5, parameter_count(5))
-        views, seen, outputs = [], [], []
-        real_unflatten, real_forward = neuralnet.unflatten, neuralnet._forward
+        views, bound = [], []
+        real_unflatten, real_bind = neuralnet.unflatten, neuralnet._bind_mse
 
         def spy_unflatten(*args):
             params = real_unflatten(*args)
             views.extend(params)
             return params
 
-        def spy_forward(params, X, acts=None):
-            out = real_forward(params, X, acts)
-            seen.extend([*params, X, *(acts or [])])
-            outputs.append(out.copy())  # _mse then overwrites out with the squared errors
-            return out
+        def spy_bind(params, X, Y, acts, squares):
+            bound.append((params, X, Y, acts, squares))
+            return real_bind(params, X, Y, acts, squares)
 
         for module in (neuralnet, optimizers):
             monkeypatch.setattr(module, "unflatten", spy_unflatten)
-        monkeypatch.setattr(neuralnet, "_forward", spy_forward)
+            monkeypatch.setattr(module, "_bind_mse", spy_bind)
         objective = objective_from_dataset(5, X, y)
-        assert len(views) == 4 and not seen
+        assert len(views) == 4 and len(bound) == 1
         fitness = objective(w)
         assert objective(w) == fitness
-        # per call: [W1; b1], no separate b1, W2, b2, X with its ones column, two workspaces
-        assert len(views) == 4 and len(seen) == 2 * (4 + 1 + 2) and len(outputs) == 2
-        folded, no_bias, W2, b2, X1 = seen[:5]
-        # both calls run on the views bound when the objective was made: [W1; b1] spans
-        # unflatten's W1 and b1 in the one float32 weight buffer, which holds the position
-        assert [id(a) for a in seen[:4]] == [id(a) for a in seen[7:11]]
+        assert len(views) == 4 and len(bound) == 1  # the calls bind nothing
+        (folded, no_bias, W2, b2), X1, Y, (hidden, out), squares = bound[0]
+        # [W1; b1] spans unflatten's W1 and b1 in the one float32 weight buffer, which holds
+        # the position
         assert no_bias is None and W2 is views[2] and b2 is views[3]
         assert folded.shape == (8, 5) and folded.base is views[0].base is W2.base
         assert np.shares_memory(folded, views[0]) and np.shares_memory(folded, views[1])
         assert np.array_equal(folded, np.vstack(views[:2]))
-        assert np.array_equal(np.concatenate([folded.ravel(), W2.ravel(), b2]), w.astype(np.float32))
+        assert np.array_equal(np.concatenate([folded.ravel(), W2, b2.ravel()]), w.astype(np.float32))
         assert X1.shape == (13, 8) and np.array_equal(X1, np.hstack([X, np.ones((13, 1))]).astype(np.float32))
-        arrays = [a for a in views + seen + outputs if a is not None]
-        assert len(arrays) == 4 + 2 * (3 + 1 + 2) + 2
+        assert np.array_equal(Y, y.astype(np.float32)) and hidden.shape == (13, 5) and squares is out
+        arrays = [*views, folded, X1, Y, hidden, out]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         # float32 squared errors, summed in float64
-        errors = outputs[0] - y.astype(np.float32)[:, None]
-        assert fitness == np.square(errors).astype(np.float64).sum() / errors.size
+        pred = float32_forward(w, X, folded=True)[1][:, 0]
+        assert out.tobytes() == np.square(pred - y.astype(np.float32)).tobytes()
+        assert fitness == out.astype(np.float64).sum() / out.size
         # backprop and serving stay float64
-        for spied in (views, seen, outputs):
-            spied.clear()
+        views.clear()
+        bound.clear()
         loss_mse(w, X, y)
         gradient(w, X, y)
         forward(neuralnet.unflatten(w), X[0])
         neuralnet.forward_batch(neuralnet.unflatten(w), X)
-        assert views and seen and all(a is not None for a in seen)  # unfolded: b1 is added
-        assert {a.dtype for a in views + seen + outputs} == {np.dtype(np.float64)}
+        assert views and len(bound) == 3
+        assert all(params[1] is not None for params, *_ in bound)  # unfolded: b1 is added
+        arrays = [*views, *(a for params, X, Y, acts, squares in bound for a in (*params, X, Y, *acts, squares)
+                            if isinstance(a, np.ndarray))]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
 
 
 class TestTrainHybrid:
