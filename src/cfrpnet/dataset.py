@@ -149,7 +149,7 @@ class ConfigBase:
             if not _matches(value, hint):
                 kind = hint.__name__ if isinstance(hint, type) else str(hint)
                 raise ValueError(f"{type(self).__name__}.{f.name} must be {kind}, got {value!r}")
-        if getattr(self, "seed", None) is not None and self.seed < 0:
+        if getattr(self, "seed", 0) < 0:
             raise ValueError("seed must be non-negative")
         if getattr(self, "iterations", 1) < 1:
             raise ValueError("iterations must be >= 1")
@@ -477,11 +477,10 @@ class NormalizationSpec:
         # pin the endpoints so the fitted bounds map to LO/HI bit-exactly
         return np.where(arr == r.x_min, LO, np.where(arr == r.x_max, HI, z))
 
-    def denormalize(self, field: str, z):
-        """The inverse map, of a plain float (to a float) or of an array."""
+    def denormalize(self, field: str, z) -> np.ndarray:
+        """The inverse map."""
         r = self.ranges[field]
-        z = float(z) if isinstance(z, (int, float)) else np.asarray(z, dtype=float)
-        return r.x_min + (z - LO) * (r.x_max - r.x_min) / (HI - LO)
+        return r.x_min + (np.asarray(z, dtype=float) - LO) * (r.x_max - r.x_min) / (HI - LO)
 
     def to_dict(self) -> dict:
         return {

@@ -32,7 +32,7 @@ from .dataset import (
 )
 from .mechanics import EmpiricalModelParams
 from .metrics import EvaluationReport, report_from_pairs
-from .neuralnet import BackpropConfig, TrainedModel, save_model, train_backprop
+from .neuralnet import BackpropConfig, TrainedModel, parameter_count, save_model, train_backprop
 from .optimizers import BaConfig, GwoConfig, PsoConfig, trace_csv, train_hybrid
 
 TRAINABLE_MODELS = ("ann", "pso", "gwo", "ba")
@@ -112,11 +112,10 @@ def synth_dataset(n: int, seed: int, noise_fraction: float = 0.02) -> list[Speci
 
 @dataclass
 class SynthSpec(ConfigBase):
-    """Synthetic-data request inside an experiment config."""
+    """Synthetic-data request inside an experiment config, drawn with its master seed."""
 
     n: int = 708
     noise_fraction: float = 0.02
-    seed: int | None = None  # None means: use the experiment master seed
 
 
 @dataclass
@@ -154,8 +153,7 @@ class ExperimentConfig(ConfigBase):
             raise ValueError("roster models must be unique")
         if "nonlinear" in self.roster and self.nonlinear is None:
             raise ValueError("roster includes 'nonlinear' but no k/n parameters were given")
-        if self.hidden_neurons < 1:
-            raise ValueError("hidden_neurons must be >= 1")
+        parameter_count(self.hidden_neurons)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
@@ -249,15 +247,16 @@ def run_experiment(
         if config.dataset is not None:
             records = parse_dataset(config.dataset)
         elif config.synth is not None:
-            s = config.synth
-            synth_seed = config.seed if s.seed is None else s.seed
-            records = synth_dataset(s.n, synth_seed, s.noise_fraction)
+            records = synth_dataset(config.synth.n, config.seed, config.synth.noise_fraction)
         else:
             raise ValueError("config needs a dataset path, a synth spec, or explicit records")
     if not records:
         raise ValueError("dataset is empty")
 
     train, test = split(records, config.train_fraction, seed=model_seed(config.seed, "split"))
+    if not test:
+        raise ValueError(f"train_fraction {config.train_fraction} leaves no test records: "
+                         f"{len(train)} train / 0 test")
     norm = fit_normalizer(train)
     X_train = feature_matrix(train, norm)
     y_train = target_vector(train, norm)

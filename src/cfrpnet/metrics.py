@@ -65,16 +65,11 @@ def r_squared(x, y) -> float:
 class EvaluationReport:
     """Error metrics of one model on one evaluation set.
 
-    The headline ``mse``/``mae`` are the MPa-scale ``mse_mpa``/``mae_mpa``
-    (``scale`` is always "mpa"). ``r_squared`` is None when undefined
-    (fewer than 2 pairs or a constant sequence), with the reason recorded
-    in ``notes``.
+    ``r_squared`` is None when undefined (fewer than 2 pairs or a constant
+    sequence), with the reason recorded in ``notes``.
     """
 
     n: int
-    scale: str
-    mse: float
-    mae: float
     r_squared: float | None
     accuracy_percent: float | None
     mse_mpa: float
@@ -114,22 +109,16 @@ def report_from_pairs(targets_mpa, predictions_mpa, spec: NormalizationSpec | No
         mae_pct = 100.0 * mae(tn, pn)
     notes: list[str] = []
     r2 = accuracy = None
-    if t.size < 2:
-        notes.append("r_squared not computable for fewer than 2 pairs")
-    else:
-        try:
-            r2 = r_squared(t, p)
-            accuracy = 100.0 * r2
-        except ValueError as exc:
-            notes.append(str(exc))
+    try:
+        r2 = r_squared(t, p)
+        accuracy = 100.0 * r2
+    except ValueError as exc:
+        notes.append(str(exc))
     if not all(math.isfinite(v) for v in (mse_mpa, mae_mpa, mse_pct, mae_pct, accuracy) if v is not None):
         raise ValueError(f"error metrics overflow for values up to "
                          f"{max(np.abs(t).max(), np.abs(p).max()):g} MPa")
     return EvaluationReport(
         n=int(t.size),
-        scale="mpa",
-        mse=mse_mpa,
-        mae=mae_mpa,
         r_squared=r2,
         accuracy_percent=accuracy,
         mse_mpa=mse_mpa,

@@ -121,9 +121,9 @@ def _check_batch(X, y):
         raise ValueError(f"expected inputs of shape (n, {INPUT_SIZE}), got {X.shape}")
     if X.shape[0] == 0:
         raise ValueError("batch is empty")
-    if y.shape not in ((len(X),), (len(X), 1)):  # (n, 1) targets are taken as (n,)
+    if y.shape != (len(X),):
         raise ValueError(f"targets have shape {y.shape}, expected ({len(X)},)")
-    return X, y.reshape(len(X))
+    return X, y
 
 
 def loss_mse(weights, X, y) -> float:
@@ -242,13 +242,10 @@ class TrainedModel:
         for name, value in (("weights", weights), ("params", params), ("inputs", inputs), ("target", target)):
             object.__setattr__(self, name, value)
 
-    def predict_normalized(self, X) -> np.ndarray:
-        return forward_batch(self.params, X)
-
     def predict_records(self, records) -> np.ndarray:
         """Physical-unit predictions for a sequence of specimen records."""
         X = feature_matrix(records, self.normalization)
-        return self.normalization.denormalize(TARGET_FIELD, self.predict_normalized(X))
+        return self.normalization.denormalize(TARGET_FIELD, forward_batch(self.params, X))
 
     def predict_values(self, values: Mapping[str, float]) -> tuple[float, list[str]]:
         """Physical-unit prediction from raw named inputs, one per DEFAULT_FEATURES.

@@ -483,6 +483,14 @@ class TestEvaluate:
         assert (out / "predictions.csv").exists()
         assert (out / "evaluation.json").exists()
 
+    def test_json_keys(self, tmp_path, capsys):
+        out = tmp_path / "eval"
+        argv = ["evaluate", _perfect_model(tmp_path), _self_labelled_dataset(tmp_path), "--out", str(out)]
+        assert main(argv + ["--format", "json", "--quiet"]) == 0
+        keys = ["accuracy_percent", "mae_mpa", "mae_pct", "mse_mpa", "mse_pct", "n", "notes", "r_squared"]
+        assert sorted(json.loads(capsys.readouterr().out)) == sorted([*keys, "provenance"])
+        assert sorted(json.loads((out / "evaluation.json").read_text())) == keys
+
 
 class TestPredict:
     def test_prediction_with_units(self, tmp_path, capsys):
@@ -966,6 +974,21 @@ class TestCompare:
         assert re.search(r"^ +lam_teng +\d", captured.out, re.M)
         assert re.search(r"^ +nonlinear  FAILED: ValueError: nonlinear model overflows", captured.out, re.M)
         assert "Traceback" not in captured.err
+
+    def test_hidden_width_message_as_train(self, dataset_csv, tmp_path, capsys):
+        assert main(["train", dataset_csv, "--model", "ann", "--neurons", "0"]) == 2
+        train_err = capsys.readouterr().err
+        assert main(["compare", "--config", self._config(tmp_path, hidden_neurons=0)]) == 2
+        assert capsys.readouterr().err == train_err == "error: hidden width must be an integer >= 1, got 0\n"
+
+    def test_no_test_records_exit_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, synth={"n": 10}, train_fraction=0.96)
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "running comparison with master seed 6\n"
+        assert captured.err == "error: train_fraction 0.96 leaves no test records: 10 train / 0 test\n"
+        assert not out.exists()
 
     def test_whole_roster_failing_exit_3(self, tmp_path, capsys):
         # no rupture strains and no fallback fiber strain: every model fails

@@ -661,9 +661,8 @@ def _rows(spec, n):
 
 
 class TestScalarNormalization:
-    """Single values through the plain-float paths (normalize_row over bound
-    rows, and denormalize of an int or float) give floats with the bits the
-    array paths give."""
+    """Single values through the plain-float path, normalize_row over bound
+    rows, give floats with the bits the array path gives."""
 
     @settings(max_examples=300, deadline=None)
     @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10**6, 10**6), max_size=4))
@@ -687,17 +686,6 @@ class TestScalarNormalization:
             [(LO * (1.0 - 10.0) + HI * (10.0 - 0.0)) / 1.0, (LO * (20.0 - 1.0) + HI * (1.0 - 10.0)) / 10.0],
             ["a=10 outside training range [0, 1]; extrapolating",
              "b=1 outside training range [10, 20]; extrapolating"])
-
-    @settings(max_examples=300, deadline=None)
-    @given(fitted_specs(), FRACTIONS, st.lists(st.integers(-10, 10), max_size=4))
-    def test_denormalize_scalar_equals_array(self, spec, fractions, ints):
-        values = [LO, HI, *(LO + f * (HI - LO) for f in fractions)]
-        inputs = [*values, *map(np.float64, values), *ints]
-        scalars = [spec.denormalize("v", z) for z in inputs]
-        assert all(type(x) is float for x in scalars)
-        with np.errstate(all="ignore"):
-            array = spec.denormalize("v", np.array(inputs, dtype=float))
-        assert np.array(scalars).tobytes() == array.tobytes()
 
     def test_integer_bounds_keep_float_results(self):
         spec = NormalizationSpec({"v": FeatureRange(0, 10)})

@@ -25,7 +25,7 @@ from cfrpnet.experiment import (
     train_model,
 )
 from cfrpnet.mechanics import EmpiricalModelParams
-from cfrpnet.neuralnet import BackpropConfig, load_model, save_model
+from cfrpnet.neuralnet import BackpropConfig, forward_batch, load_model, save_model
 from cfrpnet.optimizers import BaConfig, GwoConfig, PsoConfig
 
 from conftest import assert_rejects_bad_values, make_records
@@ -124,6 +124,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config key.*: features"):
             ExperimentConfig.from_dict({"features": list(DEFAULT_FEATURES)})
 
+    def test_synth_seed_is_not_a_setting(self):
+        # synthetic data use the master seed; a config may not name another
+        with pytest.raises(ValueError, match="^unknown config key.*SynthSpec: seed$"):
+            ExperimentConfig.from_dict({"synth": {"n": 30, "seed": 3}})
+
     def test_readme_config_is_accepted(self):
         # the example under "### Experiment config" in README.md advertises only real keys
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -134,7 +139,7 @@ class TestExperimentConfig:
 
     def test_invalid_field_types(self):
         assert_rejects_bad_values(small_config(fiber_strain=0.015, dataset="data.csv"))
-        assert_rejects_bad_values(SynthSpec(seed=3))
+        assert_rejects_bad_values(SynthSpec(n=30))
         for data in (5, {"synth": 5}, {"models": 5}, {"models": {"pso": 5}},
                      {"features": 5}, {"roster": ["pso", 5]}, {"pso": {"population": 5}}):
             with pytest.raises(ValueError):
@@ -169,7 +174,7 @@ def _config_documents(cls):
     roster = st.lists(st.sampled_from(ALL_MODELS), max_size=4)
     return _JSON_VALUES | st.builds(lambda base, extra: {**base, **extra}, _settings(keys),
                                     st.fixed_dictionaries({}, optional={"models": models, "roster": roster,
-                                                                        "synth": _settings(["n", "seed"])}))
+                                                                        "synth": _settings(["n", "noise_fraction"])}))
 
 
 @pytest.mark.parametrize("cls", [PsoConfig, GwoConfig, BaConfig, BackpropConfig, EmpiricalModelParams,
@@ -228,6 +233,12 @@ class TestRunExperiment:
         records = synth_dataset(80, seed=9)
         result = run_experiment(small_config(roster=("lam_teng",), seed=9), records=records)
         assert result.n_train == 60 and result.n_test == 20
+
+    def test_no_test_records_refused_before_training(self, monkeypatch):
+        # 10 records at 0.96 split 10 / 0: nothing could be scored, so nothing is trained
+        monkeypatch.setattr(experiment, "train_model", lambda *args: pytest.fail("a model was trained"))
+        with pytest.raises(ValueError, match=r"^train_fraction 0.96 leaves no test records: 10 train / 0 test$"):
+            run_experiment(small_config(train_fraction=0.96), records=synth_dataset(10, seed=1))
 
     def test_comparison_table_deterministic(self):
         records = synth_dataset(60, seed=10)
@@ -394,7 +405,7 @@ class TestModelExport:
         restored = load_model(path)
         rng = np.random.default_rng(1)
         X = rng.uniform(0.1, 0.9, (50, 7))
-        assert np.array_equal(restored.predict_normalized(X), model.predict_normalized(X))
+        assert np.array_equal(forward_batch(restored.params, X), forward_batch(model.params, X))
 
     def test_imported_model_predicts_raw_units(self, tmp_path):
         records = synth_dataset(60, seed=22)

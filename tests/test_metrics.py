@@ -153,20 +153,20 @@ class TestReports:
         p = np.array([42.0, 88.0, 155.0, 200.0])
         report = report_from_pairs(t, p, spec)
         assert report.n == 4
-        assert report.scale == "mpa"
-        assert report.mse == pytest.approx(mse(t, p), rel=1e-15)
+        assert report.mse_mpa == pytest.approx(mse(t, p), rel=1e-15)
+        assert report.mae_mpa == pytest.approx(mae(t, p), rel=1e-15)
         assert report.accuracy_percent == pytest.approx(100.0 * r_squared(t, p), rel=1e-12)
         tn = spec.normalize("fcc", t)
         pn = spec.normalize("fcc", p)
         assert report.mse_pct == pytest.approx(100.0 * mse(tn, pn), rel=1e-12)
         assert report.mae_pct == pytest.approx(100.0 * mae(tn, pn), rel=1e-12)
-        assert report.mae ** 2 <= report.mse + 1e-15
+        assert report.mae_mpa ** 2 <= report.mse_mpa + 1e-15
 
     def test_single_pair_flags_r_squared(self):
         report = report_from_pairs([45.0], [44.0], _fcc_spec())
         assert report.r_squared is None
         assert report.accuracy_percent is None
-        assert any("fewer than 2" in note for note in report.notes)
+        assert report.notes == ["r_squared needs at least 2 pairs"]
 
     def test_constant_predictions_flagged(self):
         report = report_from_pairs([45.0, 50.0], [44.0, 44.0], _fcc_spec())
@@ -195,5 +195,6 @@ class TestReports:
         report = report_from_pairs([40.0, 90.0], [42.0, 88.0], _fcc_spec())
         payload = report.to_dict()
         assert json.loads(json.dumps(payload)) == payload
-        assert payload["n"] == 2 and payload["scale"] == "mpa"
-        assert (payload["mse"], payload["mae"]) == (payload["mse_mpa"], payload["mae_mpa"])
+        assert sorted(payload) == ["accuracy_percent", "mae_mpa", "mae_pct", "mse_mpa", "mse_pct", "n",
+                                   "notes", "r_squared"]
+        assert payload["n"] == 2

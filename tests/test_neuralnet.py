@@ -280,6 +280,14 @@ class TestGradient:
         with pytest.raises(ValueError, match="empty"):
             gradient(np.zeros(10), np.empty((0, 7)), np.empty(0))
 
+    def test_column_targets_refused(self):
+        # targets are (n,): an (n, 1) column is refused by every batch entry point
+        X, y = np.full((5, 7), 0.5), np.full((5, 1), 0.5)
+        for run in (lambda: loss_mse(np.zeros(10), X, y), lambda: gradient(np.zeros(10), X, y),
+                    lambda: train_backprop(1, X, y, BackpropConfig(epochs=1))):
+            with pytest.raises(ValueError, match=r"^targets have shape \(5, 1\), expected \(5,\)$"):
+                run()
+
 
 class TestTrainBackprop:
     def test_linear_toy_converges(self):
@@ -524,7 +532,7 @@ class TestTrainedModel:
         restored = load_model(path)
         rng = np.random.default_rng(11)
         X = rng.uniform(0.1, 0.9, (100, 7))
-        assert np.array_equal(restored.predict_normalized(X), model.predict_normalized(X))
+        assert np.array_equal(forward_batch(restored.params, X), forward_batch(model.params, X))
 
     @pytest.mark.parametrize("hidden_size", [np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_sizes_save_and_reload(self, tmp_path, hidden_size):

@@ -476,10 +476,11 @@ class TestBaUpdate:
         assert trace.acceptances.sum() > 0
 
     def test_pinned_sphere_run(self):
-        # a small run pinned to the values of the array-box version
-        trace = ba_run(BaConfig(population=6, iterations=20, seed=4), 4, HALF, sphere)
+        # a small run pinned to the values of the array-box version, on a correctly rounded
+        # sphere: a BLAS ddot's sum differs in the last bit between OpenBLAS kernel sets
+        trace = ba_run(BaConfig(population=6, iterations=20, seed=4), 4, HALF, lambda x: math.fsum(x * x))
         assert trace.best_fitness[0] == 11.770849027235725
-        assert trace.best_fitness[-1] == 0.22949788218087352
+        assert trace.best_fitness[-1] == 0.22949788218087355
         assert trace.best_position.tolist() == [-0.002228280468333038, 0.07264323323401722,
                                                 -0.3738305196090322, -0.2906314164387208]
         assert trace.acceptances.tolist() == [2, 6, 3, 6, 5, 5]
@@ -508,7 +509,7 @@ class TestObjectiveFromDataset:
         # labels that are the net's own float32 predictions
         X = np.array([[0.2, 0.4, 0.1, 0.9, 0.3, 0.5, 0.7], [0.6, 0.8, 0.2, 0.1, 0.5, 0.3, 0.4]])
         w = np.array([1.0, -0.3, 0.5, 0.2, -0.6, 0.4, 0.1, 0.1, 0.8, 0.3])
-        y = float32_forward(w, X, folded=False)[1][:, 0]
+        y = float32_forward(w, X, folded=True)[1][:, 0]
         objective = objective_from_dataset(1, X, y.astype(float))
         assert objective(w) == 0.0
 
@@ -577,19 +578,18 @@ class TestObjectiveFromDataset:
     @pytest.mark.parametrize("rows", [17, 45, 531, 708])
     @pytest.mark.parametrize("seed", [1, 3, 7])
     def test_folded_bias_is_bit_identical_on_sgemm_shapes(self, seed, rows, hidden_size):
-        # numpy hands these shapes' first matmul to sgemm, whose [X, 1] @ [W1; b1] lands on the
-        # bits of X @ W1 + b1: at the paper's 50 hidden units the fold changes no output. A
-        # hidden width of 1 or a single row goes to sgemv, which may round the sums differently.
+        # numpy hands these shapes' first matmul to sgemm. The objective keeps the bits of the
+        # folded [X, 1] @ [W1; b1]; whether those equal the bits of X @ W1 + b1 depends on the
+        # OpenBLAS kernel set (SkylakeX's do, Haswell's round some sums differently), so the
+        # two forms are held within float32's rounding of each other.
         rng = np.random.default_rng(1000 * seed + 10 * hidden_size + rows)
         X = rng.uniform(0.0, 1.0, (rows, 7))
         y = rng.uniform(0.0, 1.0, rows)
         objective = objective_from_dataset(hidden_size, X, y)
         for _ in range(100):
             w = rng.uniform(-2.0, 2.0, parameter_count(hidden_size))
-            folded, two_step = float32_forward(w, X, folded=True), float32_forward(w, X, folded=False)
-            for a, b in zip(folded, two_step):
-                assert a.tobytes() == b.tobytes()
-            assert objective(w) == two_step_float32_mse(w, X, y)
+            assert objective(w) == float32_mse(w, X, y)
+            assert objective(w) == pytest.approx(two_step_float32_mse(w, X, y), rel=REL32)
 
     def test_repeated_and_interleaved_calls(self):
         rng = np.random.default_rng(4)
