@@ -254,9 +254,10 @@ def run_experiment(
         raise ValueError("dataset is empty")
 
     train, test = split(records, config.train_fraction, seed=model_seed(config.seed, "split"))
-    if not test:
-        raise ValueError(f"train_fraction {config.train_fraction} leaves no test records: "
-                         f"{len(train)} train / 0 test")
+    if not test or len(train) < 2:
+        short = "no test records" if not test else "fewer than 2 training records"
+        raise ValueError(f"train_fraction {config.train_fraction} leaves {short}: "
+                         f"{len(train)} train / {len(test)} test")
     norm = fit_normalizer(train)
     X_train = feature_matrix(train, norm)
     y_train = target_vector(train, norm)

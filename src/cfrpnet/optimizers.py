@@ -12,8 +12,10 @@ per-iteration variates (listed in each run function). Fitness updates are
 reduced in member-index order, so results cannot depend on how objective
 evaluations are scheduled.
 
-PSO and GWO move the whole population at once as (population, dim)
-arrays, drawing member i's k variate vectors of a step with one call:
+PSO moves the whole swarm at once as (population, dim) arrays; GWO moves
+the pack as such arrays in blocks of wolves, sized so that a block's draws
+stay in cache, with the draw order and bits of a whole-pack move. Both
+draw member i's k variate vectors of a step with one call:
 ``Generator.random(k * dim)`` is bit for bit the k consecutive
 ``random(dim)`` draws of a per-member loop. Their personal bests, global
 best and leaders are chosen by array reductions that break ties as a
@@ -33,6 +35,9 @@ from .dataset import ConfigBase, csv_text
 from .neuralnet import INPUT_SIZE, WEIGHT_BOUND, _bind_mse, _check_batch, _workspace, parameter_count, unflatten
 
 Objective = Callable[[np.ndarray], float]
+
+# Bytes of GWO draws moved as one block: small enough to stay in a core's L2.
+GWO_BLOCK_BYTES = 1 << 20
 
 
 class ObjectiveError(RuntimeError):
@@ -224,24 +229,31 @@ def gwo_move(x, leaders, a, streams, bound: float, draws, out):
     """Move every wolf (row of x) toward the three leaders; returns out.
 
     Wolf i's stream yields, in one call, the A-vector variates then the
-    C-vector variates of each leader in turn. They land in draws[:, :, i]
-    of a (3, 2, population, dim) buffer, so that each leader's coefficients
-    for the whole pack are contiguous. With a = 0 the update collapses onto
-    the leader mean.
+    C-vector variates of each leader in turn. The pack moves in blocks of
+    draws.shape[2] wolves, so that a block's draws stay in cache: wolf i of
+    a block lands in draws[:, :, i] of the (3, 2, rows, dim) buffer, so
+    that each leader's coefficients for the block are contiguous. Blocking
+    changes neither the draw order nor any element's operations. With
+    a = 0 the update collapses onto the leader mean.
     """
-    for i, stream in enumerate(streams):
-        draws[:, :, i] = stream.random((3, 2, x.shape[1]))
-    out.fill(0.0)
-    for (coef_a, term), leader in zip(draws, leaders):
-        coef_a *= 2.0 * a
-        coef_a -= a
-        term *= 2.0 * leader  # the bits of (term * 2.0) * leader: doubling is exact
-        term -= x
-        np.abs(term, out=term)
-        term *= coef_a
-        out += np.subtract(leader, term, out=term)
-    out /= 3.0
-    return np.clip(out, -bound, bound, out=out)
+    rows, wolf = draws.shape[2], np.empty((3, 2, x.shape[1]))
+    for start in range(0, len(streams), rows):
+        block = streams[start:start + rows]
+        xb, ob, db = x[start:start + rows], out[start:start + rows], draws[:, :, :len(block)]
+        for i, stream in enumerate(block):
+            db[:, :, i] = stream.random(out=wolf)
+        ob.fill(0.0)
+        for (coef_a, term), leader in zip(db, leaders):
+            coef_a *= 2.0 * a
+            coef_a -= a
+            term *= 2.0 * leader  # the bits of (term * 2.0) * leader: doubling is exact
+            term -= xb
+            np.abs(term, out=term)
+            term *= coef_a
+            ob += np.subtract(leader, term, out=term)
+        ob /= 3.0
+        np.clip(ob, -bound, bound, out=ob)
+    return out
 
 
 def gwo_run(config: GwoConfig, dim: int, bound: float, objective: Objective) -> OptimizationTrace:
@@ -250,11 +262,14 @@ def gwo_run(config: GwoConfig, dim: int, bound: float, objective: Objective) -> 
     The three fittest wolves seen so far (alpha, beta, delta) steer every
     move; on a tie an old leader ranks first, then the lower-index wolf.
     The control scalar a decays linearly from 2 to exactly 0 over the
-    iterations.
+    iterations. The pack moves in near-equal blocks, as few as keep a
+    block's draws to about GWO_BLOCK_BYTES; their size depends only on
+    population and dim.
     """
     streams, x = _start(config, dim, bound)
     moved = np.empty_like(x)
-    draws = np.empty((3, 2, config.population, dim))
+    blocks = max(1, -(-config.population * 3 * 2 * dim * 8 // GWO_BLOCK_BYTES))  # ceiling division
+    draws = np.empty((3, 2, -(-config.population // blocks), dim))
     leaders, leader_f = np.empty((3, dim)), np.full(3, math.inf)
     history, evaluations = [], 0
 
@@ -267,7 +282,7 @@ def gwo_run(config: GwoConfig, dim: int, bound: float, objective: Objective) -> 
         pool_f = np.concatenate((leader_f, fitness))
         best = np.argsort(pool_f, kind="stable")[:3]
         # a copy, not views of x: the next move overwrites x's buffer
-        leaders, leader_f = np.concatenate((leaders, x))[best], pool_f[best]
+        leaders, leader_f = np.array([leaders[i] if i < 3 else x[i - 3] for i in best]), pool_f[best]
         history.append(float(leader_f[0]))
     return OptimizationTrace(np.array(history), leaders[0], evaluations)
 

@@ -990,6 +990,16 @@ class TestCompare:
         assert captured.err == "error: train_fraction 0.96 leaves no test records: 10 train / 0 test\n"
         assert not out.exists()
 
+    def test_fewer_than_two_training_records_exit_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, synth={"n": 10}, roster=["ann", "pso"], train_fraction=0.1)
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "running comparison with master seed 6\n"
+        assert captured.err == ("error: train_fraction 0.1 leaves fewer than 2 training records: "
+                                "1 train / 9 test\n")
+        assert not out.exists()
+
     def test_whole_roster_failing_exit_3(self, tmp_path, capsys):
         # no rupture strains and no fallback fiber strain: every model fails
         data_path = tmp_path / "plain.csv"

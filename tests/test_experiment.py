@@ -240,6 +240,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"^train_fraction 0.96 leaves no test records: 10 train / 0 test$"):
             run_experiment(small_config(train_fraction=0.96), records=synth_dataset(10, seed=1))
 
+    @pytest.mark.parametrize("fraction, counts", [(0.04, "0 train / 10 test"), (0.1, "1 train / 9 test")])
+    def test_fewer_than_two_training_records_refused_before_training(self, monkeypatch, fraction, counts):
+        # a normalizer needs two training records: the split is refused, not the fit
+        monkeypatch.setattr(experiment, "train_model", lambda *args: pytest.fail("a model was trained"))
+        with pytest.raises(ValueError, match=rf"^train_fraction {fraction} leaves fewer than 2 training "
+                                             rf"records: {counts}$"):
+            run_experiment(small_config(train_fraction=fraction), records=synth_dataset(10, seed=1))
+
     def test_comparison_table_deterministic(self):
         records = synth_dataset(60, seed=10)
         config = small_config(seed=10)

@@ -247,6 +247,14 @@ class TestGwoUpdate:
         moved = self._move(np.array([[0.0, 0.0], [4.0, -4.0]]), leaders, 2)
         assert np.allclose(moved, [[2.0, 2.0], [2.0, 2.0]], atol=1e-15)
 
+    def test_blocked_move_matches_whole_pack(self):
+        # 7 wolves through a 2-row draws buffer: three full blocks and a partial one
+        rng = np.random.default_rng(4)
+        wolves, leaders = rng.uniform(-HALF, HALF, (7, 5)), rng.uniform(-HALF, HALF, (3, 5))
+        moved = [gwo_move(wolves, leaders, 1.3, _streams(9, 7), HALF, np.empty((3, 2, rows, 5)),
+                          np.empty_like(wolves)) for rows in (7, 2)]
+        assert np.array_equal(moved[0], moved[1])
+
 
 def reference_pso_run(config, dim, half, objective):
     """Per-member PSO loop: each particle draws r1 then r2 and moves in turn.
@@ -405,6 +413,31 @@ class TestVectorisedMatchesPerMemberLoop:
         assert np.array_equal(got.best_fitness, want.best_fitness)
         assert np.array_equal(got.best_position, want.best_position)
         assert got.evaluations == want.evaluations
+
+    # one GWO block holds 8 wolves of this dim, whatever the block budget
+    BLOCK_DIM = optimizers.GWO_BLOCK_BYTES // (3 * 2 * 8 * 8)
+
+    @pytest.mark.parametrize("population, dim, iterations, split", [
+        (16, BLOCK_DIM, 10, "full"),  # two full blocks
+        (17, BLOCK_DIM, 10, "partial"),  # the last block is a partial one
+        (75, 451, 3, "partial"),  # the reference pack: blocks of 38 and 37 wolves at 1 MiB
+    ])
+    def test_gwo_across_blocks(self, monkeypatch, population, dim, iterations, split):
+        rows, real_move = [], optimizers.gwo_move
+
+        def spy(x, leaders, a, streams, bound, draws, out):
+            rows.append(draws.shape[2])
+            return real_move(x, leaders, a, streams, bound, draws, out)
+
+        monkeypatch.setattr(optimizers, "gwo_move", spy)
+        cfg = GwoConfig(population=population, iterations=iterations, seed=2)
+        got = gwo_run(cfg, dim, 0.5, sphere)
+        want = reference_gwo_run(cfg, dim, 0.5, sphere)
+        assert np.array_equal(got.best_fitness, want.best_fitness)
+        assert np.array_equal(got.best_position, want.best_position)
+        assert got.evaluations == want.evaluations
+        assert len(rows) == iterations and rows[0] < population
+        assert (population % rows[0] != 0) == (split == "partial")
 
     @staticmethod
     def assert_ba_matches(cfg, dim, half, objective):
