@@ -175,6 +175,9 @@ def cmd_train(args) -> int:
     _say(args, f"training {args.model} on {len(records)} records (seed {cfg.seed})")
     if args.train_fraction < 1.0:
         train, _ = split(records, args.train_fraction, seed=model_seed(cfg.seed, "split"))
+        if len(train) < 2:
+            raise ValueError(f"--train-fraction {args.train_fraction} leaves fewer than 2 training records: "
+                             f"{len(train)} of {len(records)}")
         _say(args, f"using {len(train)} of {len(records)} records for training")
     else:
         train = records

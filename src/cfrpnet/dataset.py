@@ -8,6 +8,7 @@ are pure functions of their inputs, so concurrent use is safe.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import itertools
@@ -16,6 +17,7 @@ import math
 import numbers
 import operator
 import os
+import stat
 import sys
 import types
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
@@ -264,7 +266,7 @@ def _parse_float(cell: str, row: int, column: str) -> float:
 
 
 def parse_dataset(path) -> list[SpecimenRecord]:
-    """Parse specimen records from a UTF-8 CSV file (str or Path), streamed row by row.
+    """Parse specimen records from a UTF-8 CSV file (str or Path).
 
     The header must carry the canonical columns ``d_mm,h_mm,nt_mm,ef_gpa,
     fco_mpa,eco_pct,ecc_pct,fcc_mpa`` in that order; an optional trailing
@@ -272,7 +274,26 @@ def parse_dataset(path) -> list[SpecimenRecord]:
     skipped, and so is a byte-order mark. Row numbers in errors are 1-based
     file lines (header is 1); a record whose quoted cell spans lines is
     reported at its last line.
+
+    A plain file (a regular file: the exact canonical header, then only the
+    bytes ``0-9 e E + - . ,`` and LF or CRLF line ends, as ``records_to_csv``
+    writes) is read by numpy's C reader. Any other file (a pipe, quoted or
+    padded cells, lone-CR line ends, other characters) and any file the fast
+    path fails on is walked by the csv module from its start, and only the
+    walk's records or error come out: both paths give the same records.
+    Besides the records, the walk holds one row at a time; the C reader holds
+    one 64 KiB chunk of text at a time, then the values as one float64 array
+    and as one list per column, a peak of about 1.2 times the records' own
+    memory.
     """
+    try:
+        return _parse_plain(path)
+    except (ValueError, OSError):  # outside the plain domain, or malformed: the walk decides
+        return _walk_dataset(path)
+
+
+def _walk_dataset(path) -> list[SpecimenRecord]:
+    """The reference parse, and the only one that raises: the csv module's walk, row by row."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -311,6 +332,58 @@ def _read_records(reader) -> list[SpecimenRecord]:
         except ValueError as exc:
             raise DatasetFormatError(str(exc), row=line_no) from None
     return records
+
+
+# The fast path's domain: the exact header line (with or without the rupture column),
+# then only these bytes. float() and numpy's reader agree on every cell spelt with them.
+_PLAIN_HEADERS = {",".join(CSV_HEADER).encode(): False,
+                  ",".join((*CSV_HEADER, RUPTURE_COLUMN)).encode(): True}
+_PLAIN_BYTES = b"0123456789eE+-.,\n"  # and CR, in CRLF only
+_PLAIN_CHUNK = 1 << 16
+
+
+def _plain_lines(fh, rupture: bool):
+    """The rest of a binary file as lists of lines, one 64 KiB chunk (completed to a
+    line end) at a time. ValueError on a byte outside the domain, a lone CR, a line as
+    long as the csv module's field limit (the walk refuses it) or a file without a data
+    row (numpy warns on one). With ``rupture``, a blank last cell reads as NaN, which
+    no plain cell spells."""
+    limit = csv.field_size_limit()
+    rows = False
+    while chunk := fh.read(_PLAIN_CHUNK):
+        chunk += fh.readline(limit)
+        if len(chunk) >= limit:
+            raise ValueError("a line reaches the csv field limit")
+        if rest := chunk.translate(None, _PLAIN_BYTES):  # one C pass; all CRs are left
+            if rest.strip(b"\r") or chunk.count(b"\r\n") != len(rest):
+                raise ValueError("not a plain file")
+            chunk = chunk.replace(b"\r", b"")
+        if rupture:
+            chunk = chunk.replace(b",\n", b",nan\n") + (b"nan" if chunk.endswith(b",") else b"")
+        rows = rows or bool(chunk.strip(b"\n"))
+        yield chunk.decode("ascii").splitlines()
+    if not rows:
+        raise ValueError("no data rows")
+
+
+def _parse_plain(path) -> list[SpecimenRecord]:
+    """parse_dataset of a plain file by numpy's C reader; ValueError on any other file."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe reads once: only the walk may read it
+        raise ValueError("not a regular file")
+    with open(path, "rb") as fh:
+        header = fh.readline(_PLAIN_CHUNK).removeprefix(codecs.BOM_UTF8).rstrip(b"\r\n")
+        rupture = _PLAIN_HEADERS.get(header)
+        if rupture is None:
+            raise ValueError("not the canonical header")
+        lines = itertools.chain.from_iterable(_plain_lines(fh, rupture))
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != len(CSV_HEADER) + rupture:
+        raise ValueError(f"{table.shape[1]} columns under the header")
+    columns = table.T.tolist()
+    del table  # the records' floats are in the lists now
+    if rupture:
+        columns[-1] = [None if eps != eps else eps for eps in columns[-1]]  # NaN: blank
+    return list(map(SpecimenRecord, *columns))
 
 
 def records_to_csv(records: Sequence[SpecimenRecord]) -> str:

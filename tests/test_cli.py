@@ -400,6 +400,15 @@ class TestTrain:
         assert err == f"error: --train-fraction must lie in (0, 1], got {float(fraction)}\n"
         assert not (tmp_path / "model_ann.json").exists()
 
+    def test_train_fraction_leaving_one_record_exit_2_before_training(self, dataset_csv, tmp_path, capsys):
+        code = main(["train", dataset_csv, "--model", "ann", "--iterations", "2", "--neurons", "3",
+                     "--train-fraction", "0.02", "--out", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "training ann on 40 records (seed 0)\n"
+        assert err == "error: --train-fraction 0.02 leaves fewer than 2 training records: 1 of 40\n"
+        assert not (tmp_path / "model_ann.json").exists()
+
     def test_train_fraction_one_uses_every_record(self, dataset_csv, tmp_path, capsys):
         argv = ["train", dataset_csv, "--model", "ann", "--iterations", "3", "--neurons", "3"]
         assert main(argv + ["--train-fraction", "1.0", "--out", str(tmp_path / "one")]) == 0

@@ -1,8 +1,10 @@
 import codecs
 import copy
+import csv
 import dataclasses
 import math
 import operator
+import os
 import pickle
 import tracemalloc
 import warnings
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cfrpnet import dataset
 from cfrpnet.dataset import (
     CSV_HEADER,
     DEFAULT_FEATURES,
@@ -204,6 +207,15 @@ SOURCE_CASES = {
                         ("could not parse number from '3\\r\\n00' (row 4, column 'h_mm')", 4, "h_mm")),
     "bad_record_lone_cr": (f"{HEADER}\r{ROW}\r-150,300,0.167,231,30,0.2,1.2,45\r",
                            ("field 'd' must be positive and finite, got -150.0 (row 3)", 3, None)),
+    "lone_cr_in_a_cell": (f"{HEADER}\n{ROW[:-1]}\r{ROW[-1]}\n",
+                          ("expected 8 columns, found 1 (row 3)", 3, None)),
+    # numpy's reader and float() disagree on these cells: they keep the walk's outcome
+    "file_separator_cell": (f"{HEADER}\n{_row_with({'d_mm': chr(0x1C) + '1'})}\n",
+                            ("could not parse number from '\\x1c1' (row 2, column 'd_mm')", 2, "d_mm")),
+    "underscore_cell": (f"{HEADER}\n{_row_with({'h_mm': '1_000'})}\n",
+                        [dataclasses.replace(RECORD, h=1000.0)]),
+    "arabic_indic_cell": (f"{HEADER}\n{_row_with({'fco_mpa': '١٢'})}\n",
+                          [dataclasses.replace(RECORD, fco=12.0)]),
 }
 
 
@@ -214,17 +226,43 @@ def _parse_outcome(parse, text):
         return (str(exc), exc.row, exc.column)
 
 
+def _outcome(parse, path):
+    """parse(path)'s records, or its ValueError's type, message, row and column."""
+    try:
+        return parse(path)
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+
+
+ALPHABET = '0123456789.,-+eE"\r\n infa\t_\x1c\x1d\x1e\x1f١'
+# one value spelt eight ways, so that rows of them are records (h == d)
+SAME = ["150", "150.0", "1.5e2", "+150", "0150", "150.", "15E1", "1500e-1"]
+ODD = ["", "-1", "0", "1e999", "1e-400", ".", "e", "nan", " 150", "150\t", '"150"', "1_000",
+       "١٢", "\x1c1"]
+ROWS = st.builds(lambda cells, last: ",".join(cells + last),
+                 st.lists(st.sampled_from(SAME), min_size=8, max_size=8),
+                 st.lists(st.sampled_from(SAME + ODD), max_size=1))
+BODIES = (st.text() | st.text(alphabet=ALPHABET)
+          | st.builds(lambda rows, end, tail: end.join(rows) + tail,
+                      st.lists(ROWS | st.text(alphabet=ALPHABET, max_size=12), max_size=6),
+                      st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["", "\n"])))
+
+
 class TestParseAnyText:
     @settings(max_examples=300, deadline=None, suppress_health_check=ONE_FILE)
-    @given(body=st.text() | st.text(alphabet='0123456789.,-+eE"\r\n infa'))
-    def test_records_or_value_error(self, parse_text, body):
-        # the canonical header and any body
-        try:
-            records = parse_text(f"{HEADER}\n{body}")
-        except ValueError:
-            return
-        assert isinstance(records, list)
-        assert all(isinstance(r, SpecimenRecord) for r in records)
+    @given(header=st.sampled_from([HEADER, f"{HEADER},eps_hrup"]), body=BODIES)
+    @pytest.mark.filterwarnings("error")
+    def test_records_or_value_error(self, tmp_path, header, body):
+        # the canonical header and any body: the walk's records or error, and no warning;
+        # numpy's reader, where it returns, returns the walk's records
+        path = tmp_path / "data.csv"
+        path.write_text(f"{header}\n{body}", encoding="utf-8", newline="")
+        walked = _outcome(dataset._walk_dataset, path)
+        assert _outcome(parse_dataset, path) == walked
+        plain = _outcome(dataset._parse_plain, path)
+        assert plain == walked or plain[0] is ValueError
+        if isinstance(walked, list):
+            assert all(isinstance(r, SpecimenRecord) for r in walked)
 
 
 @st.composite
@@ -264,6 +302,14 @@ class TestParseSources:
         marked.write_bytes(codecs.BOM_UTF8 + data)
         plain.write_bytes(data)
         assert parse_dataset(marked) == parse_dataset(plain) == [dataclasses.replace(RECORD, eps_h_rup=0.01)]
+
+    def test_line_reaching_the_csv_field_limit_is_walked(self, parse_text):
+        # numpy's reader would take the cell as 150; the walk refuses it
+        cell = "0" * csv.field_size_limit() + "150"
+        with pytest.raises(DatasetFormatError) as exc:
+            parse_text(f"{HEADER}\n{_row_with({'d_mm': cell})}\n")
+        assert str(exc.value).startswith("field larger than field limit")
+        assert exc.value.row == 2
 
     def test_path_parse_keeps_only_the_records(self, tmp_path, parse_text):
         # streaming holds a few rows at a time, not the file's text and a copy of it
@@ -733,3 +779,38 @@ class TestSplit:
             split([], 0.75, seed=0)
         with pytest.raises(ValueError):
             split(make_records(5), 1.0, seed=0)
+
+
+class TestPlainFastPath:
+    """A plain file is read by numpy's reader alone, without the csv walk."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_walk_dataset", lambda path: pytest.fail(f"walked {path}"))
+
+    @pytest.mark.parametrize("case", ["rupture", "every_third_rupture_blank", "eight_columns", "crlf"])
+    def test_plain_file_parses_without_the_walk(self, parse_text, no_walk, case):
+        records = make_records(8000, seed=5, with_rupture=case != "eight_columns" and case != "crlf")
+        if case == "every_third_rupture_blank":
+            records = [dataclasses.replace(r, eps_h_rup=None) if i % 3 == 0 else r
+                       for i, r in enumerate(records)]
+        text = records_to_csv(records)
+        if case == "crlf":
+            text = text.replace("\n", "\r\n")
+        assert parse_text(text) == records
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once_by_the_walk(self):
+        # a pipe's bytes are gone once read, so the fast path must not read any first
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, f'{HEADER}\n"150",300,0.167,231,30,0.2,1.2,45\n'.encode())
+            os.close(write_end)
+            assert parse_dataset(f"/dev/fd/{read_end}") == [RECORD]
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+    def test_file_without_data_rows_is_empty_without_warnings(self, parse_text, body):
+        assert parse_text(f"{HEADER}\n{body}") == []
