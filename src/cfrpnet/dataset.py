@@ -174,7 +174,7 @@ class ConfigBase:
 
 
 class DatasetFormatError(ValueError):
-    """Malformed CSV input; carries row/column context when known."""
+    """Malformed CSV input; the message names the row and column when known."""
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
         context = []
@@ -185,8 +185,6 @@ class DatasetFormatError(ValueError):
         if context:
             message = f"{message} ({', '.join(context)})"
         super().__init__(message)
-        self.row = row
-        self.column = column
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,8 +277,9 @@ def parse_dataset(path) -> list[SpecimenRecord]:
     bytes ``0-9 e E + - . ,`` and LF or CRLF line ends, as ``records_to_csv``
     writes) is read by numpy's C reader. Any other file (a pipe, quoted or
     padded cells, lone-CR line ends, other characters) and any file the fast
-    path fails on is walked by the csv module from its start, and only the
-    walk's records or error come out: both paths give the same records.
+    path fails on (a blank rupture cell among them) is walked by the csv module
+    from its start, and only the walk's records or error come out: both paths
+    give the same records.
     Besides the records, the walk holds one row at a time; the C reader holds
     one 64 KiB chunk of text at a time, then the values as one float64 array
     and as one list per column, a peak of about 1.2 times the records' own
@@ -319,14 +318,7 @@ def _read_records(reader) -> list[SpecimenRecord]:
             raise DatasetFormatError(f"expected {len(header)} columns, found {len(row)}", row=line_no)
         # FIELDS order, then eps_hrup unless blank (the record's default None)
         cells = row if has_rupture and row[width].strip() else row[:width]
-        try:
-            values = list(map(float, cells))
-            finite = math.isfinite(sum(values))
-        except ValueError:
-            finite = False
-        if not finite:  # name the bad cell; finite cells whose sum overflows parse again here
-            values = list(map(_parse_float, cells, itertools.repeat(line_no),
-                              (*CSV_HEADER, RUPTURE_COLUMN)))
+        values = list(map(_parse_float, cells, itertools.repeat(line_no), (*CSV_HEADER, RUPTURE_COLUMN)))
         try:
             records.append(SpecimenRecord(*values))
         except ValueError as exc:
@@ -342,12 +334,11 @@ _PLAIN_BYTES = b"0123456789eE+-.,\n"  # and CR, in CRLF only
 _PLAIN_CHUNK = 1 << 16
 
 
-def _plain_lines(fh, rupture: bool):
+def _plain_lines(fh):
     """The rest of a binary file as lists of lines, one 64 KiB chunk (completed to a
     line end) at a time. ValueError on a byte outside the domain, a lone CR, a line as
     long as the csv module's field limit (the walk refuses it) or a file without a data
-    row (numpy warns on one). With ``rupture``, a blank last cell reads as NaN, which
-    no plain cell spells."""
+    row (numpy warns on one)."""
     limit = csv.field_size_limit()
     rows = False
     while chunk := fh.read(_PLAIN_CHUNK):
@@ -358,8 +349,6 @@ def _plain_lines(fh, rupture: bool):
             if rest.strip(b"\r") or chunk.count(b"\r\n") != len(rest):
                 raise ValueError("not a plain file")
             chunk = chunk.replace(b"\r", b"")
-        if rupture:
-            chunk = chunk.replace(b",\n", b",nan\n") + (b"nan" if chunk.endswith(b",") else b"")
         rows = rows or bool(chunk.strip(b"\n"))
         yield chunk.decode("ascii").splitlines()
     if not rows:
@@ -375,14 +364,13 @@ def _parse_plain(path) -> list[SpecimenRecord]:
         rupture = _PLAIN_HEADERS.get(header)
         if rupture is None:
             raise ValueError("not the canonical header")
-        lines = itertools.chain.from_iterable(_plain_lines(fh, rupture))
+        # a blank cell (records_to_csv's for no rupture strain) raises ValueError: the walk reads it
+        lines = itertools.chain.from_iterable(_plain_lines(fh))
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     if table.shape[1] != len(CSV_HEADER) + rupture:
         raise ValueError(f"{table.shape[1]} columns under the header")
     columns = table.T.tolist()
     del table  # the records' floats are in the lists now
-    if rupture:
-        columns[-1] = [None if eps != eps else eps for eps in columns[-1]]  # NaN: blank
     return list(map(SpecimenRecord, *columns))
 
 

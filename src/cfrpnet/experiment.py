@@ -158,7 +158,8 @@ class ExperimentConfig(ConfigBase):
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
         """Build from a JSON-style mapping: each model's settings sit under
-        ``models``, keyed by model name, and ``synth`` is a mapping."""
+        ``models``, keyed by model name, and ``synth`` is a mapping. A model's
+        settings hold no seed: run_experiment derives it from the master seed."""
         if not isinstance(data, Mapping):
             raise ValueError(f"experiment config must be a mapping, got {type(data).__name__}")
         kwargs = dict(data)
@@ -168,6 +169,10 @@ class ExperimentConfig(ConfigBase):
         unknown = sorted(str(name) for name in models if name not in MODEL_CONFIGS)
         if unknown:
             raise ValueError(f"unknown model config key(s): {', '.join(unknown)}")
+        seeded = [name for name, given in models.items() if isinstance(given, Mapping) and "seed" in given]
+        if seeded:
+            raise ValueError(f"models.{seeded[0]}.seed is not a setting: compare derives each model's seed "
+                             "from the master seed")
         kwargs.update((name, MODEL_CONFIGS[name].from_dict(settings)) for name, settings in models.items())
         if kwargs.get("synth") is not None:
             kwargs["synth"] = SynthSpec.from_dict(kwargs["synth"])

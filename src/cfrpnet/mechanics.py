@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .dataset import ConfigBase, SpecimenRecord
@@ -141,15 +140,9 @@ def predict_record(
     guessing.
     """
     check_model(model, params)
-    # the concrete class first: an ABC's isinstance check runs in Python
-    if not isinstance(record, SpecimenRecord) and isinstance(record, Mapping):
-        values = map(record.get, _RECORD_FIELDS)
-    else:
-        try:
-            values = _record_fields(record)
-        except AttributeError:  # an absent field reads as None
-            values = [getattr(record, name, None) for name in _RECORD_FIELDS]
-    d, nt, ef, fco, eps = values
+    # a record by one attrgetter; anything else as a mapping (no ABC check: it runs in Python)
+    d, nt, ef, fco, eps = (_record_fields(record) if isinstance(record, SpecimenRecord)
+                           else map(record.get, _RECORD_FIELDS))
     if d is None or nt is None or ef is None or fco is None:
         missing = next(n for n, v in zip(_RECORD_FIELDS, (d, nt, ef, fco)) if v is None)
         raise ValueError(f"record is missing field {missing!r}")

@@ -165,11 +165,6 @@ def gradient(weights, X, y) -> np.ndarray:
 class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite."""
 
-    def __init__(self, epoch: int, loss: float):
-        super().__init__(f"training diverged at epoch {epoch}: loss={loss}")
-        self.epoch = epoch
-        self.loss = loss
-
 
 @dataclass
 class BackpropConfig(ConfigBase):
@@ -205,7 +200,7 @@ def train_backprop(hidden: int, X, y, config: BackpropConfig) -> tuple[np.ndarra
             w -= config.learning_rate * _backward(params, X, acts, tmp[0])
             current = mse()
             if not math.isfinite(current):
-                raise TrainingDivergedError(epoch, current)
+                raise TrainingDivergedError(f"training diverged at epoch {epoch}: loss={current}")
             history.append(current)
     return w, history
 

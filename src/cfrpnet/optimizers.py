@@ -43,13 +43,6 @@ GWO_BLOCK_BYTES = 1 << 20
 class ObjectiveError(RuntimeError):
     """The objective returned a non-finite value."""
 
-    def __init__(self, value: float, iteration: int, member: int):
-        super().__init__(
-            f"objective returned non-finite value {value} at iteration {iteration}, member {member}")
-        self.value = value
-        self.iteration = iteration
-        self.member = member
-
 
 @dataclass
 class PsoConfig(ConfigBase):
@@ -122,14 +115,14 @@ class OptimizationTrace:
     """Elitist optimization record.
 
     ``best_fitness[0]`` is the best after initial evaluation; entry t is
-    the best after iteration t. ``loudness`` and ``acceptances`` are BA
-    diagnostics, None for the other algorithms.
+    the best after iteration t. ``acceptances``, BA's moves accepted per bat,
+    is None for the other algorithms; a bat's final loudness is the
+    configured loudness times alpha ** acceptances.
     """
 
     best_fitness: np.ndarray
     best_position: np.ndarray
     evaluations: int
-    loudness: np.ndarray | None = None
     acceptances: np.ndarray | None = None
 
     def __post_init__(self):
@@ -163,7 +156,8 @@ def _start(config, dim: int, bound: float) -> tuple[list[np.random.Generator], n
 def _checked(objective: Objective, x: np.ndarray, iteration: int, member: int) -> float:
     value = float(objective(x))
     if not math.isfinite(value):
-        raise ObjectiveError(value, iteration, member)
+        raise ObjectiveError(
+            f"objective returned non-finite value {value} at iteration {iteration}, member {member}")
     return value
 
 
@@ -366,8 +360,7 @@ def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> Op
                           walking[rest], v_new[rest], candidates[rest])
         v, v_new = v_new, v
         history.append(gbest_f)
-    return OptimizationTrace(np.array(history), gbest, evaluations,
-                             loudness=loudness, acceptances=acceptances)
+    return OptimizationTrace(np.array(history), gbest, evaluations, acceptances=acceptances)
 
 
 def objective_from_dataset(hidden: int, X, y) -> Objective:

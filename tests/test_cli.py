@@ -1368,6 +1368,7 @@ BAD_CONFIGS = [
     ("train", {"population": 2**63}),  # a population numpy cannot count
     ("train", {"population": 10**400}),
     ("compare", {"models": {"pso": {"population": 10**400}}}),
+    ("compare", {"models": {"pso": {"population": 4, "iterations": 3, "seed": 5}}}),  # compare derives model seeds
     # the weight box, the network and the training length are fixed, not settings
     ("compare", {"models": {"ann": {"init_half_width": 0.25}}}),
     ("compare", {"models": {"ann": {"early_stop_patience": 5}}}),

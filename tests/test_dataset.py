@@ -93,8 +93,7 @@ class TestParse:
         text = HEADER + "\n150,300,0.167,231,30,0.2,1.2,45\n150,xx,0.167,231,30,0.2,1.2,45\n"
         with pytest.raises(DatasetFormatError) as exc:
             parse_text(text)
-        assert exc.value.row == 3
-        assert exc.value.column == "h_mm"
+        assert str(exc.value) == "could not parse number from 'xx' (row 3, column 'h_mm')"
 
     def test_missing_header_column(self, parse_text):
         bad = HEADER.replace("h_mm,", "")
@@ -147,8 +146,7 @@ def _row_with(cells: dict) -> str:
 
 
 class TestParseErrorsKept:
-    """A row is converted in one pass and walked cell by cell only when that
-    pass fails; the walk gives each error its message, row and column."""
+    """The walk parses a row cell by cell; each error's message names its row and column."""
 
     @pytest.mark.parametrize("column", CSV_HEADER)
     @pytest.mark.parametrize("cell", sorted(BAD_CELLS))
@@ -157,7 +155,6 @@ class TestParseErrorsKept:
         with pytest.raises(DatasetFormatError) as exc:
             parse_text(text)
         assert str(exc.value) == f"{BAD_CELLS[cell]} (row 3, column {column!r})"
-        assert (exc.value.row, exc.value.column) == (3, column)
 
     def test_first_bad_cell_is_named(self, parse_text):
         text = f"{HEADER}\n{_row_with({'h_mm': 'nan', 'ef_gpa': 'x', 'fcc_mpa': ''})}\n"
@@ -187,7 +184,7 @@ class TestParseErrorsKept:
 
 
 RECORD = SpecimenRecord(150.0, 300.0, 0.167, 231.0, 30.0, 0.2, 1.2, 45.0)
-# Each file's outcome: its records, or the error's (message, row, column).
+# Each file's outcome: its records, or the error's message.
 SOURCE_CASES = {
     "crlf": (f"{HEADER}\r\n{ROW}\r\n{ROW.replace('150', '160')}\r\n",
              [RECORD, dataclasses.replace(RECORD, d=160.0)]),
@@ -197,21 +194,21 @@ SOURCE_CASES = {
     "quoted_cells": (f'{HEADER}\n"150","300",0.167,"231",30,0.2,1.2,"45"\n"150\r\n",300,0.167,231,30,0.2,1.2,45\n',
                      [RECORD, RECORD]),
     "bad_cell_row_4": (f"{HEADER}\n{ROW}\n\n150,300,0.167,231,xx,0.2,1.2,45\n{ROW}\n",
-                       ("could not parse number from 'xx' (row 4, column 'fco_mpa')", 4, "fco_mpa")),
+                       "could not parse number from 'xx' (row 4, column 'fco_mpa')"),
     "bad_cell_after_quoted_newline": (
         f'{HEADER}\n"150\n",300,0.167,231,30,0.2,1.2,45\n150,300,0.167,231,xx,0.2,1.2,45\n',
-        ("could not parse number from 'xx' (row 4, column 'fco_mpa')", 4, "fco_mpa")),
+        "could not parse number from 'xx' (row 4, column 'fco_mpa')"),
     "bad_cell_crlf": (f"{HEADER}\r\n{ROW}\r\n150,300,0.167,231,30,0.2,zz,45\r\n",
-                      ("could not parse number from 'zz' (row 3, column 'ecc_pct')", 3, "ecc_pct")),
+                      "could not parse number from 'zz' (row 3, column 'ecc_pct')"),
     "bad_quoted_cell": (f'{HEADER}\n{ROW}\n150,"3\r\n00",0.167,231,30,0.2,1.2,45\n',
-                        ("could not parse number from '3\\r\\n00' (row 4, column 'h_mm')", 4, "h_mm")),
+                        "could not parse number from '3\\r\\n00' (row 4, column 'h_mm')"),
     "bad_record_lone_cr": (f"{HEADER}\r{ROW}\r-150,300,0.167,231,30,0.2,1.2,45\r",
-                           ("field 'd' must be positive and finite, got -150.0 (row 3)", 3, None)),
+                           "field 'd' must be positive and finite, got -150.0 (row 3)"),
     "lone_cr_in_a_cell": (f"{HEADER}\n{ROW[:-1]}\r{ROW[-1]}\n",
-                          ("expected 8 columns, found 1 (row 3)", 3, None)),
+                          "expected 8 columns, found 1 (row 3)"),
     # numpy's reader and float() disagree on these cells: they keep the walk's outcome
     "file_separator_cell": (f"{HEADER}\n{_row_with({'d_mm': chr(0x1C) + '1'})}\n",
-                            ("could not parse number from '\\x1c1' (row 2, column 'd_mm')", 2, "d_mm")),
+                            "could not parse number from '\\x1c1' (row 2, column 'd_mm')"),
     "underscore_cell": (f"{HEADER}\n{_row_with({'h_mm': '1_000'})}\n",
                         [dataclasses.replace(RECORD, h=1000.0)]),
     "arabic_indic_cell": (f"{HEADER}\n{_row_with({'fco_mpa': '١٢'})}\n",
@@ -223,15 +220,15 @@ def _parse_outcome(parse, text):
     try:
         return parse(text)
     except DatasetFormatError as exc:
-        return (str(exc), exc.row, exc.column)
+        return str(exc)
 
 
 def _outcome(parse, path):
-    """parse(path)'s records, or its ValueError's type, message, row and column."""
+    """parse(path)'s records, or its ValueError's type and message."""
     try:
         return parse(path)
     except ValueError as exc:
-        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+        return (type(exc), str(exc))
 
 
 ALPHABET = '0123456789.,-+eE"\r\n infa\t_\x1c\x1d\x1e\x1f١'
@@ -287,8 +284,9 @@ class TestCsvRoundTrip:
 
 
 class TestParseSources:
-    """A file is streamed through open(): line endings, quoting and blank lines
-    as the csv module reads them, errors at the file line."""
+    """A file is read from its path, in 64 KiB chunks by numpy's reader when it is plain,
+    else by the csv walk: line endings, quoting and blank lines as the csv module reads
+    them, errors at the file line."""
 
     @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
     def test_records_or_error_of_each_file(self, parse_text, case):
@@ -309,10 +307,11 @@ class TestParseSources:
         with pytest.raises(DatasetFormatError) as exc:
             parse_text(f"{HEADER}\n{_row_with({'d_mm': cell})}\n")
         assert str(exc.value).startswith("field larger than field limit")
-        assert exc.value.row == 2
+        assert str(exc.value).endswith(" (row 2)")
 
     def test_path_parse_keeps_only_the_records(self, tmp_path, parse_text):
-        # streaming holds a few rows at a time, not the file's text and a copy of it
+        # the fast path holds one 64 KiB chunk of text, then one float64 array and one list per
+        # column, not the file's text and a copy of it
         path = tmp_path / "big.csv"
         path.write_text(records_to_csv(make_records(8000, seed=5, with_rupture=True)))
         parse_text(HEADER + "\n" + ROW + "\n")  # warm up one-time caches
@@ -782,22 +781,34 @@ class TestSplit:
 
 
 class TestPlainFastPath:
-    """A plain file is read by numpy's reader alone, without the csv walk."""
+    """A plain file is read by numpy's reader alone, without the csv walk; a file with a
+    blank cell goes to the walk."""
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
         monkeypatch.setattr(dataset, "_walk_dataset", lambda path: pytest.fail(f"walked {path}"))
 
-    @pytest.mark.parametrize("case", ["rupture", "every_third_rupture_blank", "eight_columns", "crlf"])
+    @pytest.mark.parametrize("case", ["rupture", "eight_columns", "crlf"])
     def test_plain_file_parses_without_the_walk(self, parse_text, no_walk, case):
-        records = make_records(8000, seed=5, with_rupture=case != "eight_columns" and case != "crlf")
-        if case == "every_third_rupture_blank":
-            records = [dataclasses.replace(r, eps_h_rup=None) if i % 3 == 0 else r
-                       for i, r in enumerate(records)]
+        records = make_records(8000, seed=5, with_rupture=case == "rupture")
         text = records_to_csv(records)
         if case == "crlf":
             text = text.replace("\n", "\r\n")
         assert parse_text(text) == records
+
+    def test_blank_rupture_cells_go_to_the_walk(self, tmp_path, monkeypatch):
+        # numpy's reader refuses a blank cell, so parse_dataset returns the walk's records
+        records = [dataclasses.replace(r, eps_h_rup=None) if i % 3 == 0 else r
+                   for i, r in enumerate(make_records(8000, seed=5, with_rupture=True))]
+        path = tmp_path / "blank.csv"
+        path.write_text(records_to_csv(records))
+        with pytest.raises(ValueError):
+            dataset._parse_plain(path)
+        walked = []
+        monkeypatch.setattr(dataset, "_walk_dataset", lambda p: walked.append(p) or records)
+        assert parse_dataset(path) is records and walked == [path]
+        monkeypatch.undo()
+        assert parse_dataset(path) == records
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_read_once_by_the_walk(self):

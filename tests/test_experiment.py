@@ -129,6 +129,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="^unknown config key.*SynthSpec: seed$"):
             ExperimentConfig.from_dict({"synth": {"n": 30, "seed": 3}})
 
+    @pytest.mark.parametrize("name", ["ann", "pso", "gwo", "ba"])
+    def test_model_seed_is_not_a_setting(self, name):
+        # run_experiment derives each model's seed from the master seed; a config may not name another
+        with pytest.raises(ValueError, match=f"^models.{name}.seed is not a setting: "):
+            ExperimentConfig.from_dict({"synth": {"n": 30}, "models": {name: {"seed": 5}}})
+
     def test_readme_config_is_accepted(self):
         # the example under "### Experiment config" in README.md advertises only real keys
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

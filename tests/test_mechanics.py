@@ -234,8 +234,7 @@ class TestPredictRecord:
         values = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.01}
         assert predict_record(values) == pytest.approx(46.974, rel=1e-4)
 
-    @pytest.mark.parametrize("container", [dict, types.MappingProxyType, _UserMapping,
-                                           lambda fields: types.SimpleNamespace(**fields)])
+    @pytest.mark.parametrize("container", [dict, types.MappingProxyType, _UserMapping])
     def test_record_kinds_agree(self, container):
         rng = np.random.default_rng(4)
         params = EmpiricalModelParams(k=2.1, n=0.8)
@@ -252,8 +251,7 @@ class TestPredictRecord:
             expected = predict_record(dataclasses.replace(r, eps_h_rup=None), eps_f=0.015)
             assert predict_record(container(fields), eps_f=0.015) == expected
 
-    @pytest.mark.parametrize("container", [dict, types.MappingProxyType, _UserMapping,
-                                           lambda fields: types.SimpleNamespace(**fields)])
+    @pytest.mark.parametrize("container", [dict, types.MappingProxyType, _UserMapping])
     @pytest.mark.parametrize("missing", ["d", "nt", "ef", "fco"])
     def test_missing_field_same_error(self, container, missing):
         fields = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.01}
@@ -272,7 +270,6 @@ class TestPredictRecord:
         fields = {"d": 150.0, "nt": 0.167, "ef": 231.0, "fco": 30.0, "eps_h_rup": 0.01}
         expected = predict_record(self._record(**fields))
         assert predict_record(MappingWithAttributes(fields)) == predict_record(fields) == expected
-        assert predict_record(types.SimpleNamespace(**fields)) == expected
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown empirical model"):
@@ -433,7 +430,7 @@ class TestMergedChecksAgreeWithArgumentChecks:
             fields["eps_h_rup"] = strain
         if source in ("eps_f", "both"):
             kwargs["eps_f"] = strain if source == "eps_f" else 0.015
-        containers = [fields, types.SimpleNamespace(**fields), types.MappingProxyType(fields)]
+        containers = [fields, types.MappingProxyType(fields)]
         try:
             d = fields["d"]
             containers.append(SpecimenRecord(d=d, h=2 * d, nt=fields["nt"], ef=fields["ef"],
@@ -455,8 +452,7 @@ class TestMergedChecksAgreeWithArgumentChecks:
             ({k: v for k, v in fields.items() if k != "nt"}, "record is missing field 'nt'"),
         ]
         for values, message in cases:
-            for record in (values, types.SimpleNamespace(**values)):
-                for model in ("lam_teng", "miyauchi"):
-                    with pytest.raises(ValueError) as exc:
-                        predict_record(record, model=model)
-                    assert str(exc.value) == message
+            for model in ("lam_teng", "miyauchi"):
+                with pytest.raises(ValueError) as exc:
+                    predict_record(values, model=model)
+                assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -197,8 +198,8 @@ class TestObjectiveErrors:
 
         with pytest.raises(ObjectiveError) as exc:
             pso_run(PsoConfig(population=8, iterations=50, seed=0), 3, HALF, flaky)
-        assert exc.value.iteration >= 1
-        assert 0 <= exc.value.member < 8
+        assert re.fullmatch(r"objective returned non-finite value nan at iteration [1-9]\d*, member [0-7]",
+                            str(exc.value))
 
     def test_error_at_initialization(self):
         def bad(x):
@@ -206,7 +207,7 @@ class TestObjectiveErrors:
 
         with pytest.raises(ObjectiveError) as exc:
             gwo_run(GwoConfig(population=5, iterations=5, seed=0), 3, HALF, bad)
-        assert exc.value.iteration == 0
+        assert str(exc.value) == "objective returned non-finite value inf at iteration 0, member 0"
 
 
 class TestPsoUpdate:
@@ -368,8 +369,7 @@ def reference_ba_run(config, dim, bound, objective):
                 gbest_f = f
                 gbest = candidate.copy()
         history.append(gbest_f)
-    return OptimizationTrace(np.array(history), gbest, evaluations,
-                             loudness=loudness, acceptances=acceptances)
+    return OptimizationTrace(np.array(history), gbest, evaluations, acceptances=acceptances)
 
 
 def shifted_sphere(x):
@@ -447,7 +447,6 @@ class TestVectorisedMatchesPerMemberLoop:
         assert np.array_equal(got.best_fitness, want.best_fitness)
         assert np.array_equal(got.best_position, want.best_position)
         assert got.evaluations == want.evaluations
-        assert np.array_equal(got.loudness, want.loudness)
         assert np.array_equal(got.acceptances, want.acceptances)
 
     @pytest.mark.parametrize("seed", [0, 4, 9, 23])
@@ -501,13 +500,12 @@ class TestBaUpdate:
         assert np.array_equal(out, x)
         assert np.array_equal(v_out, np.zeros_like(x))
 
-    def test_loudness_geometric_decay(self):
+    def test_acceptances_per_bat(self):
+        # a bat's final loudness is loudness * alpha ** acceptances, so only the counts are kept
         cfg = BaConfig(population=10, iterations=80, seed=5)
         trace = ba_run(cfg, 4, HALF, sphere)
-        assert trace.loudness is not None and trace.acceptances is not None
-        for a, k in zip(trace.loudness, trace.acceptances):
-            assert a == pytest.approx(cfg.loudness * cfg.alpha ** int(k), rel=1e-9)
-        assert trace.acceptances.sum() > 0
+        assert trace.acceptances.shape == (cfg.population,)
+        assert 0 < trace.acceptances.sum() and trace.acceptances.max() <= cfg.iterations
 
     def test_pinned_sphere_run(self):
         # a small run pinned to the values of the array-box version, on a correctly rounded

@@ -1,10 +1,23 @@
 """Every module-level function and class of the package, and every method and
-property of its classes, has a caller.
+property of its classes, has a caller; every attribute its classes store has a
+reader.
 
 A name counts as called when an ``ast.Name`` or ``ast.Attribute`` refers to
 it somewhere in ``src/`` or ``perfbench/`` outside its own definition.
 References from ``tests/`` do not count: a name only tests call is dead code.
 Dunder methods are called by the language, so they are not checked.
+
+A stored attribute is a dataclass field (an annotated name in a class body) or
+a ``self.X`` store in a method of a package class. It counts as read when
+``src/`` or ``perfbench/`` holds an attribute load of its name on any base but
+``self``, a ``self.X`` load of it inside the class that stores it, or a string
+constant equal to it (dynamic access through ``attrgetter`` or ``getattr``).
+Names are matched by spelling alone, which is the check's blind spot: a stored
+name counts as read when any other object's attribute or any string shares it.
+So it could not flag ``DatasetFormatError.row``, ``ObjectiveError.value`` and
+``.iteration``, or ``OptimizationTrace.loudness`` while nothing read them:
+``"row"`` and ``"iteration"`` are strings elsewhere, and ``RangeFlag.value``
+and ``BaConfig.loudness`` are read.
 """
 import ast
 from pathlib import Path
@@ -74,3 +87,33 @@ def _uncalled():
 
 def test_every_definition_has_a_caller():
     assert _uncalled() == sorted(ALLOWED)
+
+
+def _is_self(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _unread():
+    """Stored attributes of package classes, as ``file:Class.name``, that nothing reads."""
+    stored, read, read_by_class = [], set(), {}
+    for path in SCANNED:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and not _is_self(n.value):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            self_attributes = [n for n in ast.walk(cls) if isinstance(n, ast.Attribute) and _is_self(n.value)]
+            read_by_class[(path, cls.name)] = {n.attr for n in self_attributes if isinstance(n.ctx, ast.Load)}
+            if path in PACKAGE:
+                fields = {s.target.id for s in cls.body
+                          if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+                names = fields | {n.attr for n in self_attributes if isinstance(n.ctx, ast.Store)}
+                stored += [(path, cls.name, name) for name in names]
+    return sorted(f"{path.name}:{cls}.{name}" for path, cls, name in stored
+                  if name not in read and name not in read_by_class[(path, cls)])
+
+
+def test_every_stored_attribute_has_a_reader():
+    assert _unread() == []
