@@ -19,9 +19,10 @@ draw member i's k variate vectors of a step with one call:
 ``Generator.random(k * dim)`` is bit for bit the k consecutive
 ``random(dim)`` draws of a per-member loop. Their personal bests, global
 best and leaders are chosen by array reductions that break ties as a
-per-member loop does. BA flies every bat at once against the global best
-held at the start of an iteration; when bat i moves it, bats i + 1 onward
-are flown again, so every trajectory is still the per-member loop's.
+per-member loop does. BA's walk offsets are 2u - 1 from raw ``random(dim)``
+variates u, the bits of ``uniform(-1, 1, dim)``. It flies every bat at
+once against the global best held at the start of an iteration; when bat
+i moves it, bats i + 1 onward are flown again, as in the per-member loop.
 """
 from __future__ import annotations
 
@@ -281,13 +282,14 @@ def gwo_run(config: GwoConfig, dim: int, bound: float, objective: Objective) -> 
     return OptimizationTrace(np.array(history), leaders[0], evaluations)
 
 
-def ba_flight(x, v, gbest, frequency, vmax, bound: float, steps, walking, v_out, out):
+def ba_flight(x, v, gbest, frequency, vmax, bound: float, steps, walking, loudness: float, v_out, out):
     """Fly a block of bats (rows of x) against the global best, in place.
 
     Row i of v_out gets bat i's frequency-scaled velocity and row i of out
     its candidate: the flight's, or, where walking[i] is set, a local walk
-    from the global best by the scaled offsets steps[i]. A bat sitting at
-    the global best with zero velocity stays put for any frequency.
+    from the global best by (2 * steps[i] - 1) * loudness, steps[i] being
+    raw [0, 1) variates (only walking rows are read). A bat sitting at the
+    global best with zero velocity stays put for any frequency.
     """
     np.subtract(x, gbest, out=v_out)
     v_out *= frequency[:, None]
@@ -295,58 +297,56 @@ def ba_flight(x, v, gbest, frequency, vmax, bound: float, steps, walking, v_out,
     np.clip(v_out, -vmax, vmax, out=v_out)
     np.clip(np.add(x, v_out, out=out), -bound, bound, out=out)
     if walking.any():
-        out[walking] = np.clip(gbest + steps[walking], -bound, bound)
+        out[walking] = np.clip(gbest + (steps[walking] * 2.0 - 1.0) * loudness, -bound, bound)
 
 
 def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> OptimizationTrace:
     """Bat algorithm with loudness decay and rising pulse rate.
 
     Per bat and iteration the stream yields: the frequency variate, the
-    local-walk trigger, the walk offsets (only when triggered), and the
+    local-walk trigger, dim walk variates u (only when triggered), and the
     acceptance variate. With probability equal to its pulse rate a bat
-    abandons its flight for a local walk around the global best, scaled by
-    the mean loudness. A candidate replaces the bat's position only when
-    the acceptance draw falls below the bat's loudness AND the fitness
-    improves; each acceptance decays the loudness by alpha and resets the
-    pulse rate to pulse_rate * (1 - exp(-gamma * t)).
+    abandons its flight for a local walk around the global best by 2u - 1
+    (bit for bit ``uniform(-1, 1)``), scaled by the mean loudness. A
+    candidate replaces the bat's position only when the acceptance draw
+    falls below the bat's loudness AND the fitness improves; each
+    acceptance decays the loudness by alpha and resets the pulse rate to
+    pulse_rate * (1 - exp(-gamma * t)).
 
     The global best tracks every evaluated candidate, and each bat flies
-    against the global best as the bats before it left it. A bat's draws
-    depend only on its own stream and pulse rate, so each iteration draws
-    them all first, flies every bat against the global best held at its
-    start, and evaluates the candidates in bat order; when bat i moves the
-    global best, bats i + 1 onward are flown again against the new one.
+    against it as the bats before it left it. A bat's draws and acceptance
+    test depend only on its own stream, pulse rate and loudness, so each
+    iteration makes them all first, flies every bat against the global
+    best held at its start, and evaluates the candidates in bat order; when
+    bat i moves the global best, bats i + 1 onward are flown again.
     """
     streams, x = _start(config, dim, bound)
-    v, v_new, candidates = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
-    steps = np.zeros_like(x)
+    v, v_new, candidates, steps = np.zeros_like(x), np.empty_like(x), np.empty_like(x), np.empty_like(x)
     walking = np.zeros(config.population, dtype=bool)
-    draws = np.empty((config.population, 3))  # frequency, trigger and acceptance variates
+    draws = np.empty(config.population)  # frequency variates
     vmax = config.velocity_clamp * 2.0 * bound
-    loudness = np.full(config.population, config.loudness)
-    pulse = np.full(config.population, config.pulse_rate)
+    loudness, pulse = [config.loudness] * config.population, [config.pulse_rate] * config.population
     acceptances = np.zeros(config.population, dtype=int)
 
-    fitness = _evaluate(objective, x, 0)
-    evaluations = len(fitness)
-    g = int(np.argmin(fitness))
-    gbest, gbest_f = x[g].copy(), float(fitness[g])
+    fitness = _evaluate(objective, x, 0).tolist()
+    evaluations, gbest_f = len(fitness), min(fitness)
+    gbest = x[fitness.index(gbest_f)].copy()
     history = [gbest_f]
 
     for t in range(1, config.iterations + 1):
-        mean_loudness = float(loudness.mean())
+        mean_loudness, accepting = float(np.mean(loudness)), []
         for i, rng in enumerate(streams):
-            rng.random(out=draws[i, :2])
-            walking[i] = draws[i, 1] < pulse[i]
-            if walking[i]:
-                np.multiply(rng.uniform(-1.0, 1.0, dim), mean_loudness, out=steps[i])
-            draws[i, 2] = rng.random()
-        frequency = config.f_min + (config.f_max - config.f_min) * draws[:, 0]
-        ba_flight(x, v, gbest, frequency, vmax, bound, steps, walking, v_new, candidates)
+            draws[i] = rng.random()
+            walking[i] = walk = rng.random() < pulse[i]
+            if walk:
+                rng.random(out=steps[i])
+            accepting.append(rng.random() < loudness[i])
+        frequency = config.f_min + (config.f_max - config.f_min) * draws
+        ba_flight(x, v, gbest, frequency, vmax, bound, steps, walking, mean_loudness, v_new, candidates)
         for i, candidate in enumerate(candidates):
             f = _checked(objective, candidate, t, i)
             evaluations += 1
-            if draws[i, 2] < loudness[i] and f < fitness[i]:
+            if accepting[i] and f < fitness[i]:
                 x[i] = candidate
                 fitness[i] = f
                 loudness[i] *= config.alpha
@@ -357,7 +357,7 @@ def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> Op
                 gbest = candidate.copy()
                 rest = slice(i + 1, None)
                 ba_flight(x[rest], v[rest], gbest, frequency[rest], vmax, bound, steps[rest],
-                          walking[rest], v_new[rest], candidates[rest])
+                          walking[rest], mean_loudness, v_new[rest], candidates[rest])
         v, v_new = v_new, v
         history.append(gbest_f)
     return OptimizationTrace(np.array(history), gbest, evaluations, acceptances=acceptances)

@@ -496,9 +496,37 @@ class TestBaUpdate:
         x, v = np.tile(gbest, (3, 1)), np.zeros((3, 2))
         v_out, out = np.full_like(x, np.nan), np.full_like(x, np.nan)
         ba_flight(x, v, gbest, np.array([0.0, 1.7, 2.0]), np.full(2, 1.0), HALF,
-                  np.zeros_like(x), np.zeros(3, dtype=bool), v_out, out)
+                  np.zeros_like(x), np.zeros(3, dtype=bool), 0.9, v_out, out)
         assert np.array_equal(out, x)
         assert np.array_equal(v_out, np.zeros_like(x))
+
+    def test_walking_rows_land_on_the_scaled_uniform_offsets(self):
+        # a walking bat's candidate is clip(gbest + uniform(-1, 1) * loudness) whatever its
+        # flight, from the raw [0, 1) variates of its row; the other rows fly
+        gbest, loudness, bound = np.array([0.1, -0.2, 0.3]), 0.7, 0.5
+        x = np.array([[0.2, 0.1, -0.1], [-0.3, 0.4, 0.0], [0.1, 0.1, 0.1], [0.0, -0.4, 0.2]])
+        v, frequency, vmax = np.full_like(x, 0.05), np.array([0.5, 1.0, 1.5, 2.0]), np.full(3, 0.2)
+        walking = np.array([True, False, True, False])
+        steps = np.full_like(x, np.nan)  # never read in a row that flies
+        steps[0], steps[2] = [0.25, 0.5, 0.75], [0.0, 0.875, 0.5]
+        v_out, out = np.empty_like(x), np.empty_like(x)
+        ba_flight(x, v, gbest, frequency, vmax, bound, steps, walking, loudness, v_out, out)
+        offsets = np.array([[-0.5, 0.0, 0.5], [-1.0, 0.75, 0.0]])
+        assert np.array_equal(out[walking], np.clip(gbest + offsets * loudness, -bound, bound))
+        assert out[2, 0] == -bound  # 0.1 - 0.7 lies beyond the box face
+        flown = reference_ba_flight(x[~walking], v[~walking], gbest, frequency[~walking, None], vmax, bound)[0]
+        assert np.array_equal(out[~walking], flown)
+        assert np.array_equal(v_out, reference_ba_flight(x, v, gbest, frequency[:, None], vmax, bound)[1])
+        assert not np.isnan(out).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 9, 23, 2 ** 40])
+    def test_uniform_walk_is_doubled_random_minus_one(self, seed):
+        # ba_run draws a walk with random(out=) and ba_flight maps u to u * 2 - 1: this holds
+        # only while numpy's uniform(-1, 1) computes -1 + 2 * u from the same doubles
+        for twin_a, twin_b in zip(_streams(seed, 3), _streams(seed, 3)):
+            walk = twin_a.uniform(-1.0, 1.0, 451)
+            assert walk.tobytes() == (twin_b.random(451) * 2.0 - 1.0).tobytes()
+            assert twin_a.bit_generator.state == twin_b.bit_generator.state
 
     def test_acceptances_per_bat(self):
         # a bat's final loudness is loudness * alpha ** acceptances, so only the counts are kept
