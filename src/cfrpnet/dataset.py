@@ -206,29 +206,29 @@ class SpecimenRecord:
     fcc: float
     eps_h_rup: float | None = None
 
-    def __post_init__(self):
-        check_values(self)
+    def __init__(self, d: float, h: float, nt: float, ef: float, fco: float, eco: float, ecc: float,
+                 fcc: float, eps_h_rup: float | None = None):
+        # the slots' own setters (bound below): the frozen __setattr__ refuses, object.__setattr__ is slower
+        _set_d(self, d); _set_h(self, h); _set_nt(self, nt)  # one statement each: no tuple is built
+        _set_ef(self, ef); _set_fco(self, fco); _set_eco(self, eco)
+        _set_ecc(self, ecc); _set_fcc(self, fcc); _set_eps_h_rup(self, eps_h_rup)
+        inf = math.inf  # NaN fails every comparison; a valid record passes on this one chain
+        if not (0.0 < d < inf and 0.0 < h < inf and 0.0 < nt < inf and 0.0 < ef < inf
+                and 0.0 < fco < inf and 0.0 < eco < inf and 0.0 < ecc < inf and 0.0 < fcc < inf
+                and not h < d and (eps_h_rup is None or 0.0 <= eps_h_rup < inf)):
+            check_values(self)  # raises for the first failing field
 
 
-_field_values = operator.attrgetter(*FIELDS)
+_set_d, _set_h, _set_nt, _set_ef, _set_fco, _set_eco, _set_ecc, _set_fcc, _set_eps_h_rup = (
+    SpecimenRecord.__dict__[f.name].__set__ for f in fields(SpecimenRecord))
 
 
 def check_values(values) -> None:
     """A record's rules for the fields an object holds (a record, or a namespace
     of some fields): FIELDS positive and finite, h not below d, eps_h_rup None
-    or non-negative and finite. NaN fails every comparison. A holder of every field
-    passes on one chained comparison; the walk below names the first failing field."""
-    inf = math.inf
-    try:
-        d, h, nt, ef, fco, eco, ecc, fcc = _field_values(values)
-    except AttributeError:  # some fields absent: walked below
-        pass
-    else:
-        eps = getattr(values, "eps_h_rup", None)
-        if (0.0 < d < inf and 0.0 < h < inf and 0.0 < nt < inf and 0.0 < ef < inf
-                and 0.0 < fco < inf and 0.0 < eco < inf and 0.0 < ecc < inf and 0.0 < fcc < inf
-                and not h < d and (eps is None or 0.0 <= eps < inf)):
-            return
+    or non-negative and finite. NaN fails every comparison. Raises ValueError
+    for the first failing field; a record's __init__ calls it only when its one
+    chained comparison fails."""
     for name in FIELDS:
         value = getattr(values, name, 1.0)
         if not 0.0 < value < math.inf:

@@ -2,10 +2,12 @@ import codecs
 import copy
 import csv
 import dataclasses
+import inspect
 import math
 import operator
 import os
 import pickle
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -206,6 +208,14 @@ SOURCE_CASES = {
                            "field 'd' must be positive and finite, got -150.0 (row 3)"),
     "lone_cr_in_a_cell": (f"{HEADER}\n{ROW[:-1]}\r{ROW[-1]}\n",
                           "expected 8 columns, found 1 (row 3)"),
+    # plain files (numpy's reader takes them): the record's ValueError sends the file to the
+    # walk, which names the row
+    "plain_h_below_d": (f"{HEADER}\n{ROW}\n150,100,0.167,231,30,0.2,1.2,45\n",
+                        "cylinder height 100.0 is smaller than diameter 150.0 (row 3)"),
+    "plain_negative_rupture": (f"{HEADER},eps_hrup\n{ROW},0.01\n{ROW},-0.01\n",
+                               "eps_h_rup must be non-negative and finite, got -0.01 (row 3)"),
+    "plain_zero_field": (f"{HEADER}\n{ROW}\n{_row_with({'nt_mm': '0'})}\n",
+                         "field 'nt' must be positive and finite, got 0.0 (row 3)"),
     # numpy's reader and float() disagree on these cells: they keep the walk's outcome
     "file_separator_cell": (f"{HEADER}\n{_row_with({'d_mm': chr(0x1C) + '1'})}\n",
                             "could not parse number from '\\x1c1' (row 2, column 'd_mm')"),
@@ -223,7 +233,7 @@ def _parse_outcome(parse, text):
         return str(exc)
 
 
-def _outcome(parse, path):
+def _path_outcome(parse, path):
     """parse(path)'s records, or its ValueError's type and message."""
     try:
         return parse(path)
@@ -254,9 +264,9 @@ class TestParseAnyText:
         # numpy's reader, where it returns, returns the walk's records
         path = tmp_path / "data.csv"
         path.write_text(f"{header}\n{body}", encoding="utf-8", newline="")
-        walked = _outcome(dataset._walk_dataset, path)
-        assert _outcome(parse_dataset, path) == walked
-        plain = _outcome(dataset._parse_plain, path)
+        walked = _path_outcome(dataset._walk_dataset, path)
+        assert _path_outcome(parse_dataset, path) == walked
+        plain = _path_outcome(dataset._parse_plain, path)
         assert plain == walked or plain[0] is ValueError
         if isinstance(walked, list):
             assert all(isinstance(r, SpecimenRecord) for r in walked)
@@ -379,6 +389,44 @@ class TestRecordInvariants:
             r.d = 1.0
 
 
+class TestRecordConstruction:
+    """The record's hand-written __init__ keeps the dataclass's construction surface."""
+
+    VALUES = (150.0, 300.0, 0.3, 231.0, 50.0, 0.2, 1.2, 45.0, 0.01)  # all distinct
+
+    def test_signature_match_args_and_fields(self):
+        keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        parameters = [(p.name, p.kind, p.default, p.annotation)
+                      for p in inspect.signature(SpecimenRecord).parameters.values()]
+        assert parameters == [(name, keyword, inspect.Parameter.empty, "float") for name in FIELDS] + [
+            ("eps_h_rup", keyword, None, "float | None")]
+        assert SpecimenRecord.__match_args__ == (*FIELDS, "eps_h_rup")
+        assert [(f.name, f.type, f.default, f.init) for f in dataclasses.fields(SpecimenRecord)] == [
+            (name, "float", dataclasses.MISSING, True) for name in FIELDS] + [
+            ("eps_h_rup", "float | None", None, True)]
+
+    def test_every_path_builds_an_equal_record(self):
+        positional = SpecimenRecord(*self.VALUES)
+        others = (SpecimenRecord(**dict(zip(SpecimenRecord.__match_args__, self.VALUES))),
+                  dataclasses.replace(SpecimenRecord(*self.VALUES[:8]), eps_h_rup=0.01),
+                  pickle.loads(pickle.dumps(positional)), copy.copy(positional))
+        for other in others:
+            assert other == positional and hash(other) == hash(positional)
+            assert dataclasses.astuple(other) == self.VALUES
+        assert SpecimenRecord(*self.VALUES[:8]).eps_h_rup is None
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (VALUES[:7], {}, "missing 1 required positional argument: 'fcc'"),
+        ((), {}, "missing 8 required positional arguments"),
+        (VALUES, {"fc": 1.0}, "got an unexpected keyword argument 'fc'"),
+        (VALUES[:8], {"d": 1.0}, "got multiple values for argument 'd'"),
+        ((*VALUES, 1.0), {}, "takes from 9 to 10 positional arguments but 11 were given"),
+    ])
+    def test_missing_or_unknown_argument_is_a_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=re.escape(f"SpecimenRecord.__init__() {message}")):
+            SpecimenRecord(*args, **kwargs)
+
+
 def _check_by_field(values) -> None:
     """The per-field rules check_values applies, one field at a time (the oracle)."""
     for name in FIELDS:
@@ -397,6 +445,15 @@ def _outcome(fn, *args, **kwargs):
         return ("ok", fn(*args, **kwargs))
     except (ValueError, TypeError) as exc:
         return (type(exc), str(exc))
+
+
+def _built(fields) -> tuple:
+    """SpecimenRecord(**fields)'s outcome, a record as ("ok", None), as the oracle gives it."""
+    outcome = _outcome(lambda: SpecimenRecord(**fields))
+    if outcome[0] == "ok":
+        assert type(outcome[1]) is SpecimenRecord
+        return ("ok", None)
+    return outcome
 
 
 # Zero, negatives, NaN, infinities, subnormals, the largest floats, ints and
@@ -419,6 +476,7 @@ class TestCheckValuesAgreesWithFieldRules:
         expected = _outcome(_check_by_field, SimpleNamespace(**fields))
         assert _outcome(check_values, SimpleNamespace(**fields)) == expected
         if not absent:  # a record checks itself on construction
+            assert _built(fields) == expected
             assert _outcome(lambda: check_values(SpecimenRecord(**fields))) == expected
 
     def test_each_field_each_bad_value(self):
@@ -429,6 +487,7 @@ class TestCheckValuesAgreesWithFieldRules:
                 fields = {**base, name: value}
                 expected = _outcome(_check_by_field, SimpleNamespace(**fields))
                 assert _outcome(check_values, SimpleNamespace(**fields)) == expected
+                assert _built(fields) == expected
                 assert _outcome(lambda: check_values(SpecimenRecord(**fields))) == expected
 
 
@@ -809,6 +868,17 @@ class TestPlainFastPath:
         assert parse_dataset(path) is records and walked == [path]
         monkeypatch.undo()
         assert parse_dataset(path) == records
+
+    @pytest.mark.parametrize("case", [c for c in SOURCE_CASES if c.startswith("plain_")])
+    def test_bad_record_fails_the_fast_path_in_its_constructor(self, tmp_path, case):
+        # numpy's reader reads the file; the record's __init__ raises, without the row
+        text, message = SOURCE_CASES[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ValueError) as exc:
+            dataset._parse_plain(path)
+        assert type(exc.value) is ValueError
+        assert f"{exc.value} (row 3)" == message
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_read_once_by_the_walk(self):
