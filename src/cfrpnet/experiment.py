@@ -343,16 +343,17 @@ class EmpiricalPredictor:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(ConfigBase):
     """One-variable sweep request: grid bounds plus fixed companions."""
 
     var: str
     start: float
     stop: float
     steps: int
-    fixed: Mapping[str, float]
+    fixed: Mapping  # a subscripted Mapping[str, float] cannot go through isinstance
 
     def __post_init__(self):
+        super().__post_init__()
         if self.var not in SWEEP_VARIABLES:
             raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}")
         if self.steps < 2:

@@ -59,44 +59,43 @@ def init_weights(hidden: int, seed: int) -> np.ndarray:
     return rng.uniform(-WEIGHT_BOUND, WEIGHT_BOUND, parameter_count(hidden))
 
 
-def _workspace(hidden: int, n: int, dtype=float) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, hidden) and (n,) buffers of the activations of n rows."""
-    return np.empty((n, hidden), dtype), np.empty(n, dtype)
-
-
-def _bind_mse(params, X, Y, acts, squares):
-    """The MSE of a batch checked by _check_batch, bound once to unflatten's views (W1, b1,
-    W2, b2), whose values each call of the returned mse() reads, in their dtype. mse() leaves
-    the hidden activations in acts[0], the errors in acts[1] and their squares in squares
-    (acts[1] when the errors are not needed), summed in float64 as np.mean does. A None b1
-    means W1 is [W1; b1] and X ends in a ones column. The products are bound ndarray.dot calls."""
+def _bind(params, X, Y=None):
+    """The forward pass of a batch through unflatten's views (W1, b1, W2, b2), bound once to
+    them and to its own (n, h) and (n,) buffers in X's dtype: forward() reads the views' values
+    and returns the buffers, holding the tanh activations and the outputs. Given targets Y it
+    returns mse() instead, which leaves the squared errors over the outputs and sums them in
+    float64, as np.mean does. A None b1 means W1 is [W1; b1] and X ends in a ones column."""
     W1, b1, W2, b2 = params
-    hidden, out = acts
-    x_dot, hidden_dot, tanh, subtract, square, add = X.dot, hidden.dot, np.tanh, np.subtract, np.square, np.add
+    hidden, out = np.empty((len(X), W2.size), X.dtype), np.empty(len(X), X.dtype)
+    x_dot, hidden_dot, tanh, add = X.dot, hidden.dot, np.tanh, np.add
 
-    def mse() -> float:
+    def forward():
         x_dot(W1, out=hidden)
         if b1 is not None:
             add(hidden, b1, out=hidden)
         tanh(hidden, out=hidden)
         hidden_dot(W2, out=out)
         add(out, b2, out=out)
+        return hidden, out
+
+    if Y is None:
+        return forward
+    subtract, square = np.subtract, np.square
+
+    def mse() -> float:
+        forward()
         subtract(out, Y, out=out)
-        return float(add.reduce(square(out, out=squares), dtype=float)) / out.size
+        return float(add.reduce(square(out, out=out), dtype=float)) / out.size
 
     return mse
 
 
-@np.errstate(over="ignore")  # the squared errors are discarded; only the predictions matter
 def forward_batch(params, X) -> np.ndarray:
     """Predictions for a batch of inputs through unflatten's (W1, b1, W2, b2) views, shape (n,)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params[0].shape[0]:
         raise ValueError(f"expected inputs of shape (n, {params[0].shape[0]}), got {X.shape}")
-    acts = _workspace(params[1].size, len(X))
-    if len(X):  # the errors the batch kernel leaves against zero targets are the predictions
-        _bind_mse(params, X, 0.0, acts, np.empty(len(X)))()
-    return acts[1]
+    return _bind(params, X)()[1]
 
 
 def forward(params, x) -> float:
@@ -129,37 +128,40 @@ def _check_batch(X, y):
 def loss_mse(weights, X, y) -> float:
     """Mean squared error of the forward pass over a batch."""
     X, Y = _check_batch(X, y)
-    params = unflatten(weights)
-    acts = _workspace(params[1].size, X.shape[0])
-    return _bind_mse(params, X, Y, acts, acts[1])()
+    return _bind(unflatten(weights), X, Y)()
 
 
-def _backward(params, X, acts, tmp) -> np.ndarray:
-    """Gradient of the batch MSE from the activations and errors a bound
-    mse() left in acts; overwrites acts and tmp, a buffer of the hidden
-    layer's shape."""
-    grad = np.empty(parameter_count(params[1].size))
+def _bind_gradient(params, X, Y):
+    """The batch MSE and its exact gradient, bound once on _bind's forward pass of a checked
+    batch, with a gradient buffer, its unflatten views and scratch buffers: each backward() call
+    returns the MSE, summed as mse() sums it, and the gradient buffer, which it overwrites."""
+    forward, n, h = _bind(params, X), len(X), params[1].size
+    grad = np.empty(parameter_count(h))
     gW1, gb1, gW2, gb2 = unflatten(grad)
-    hidden, delta = acts
-    delta *= 2.0  # the output is linear: its derivative is 1
-    delta /= delta.size
-    hidden.T.dot(delta, out=gW2)
-    np.sum(delta, out=gb2)
-    dtanh = np.subtract(1.0, np.multiply(hidden, hidden, out=tmp), out=tmp)
-    delta = np.multiply.outer(delta, params[2], out=hidden)
-    delta *= dtanh
-    X.T.dot(delta, out=gW1)
-    np.sum(delta, axis=0, out=gb1)
-    return grad
+    squares, dtanh = np.empty(n), np.empty((n, h))
+
+    def backward() -> tuple[float, np.ndarray]:
+        hidden, delta = forward()
+        np.subtract(delta, Y, out=delta)
+        loss = float(np.add.reduce(np.square(delta, out=squares), dtype=float)) / n
+        delta *= 2.0  # the output is linear: its derivative is 1
+        delta /= n
+        hidden.T.dot(delta, out=gW2)
+        np.sum(delta, out=gb2)
+        np.subtract(1.0, np.multiply(hidden, hidden, out=dtanh), out=dtanh)
+        delta = np.multiply.outer(delta, params[2], out=hidden)
+        delta *= dtanh
+        X.T.dot(delta, out=gW1)
+        np.sum(delta, axis=0, out=gb1)
+        return loss, grad
+
+    return backward
 
 
 def gradient(weights, X, y) -> np.ndarray:
     """Exact gradient of the batch MSE with respect to the flat parameters."""
     X, Y = _check_batch(X, y)
-    params = unflatten(weights)
-    acts, tmp = (_workspace(params[1].size, X.shape[0]) for _ in range(2))
-    _bind_mse(params, X, Y, acts, tmp[1])()
-    return _backward(params, X, acts, tmp[0])
+    return _bind_gradient(unflatten(weights), X, Y)()[1]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -190,15 +192,13 @@ def train_backprop(hidden: int, X, y, config: BackpropConfig) -> tuple[np.ndarra
     """
     w = init_weights(hidden, config.seed)
     X, Y = _check_batch(X, y)
-    acts, tmp = _workspace(hidden, X.shape[0]), _workspace(hidden, X.shape[0])
-    params = unflatten(w)  # views of w, which each epoch updates in place
-    mse = _bind_mse(params, X, Y, acts, tmp[1])
+    backward = _bind_gradient(unflatten(w), X, Y)  # views of w, which each epoch updates in place
     with np.errstate(over="ignore", invalid="ignore"):
-        # each loss leaves in acts the forward pass the next gradient starts from
-        history = [mse()]
+        current, grad = backward()
+        history = [current]
         for epoch in range(1, config.epochs + 1):
-            w -= config.learning_rate * _backward(params, X, acts, tmp[0])
-            current = mse()
+            w -= config.learning_rate * grad
+            current, grad = backward()
             if not math.isfinite(current):
                 raise TrainingDivergedError(f"training diverged at epoch {epoch}: loss={current}")
             history.append(current)

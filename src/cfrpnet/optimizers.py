@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ConfigBase, csv_text
-from .neuralnet import INPUT_SIZE, WEIGHT_BOUND, _bind_mse, _check_batch, _workspace, parameter_count, unflatten
+from .neuralnet import INPUT_SIZE, WEIGHT_BOUND, _bind, _check_batch, parameter_count, unflatten
 
 Objective = Callable[[np.ndarray], float]
 
@@ -383,8 +383,7 @@ def objective_from_dataset(hidden: int, X, y) -> Objective:
     n, h = INPUT_SIZE, W2.size
     X, Y = _check_batch(X, y)
     X, Y = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32), Y.astype(np.float32)
-    acts = _workspace(h, X.shape[0], np.float32)
-    mse = _bind_mse((w[:(n + 1) * h].reshape(n + 1, h), None, W2, b2), X, Y, acts, acts[1])  # views of w
+    mse = _bind((w[:(n + 1) * h].reshape(n + 1, h), None, W2, b2), X, Y)  # views of w
 
     def objective(position: np.ndarray) -> float:
         if np.shape(position) != w.shape:  # copyto would broadcast a scalar

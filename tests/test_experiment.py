@@ -184,7 +184,7 @@ def _config_documents(cls):
 
 
 @pytest.mark.parametrize("cls", [PsoConfig, GwoConfig, BaConfig, BackpropConfig, EmpiricalModelParams,
-                                 ExperimentConfig], ids=lambda cls: cls.__name__)
+                                 ExperimentConfig, SweepSpec], ids=lambda cls: cls.__name__)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_config_from_dict_builds_or_raises_value_error(cls, data):
@@ -381,12 +381,17 @@ class TestParametricSweep:
         assert len(grid.predictions) == 10
 
     def test_invalid_specs(self):
-        with pytest.raises(ValueError):
-            SweepSpec("fco", 50.0, 5.0, 10, {})
-        with pytest.raises(ValueError):
-            SweepSpec("fco", 5.0, 50.0, 1, {})
-        with pytest.raises(ValueError):
-            SweepSpec("h", 100.0, 200.0, 5, {})
+        # the last rows are the field types, which ConfigBase checks before the range checks
+        for args in [("fco", 50.0, 5.0, 10, {}), ("fco", 5.0, 50.0, 1, {}), ("h", 100.0, 200.0, 5, {}),
+                     ("fco", 20.0, 40.0, 3.0, {}), ("fco", 20.0, 40.0, True, {}),
+                     ("fco", math.nan, 40.0, 3, {}), ("fco", 20.0, math.nan, 3, {}),
+                     ("fco", -math.inf, 40.0, 3, {}), ("fco", 20.0, math.inf, 3, {}),
+                     ("fco", math.inf, 40.0, 3, {}), ("fco", 20.0, -math.inf, 3, {}),
+                     ("fco", "a", 40.0, 3, {}), ("fco", 20.0, "a", 3, {}), ("fco", 20.0, 40.0, 3, [])]:
+            with pytest.raises(ValueError):
+                SweepSpec(*args)
+        with pytest.raises(ValueError, match=r"^SweepSpec\.steps must be int, got 3\.0$"):
+            SweepSpec("fco", 20.0, 40.0, 3.0, {})
 
     def test_trained_model_extrapolation_warns(self):
         records = synth_dataset(60, seed=15)

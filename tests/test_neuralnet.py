@@ -208,8 +208,8 @@ class TestForward:
                 forward_batch(unflatten(w), X)
 
     def test_batch_of_no_rows_or_huge_predictions(self):
-        # the batch kernel squares its predictions against zero targets and discards the
-        # squares: an empty batch divides nothing, and 4e200 squared warns of nothing
+        # the forward pass stops at its outputs: an empty batch runs through the products,
+        # and predictions of 4e200, whose squares would overflow, warn of nothing
         params = unflatten(np.full(parameter_count(3), 1e200))
         assert forward_batch(params, np.empty((0, 7))).shape == (0,)
         with warnings.catch_warnings():
@@ -281,6 +281,16 @@ class TestGradient:
         with pytest.raises(ValueError, match="empty"):
             gradient(np.zeros(10), np.empty((0, 7)), np.empty(0))
 
+    def test_caller_owns_the_result(self):
+        # each call binds its own gradient buffer, so a second call overwrites nothing
+        rng = np.random.default_rng(15)
+        w, X, y = rng.uniform(-0.5, 0.5, parameter_count(4)), rng.uniform(0.1, 0.9, (9, 7)), rng.uniform(0.1, 0.9, 9)
+        first = gradient(w, X, y)
+        kept = first.copy()
+        second = gradient(w, X, y)
+        assert second is not first and not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() == second.tobytes()
+
     def test_column_targets_refused(self):
         # targets are (n,): an (n, 1) column is refused by every batch entry point
         X, y = np.full((5, 7), 0.5), np.full((5, 1), 0.5)
@@ -317,6 +327,26 @@ class TestTrainBackprop:
         _, h1 = train_backprop(3, X, y, cfg)
         _, h2 = train_backprop(3, X, y, cfg)
         assert h1 == h2
+
+    def test_binds_once_per_run(self, monkeypatch):
+        # the gradient buffer and every view are bound when the run starts: a run of 100
+        # epochs cuts as many vectors as a run of 50
+        rng = np.random.default_rng(16)
+        X, y = rng.uniform(0.1, 0.9, (10, 7)), rng.uniform(0.1, 0.9, 10)
+        calls = []
+        real_unflatten = neuralnet.unflatten
+
+        def spy_unflatten(*args):
+            calls.append(args)
+            return real_unflatten(*args)
+
+        monkeypatch.setattr(neuralnet, "unflatten", spy_unflatten)
+        counts = []
+        for epochs in (50, 100):
+            calls.clear()
+            train_backprop(3, X, y, BackpropConfig(epochs=epochs, seed=2))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_divergence_raises_with_epoch(self):
         rng = np.random.default_rng(6)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -67,6 +68,14 @@ def _float32_squares_mean(pred, y):
 def two_step_float32_mse(w, X, y):
     """The float32 kernel adding the hidden bias after the first matmul."""
     return _float32_squares_mean(float32_forward(w, X, folded=False)[1], y)
+
+
+def bound_buffers(run):
+    """The (n, h) and (n,) buffers a bound forward() or mse() computes in, read from the
+    closure of the forward pass it runs."""
+    forward = inspect.getclosurevars(run).nonlocals.get("forward", run)
+    cells = inspect.getclosurevars(forward).nonlocals
+    return cells["hidden"], cells["out"]
 
 
 def float32_mse(w, X, y):
@@ -688,26 +697,27 @@ class TestObjectiveFromDataset:
         X, y = rng.uniform(0.1, 0.9, (13, 7)), rng.uniform(0.1, 0.9, 13)
         w = rng.uniform(-0.5, 0.5, parameter_count(5))
         views, bound = [], []
-        real_unflatten, real_bind = neuralnet.unflatten, neuralnet._bind_mse
+        real_unflatten, real_bind = neuralnet.unflatten, neuralnet._bind
 
         def spy_unflatten(*args):
             params = real_unflatten(*args)
             views.extend(params)
             return params
 
-        def spy_bind(params, X, Y, acts, squares):
-            bound.append((params, X, Y, acts, squares))
-            return real_bind(params, X, Y, acts, squares)
+        def spy_bind(params, X, Y=None):
+            run = real_bind(params, X, Y)
+            bound.append((params, X, Y, bound_buffers(run)))
+            return run
 
         for module in (neuralnet, optimizers):
             monkeypatch.setattr(module, "unflatten", spy_unflatten)
-            monkeypatch.setattr(module, "_bind_mse", spy_bind)
+            monkeypatch.setattr(module, "_bind", spy_bind)
         objective = objective_from_dataset(5, X, y)
         assert len(views) == 4 and len(bound) == 1
         fitness = objective(w)
         assert objective(w) == fitness
         assert len(views) == 4 and len(bound) == 1  # the calls bind nothing
-        (folded, no_bias, W2, b2), X1, Y, (hidden, out), squares = bound[0]
+        (folded, no_bias, W2, b2), X1, Y, (hidden, out) = bound[0]
         # [W1; b1] spans unflatten's W1 and b1 in the one float32 weight buffer, which holds
         # the position
         assert no_bias is None and W2 is views[2] and b2 is views[3]
@@ -716,10 +726,10 @@ class TestObjectiveFromDataset:
         assert np.array_equal(folded, np.vstack(views[:2]))
         assert np.array_equal(np.concatenate([folded.ravel(), W2, b2.ravel()]), w.astype(np.float32))
         assert X1.shape == (13, 8) and np.array_equal(X1, np.hstack([X, np.ones((13, 1))]).astype(np.float32))
-        assert np.array_equal(Y, y.astype(np.float32)) and hidden.shape == (13, 5) and squares is out
+        assert np.array_equal(Y, y.astype(np.float32)) and hidden.shape == (13, 5) and out.shape == (13,)
         arrays = [*views, folded, X1, Y, hidden, out]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
-        # float32 squared errors, summed in float64
+        # float32 squared errors, left over the outputs and summed in float64
         pred = float32_forward(w, X, folded=True)[1][:, 0]
         assert out.tobytes() == np.square(pred - y.astype(np.float32)).tobytes()
         assert fitness == out.astype(np.float64).sum() / out.size
@@ -732,7 +742,7 @@ class TestObjectiveFromDataset:
         neuralnet.forward_batch(neuralnet.unflatten(w), X)
         assert views and len(bound) == 3
         assert all(params[1] is not None for params, *_ in bound)  # unfolded: b1 is added
-        arrays = [*views, *(a for params, X, Y, acts, squares in bound for a in (*params, X, Y, *acts, squares)
+        arrays = [*views, *(a for params, X, Y, acts in bound for a in (*params, X, Y, *acts)
                             if isinstance(a, np.ndarray))]
         assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
 
