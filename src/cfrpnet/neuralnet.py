@@ -2,10 +2,10 @@
 
 All weights and biases live in one 1-D vector: the input weights
 (row-major by input unit), the hidden biases, the output weights and the
-output bias. That vector is the search space handed to the population
-optimizers; a full-batch gradient-descent trainer provides the non-swarm
-baseline. ``forward`` and ``gradient`` are pure; a weight vector is an
-immutable value safe to share.
+output bias. That vector is the search space of the population
+optimizers, which minimize this module's float32 objective_from_dataset;
+a full-batch gradient-descent trainer provides the non-swarm baseline.
+``forward`` and ``gradient`` are pure; a weight vector is an immutable value safe to share.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -62,12 +62,12 @@ def init_weights(hidden: int, seed: int) -> np.ndarray:
 def _bind(params, X, Y=None):
     """The forward pass of a batch through unflatten's views (W1, b1, W2, b2), bound once to
     them and to its own (n, h) and (n,) buffers in X's dtype: forward() reads the views' values
-    and returns the buffers, holding the tanh activations and the outputs. Given targets Y it
-    returns mse() instead, which leaves the squared errors over the outputs and sums them in
-    float64, as np.mean does. A None b1 means W1 is [W1; b1] and X ends in a ones column."""
+    and returns the buffers, holding the tanh activations and the outputs. Bound with targets Y,
+    it goes on to leave the squared errors over the outputs and returns their mean, summed in
+    float64 as np.mean sums. A None b1 means W1 is [W1; b1] and X ends in a ones column."""
     W1, b1, W2, b2 = params
     hidden, out = np.empty((len(X), W2.size), X.dtype), np.empty(len(X), X.dtype)
-    x_dot, hidden_dot, tanh, add = X.dot, hidden.dot, np.tanh, np.add
+    x_dot, hidden_dot, tanh, add, subtract, square = X.dot, hidden.dot, np.tanh, np.add, np.subtract, np.square
 
     def forward():
         x_dot(W1, out=hidden)
@@ -76,18 +76,12 @@ def _bind(params, X, Y=None):
         tanh(hidden, out=hidden)
         hidden_dot(W2, out=out)
         add(out, b2, out=out)
-        return hidden, out
-
-    if Y is None:
-        return forward
-    subtract, square = np.subtract, np.square
-
-    def mse() -> float:
-        forward()
+        if Y is None:
+            return hidden, out
         subtract(out, Y, out=out)
         return float(add.reduce(square(out, out=out), dtype=float)) / out.size
 
-    return mse
+    return forward
 
 
 def forward_batch(params, X) -> np.ndarray:
@@ -134,7 +128,7 @@ def loss_mse(weights, X, y) -> float:
 def _bind_gradient(params, X, Y):
     """The batch MSE and its exact gradient, bound once on _bind's forward pass of a checked
     batch, with a gradient buffer, its unflatten views and scratch buffers: each backward() call
-    returns the MSE, summed as mse() sums it, and the gradient buffer, which it overwrites."""
+    returns the MSE, summed as a bound forward() sums it, and the gradient buffer, which it overwrites."""
     forward, n, h = _bind(params, X), len(X), params[1].size
     grad = np.empty(parameter_count(h))
     gW1, gb1, gW2, gb2 = unflatten(grad)
@@ -162,6 +156,35 @@ def gradient(weights, X, y) -> np.ndarray:
     """Exact gradient of the batch MSE with respect to the flat parameters."""
     X, Y = _check_batch(X, y)
     return _bind_gradient(unflatten(weights), X, Y)()[1]
+
+
+def objective_from_dataset(hidden: int, X, y) -> Callable[[np.ndarray], float]:
+    """The swarm fitness of a flat weight vector: the MSE on a fixed normalized training set.
+
+    A fitness only ranks candidates, so the forward pass runs in float32: it is bound once, here,
+    to the checked and cast training set and to the views of a float32 weight buffer; a call
+    copies the position into that buffer and runs the bound pass, which sums the squared errors
+    in float64. b1 follows W1 in the flat layout, so the first 8h weights are [W1; b1] as one
+    view, and X gets a ones column: the first product adds the hidden bias. On OpenBLAS's
+    SkylakeX kernels that kept every bit where the product goes to sgemm; a width of 1 or a
+    1-row set goes to sgemv, which may round the sums differently. A call allocates no
+    batch-sized array: it is deterministic and invariant to the order of the training rows, but
+    not re-entrant across threads."""
+    w = np.empty(parameter_count(hidden), np.float32)
+    W2, b2 = unflatten(w, np.float32)[2:]
+    n, h = INPUT_SIZE, W2.size
+    X, Y = _check_batch(X, y)
+    X, Y = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32), Y.astype(np.float32)
+    mse = _bind((w[:(n + 1) * h].reshape(n + 1, h), None, W2, b2), X, Y)  # views of w
+
+    def objective(position: np.ndarray) -> float:
+        if np.shape(position) != w.shape:  # copyto would broadcast a scalar
+            raise ValueError(f"weight vector has length {np.size(position)}, the network of hidden "
+                             f"width {h} needs {w.size}")
+        np.copyto(w, position)
+        return mse()
+
+    return objective
 
 
 class TrainingDivergedError(RuntimeError):
@@ -273,6 +296,13 @@ def _typed(value):
     return type(value), value
 
 
+def _finite(value) -> bool:
+    """Whether no number in a JSON value is NaN or infinite."""
+    if isinstance(value, (Mapping, list)):
+        return all(map(_finite, value.values() if isinstance(value, Mapping) else value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def model_to_dict(model: TrainedModel) -> dict:
     return {
         "format": MODEL_FORMAT,
@@ -291,7 +321,7 @@ def model_from_dict(data: Mapping) -> TrainedModel:
         raise ValueError(f"a model document must be a JSON object, got {type(data).__name__}")
     if data.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a recognized model document (format={data.get('format')!r})")
-    if data.get("version") != MODEL_VERSION:
+    if _typed(data.get("version")) != _typed(MODEL_VERSION):
         raise ValueError(f"unsupported model version {data.get('version')!r}")
     missing = [key for key in ("topology", "weights", "normalization", "features") if key not in data]
     if missing:
@@ -300,9 +330,11 @@ def model_from_dict(data: Mapping) -> TrainedModel:
     target, provenance = data.get("target", TARGET_FIELD), data.get("provenance", {})
     for key, value, kind, ok in (
             ("features", features, repr(list(DEFAULT_FEATURES)), features == list(DEFAULT_FEATURES)),
-            ("weights", data["weights"], "a list of numbers", weights.dtype.kind in "iuf"),
+            ("weights", data["weights"], "a list of numbers",
+             weights.dtype.kind in "iuf" and (weights.ndim != 1 or bool not in map(type, data["weights"]))),
             ("target", target, repr(TARGET_FIELD), target == TARGET_FIELD),
-            ("provenance", provenance, "a mapping", isinstance(provenance, Mapping))):
+            ("provenance", provenance, "a mapping", isinstance(provenance, Mapping)),
+            ("provenance", provenance, "free of NaN and infinities", _finite(provenance))):
         if not ok:
             raise ValueError(f"model {key} must be {kind}, got {value!r:.80}")
     model = TrainedModel(

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ConfigBase, csv_text
-from .neuralnet import INPUT_SIZE, WEIGHT_BOUND, _bind, _check_batch, parameter_count, unflatten
+from .neuralnet import WEIGHT_BOUND, objective_from_dataset, parameter_count
 
 Objective = Callable[[np.ndarray], float]
 
@@ -361,38 +361,6 @@ def ba_run(config: BaConfig, dim: int, bound: float, objective: Objective) -> Op
         v, v_new = v_new, v
         history.append(gbest_f)
     return OptimizationTrace(np.array(history), gbest, evaluations, acceptances=acceptances)
-
-
-def objective_from_dataset(hidden: int, X, y) -> Objective:
-    """MSE of forward-pass predictions on a fixed normalized training set.
-
-    A fitness only ranks candidates, so the forward pass runs in float32: the
-    batch kernel is bound once, here, to the checked and cast training set, to
-    its own buffers and to the views of a float32 weight buffer; each call
-    copies the position into that buffer and runs the bound mse(), which sums
-    the squared errors in float64. The flat layout puts b1 right after W1, so
-    the first (n + 1) * h weights are [W1; b1] as one view, and X gets a ones
-    column: the first product adds the hidden bias. On OpenBLAS's SkylakeX
-    kernels that kept every bit where the product goes to sgemm; a width of 1
-    or a 1-row set goes to sgemv, which may round the sums differently. A call
-    allocates no batch-sized array: it is deterministic and invariant to the
-    order of the training rows, but not re-entrant across threads.
-    """
-    w = np.empty(parameter_count(hidden), np.float32)
-    W2, b2 = unflatten(w, np.float32)[2:]
-    n, h = INPUT_SIZE, W2.size
-    X, Y = _check_batch(X, y)
-    X, Y = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32), Y.astype(np.float32)
-    mse = _bind((w[:(n + 1) * h].reshape(n + 1, h), None, W2, b2), X, Y)  # views of w
-
-    def objective(position: np.ndarray) -> float:
-        if np.shape(position) != w.shape:  # copyto would broadcast a scalar
-            raise ValueError(f"weight vector has length {np.size(position)}, the network of hidden "
-                             f"width {h} needs {w.size}")
-        np.copyto(w, position)
-        return mse()
-
-    return objective
 
 
 _RUNNERS = {"pso": (pso_run, PsoConfig), "gwo": (gwo_run, GwoConfig), "ba": (ba_run, BaConfig)}

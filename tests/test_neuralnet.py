@@ -70,7 +70,7 @@ def reference_gradient(w, X, y):
     return np.concatenate([part.ravel() for part in (np.matmul(X.T, delta), delta.sum(axis=0), *grad_out)])
 
 
-class TestWorkspaceKernelMatchesReference:
+class TestBoundKernelMatchesReference:
     # one and two rows, and a width of 1, are where BLAS takes its dot and gemv paths
     @pytest.mark.parametrize("hidden_size", [1, 5, 50])
     @pytest.mark.parametrize("rows", [1, 2, 23, 45, 531])
@@ -596,6 +596,33 @@ class TestTrainedModel:
         del data["features"]
         with pytest.raises(ValueError, match="lacks features"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_of_another_json_type_refused(self, version):
+        # true and 1.0 equal 1 in Python; the file's version must be the JSON integer 1
+        data = {**model_to_dict(_toy_model()), "version": version}
+        with pytest.raises(ValueError, match=re.escape(f"unsupported model version {version!r}")):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_weight_refused(self, flag):
+        # numpy reads [true, 0.5] as [1.0, 0.5]
+        data = model_to_dict(_toy_model())
+        data["weights"][5] = flag
+        with pytest.raises(ValueError, match="model weights must be a list of numbers"):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_provenance_refused(self, tmp_path, text):
+        # a number the model file could not be written back with, nested or not
+        path = tmp_path / "model.json"
+        save_model(_toy_model(), path)
+        document = path.read_text()
+        assert document.count('"seed": 0') == 1
+        for value in (text, f'{{"runs": [1, {text}]}}'):
+            path.write_text(document.replace('"seed": 0', f'"seed": {value}'))
+            with pytest.raises(ValueError, match="model provenance must be free of NaN and infinities"):
+                load_model(path)
 
     def test_missing_normalization_field(self):
         model = _toy_model()

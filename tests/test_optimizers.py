@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,10 +71,8 @@ def two_step_float32_mse(w, X, y):
     return _float32_squares_mean(float32_forward(w, X, folded=False)[1], y)
 
 
-def bound_buffers(run):
-    """The (n, h) and (n,) buffers a bound forward() or mse() computes in, read from the
-    closure of the forward pass it runs."""
-    forward = inspect.getclosurevars(run).nonlocals.get("forward", run)
+def bound_buffers(forward):
+    """The (n, h) and (n,) buffers a bound forward() computes in, read from its closure."""
     cells = inspect.getclosurevars(forward).nonlocals
     return cells["hidden"], cells["out"]
 
@@ -689,6 +688,29 @@ class TestObjectiveFromDataset:
             tracemalloc.stop()
         assert peak < 531 * 50 * 8
 
+    def test_one_bound_pass_per_call(self):
+        # a call runs the objective's own frame and the bound forward(), which computes the
+        # loss too: no other function of the package, and no frame between the two
+        rng = np.random.default_rng(12)
+        X, y = rng.uniform(0.1, 0.9, (13, 7)), rng.uniform(0.1, 0.9, 13)
+        objective = objective_from_dataset(5, X, y)
+        w = rng.uniform(-0.5, 0.5, parameter_count(5))
+        package = str(Path(neuralnet.__file__).parent)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            fitness = objective(w)
+        finally:
+            sys.setprofile(previous)
+        assert calls == ["objective", "forward"]
+        assert fitness == float32_mse(w, X, y)
+
     def test_computes_in_float32(self, monkeypatch):
         # np.asarray(weights, dtype=float) anywhere on the path would silently compute in
         # float64: every weight view, input, target and buffer the objective binds is float32,
@@ -709,9 +731,8 @@ class TestObjectiveFromDataset:
             bound.append((params, X, Y, bound_buffers(run)))
             return run
 
-        for module in (neuralnet, optimizers):
-            monkeypatch.setattr(module, "unflatten", spy_unflatten)
-            monkeypatch.setattr(module, "_bind", spy_bind)
+        monkeypatch.setattr(neuralnet, "unflatten", spy_unflatten)
+        monkeypatch.setattr(neuralnet, "_bind", spy_bind)
         objective = objective_from_dataset(5, X, y)
         assert len(views) == 4 and len(bound) == 1
         fitness = objective(w)

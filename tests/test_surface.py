@@ -18,8 +18,12 @@ So it could not flag ``DatasetFormatError.row``, ``ObjectiveError.value`` and
 ``.iteration``, or ``OptimizationTrace.loudness`` while nothing read them:
 ``"row"`` and ``"iteration"`` are strings elsewhere, and ``RangeFlag.value``
 and ``BaConfig.loudness`` are read.
+
+The benchmark's tracer swaps module-level names of the package at run time, so
+every name it patches must stay a callable attribute of the module it names.
 """
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,3 +121,19 @@ def _unread():
 
 def test_every_stored_attribute_has_a_reader():
     assert _unread() == []
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_patch_points_exist():
+    tracing = _perfbench_tracing()
+    points = [entry[:2] for entry in tracing.LAYER_CALLS] + [tracing.OBJECTIVE_FACTORY]
+    missing = [f"cfrpnet.{module}.{attr}" for module, attr in points
+               if not callable(getattr(importlib.import_module(f"cfrpnet.{module}"), attr, None))]
+    assert missing == []
