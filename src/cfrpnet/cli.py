@@ -28,6 +28,7 @@ from .dataset import (
     fit_normalizer,
     json_text,
     parse_dataset,
+    raw_matrix,
     records_to_csv,
     split,
     summary_stats,
@@ -196,10 +197,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     records = parse_dataset(args.dataset)
-    targets = np.array([getattr(r, TARGET_FIELD) for r in records], dtype=float)
     predictions = model.predict_records(records)
     _require_finite(predictions)
-    report = report_from_pairs(targets, predictions, model.normalization)
+    report = report_from_pairs(raw_matrix(records, (TARGET_FIELD,))[:, 0], predictions, model.normalization)
     if args.format == "json":
         print(json_text({**report.to_dict(), "provenance": model.provenance}), end="")
     else:

@@ -18,14 +18,17 @@ import numpy as np
 from . import mechanics
 from .dataset import (
     FIELD_BOUNDS,
+    TARGET_FIELD,
     ConfigBase,
     NormalizationSpec,
+    RecordSequence,
     SpecimenRecord,
     csv_text,
     feature_matrix,
     fit_normalizer,
     json_text,
     parse_dataset,
+    raw_matrix,
     split,
     target_vector,
     write_text,
@@ -62,7 +65,7 @@ def model_seed(master_seed: int, name: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
-def synth_dataset(n: int, seed: int, noise_fraction: float = 0.02) -> list[SpecimenRecord]:
+def synth_dataset(n: int, seed: int, noise_fraction: float = 0.02) -> RecordSequence:
     """Generate a synthetic specimen database with a known ground truth.
 
     Geometry, jacket, and concrete properties are sampled uniformly within
@@ -107,7 +110,7 @@ def synth_dataset(n: int, seed: int, noise_fraction: float = 0.02) -> list[Speci
                 break
         else:
             raise RuntimeError("synthetic sampler failed to draw an in-range record")
-    return records
+    return RecordSequence(records)
 
 
 @dataclass
@@ -266,7 +269,7 @@ def run_experiment(
     norm = fit_normalizer(train)
     X_train = feature_matrix(train, norm)
     y_train = target_vector(train, norm)
-    t_test_mpa = np.array([r.fcc for r in test], dtype=float)
+    t_test_mpa = raw_matrix(test, (TARGET_FIELD,))[:, 0]
 
     comparison = ComparisonTable(reports={}, errors={})
     models: dict[str, TrainedModel] = {}

@@ -296,11 +296,9 @@ def _typed(value):
     return type(value), value
 
 
-def _finite(value) -> bool:
-    """Whether no number in a JSON value is NaN or infinite."""
-    if isinstance(value, (Mapping, list)):
-        return all(map(_finite, value.values() if isinstance(value, Mapping) else value))
-    return not isinstance(value, float) or math.isfinite(value)
+def _json(value) -> str:
+    """A value as a model file spells it (true, null, NaN, Infinity), cut at 80 characters."""
+    return json.dumps(value, default=repr)[:80]
 
 
 def model_to_dict(model: TrainedModel) -> dict:
@@ -320,23 +318,27 @@ def model_from_dict(data: Mapping) -> TrainedModel:
     if not isinstance(data, Mapping):
         raise ValueError(f"a model document must be a JSON object, got {type(data).__name__}")
     if data.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a recognized model document (format={data.get('format')!r})")
+        raise ValueError(f"not a recognized model document (format={_json(data.get('format'))})")
     if _typed(data.get("version")) != _typed(MODEL_VERSION):
-        raise ValueError(f"unsupported model version {data.get('version')!r}")
+        raise ValueError(f"unsupported model version {_json(data.get('version'))}")
     missing = [key for key in ("topology", "weights", "normalization", "features") if key not in data]
     if missing:
         raise ValueError(f"model document lacks {', '.join(missing)}")
     features, weights = data["features"], np.asarray(data["weights"])
     target, provenance = data.get("target", TARGET_FIELD), data.get("provenance", {})
     for key, value, kind, ok in (
-            ("features", features, repr(list(DEFAULT_FEATURES)), features == list(DEFAULT_FEATURES)),
+            ("features", features, _json(list(DEFAULT_FEATURES)), features == list(DEFAULT_FEATURES)),
             ("weights", data["weights"], "a list of numbers",
              weights.dtype.kind in "iuf" and (weights.ndim != 1 or bool not in map(type, data["weights"]))),
-            ("target", target, repr(TARGET_FIELD), target == TARGET_FIELD),
-            ("provenance", provenance, "a mapping", isinstance(provenance, Mapping)),
-            ("provenance", provenance, "free of NaN and infinities", _finite(provenance))):
+            ("target", target, _json(TARGET_FIELD), target == TARGET_FIELD),
+            ("provenance", provenance, "a mapping", isinstance(provenance, Mapping))):
         if not ok:
-            raise ValueError(f"model {key} must be {kind}, got {value!r:.80}")
+            raise ValueError(f"model {key} must be {kind}, got {_json(value)}")
+    for key, value in provenance.items():
+        try:  # strict JSON, as save_model writes it
+            json.dumps(value, allow_nan=False, default=repr)
+        except ValueError:  # the first entry holding a NaN or an infinity
+            raise ValueError(f"model provenance must be free of NaN and infinities, got {key}={_json(value)}") from None
     model = TrainedModel(
         weights=weights,
         normalization=NormalizationSpec.from_dict(data["normalization"]),
@@ -345,7 +347,7 @@ def model_from_dict(data: Mapping) -> TrainedModel:
     hidden = model.params[1].size  # the width its weights give; the topology must agree
     if _typed(data["topology"]) != _typed(_topology_dict(hidden)):
         raise ValueError(f"model topology must be one tanh hidden layer of the {hidden} units its "
-                         f"weights give and one linear output, got {data['topology']!r:.80}")
+                         f"weights give and one linear output, got {_json(data['topology'])}")
     return model
 
 

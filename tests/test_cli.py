@@ -474,8 +474,8 @@ class TestEvaluate:
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({**model_to_dict(_perfect()), "features": ["vol"]}))
         assert main(["evaluate", str(path), dataset_csv]) == 2
-        assert capsys.readouterr().err == ("error: model features must be "
-                                           "['d', 'h', 'nt', 'ef', 'fco', 'eco', 'ecc'], got ['vol']\n")
+        assert capsys.readouterr().err == ('error: model features must be '
+                                           '["d", "h", "nt", "ef", "fco", "eco", "ecc"], got ["vol"]\n')
 
     def test_header_only_dataset_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -591,7 +591,7 @@ class TestTrainedModel:
     def test_other_feature_list_refused(self, features):
         # the file still names its inputs, and they must be the seven, in order
         data = {**model_to_dict(_toy_model()), "features": features}
-        with pytest.raises(ValueError, match=r"model features must be \['d', 'h', 'nt', 'ef', 'fco', 'eco', "):
+        with pytest.raises(ValueError, match=r'model features must be \["d", "h", "nt", "ef", "fco", "eco", '):
             model_from_dict(data)
         del data["features"]
         with pytest.raises(ValueError, match="lacks features"):
@@ -599,9 +599,11 @@ class TestTrainedModel:
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_of_another_json_type_refused(self, version):
-        # true and 1.0 equal 1 in Python; the file's version must be the JSON integer 1
+        # true and 1.0 equal 1 in Python; the file's version must be the JSON integer 1,
+        # and the refusal spells the value as the file does
         data = {**model_to_dict(_toy_model()), "version": version}
-        with pytest.raises(ValueError, match=re.escape(f"unsupported model version {version!r}")):
+        spelt = "true" if version is True else "1.0"
+        with pytest.raises(ValueError, match=f"^unsupported model version {re.escape(spelt)}$"):
             model_from_dict(data)
 
     @pytest.mark.parametrize("flag", [True, False])
@@ -614,15 +616,43 @@ class TestTrainedModel:
 
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_provenance_refused(self, tmp_path, text):
-        # a number the model file could not be written back with, nested or not
+        # a number the model file could not be written back with, nested or not; the
+        # refusal names the entry that holds it, with the value as JSON spells it
+        spelt = "Infinity" if text == "1e999" else text
         path = tmp_path / "model.json"
         save_model(_toy_model(), path)
         document = path.read_text()
         assert document.count('"seed": 0') == 1
-        for value in (text, f'{{"runs": [1, {text}]}}'):
+        for value, entry in ((text, spelt), (f'{{"runs": [1, {text}]}}', f'{{"runs": [1, {spelt}]}}')):
             path.write_text(document.replace('"seed": 0', f'"seed": {value}'))
-            with pytest.raises(ValueError, match="model provenance must be free of NaN and infinities"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"model provenance must be free of NaN and infinities, got seed={entry}")):
                 load_model(path)
+
+    def test_non_finite_provenance_entry_named_past_80_characters(self):
+        # a swarm model's provenance spells past 80 characters before the entry refused
+        provenance = {"iterations": 900, "optimizer": "pso", "population": 70, "seed": 2125153645,
+                      "x": [0.5, {"y": math.nan}], "z": math.inf}
+        data = {**model_to_dict(_toy_model()), "provenance": provenance}
+        with pytest.raises(ValueError) as exc:
+            model_from_dict(data)
+        assert str(exc.value) == 'model provenance must be free of NaN and infinities, got x=[0.5, {"y": NaN}]'
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("format", None, "not a recognized model document (format=null)"),
+        ("format", "cfrpnet", 'not a recognized model document (format="cfrpnet")'),
+        ("version", None, "unsupported model version null"),
+        ("version", "1", 'unsupported model version "1"'),
+        ("target", "fco", 'model target must be "fcc", got "fco"'),
+        ("target", [True], 'model target must be "fcc", got [true]'),
+        ("provenance", [None], "model provenance must be a mapping, got [null]"),
+        ("weights", [0.5, False, None], "model weights must be a list of numbers, got [0.5, false, null]"),
+    ])
+    def test_refused_value_spelt_as_json(self, key, value, message):
+        data = {**model_to_dict(_toy_model()), key: value}
+        with pytest.raises(ValueError) as exc:
+            model_from_dict(data)
+        assert str(exc.value) == message
 
     def test_missing_normalization_field(self):
         model = _toy_model()
